@@ -1,7 +1,7 @@
 //! Emits `results/BENCH_e22.json`: the committed million-node
 //! scale-out baseline (experiment E22) — Israeli–Itai through the
-//! unified runtime on implicit topologies (`ring`, `torus`, `reg`) at
-//! n = 10⁵ and 10⁶ with peak RSS and round throughput per record, a
+//! unified runtime on implicit topologies (`ring`, `torus`, `reg` at
+//! n = 10⁵ and 10⁶, `gnp` at n = 10⁵) with peak RSS and round throughput per record, a
 //! sharded-backend thread sweep, and the implicit-vs-CSR twin
 //! bit-identity check.
 //!

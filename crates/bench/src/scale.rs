@@ -3,7 +3,9 @@
 //! Runs the Israeli–Itai pipeline through the unified runtime on
 //! *implicit* topologies — `ring:N`, `torus:WxH`, `reg:N:D` — whose
 //! adjacency is computed on the fly ([`dam_graph::ImplicitTopology`]),
-//! so the instance never stores per-edge arrays. Each record carries
+//! so the instance never stores per-edge arrays, plus one skip-sampled
+//! `gnp:N:P:SEED` at n = 10⁵, whose ports come from its compact row
+//! arrays rather than a CSR twin. Each record carries
 //! wall clock, round/message totals and the process's peak RSS
 //! (`VmHWM` from `/proc/self/status`), which is how the headline claim
 //! — Israeli–Itai at n = 10⁶ inside container memory — is pinned.
@@ -32,7 +34,8 @@ pub const SCALE_SEED: u64 = 22;
 /// sweep peaks around 60 MB, the budget is ~4x that.
 pub const RSS_BUDGET_KB: u64 = 262_144;
 /// Implicit specs measured at n = 10⁵ (both modes).
-pub const SPECS_1E5: &[&str] = &["ring:100000", "torus:320x320", "reg:100000:4"];
+pub const SPECS_1E5: &[&str] =
+    &["ring:100000", "torus:320x320", "reg:100000:4", "gnp:100000:0.00008:22"];
 /// Implicit specs measured at n = 10⁶ (full mode only).
 pub const SPECS_1E6: &[&str] = &["ring:1000000", "torus:1000x1000", "reg:1000000:4"];
 /// Twin-checked specs: implicit vs materialized CSR, bit-identical.

@@ -329,6 +329,13 @@ fn graph_spec_follows_the_contract() {
         Some(2),
         "a G(n,p) probability outside [0, 1] is a usage error"
     );
+    for spec in ["gnp:999999999:0:0", "gnp:100000:0.5:1"] {
+        assert_eq!(
+            code(&["run", "--graph", spec]),
+            Some(2),
+            "{spec}: a G(n,p) over the size cap is a usage error, not a panic or an OOM"
+        );
+    }
     let g = graph_file();
     assert_eq!(
         code(&["run", &g, "--graph", "ring:24"]),

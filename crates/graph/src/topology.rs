@@ -25,20 +25,27 @@
 //! # Determinism domain
 //!
 //! `ring`, `torus` and `reg` (circulant) adjacency is pure arithmetic:
-//! O(1) per port, any n. `gnp` draws each pair's coin from a keyed hash
-//! of `(seed, u, v)` — exact and replayable, but a *row* costs O(n)
-//! hashes and construction costs O(n²), so the spec parser caps it at
-//! [`GNP_MAX_NODES`] nodes; million-node runs use the structured
-//! families.
+//! O(1) per port, any n. `gnp` samples each node's forward row from a
+//! keyed geometric skip stream (Batagelj & Brandes, "Efficient
+//! generation of large random networks", Phys. Rev. E 71, 036113,
+//! 2005): construction is O(n + m) time and memory, `port` and
+//! `endpoints` are O(log n) lookups, and the spec parser caps
+//! n + p·n(n−1)/2 at [`GNP_MAX_SIZE`]. The skip draws use IEEE
+//! `+ − × ÷` only — no platform `log` — so a `gnp:N:P:SEED` spec names
+//! the same graph on every host.
 
 use crate::bitset::BitSet;
 use crate::graph::{EdgeId, Graph, NodeId, Side};
 use crate::GraphError;
 
-/// Maximum node count the `gnp:` implicit family accepts: G(n,p)
-/// construction is O(n²) keyed hashes, so past this size it stops being
-/// "implicit" in any useful sense (use `ring`/`torus`/`reg` instead).
-pub const GNP_MAX_NODES: usize = 50_000;
+/// Size cap of the `gnp:` implicit family on n plus the expected edge
+/// count p·n(n−1)/2. Its arrays cost 16 bytes per node and 8 per edge,
+/// so an instance at the cap stays under 512 MiB (the materialized CSR
+/// twin costs about six times that per edge). Node ids are stored as
+/// `u32`, which the cap also keeps in range.
+pub const GNP_MAX_SIZE: usize = 1 << 25;
+
+const _: () = assert!(GNP_MAX_SIZE <= u32::MAX as usize);
 
 /// The graph surface the CONGEST engine and runtime middleware consume.
 ///
@@ -181,23 +188,83 @@ impl Topology for Graph {
     }
 }
 
-/// SplitMix64: the keyed hash behind the `gnp` family's pair coins.
+/// The SplitMix64 stream step (its "golden gamma").
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Domain separator of the `gnp` row keys.
+const GNP_ROW_DOMAIN: u64 = 0x6E70_5F67_6E70_C01A;
+
+/// SplitMix64: the mixer behind the `gnp` family's row streams.
 /// (Same mixer as `dam_congest::rng::splitmix64`; duplicated here so the
 /// graph crate stays dependency-free.)
 fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = z.wrapping_add(GOLDEN_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
-/// The keyed coin of pair `(u, v)` (`u < v`) under `seed`: present iff
-/// the hash clears the probability threshold.
-fn gnp_pair_present(seed: u64, threshold: u128, u: NodeId, v: NodeId) -> bool {
-    let h = splitmix64(
-        splitmix64(seed ^ 0x6E70_5F67_6E70_C01A) ^ (((u as u64) << 32) | (v as u64 & 0xFFFF_FFFF)),
-    );
-    u128::from(h) < threshold
+/// Appends row `u`'s forward neighbours `v > u` to `out`, ascending.
+/// The row is one SplitMix64 stream keyed on `(seed, u)` (`seed_key`
+/// is the seed's domain-separated key); each draw `r ∈ (0, 1]` becomes
+/// the gap `⌊ln r / ln(1 − p)⌋ ~ Geometric(p)` — the pairs skipped
+/// before the next present one — so a row costs one draw per neighbour
+/// plus one. `log_q` is `ln(1 − p)`.
+fn gnp_row(seed_key: u64, u: usize, n: usize, log_q: f64, out: &mut Vec<u32>) {
+    let mut state = splitmix64(seed_key ^ u as u64);
+    let mut v = u + 1;
+    while v < n {
+        state = state.wrapping_add(GOLDEN_GAMMA);
+        let r = ((splitmix64(state) >> 11) + 1) as f64 / (1u64 << 53) as f64;
+        let gap = ln(r) / log_q;
+        // `log_q` is −0.0 at p = 0 (or when ln(1 − p) underflows), which
+        // makes the gap +∞ or NaN: the row is empty.
+        if gap.is_nan() || gap >= (n - v) as f64 {
+            break;
+        }
+        v += gap as usize;
+        out.push(u32::try_from(v).expect("n <= GNP_MAX_SIZE keeps node ids in u32"));
+        v += 1;
+    }
+}
+
+/// `ln x` for a normal `x > 0` from IEEE `+ − × ÷` only, so every host
+/// draws the same gaps (`f64::ln` calls the platform `log`, whose last
+/// bit may differ). Splits `x = m·2^k` with `m ∈ (1/√2, √2]`.
+fn ln(x: f64) -> f64 {
+    let bits = x.to_bits();
+    let mut k = i32::try_from(bits >> 52).expect("x > 0 has no sign bit") - 1023;
+    let mut m = f64::from_bits((bits & ((1 << 52) - 1)) | (1023 << 52));
+    if m > std::f64::consts::SQRT_2 {
+        m *= 0.5;
+        k += 1;
+    }
+    f64::from(k) * std::f64::consts::LN_2 + ln_ratio((m - 1.0) / (m + 1.0))
+}
+
+/// `ln(1 − p)` for `p ∈ [0, 1]` (−0.0 at `p = 0`). Small `p` goes
+/// through `1 − p = (1 + s)/(1 − s)`, `s = −p/(2 − p)`, which keeps the
+/// bits that rounding `1 − p` would lose.
+fn ln_1m(p: f64) -> f64 {
+    if p >= 1.0 {
+        f64::NEG_INFINITY
+    } else if p < 0.25 {
+        ln_ratio(-p / (2.0 - p))
+    } else {
+        ln(1.0 - p)
+    }
+}
+
+/// `ln((1 + s)/(1 − s)) = 2·atanh s` for `|s| ≤ 0.18`, by its series
+/// `2s·Σ s^{2j}/(2j + 1)`; past `j = 11` the terms fall below half an
+/// ulp of the sum.
+fn ln_ratio(s: f64) -> f64 {
+    let z = s * s;
+    let mut sum = 0.0;
+    for j in (0..12u32).rev() {
+        sum = sum * z + 1.0 / f64::from(2 * j + 1);
+    }
+    2.0 * s * sum
 }
 
 /// A seed-deterministic implicit topology: adjacency in closed form, no
@@ -230,22 +297,30 @@ pub enum ImplicitTopology {
         /// Degree (`1 ≤ d < n`).
         d: usize,
     },
-    /// G(n, p) with keyed pairwise hash coins: pair `(u, v)` (`u < v`)
-    /// is present iff `hash(seed, u, v) < p·2⁶⁴`. Exact and replayable,
-    /// but O(n) per adjacency row — capped at [`GNP_MAX_NODES`].
+    /// G(n, p) sampled row by row: node `u`'s forward neighbours
+    /// `v > u` come from one geometric skip stream keyed on
+    /// `(seed, u)`, so edge ids are the present pairs `(u, v)` in
+    /// lexicographic order. Built in O(n + m) time and memory; `port`
+    /// and `endpoints` are O(log n). Capped at [`GNP_MAX_SIZE`] on
+    /// n + p·n(n−1)/2.
     Gnp {
         /// Number of nodes.
         n: usize,
         /// Edge probability.
         p: f64,
-        /// Coin-hash key.
+        /// Row-stream key.
         seed: u64,
         /// Forward-edge prefix sums: `prefix[u]` is the number of edges
         /// `(a, b)` with `a < u` — i.e. the first edge id owned by `u`'s
         /// forward block. Length `n + 1`; `prefix[n]` is the edge count.
-        prefix: Vec<u64>,
-        /// Per-node total degrees (forward + backward).
-        degrees: Vec<u32>,
+        prefix: Vec<usize>,
+        /// The larger endpoint of each edge, by edge id.
+        fwd: Vec<u32>,
+        /// Backward index offsets: `back[back_start[v]..back_start[v + 1]]`
+        /// holds `v`'s smaller neighbours. Length `n + 1`.
+        back_start: Vec<usize>,
+        /// Smaller neighbours of every node, ascending within a node.
+        back: Vec<u32>,
         /// Cached maximum degree.
         max_deg: usize,
     },
@@ -289,37 +364,53 @@ impl ImplicitTopology {
         Ok(ImplicitTopology::Regular { n, d })
     }
 
-    /// G(n, p) with keyed hash coins under `seed`.
+    /// G(n, p), one geometric skip stream per row under `seed`.
     ///
     /// # Errors
-    /// `p` outside `[0, 1]` or `n > `[`GNP_MAX_NODES`] (construction is
-    /// O(n²); use a structured family at that scale).
+    /// `p` outside `[0, 1]`, or n plus the expected edge count
+    /// p·n(n−1)/2 above [`GNP_MAX_SIZE`] (the arrays would not fit in
+    /// memory).
     pub fn gnp(n: usize, p: f64, seed: u64) -> Result<ImplicitTopology, String> {
         if !(0.0..=1.0).contains(&p) {
             return Err(format!("gnp probability must be in [0, 1], got {p}"));
         }
-        if n > GNP_MAX_NODES {
+        let expected = p * n as f64 * n.saturating_sub(1) as f64 / 2.0;
+        if n as f64 + expected > GNP_MAX_SIZE as f64 {
             return Err(format!(
-                "gnp is O(n^2) to construct; n={n} exceeds the {GNP_MAX_NODES}-node cap \
-                 (use ring/torus/reg at this scale)"
+                "gnp n={n} p={p} has n + p*n(n-1)/2 = {:.0} above the {GNP_MAX_SIZE} size cap",
+                n as f64 + expected
             ));
         }
-        let threshold = gnp_threshold(p);
-        let mut degrees = vec![0u32; n];
-        let mut prefix = vec![0u64; n + 1];
+        let mut prefix = Vec::with_capacity(n + 1);
+        let mut fwd = Vec::with_capacity((expected + 6.0 * expected.sqrt()) as usize + 1);
+        prefix.push(0);
+        let (seed_key, log_q) = (splitmix64(seed ^ GNP_ROW_DOMAIN), ln_1m(p));
         for u in 0..n {
-            let mut fwd = 0u64;
-            for v in (u + 1)..n {
-                if gnp_pair_present(seed, threshold, u, v) {
-                    fwd += 1;
-                    degrees[u] += 1;
-                    degrees[v] += 1;
-                }
-            }
-            prefix[u + 1] = prefix[u] + fwd;
+            gnp_row(seed_key, u, n, log_q, &mut fwd);
+            prefix.push(fwd.len());
         }
-        let max_deg = degrees.iter().copied().max().unwrap_or(0) as usize;
-        Ok(ImplicitTopology::Gnp { n, p, seed, prefix, degrees, max_deg })
+        // Backward index by one counting pass; filling in edge-id order
+        // keeps each node's smaller neighbours ascending.
+        let mut back_start = vec![0usize; n + 1];
+        for &v in &fwd {
+            back_start[v as usize + 1] += 1;
+        }
+        for v in 0..n {
+            back_start[v + 1] += back_start[v];
+        }
+        let mut cursor = back_start.clone();
+        let mut back = vec![0u32; fwd.len()];
+        for u in 0..n {
+            for &v in &fwd[prefix[u]..prefix[u + 1]] {
+                back[cursor[v as usize]] = u32::try_from(u).expect("u < v fits u32");
+                cursor[v as usize] += 1;
+            }
+        }
+        let max_deg = (0..n)
+            .map(|v| prefix[v + 1] - prefix[v] + back_start[v + 1] - back_start[v])
+            .max()
+            .unwrap_or(0);
+        Ok(ImplicitTopology::Gnp { n, p, seed, prefix, fwd, back_start, back, max_deg })
     }
 
     /// Parses the canonical topology spec grammar shared by the CLI,
@@ -328,7 +419,7 @@ impl ImplicitTopology {
     /// * `ring:N` — the cycle `C_N`;
     /// * `torus:WxH` — the `W × H` torus grid;
     /// * `reg:N:D` — the `D`-regular circulant on `N` nodes;
-    /// * `gnp:N:P:SEED` — G(N, P) with keyed hash coins under `SEED`.
+    /// * `gnp:N:P:SEED` — G(N, P) from row skip streams keyed on `SEED`.
     ///
     /// # Errors
     /// A human-readable message naming the malformed or out-of-domain
@@ -393,11 +484,18 @@ impl ImplicitTopology {
     #[must_use]
     pub fn materialize(&self) -> Graph {
         let n = Topology::node_count(self);
-        let m = Topology::edge_count(self);
         let mut b = Graph::builder(n);
-        for e in 0..m {
-            let (u, v) = Topology::endpoints(self, e);
-            b.edge(u, v);
+        if let ImplicitTopology::Gnp { ref prefix, ref fwd, .. } = *self {
+            for u in 0..n {
+                for &v in &fwd[prefix[u]..prefix[u + 1]] {
+                    b.edge(u, v as usize);
+                }
+            }
+        } else {
+            for e in 0..Topology::edge_count(self) {
+                let (u, v) = Topology::endpoints(self, e);
+                b.edge(u, v);
+            }
         }
         if let Some(sides) = self.bipartition_vec() {
             b.bipartition(sides);
@@ -465,21 +563,9 @@ impl ImplicitTopology {
                 inc
             }
             ImplicitTopology::Gnp { .. } => {
-                unreachable!("gnp uses its own row scan (see `port`)")
+                unreachable!("gnp ports come from its row arrays (see `port`)")
             }
         }
-    }
-}
-
-/// `p` as a 128-bit threshold on a 64-bit hash (exact at `p = 1`).
-fn gnp_threshold(p: f64) -> u128 {
-    if p >= 1.0 {
-        1u128 << 64
-    } else if p <= 0.0 {
-        0
-    } else {
-        // Exact rounding of p·2⁶⁴ through f64 arithmetic.
-        (p * (u64::MAX as f64 + 1.0)) as u128
     }
 }
 
@@ -498,9 +584,7 @@ impl Topology for ImplicitTopology {
             ImplicitTopology::Ring { n } => n,
             ImplicitTopology::Torus { w, h } => 2 * w * h,
             ImplicitTopology::Regular { n, d } => (d / 2) * n + (d % 2) * (n / 2),
-            ImplicitTopology::Gnp { ref prefix, .. } => {
-                usize::try_from(*prefix.last().expect("prefix is nonempty")).expect("fits usize")
-            }
+            ImplicitTopology::Gnp { ref fwd, .. } => fwd.len(),
         }
     }
 
@@ -518,7 +602,9 @@ impl Topology for ImplicitTopology {
                 assert!(v < n, "node {v} out of range");
                 d
             }
-            ImplicitTopology::Gnp { ref degrees, .. } => degrees[v] as usize,
+            ImplicitTopology::Gnp { ref prefix, ref back_start, .. } => {
+                prefix[v + 1] - prefix[v] + back_start[v + 1] - back_start[v]
+            }
         }
     }
 
@@ -532,33 +618,23 @@ impl Topology for ImplicitTopology {
     }
 
     fn port(&self, v: NodeId, p: usize) -> (NodeId, EdgeId) {
-        if let ImplicitTopology::Gnp { n, seed, p: prob, ref prefix, ref degrees, .. } = *self {
-            assert!(p < degrees[v] as usize, "port {p} out of range at node {v}");
-            let threshold = gnp_threshold(prob);
+        if let ImplicitTopology::Gnp { ref prefix, ref fwd, ref back_start, ref back, .. } = *self {
             // Ports sorted by edge id: edges to smaller neighbours come
             // first (their ids live in the neighbour's forward block,
             // blocks ordered by owner), then edges to larger neighbours
             // (this node's own forward block, ordered by neighbour).
-            let mut seen = 0usize;
-            for u in 0..v {
-                if gnp_pair_present(seed, threshold, u, v) {
-                    if seen == p {
-                        return (u, gnp_edge_id(seed, threshold, prefix, u, v));
-                    }
-                    seen += 1;
-                }
+            let smaller = &back[back_start[v]..back_start[v + 1]];
+            if let Some(&u) = smaller.get(p) {
+                let u = u as usize;
+                let rank = fwd[prefix[u]..prefix[u + 1]]
+                    .binary_search(&u32::try_from(v).expect("v < n fits u32"))
+                    .expect("the backward index mirrors the forward rows");
+                return (u, prefix[u] + rank);
             }
-            let mut fwd = prefix[v];
-            for u in (v + 1)..n {
-                if gnp_pair_present(seed, threshold, v, u) {
-                    if seen == p {
-                        return (u, usize::try_from(fwd).expect("fits usize"));
-                    }
-                    seen += 1;
-                    fwd += 1;
-                }
-            }
-            unreachable!("degree table disagrees with coin scan at node {v}");
+            let k = p - smaller.len();
+            let larger = &fwd[prefix[v]..prefix[v + 1]];
+            let &u = larger.get(k).unwrap_or_else(|| panic!("port {p} out of range at node {v}"));
+            return (u as usize, prefix[v] + k);
         }
         let inc = self.incident_sorted(v);
         let (e, u) = *inc.get(p).unwrap_or_else(|| panic!("port {p} out of range at node {v}"));
@@ -593,25 +669,10 @@ impl Topology for ImplicitTopology {
                     (v, (v + j) % n)
                 }
             }
-            ImplicitTopology::Gnp { seed, p, ref prefix, .. } => {
-                let m = Topology::edge_count(self);
-                assert!(e < m, "edge {e} out of range");
-                let threshold = gnp_threshold(p);
-                // Owner: the largest u with prefix[u] <= e.
-                let u = match prefix.partition_point(|&x| x <= e as u64) {
-                    0 => unreachable!("prefix[0] == 0"),
-                    idx => idx - 1,
-                };
-                let mut rank = e as u64 - prefix[u];
-                for v in (u + 1)..Topology::node_count(self) {
-                    if gnp_pair_present(seed, threshold, u, v) {
-                        if rank == 0 {
-                            return (u, v);
-                        }
-                        rank -= 1;
-                    }
-                }
-                unreachable!("prefix table disagrees with coin scan at edge {e}");
+            ImplicitTopology::Gnp { ref prefix, ref fwd, .. } => {
+                assert!(e < fwd.len(), "edge {e} out of range");
+                // Owner: the largest u with prefix[u] <= e (prefix[0] = 0).
+                (prefix.partition_point(|&x| x <= e) - 1, fwd[e] as usize)
             }
         }
     }
@@ -628,13 +689,6 @@ impl Topology for ImplicitTopology {
             _ => None,
         }
     }
-}
-
-/// The edge id of present pair `(u, v)` (`u < v`): `u`'s block start
-/// plus `v`'s rank among `u`'s forward neighbours.
-fn gnp_edge_id(seed: u64, threshold: u128, prefix: &[u64], u: NodeId, v: NodeId) -> EdgeId {
-    let rank = ((u + 1)..v).filter(|&w| gnp_pair_present(seed, threshold, u, w)).count() as u64;
-    usize::try_from(prefix[u] + rank).expect("fits usize")
 }
 
 /// Materializes *any* topology into a CSR [`Graph`] by inserting edges
@@ -721,6 +775,92 @@ mod tests {
     }
 
     #[test]
+    fn gnp_degenerate_sizes_match_twin() {
+        for n in 0..=2 {
+            for p in [0.0, 1.0] {
+                let t = ImplicitTopology::gnp(n, p, 4).unwrap();
+                assert_twin(&t);
+                let all = n * n.saturating_sub(1) / 2;
+                assert_eq!(Topology::edge_count(&t), if p > 0.0 { all } else { 0 }, "{}", t.spec());
+            }
+        }
+    }
+
+    #[test]
+    fn gnp_past_the_old_cap_matches_twin() {
+        let n = 200_000;
+        assert_twin(&ImplicitTopology::gnp(n, 4.0 / n as f64, 5).unwrap());
+    }
+
+    /// Every pair's frequency over many seeds is within 5σ of `p`: an
+    /// off-by-one in the skip at either end of a row biases the first
+    /// or last pairs of every row.
+    #[test]
+    fn gnp_pair_marginals_follow_p() {
+        let (n, p, seeds) = (7, 0.3, 4_000u64);
+        let mut hits = vec![vec![0u32; n]; n];
+        for seed in 0..seeds {
+            let t = ImplicitTopology::gnp(n, p, seed).unwrap();
+            for e in 0..Topology::edge_count(&t) {
+                let (u, v) = Topology::endpoints(&t, e);
+                hits[u][v] += 1;
+            }
+        }
+        let sigma = (p * (1.0 - p) / seeds as f64).sqrt();
+        for (u, row) in hits.iter().enumerate() {
+            for (v, &h) in row.iter().enumerate().skip(u + 1) {
+                let freq = f64::from(h) / seeds as f64;
+                assert!((freq - p).abs() < 5.0 * sigma, "pair ({u}, {v}) drawn at {freq}");
+            }
+        }
+    }
+
+    #[test]
+    fn gnp_edge_counts_follow_p() {
+        let (n, p) = (2_000usize, 0.004);
+        let pairs = (n * (n - 1) / 2) as f64;
+        let sigma = (pairs * p * (1.0 - p)).sqrt();
+        for seed in 0..6 {
+            let m = Topology::edge_count(&ImplicitTopology::gnp(n, p, seed).unwrap()) as f64;
+            assert!((m - pairs * p).abs() < 5.0 * sigma, "seed {seed}: {m} edges");
+        }
+    }
+
+    /// Pins the realization of one spec, so a change to the row streams
+    /// or to the gap arithmetic — including a host whose arithmetic
+    /// differs — fails here rather than silently redrawing the graph.
+    #[test]
+    fn gnp_realization_is_pinned() {
+        let t = ImplicitTopology::parse("gnp:2000:0.004:42").unwrap();
+        let m = Topology::edge_count(&t);
+        let digest = (0..m).fold(0u64, |h, e| {
+            let (u, v) = Topology::endpoints(&t, e);
+            splitmix64(h ^ ((u as u64) << 32 | v as u64))
+        });
+        assert_eq!((m, digest), (7_976, 0x8D99_BBA9_5217_973C));
+    }
+
+    #[test]
+    fn skip_logs_match_std() {
+        let mut x = 1e-300_f64;
+        while x < 1e300 {
+            for y in [x, x * 1.37, x * 0.71, 1.0 - x.min(0.5)] {
+                assert!(
+                    (ln(y) - y.ln()).abs() <= 4.0 * f64::EPSILON * y.ln().abs().max(1.0),
+                    "{y}"
+                );
+            }
+            x *= 3.1;
+        }
+        for p in [1e-300_f64, 1e-12, 4e-4, 0.1, 0.2499, 0.25, 0.5, 0.9, 1.0 - 1e-9] {
+            let want = (-p).ln_1p();
+            assert!((ln_1m(p) - want).abs() <= 4.0 * f64::EPSILON * want.abs(), "{p}");
+        }
+        assert_eq!(ln_1m(1.0), f64::NEG_INFINITY);
+        assert!(ln_1m(0.0) == 0.0 && ln_1m(0.0).is_sign_negative());
+    }
+
+    #[test]
     fn spec_parser_roundtrips_and_rejects() {
         for spec in ["ring:8", "torus:4x6", "reg:10:4", "gnp:12:0.25:7"] {
             let t = ImplicitTopology::parse(spec).unwrap();
@@ -741,9 +881,15 @@ mod tests {
             "mesh:4",
             "",
             "gnp:999999999:0.5:0",
+            "gnp:999999999:0:0",
         ] {
             assert!(ImplicitTopology::parse(bad).is_err(), "'{bad}' must be rejected");
         }
+        let big = ImplicitTopology::parse("gnp:1000000:0.000008:1").unwrap();
+        assert_eq!(
+            (big.spec().as_str(), Topology::node_count(&big)),
+            ("gnp:1000000:0.000008:1", 1_000_000)
+        );
     }
 
     #[test]
