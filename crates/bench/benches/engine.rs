@@ -3,7 +3,7 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dam_congest::{Context, Network, Port, Protocol, SimConfig};
+use dam_congest::{Context, Network, Port, Protocol, RunSpec, SimConfig};
 use dam_graph::generators;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -54,9 +54,9 @@ fn bench_engine(c: &mut Criterion) {
                 &g,
                 |b, g| {
                     b.iter(|| {
-                        let mut net = Network::new(g, SimConfig::local().seed(7));
-                        let out = net
-                            .run_parallel(|_, _| Gossip { rounds: 20, acc: 0 }, threads)
+                        let cfg = SimConfig::local().seed(7).threads(threads);
+                        let out = Network::new(g, cfg)
+                            .execute(|_, _| Gossip { rounds: 20, acc: 0 }, &RunSpec::default())
                             .unwrap();
                         black_box(out.stats.messages)
                     });

@@ -6,7 +6,7 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dam_congest::{ChurnKind, FaultPlan, Network, Resilient, SimConfig, TransportCfg};
+use dam_congest::{ChurnKind, FaultPlan, Network, Resilient, RunSpec, SimConfig, TransportCfg};
 use dam_core::israeli_itai::IiNode;
 use dam_core::maintain::{MaintainConfig, Maintainer};
 use dam_core::runtime::{run_mm, IsraeliItai, RuntimeConfig};
@@ -26,18 +26,18 @@ fn bench_transport(c: &mut Criterion) {
         for &loss in &[0.0f64, 0.1] {
             let faults = FaultPlan { loss, dup: loss / 2.0, reorder: loss, ..FaultPlan::default() };
             let label = format!("n{n}_loss{loss}");
-            group.bench_with_input(BenchmarkId::new("run_faulty", label), &g, |b, g| {
+            group.bench_with_input(BenchmarkId::new("execute_faulty", label), &g, |b, g| {
                 b.iter(|| {
                     let mut net = Network::new(g, SimConfig::local().seed(5).max_rounds(100_000));
                     let out = net
-                        .run_faulty(
+                        .execute(
                             |v, graph| {
                                 Resilient::new(
                                     IiNode::new(graph.degree(v)),
                                     TransportCfg::default(),
                                 )
                             },
-                            &faults,
+                            &RunSpec { faults: &faults, ..RunSpec::default() },
                         )
                         .unwrap();
                     black_box(out.stats.rounds)

@@ -203,12 +203,17 @@ pub fn evaluate_with(case: &ChaosCase, adaptive: bool) -> ChaosOutcome {
         },
     };
 
-    let (mut node_present, edge_present) = churn.final_presence(&g);
+    let (mut node_present, edge_present) = churn.final_presence_on(&g);
     for &(v, _) in &case.crashes {
-        node_present[v] = false;
+        node_present.set(v, false);
     }
     let invariant_ok = report.matching.validate(&g).is_ok()
-        && is_maximal_on_present(&g, &report.matching, &node_present, &edge_present);
+        && is_maximal_on_present(
+            &g,
+            &report.matching,
+            &node_present.to_bools(),
+            &edge_present.to_bools(),
+        );
 
     // Fresh baseline: plain Israeli–Itai on the final topology.
     let keep: Vec<bool> = g

@@ -25,7 +25,8 @@
 use std::time::Instant;
 
 use dam_congest::{
-    AdaptivePolicy, Backend, Context, Network, Port, Protocol, Resilient, SimConfig, TransportCfg,
+    AdaptivePolicy, Backend, Context, Network, Port, Protocol, Resilient, RunSpec, SimConfig,
+    TransportCfg,
 };
 use dam_graph::{generators, Graph};
 use rand::rngs::StdRng;
@@ -116,7 +117,9 @@ pub fn measure(g: &Graph, threads: usize, repeats: usize) -> (f64, u64) {
     for _ in 0..repeats {
         let mut net = Network::new(g, SimConfig::local().seed(SIM_SEED).threads(threads));
         let t0 = Instant::now();
-        let out = net.execute(|_, _| Gossip::new()).expect("fault-free gossip cannot fail");
+        let out = net
+            .execute(|_, _| Gossip::new(), &RunSpec::default())
+            .expect("fault-free gossip cannot fail");
         let dt = t0.elapsed().as_secs_f64();
         messages = out.stats.messages;
         if dt < best {
@@ -143,7 +146,9 @@ pub fn measure_async(g: &Graph, repeats: usize) -> (f64, u64, u64) {
     for _ in 0..repeats {
         let mut net = Network::new(g, SimConfig::local().seed(SIM_SEED).backend(Backend::Async));
         let t0 = Instant::now();
-        let out = net.execute(|_, _| Gossip::new()).expect("fault-free gossip cannot fail");
+        let out = net
+            .execute(|_, _| Gossip::new(), &RunSpec::default())
+            .expect("fault-free gossip cannot fail");
         let dt = t0.elapsed().as_secs_f64();
         messages = out.stats.messages;
         markers = out.stats.markers;
@@ -179,7 +184,7 @@ pub fn measure_adaptive(g: &Graph, repeats: usize) -> (f64, f64, u64) {
         let mut net = Network::new(g, SimConfig::local().seed(SIM_SEED));
         let t0 = Instant::now();
         let out = net
-            .execute(|_, _| Resilient::new(Gossip::new(), floor))
+            .execute(|_, _| Resilient::new(Gossip::new(), floor), &RunSpec::default())
             .expect("fault-free gossip cannot fail");
         let dt = t0.elapsed().as_secs_f64();
         static_messages = out.stats.messages;
@@ -190,7 +195,7 @@ pub fn measure_adaptive(g: &Graph, repeats: usize) -> (f64, f64, u64) {
         let mut net = Network::new(g, SimConfig::local().seed(SIM_SEED));
         let t0 = Instant::now();
         let out = net
-            .execute(|_, _| Resilient::with_policy(Gossip::new(), policy))
+            .execute(|_, _| Resilient::with_policy(Gossip::new(), policy), &RunSpec::default())
             .expect("fault-free gossip cannot fail");
         let dt = t0.elapsed().as_secs_f64();
         adaptive_messages = out.stats.messages;

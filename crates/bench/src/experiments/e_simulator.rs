@@ -4,7 +4,7 @@
 
 use std::time::Instant;
 
-use dam_congest::{Context, Network, Port, Protocol, SimConfig};
+use dam_congest::{Context, Network, Port, Protocol, RunSpec, SimConfig};
 use dam_graph::generators;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -59,9 +59,9 @@ pub fn e12(ctx: &ExpContext) -> Vec<Table> {
             (t0.elapsed().as_secs_f64(), out.stats.messages)
         };
         let run_par = {
-            let mut net = Network::new(&g, SimConfig::local().seed(1));
+            let mut net = Network::new(&g, SimConfig::local().seed(1).threads(4));
             let t0 = Instant::now();
-            let out = net.run_parallel(|_, _| Load { rounds, acc: 0 }, 4).unwrap();
+            let out = net.execute(|_, _| Load { rounds, acc: 0 }, &RunSpec::default()).unwrap();
             (t0.elapsed().as_secs_f64(), out.stats.messages)
         };
         assert_eq!(run_seq.1, run_par.1, "identical executions");

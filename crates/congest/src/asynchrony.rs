@@ -23,8 +23,9 @@
 //! # The asynchronous engine backend
 //!
 //! [`crate::Backend::Async`] promotes the same contract to the full
-//! hardened pipeline (fault plans, churn plans, resilient transports,
-//! the `dam_core` runtime middleware). The synchronizer contract is what
+//! hardened pipeline: [`crate::Network::execute`] with fault plans,
+//! churn plans, resilient transports and the `dam_core` runtime
+//! middleware. The synchronizer contract is what
 //! makes this sound: under the α-synchronizer, *message contents* are a
 //! function of the round structure alone, and *timing* factors out into
 //! a per-node virtual-clock recurrence
@@ -690,7 +691,7 @@ mod tests {
 
     #[test]
     fn backend_matches_sequential_and_accounts_markers() {
-        use crate::engine::{ChurnPlan, FaultPlan};
+        use crate::engine::RunSpec;
         use crate::model::Backend;
         use rand::SeedableRng;
         let mut topo_rng = rand::rngs::StdRng::seed_from_u64(9);
@@ -706,13 +707,8 @@ mod tests {
         ] {
             let cfg = SimConfig::local().seed(3).backend(Backend::Async).delay(delay);
             let mut net = Network::new(&g, cfg);
-            let out = net
-                .run_async_churned(
-                    |_, _| Gossip { rounds: 6, acc: 0 },
-                    &FaultPlan::default(),
-                    &ChurnPlan::default(),
-                )
-                .unwrap();
+            let out =
+                net.execute(|_, _| Gossip { rounds: 6, acc: 0 }, &RunSpec::default()).unwrap();
             assert_eq!(out.outputs, seq.outputs, "{delay:?}: payload divergence");
             assert_eq!(out.stats.rounds, seq.stats.rounds);
             assert_eq!(out.stats.messages, seq.stats.messages);
@@ -732,7 +728,7 @@ mod tests {
 
     #[test]
     fn patience_drops_straggler_frames_deterministically() {
-        use crate::engine::{ChurnPlan, FaultPlan};
+        use crate::engine::RunSpec;
         use crate::model::Backend;
         use rand::SeedableRng;
         let mut topo_rng = rand::rngs::StdRng::seed_from_u64(4);
@@ -744,13 +740,8 @@ mod tests {
             .patience(2);
         let run = |cfg| {
             let mut net = Network::new(&g, cfg);
-            let out = net
-                .run_async_churned(
-                    |_, _| Gossip { rounds: 6, acc: 0 },
-                    &FaultPlan::default(),
-                    &ChurnPlan::default(),
-                )
-                .unwrap();
+            let out =
+                net.execute(|_, _| Gossip { rounds: 6, acc: 0 }, &RunSpec::default()).unwrap();
             (out.outputs, net.async_info().unwrap())
         };
         let (a, info_a) = run(cfg);

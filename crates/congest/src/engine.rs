@@ -1,10 +1,11 @@
 //! The sequential deterministic engine.
 
-use dam_graph::{BitSet, Graph, NodeId, Topology};
+use dam_graph::{BitSet, NodeId, Topology};
 
+use crate::asynchrony::AsyncTiming;
 use crate::error::SimError;
 use crate::message::{BitSize, CorruptKind, MsgClass};
-use crate::model::{CostModel, Model, SimConfig, ViolationPolicy};
+use crate::model::{Backend, CostModel, Model, SimConfig, ViolationPolicy};
 use crate::node::{Context, Port, Protocol};
 use crate::rng;
 use crate::stats::{Integrity, RunStats, TotalStats};
@@ -71,8 +72,8 @@ pub struct Partition {
 ///
 /// Every injection is drawn from a dedicated RNG keyed on `(seed, run)`,
 /// so runs are deterministic and replayable; each injection is also
-/// recorded as a [`TraceEvent::Fault`] when tracing. An all-default plan
-/// makes [`Network::run_faulty`] behave exactly like [`Network::run`].
+/// recorded as a [`TraceEvent::Fault`] when tracing. Under an all-default
+/// plan [`Network::execute`] behaves exactly like [`Network::run`].
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// Crash-stop faults: `(node, round)` — the node executes rounds
@@ -349,8 +350,8 @@ pub struct ChurnEvent {
 /// Scheduled topology churn for a run: a dynamic graph expressed as
 /// presence masks over an immutable *universe* graph.
 ///
-/// The engine's [`Graph`] is immutable, so churn is modelled by
-/// presence: `absent_nodes`/`absent_edges` name the parts of the
+/// The engine's [`Graph`](dam_graph::Graph) is immutable, so churn is
+/// modelled by presence: `absent_nodes`/`absent_edges` name the parts of the
 /// universe missing at round 0, and `events` toggles presence at
 /// round boundaries — edges flap up and down, absent nodes [`join`]
 /// with fresh state, present nodes [`leave`] permanently. Plans are
@@ -453,22 +454,6 @@ impl ChurnPlan {
             }
         }
         (node_present, edge_present)
-    }
-
-    /// Legacy `Vec<bool>` form of [`ChurnPlan::initial_presence_on`].
-    #[doc(hidden)]
-    #[must_use]
-    pub fn initial_presence(&self, graph: &Graph) -> (Vec<bool>, Vec<bool>) {
-        let (nodes, edges) = self.initial_presence_on(graph);
-        (nodes.to_bools(), edges.to_bools())
-    }
-
-    /// Legacy `Vec<bool>` form of [`ChurnPlan::final_presence_on`].
-    #[doc(hidden)]
-    #[must_use]
-    pub fn final_presence(&self, graph: &Graph) -> (Vec<bool>, Vec<bool>) {
-        let (nodes, edges) = self.final_presence_on(graph);
-        (nodes.to_bools(), edges.to_bools())
     }
 
     /// Checks the plan against `graph` before a run.
@@ -600,6 +585,51 @@ impl ChurnPlan {
             }
         }
         Ok(())
+    }
+}
+
+/// What one [`Network::execute`] run injects and records: the faults,
+/// the topology churn, and whether to collect a [`Trace`].
+///
+/// The default injects nothing and traces nothing; override fields with
+/// struct-update syntax:
+///
+/// ```
+/// # use dam_congest::{FaultPlan, RunSpec};
+/// let faults = FaultPlan::lossy(0.1);
+/// let spec = RunSpec { faults: &faults, trace: true, ..RunSpec::default() };
+/// assert!(spec.churn.is_empty());
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct RunSpec<'a> {
+    /// Injected faults (see [`FaultPlan`]).
+    pub faults: &'a FaultPlan,
+    /// Scheduled topology changes (see [`ChurnPlan`]).
+    pub churn: &'a ChurnPlan,
+    /// Whether to collect [`RunOutcome::trace`].
+    pub trace: bool,
+}
+
+/// The empty plans behind [`RunSpec::default`].
+static NO_FAULTS: FaultPlan = FaultPlan {
+    crashes: Vec::new(),
+    recoveries: Vec::new(),
+    loss: 0.0,
+    dup: 0.0,
+    reorder: 0.0,
+    corrupt: 0.0,
+    equivocators: Vec::new(),
+    liars: Vec::new(),
+    links: Vec::new(),
+    partitions: Vec::new(),
+    squalls: Vec::new(),
+};
+static NO_CHURN: ChurnPlan =
+    ChurnPlan { absent_nodes: Vec::new(), absent_edges: Vec::new(), events: Vec::new() };
+
+impl Default for RunSpec<'_> {
+    fn default() -> Self {
+        RunSpec { faults: &NO_FAULTS, churn: &NO_CHURN, trace: false }
     }
 }
 
@@ -815,6 +845,174 @@ impl RunPlan {
     }
 }
 
+/// The accounting one engine (one worker, when sharded) keeps while
+/// delivering: run statistics, the widest message of the current round
+/// for pipelined charging, and the trace when one is collected.
+#[derive(Default)]
+pub(crate) struct Tally {
+    pub(crate) stats: RunStats,
+    pub(crate) round_max_bits: usize,
+    pub(crate) trace: Option<Trace>,
+}
+
+impl Tally {
+    pub(crate) fn new(trace: bool) -> Tally {
+        Tally { trace: trace.then(Trace::new), ..Tally::default() }
+    }
+
+    /// Records `event` if a trace is being collected.
+    #[inline]
+    pub(crate) fn record(&mut self, event: TraceEvent) {
+        if let Some(t) = self.trace.as_mut() {
+            t.record(event);
+        }
+    }
+}
+
+/// Where [`Wire::send`] routes one message.
+pub(crate) enum Route<M> {
+    /// No channel: the edge or the receiver is absent, so nothing went on
+    /// the wire (counted as a churn drop).
+    NoLink,
+    /// The frame went on the wire but never arrives: cut by a partition,
+    /// lost, or tampered into something undecodable.
+    Lost,
+    /// `msg` arrives at port `q` of `u` in round `due` (the next round
+    /// unless reordered); `dup` is a copy trailing it, due one round
+    /// after the next.
+    Arrive { u: NodeId, q: Port, due: usize, msg: M, dup: Option<M> },
+}
+
+/// The per-message delivery step of both synchronous engines:
+/// everything that happens to a message between the sender's outbox and
+/// the receiver's port, except the write itself. The sequential and
+/// sharded engines call [`Wire::send`] on the same messages in the same
+/// per-sender order and differ only in where an arriving message is put.
+pub(crate) struct Wire<'a> {
+    pub(crate) graph: &'a dyn Topology,
+    pub(crate) config: SimConfig,
+    pub(crate) plan: &'a RunPlan,
+    pub(crate) run_id: u64,
+    /// `peer[v][p]` = `(u, q)`: port `p` of `v` is port `q` of `u`.
+    pub(crate) peer: &'a [Vec<(NodeId, Port)>],
+}
+
+impl Wire<'_> {
+    /// Sends `msg` from port `port` of `v` in `round`, in gate order: the
+    /// class counters, bits and the round's widest message; the CONGEST
+    /// budget under its [`ViolationPolicy`]; the `Send` trace event; the
+    /// churn gate `link_up(receiver, edge)`; an active partition cut;
+    /// then the keyed draws of [`RunPlan::message_fate`] — loss,
+    /// equivocation, corruption, duplication and reordering — each
+    /// counted and traced as it applies.
+    ///
+    /// Every draw is keyed on the message coordinates, so the result
+    /// does not depend on the order in which senders are flushed.
+    ///
+    /// # Panics
+    /// On an oversize message under [`ViolationPolicy::Panic`].
+    #[inline]
+    pub(crate) fn send<M: BitSize + Clone>(
+        &self,
+        round: usize,
+        v: NodeId,
+        port: Port,
+        mut msg: M,
+        tally: &mut Tally,
+        link_up: impl FnOnce(NodeId, usize) -> bool,
+    ) -> Route<M> {
+        let bits = msg.bit_size();
+        let stats = &mut tally.stats;
+        match msg.class() {
+            MsgClass::Protocol => stats.messages = stats.messages.saturating_add(1),
+            MsgClass::Retransmission => {
+                stats.retransmissions = stats.retransmissions.saturating_add(1);
+            }
+            MsgClass::Heartbeat => stats.heartbeats = stats.heartbeats.saturating_add(1),
+            MsgClass::Maintenance => stats.maintenance = stats.maintenance.saturating_add(1),
+        }
+        stats.total_bits = stats.total_bits.saturating_add(bits as u64);
+        stats.max_message_bits = stats.max_message_bits.max(bits);
+        tally.round_max_bits = tally.round_max_bits.max(bits);
+        let mut oversize = false;
+        if let Model::Congest { bits: budget } = self.config.model {
+            if bits > budget {
+                oversize = true;
+                match self.config.violation {
+                    ViolationPolicy::Panic => panic!(
+                        "CONGEST violation: node {v} sent {bits} bits over port {port} (budget {budget})"
+                    ),
+                    ViolationPolicy::Record => {
+                        tally.stats.violations = tally.stats.violations.saturating_add(1);
+                    }
+                }
+            }
+        }
+        let (u, q) = self.peer[v][port];
+        tally.record(TraceEvent::Send { round, from: v, port, to: u, bits, oversize });
+        // An absent edge or receiver swallows the message at the sender —
+        // no channel exists, so no fault draw either.
+        if !link_up(u, self.graph.port(v, port).1) {
+            tally.stats.churn_drops = tally.stats.churn_drops.saturating_add(1);
+            return Route::NoLink;
+        }
+        let fault = |kind| TraceEvent::Fault { round, kind, node: v, peer: Some(u) };
+        // An active partition cut swallows the message outright (no
+        // randomness involved, so no fault draw here either).
+        if self.plan.partitioned(round, v, u) {
+            tally.record(fault(FaultKind::Partition));
+            return Route::Lost;
+        }
+        let (seed, run) = (self.config.seed, self.run_id);
+        // An all-zero plan draws nothing, so a fault-free run is
+        // untouched by the fault machinery.
+        let fate = self.plan.message_fate(seed, run, round, v, port);
+        if fate.lost {
+            tally.record(fault(FaultKind::Loss));
+            return Route::Lost;
+        }
+        // Byzantine equivocation: a listed sender tampers with every
+        // outgoing copy, independently per port, before the channel
+        // applies its own faults.
+        if self.plan.equivocator[v] {
+            let mut brng = rng::byz_rng(seed, run, round, v, port);
+            let kind = CorruptKind::draw(&mut brng);
+            tally.stats.equivocations = tally.stats.equivocations.saturating_add(1);
+            tally.record(fault(FaultKind::Equivocate { kind }));
+            match msg.corrupted(kind, &mut brng) {
+                Some(m) => msg = m,
+                // Tampering destroyed decodability: the frame never
+                // reaches the receiver (counted and traced above).
+                None => return Route::Lost,
+            }
+        }
+        // Channel corruption: the damaged value replaces the original
+        // (a duplicate carries the damage too — the channel corrupted
+        // the frame, not one copy).
+        if let Some(kind) = fate.corrupt {
+            let mut crng = rng::corrupt_rng(seed, run, round, v, port);
+            tally.stats.corruptions = tally.stats.corruptions.saturating_add(1);
+            tally.record(fault(FaultKind::Corrupt { kind }));
+            match msg.corrupted(kind, &mut crng) {
+                Some(m) => msg = m,
+                None => return Route::Lost,
+            }
+        }
+        let dup = fate.duplicated.then(|| {
+            tally.record(fault(FaultKind::Duplicate));
+            msg.clone()
+        });
+        let due = match fate.delayed {
+            Some(delay) => {
+                tally.record(fault(FaultKind::Reorder { delay }));
+                round + 1 + delay
+            }
+            None => round + 1,
+        };
+        Route::Arrive { u, q, due, msg, dup }
+    }
+}
+
 /// The result of one protocol run.
 #[derive(Debug, Clone)]
 pub struct RunOutcome<O> {
@@ -829,6 +1027,8 @@ pub struct RunOutcome<O> {
     /// validate quiescence and record incarnation state; nothing in the
     /// engine consumes them.
     pub sessions: Vec<Option<crate::node::SessionState>>,
+    /// The execution trace, when [`RunSpec::trace`] asked for one.
+    pub trace: Option<Trace>,
 }
 
 /// A synchronous network over a graph topology.
@@ -856,8 +1056,8 @@ pub struct Network<'g> {
 
 impl<'g> Network<'g> {
     /// Creates a network over any [`Topology`] — a materialized CSR
-    /// [`Graph`] or an implicit generator; `&Graph` coerces at the call
-    /// site.
+    /// [`Graph`](dam_graph::Graph) or an implicit generator; `&Graph`
+    /// coerces at the call site.
     #[must_use]
     pub fn new(graph: &'g dyn Topology, config: SimConfig) -> Network<'g> {
         let n = graph.node_count();
@@ -880,7 +1080,6 @@ impl<'g> Network<'g> {
                 .map(|(p, u, e)| {
                     let (a, _) = graph.endpoints(e);
                     let q = if v == a && port_at[e].0 == p { port_at[e].1 } else { port_at[e].0 };
-                    let _ = p;
                     (u, q)
                 })
                 .collect();
@@ -965,6 +1164,11 @@ impl<'g> Network<'g> {
         self.peer[node][port]
     }
 
+    /// The whole port-translation table, `peers()[v][p]` = `peer(v, p)`.
+    pub(crate) fn peers(&self) -> &[Vec<(NodeId, Port)>] {
+        &self.peer
+    }
+
     /// Allocates the next run id (also advances the randomness stream).
     pub(crate) fn next_run_id(&mut self) -> u64 {
         let id = self.run_counter;
@@ -985,8 +1189,12 @@ impl<'g> Network<'g> {
         self.totals.record(stats);
     }
 
-    /// Executes one protocol run: `make(v, graph)` builds node `v`'s state
-    /// machine.
+    /// Runs `make` on the sequential engine with empty plans and no
+    /// trace: [`Network::execute`] with [`RunSpec::default`] and the
+    /// sequential backend, whatever [`SimConfig::effective_backend`]
+    /// says. The factory may be `FnMut` and the protocol need not be
+    /// `Send`, which is what multi-phase drivers with stateful factories
+    /// rely on.
     ///
     /// # Errors
     /// [`SimError::RoundLimitExceeded`] if the round guard fires,
@@ -1000,183 +1208,77 @@ impl<'g> Network<'g> {
         P: Protocol,
         F: FnMut(NodeId, &dyn Topology) -> P,
     {
-        self.run_impl(make, None, &FaultPlan::default(), &ChurnPlan::default(), false)
+        self.run_impl(make, &RunSpec::default(), false)
     }
 
-    /// As [`Network::run`] but with injected faults: crash-stop and
-    /// crash-recover nodes, network-wide or per-link message
-    /// loss/duplication/reordering, and round-windowed partitions.
-    /// Crashed nodes stop silently at their crash round; their
-    /// `into_output` reflects the state at the crash (or at the end, if
-    /// they recovered). All injections are deterministic in
-    /// `(seed, run)`.
+    /// Executes one protocol run: `make(v, graph)` builds node `v`'s state
+    /// machine, and `spec` names the injected faults, the topology churn
+    /// and whether to collect a [`Trace`] into [`RunOutcome::trace`].
+    ///
+    /// The engine is [`SimConfig::effective_backend`]'s, and every one
+    /// of them yields the same outputs, [`RunStats`], trace and error:
+    /// * [`Backend::Sequential`]: one thread, nodes stepped in id
+    ///   order.
+    /// * [`Backend::Sharded`]: the nodes split over
+    ///   `threads.max(2)` workers ([`crate::parallel`]); a graph of at
+    ///   most one node (`threads.min(n) <= 1`) runs on the sequential
+    ///   engine instead.
+    /// * [`Backend::Async`]: the sequential payload pipeline under
+    ///   the α-synchronizer's virtual clock ([`crate::asynchrony`]). Its
+    ///   [`RunStats::markers`] counts the synchronizer's empty rounds,
+    ///   and a [`SimConfig::patience`] budget drops late frames, trading
+    ///   bit-identity for bounded progress (see
+    ///   [`Network::async_info`]).
+    ///
+    /// Faults ([`FaultPlan`]): crashed nodes stop silently at their crash
+    /// round, and their `into_output` reflects the state at the crash
+    /// (or at the end, if they recovered). Churn ([`ChurnPlan`]): edges
+    /// flap, absent nodes join with fresh state, present nodes leave for
+    /// good; events apply at round boundaries in round order (plan order
+    /// within a round), and the run does not end before the last one.
+    /// Every injection is deterministic in `(seed, run)` and traced.
     ///
     /// # Errors
-    /// As [`Network::run`] — in particular, protocols without timeouts
-    /// typically hit the round guard when a neighbour crashes, which is
-    /// itself the measurement. Additionally
-    /// [`SimError::InvalidFaultPlan`] if the plan fails
-    /// [`FaultPlan::validate`].
-    pub fn run_faulty<P, F>(
+    /// [`SimError::RoundLimitExceeded`] if the round guard fires (under
+    /// faults, typically a protocol without timeouts waiting on a crashed
+    /// neighbour), [`SimError::DuplicateSend`] on a double send,
+    /// [`SimError::InvalidFaultPlan`] / [`SimError::InvalidChurnPlan`] if
+    /// a plan fails [`FaultPlan::validate`], [`ChurnPlan::validate`] or
+    /// [`ChurnPlan::validate_against`].
+    ///
+    /// # Panics
+    /// Panics if an oversize message is sent under
+    /// [`ViolationPolicy::Panic`] or if protocol code panics (a sharded
+    /// worker's panic is resumed on the calling thread).
+    pub fn execute<P, F>(
         &mut self,
         make: F,
-        faults: &FaultPlan,
+        spec: &RunSpec<'_>,
     ) -> Result<RunOutcome<P::Output>, SimError>
     where
-        P: Protocol,
-        F: FnMut(NodeId, &dyn Topology) -> P,
+        P: Protocol + Send,
+        F: Fn(NodeId, &dyn Topology) -> P + Sync,
     {
-        self.run_impl(make, None, faults, &ChurnPlan::default(), false)
+        match self.config.effective_backend() {
+            Backend::Sequential => self.run_impl(make, spec, false),
+            Backend::Sharded => self.run_sharded(make, spec, self.config.threads.max(2)),
+            Backend::Async => self.run_impl(make, spec, true),
+        }
     }
 
-    /// As [`Network::run_faulty`], additionally collecting a [`Trace`]
-    /// in which every injected fault appears as a
-    /// [`TraceEvent::Fault`].
-    ///
-    /// # Errors
-    /// As [`Network::run_faulty`].
-    pub fn run_faulty_traced<P, F>(
-        &mut self,
-        make: F,
-        faults: &FaultPlan,
-    ) -> Result<(RunOutcome<P::Output>, Trace), SimError>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, &dyn Topology) -> P,
-    {
-        let mut trace = Trace::new();
-        let outcome =
-            self.run_impl(make, Some(&mut trace), faults, &ChurnPlan::default(), false)?;
-        Ok((outcome, trace))
-    }
-
-    /// As [`Network::run_faulty`] but additionally applying a
-    /// [`ChurnPlan`]: the topology changes mid-run — edges flap, absent
-    /// nodes join with fresh state (empty registers, fresh randomness),
-    /// present nodes leave permanently. Events are applied at round
-    /// boundaries in round order (plan order within a round); the run
-    /// does not end before the last scheduled event has been applied.
-    ///
-    /// # Errors
-    /// As [`Network::run_faulty`]; additionally
-    /// [`SimError::InvalidChurnPlan`] if the churn plan fails
-    /// [`ChurnPlan::validate`] or overlaps the fault plan's crash set
-    /// ([`ChurnPlan::validate_against`]).
-    pub fn run_churned<P, F>(
-        &mut self,
-        make: F,
-        faults: &FaultPlan,
-        churn: &ChurnPlan,
-    ) -> Result<RunOutcome<P::Output>, SimError>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, &dyn Topology) -> P,
-    {
-        self.run_impl(make, None, faults, churn, false)
-    }
-
-    /// As [`Network::run_churned`], additionally collecting a [`Trace`]
-    /// in which every applied topology event appears as a
-    /// [`TraceEvent::Churn`].
-    ///
-    /// # Errors
-    /// As [`Network::run_churned`].
-    pub fn run_churned_traced<P, F>(
-        &mut self,
-        make: F,
-        faults: &FaultPlan,
-        churn: &ChurnPlan,
-    ) -> Result<(RunOutcome<P::Output>, Trace), SimError>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, &dyn Topology) -> P,
-    {
-        let mut trace = Trace::new();
-        let outcome = self.run_impl(make, Some(&mut trace), faults, churn, false)?;
-        Ok((outcome, trace))
-    }
-
-    /// As [`Network::run_churned`] but on the asynchronous backend
-    /// ([`crate::Backend::Async`]): node steps are scheduled in virtual
-    /// time under the configured [`crate::DelayModel`], synchronised by
-    /// the α-synchronizer of Awerbuch (the paper's footnote 2). With
-    /// [`SimConfig::patience`] unset the outputs, statistics (except the
-    /// extra [`RunStats::markers`]), traces and error paths are
-    /// bit-identical to [`Network::run_churned`] — the synchronizer
-    /// contract, enforced by the `async_equiv` differential suite. With
-    /// a patience budget set, frames arriving after the budget are
-    /// dropped, which trades bit-identity for bounded progress (see
-    /// [`Network::async_info`] for the drop count).
-    ///
-    /// # Errors
-    /// As [`Network::run_churned`].
-    pub fn run_async_churned<P, F>(
-        &mut self,
-        make: F,
-        faults: &FaultPlan,
-        churn: &ChurnPlan,
-    ) -> Result<RunOutcome<P::Output>, SimError>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, &dyn Topology) -> P,
-    {
-        self.run_impl(make, None, faults, churn, true)
-    }
-
-    /// As [`Network::run_async_churned`], additionally collecting a
-    /// [`Trace`].
-    ///
-    /// # Errors
-    /// As [`Network::run_async_churned`].
-    pub fn run_async_churned_traced<P, F>(
-        &mut self,
-        make: F,
-        faults: &FaultPlan,
-        churn: &ChurnPlan,
-    ) -> Result<(RunOutcome<P::Output>, Trace), SimError>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, &dyn Topology) -> P,
-    {
-        let mut trace = Trace::new();
-        let outcome = self.run_impl(make, Some(&mut trace), faults, churn, true)?;
-        Ok((outcome, trace))
-    }
-
-    /// As [`Network::run`], additionally collecting an execution
-    /// [`Trace`] (every send with its width, every halt).
-    ///
-    /// # Errors
-    /// As [`Network::run`].
-    pub fn run_traced<P, F>(&mut self, make: F) -> Result<(RunOutcome<P::Output>, Trace), SimError>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, &dyn Topology) -> P,
-    {
-        let mut trace = Trace::new();
-        let outcome = self.run_impl(
-            make,
-            Some(&mut trace),
-            &FaultPlan::default(),
-            &ChurnPlan::default(),
-            false,
-        )?;
-        Ok((outcome, trace))
-    }
-
-    fn run_impl<P, F>(
+    /// The sequential engine, and with `async_mode` the asynchronous
+    /// backend's payload pipeline under its virtual clock.
+    pub(crate) fn run_impl<P, F>(
         &mut self,
         mut make: F,
-        mut trace: Option<&mut Trace>,
-        faults: &FaultPlan,
-        churn: &ChurnPlan,
+        spec: &RunSpec<'_>,
         async_mode: bool,
     ) -> Result<RunOutcome<P::Output>, SimError>
     where
         P: Protocol,
         F: FnMut(NodeId, &dyn Topology) -> P,
     {
-        let plan = RunPlan::build(self.graph, faults, churn)?;
+        let plan = RunPlan::build(self.graph, spec.faults, spec.churn)?;
         let n = self.graph.node_count();
         let run_id = self.next_run_id();
         // The asynchronous backend runs the *same* payload pipeline with
@@ -1185,9 +1287,9 @@ impl<'g> Network<'g> {
         // to track per-node completion times, count the synchronizer's
         // empty-round markers, and — under a patience budget — decide
         // which frames arrive too late to be delivered.
-        let mut timing: Option<crate::asynchrony::AsyncTiming> = if async_mode {
+        let mut timing: Option<AsyncTiming> = if async_mode {
             self.async_info = None;
-            Some(crate::asynchrony::AsyncTiming::new(
+            Some(AsyncTiming::new(
                 self.graph,
                 &self.peer,
                 self.config.delay,
@@ -1198,16 +1300,10 @@ impl<'g> Network<'g> {
         } else {
             None
         };
-        // All halted + `plan.last_wake` reached ⇒ nothing can wake up
-        // again (neither a recovery nor a scheduled topology event).
-        let last_wake = plan.last_wake;
+        let wire =
+            Wire { graph: self.graph, config: self.config, plan: &plan, run_id, peer: &self.peer };
         let mut node_present = plan.node_present0.clone();
         let mut edge_present = plan.edge_present0.clone();
-        let crash_round = &plan.crash_round;
-        let recovery_round = &plan.recovery_round;
-        let join_round = &plan.join_round;
-        let leave_round = &plan.leave_round;
-        let edge_events = &plan.edge_events;
         let mut edge_event_idx = 0usize;
 
         let mut protos: Vec<P> = (0..n).map(|v| make(v, self.graph)).collect();
@@ -1223,87 +1319,148 @@ impl<'g> Network<'g> {
         let mut outbox: Vec<(Port, P::Msg)> = Vec::new();
         let mut sent = vec![false; self.graph.max_degree()];
         let mut fault: Option<SimError> = None;
-        let mut stats = RunStats::default();
+        let mut tally = Tally::new(spec.trace);
         // Receiver-side integrity reports (Context::note_rejected /
-        // note_quarantined), folded into `stats` after the run so the
+        // note_quarantined), folded into the stats after the run so the
         // quiescence detector's frames() view is unaffected.
         let mut integrity = Integrity::default();
 
-        // Round 0: on_start.
         let mut round = 0usize;
-        let mut round_max_bits = 0usize;
-        for v in 0..n {
-            if !node_present[v] {
-                // Absent at round 0: silent until it joins (if ever).
-                halted.set(v, true);
-                continue;
-            }
-            // The word-packed mask cannot hand out `&mut bool`, so the
-            // node's halt flag is copied out for the callback and written
-            // back before anyone else can observe it.
-            let mut halt_flag = halted[v];
-            let mut ctx = Context {
-                node: v,
-                round,
-                graph: self.graph,
-                rng: &mut rngs[v],
-                outbox: &mut outbox,
-                sent: &mut sent,
-                halted: &mut halt_flag,
-                fault: &mut fault,
-                integrity: &mut integrity,
-            };
-            protos[v].on_start(&mut ctx);
-            halted.set(v, halt_flag);
-            self.flush(
-                v,
-                round,
-                &mut outbox,
-                &mut sent,
-                &halted,
-                &node_present,
-                &edge_present,
-                &mut next,
-                &mut pending,
-                &mut stats,
-                &mut round_max_bits,
-                trace.as_deref_mut(),
-                &plan,
-                run_id,
-                timing.as_mut(),
-            );
-            if halted[v] {
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(TraceEvent::Halt { round, node: v });
+        let mut quiet_rounds = 0usize;
+        let mut last_messages = 0u64;
+        loop {
+            for v in 0..n {
+                // The node's step this round: `start` runs `on_start`
+                // instead of `on_round`, and `reboot` first replaces the
+                // node with a fresh instance — empty registers, an empty
+                // inbox, a randomness stream salted apart from its first
+                // boot.
+                let (start, reboot) = if round == 0 {
+                    if !node_present[v] {
+                        // Absent at round 0: silent until it joins (if ever).
+                        halted.set(v, true);
+                        continue;
+                    }
+                    (true, None)
+                } else if plan.leave_round[v] == Some(round) {
+                    // Permanent leave: silent, like a crash that never
+                    // recovers — but also absent from the topology, so
+                    // no message can reach its ports again.
+                    node_present.set(v, false);
+                    halted.set(v, true);
+                    inbox[v].clear();
+                    tally.stats.churn_events = tally.stats.churn_events.saturating_add(1);
+                    tally.record(TraceEvent::Churn { round, kind: ChurnKind::Leave { node: v } });
+                    continue;
+                } else if plan.join_round[v] == Some(round) {
+                    node_present.set(v, true);
+                    tally.stats.churn_events = tally.stats.churn_events.saturating_add(1);
+                    tally.record(TraceEvent::Churn { round, kind: ChurnKind::Join { node: v } });
+                    (true, Some(0x1099))
+                } else {
+                    if plan.crash_round[v] == Some(round) && !halted[v] {
+                        halted.set(v, true); // crash-stop: silent, mid-protocol
+                        tally.record(TraceEvent::Fault {
+                            round,
+                            kind: FaultKind::Crash,
+                            node: v,
+                            peer: None,
+                        });
+                    }
+                    if plan.recovery_round[v] == Some(round) {
+                        tally.record(TraceEvent::Fault {
+                            round,
+                            kind: FaultKind::Recover,
+                            node: v,
+                            peer: None,
+                        });
+                        (true, Some(0xB007))
+                    } else if halted[v] {
+                        inbox[v].clear();
+                        continue;
+                    } else {
+                        inbox[v].sort_by_key(|&(p, _)| p);
+                        (false, None)
+                    }
+                };
+                if let Some(salt) = reboot {
+                    protos[v] = make(v, self.graph);
+                    rngs[v] = rng::node_rng(self.config.seed ^ salt, run_id, v);
+                    halted.set(v, false);
+                    inbox[v].clear();
+                }
+                // The word-packed mask cannot hand out `&mut bool`, so the
+                // node's halt flag is copied out for the callback and
+                // written back before anyone else can observe it.
+                let mut halt_flag = halted[v];
+                let mut ctx = Context {
+                    node: v,
+                    round,
+                    graph: self.graph,
+                    rng: &mut rngs[v],
+                    outbox: &mut outbox,
+                    sent: &mut sent,
+                    halted: &mut halt_flag,
+                    fault: &mut fault,
+                    integrity: &mut integrity,
+                };
+                if start {
+                    protos[v].on_start(&mut ctx);
+                } else {
+                    protos[v].on_round(&mut ctx, &inbox[v]);
+                }
+                halted.set(v, halt_flag);
+                inbox[v].clear();
+                flush(
+                    &wire,
+                    v,
+                    round,
+                    &mut outbox,
+                    &mut sent,
+                    &halted,
+                    &node_present,
+                    &edge_present,
+                    &mut next,
+                    &mut pending,
+                    &mut tally,
+                    timing.as_mut(),
+                );
+                // A rebooted node that halts straight out of `on_start`
+                // records no halt event.
+                if reboot.is_none() && halted[v] {
+                    tally.record(TraceEvent::Halt { round, node: v });
+                }
+                if let Some(err) = fault.take() {
+                    return Err(err);
                 }
             }
-            if let Some(err) = fault.take() {
-                return Err(err);
-            }
-        }
-        stats.rounds = stats.rounds.saturating_add(1);
-        stats.charged_rounds = stats.charged_rounds.saturating_add(self.charge(round_max_bits));
-        self.sample_round(run_id, round, &stats, &integrity);
+            tally.stats.rounds = tally.stats.rounds.saturating_add(1);
+            tally.stats.charged_rounds =
+                tally.stats.charged_rounds.saturating_add(self.charge(tally.round_max_bits));
+            self.sample_round(run_id, round, &tally.stats, &integrity);
 
-        let mut quiet_rounds = 0usize;
-        let mut last_messages = stats.frames();
-        loop {
-            if halted.all() && round >= last_wake {
+            // Between rounds: all halted + `plan.last_wake` reached ⇒
+            // nothing can wake up again (neither a recovery nor a
+            // scheduled topology event).
+            if halted.all() && round >= plan.last_wake {
                 break;
             }
             if let Some(k) = self.config.quiescence {
-                if stats.frames() == last_messages
+                // After round 0 there is no earlier frame count to
+                // compare with, so only in-flight messages count.
+                let frames = tally.stats.frames();
+                if (round == 0 || frames == last_messages)
                     && next.iter().all(Vec::is_empty)
                     && pending.is_empty()
                 {
                     quiet_rounds += 1;
-                    if quiet_rounds >= k && round >= last_wake {
+                    if quiet_rounds >= k && round >= plan.last_wake {
                         break; // message-driven protocols are done
                     }
                 } else {
                     quiet_rounds = 0;
                 }
-                last_messages = stats.frames();
+                last_messages = frames;
             }
             if round >= self.config.max_rounds {
                 return Err(SimError::RoundLimitExceeded {
@@ -1312,26 +1469,26 @@ impl<'g> Network<'g> {
                 });
             }
             round += 1;
-            round_max_bits = 0;
+            tally.round_max_bits = 0;
             // Advance virtual time before this round's edge events: the
             // frames being timed were sent under the previous topology.
             if let Some(tm) = timing.as_mut() {
                 tm.advance(round, &edge_present);
             }
             // Apply this round's edge events before anyone executes;
-            // node events are applied at each node's slot below.
-            while edge_event_idx < edge_events.len() && edge_events[edge_event_idx].round == round {
-                let ev = edge_events[edge_event_idx];
+            // node events are applied at each node's slot.
+            while edge_event_idx < plan.edge_events.len()
+                && plan.edge_events[edge_event_idx].round == round
+            {
+                let ev = plan.edge_events[edge_event_idx];
                 edge_event_idx += 1;
                 match ev.kind {
                     ChurnKind::EdgeUp { edge } => edge_present.set(edge, true),
                     ChurnKind::EdgeDown { edge } => edge_present.set(edge, false),
                     ChurnKind::Join { .. } | ChurnKind::Leave { .. } => unreachable!(),
                 }
-                stats.churn_events = stats.churn_events.saturating_add(1);
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(TraceEvent::Churn { round, kind: ev.kind });
-                }
+                tally.stats.churn_events = tally.stats.churn_events.saturating_add(1);
+                tally.record(TraceEvent::Churn { round, kind: ev.kind });
             }
             std::mem::swap(&mut inbox, &mut next);
             // Under a patience budget, frames that resolved late at the
@@ -1365,181 +1522,9 @@ impl<'g> Network<'g> {
                 }
                 pending = rest;
             }
-            for v in 0..n {
-                if leave_round[v] == Some(round) {
-                    // Permanent leave: silent, like a crash that never
-                    // recovers — but also absent from the topology, so
-                    // no message can reach its ports again.
-                    node_present.set(v, false);
-                    halted.set(v, true);
-                    inbox[v].clear();
-                    stats.churn_events = stats.churn_events.saturating_add(1);
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.record(TraceEvent::Churn { round, kind: ChurnKind::Leave { node: v } });
-                    }
-                    continue;
-                }
-                if join_round[v] == Some(round) {
-                    // Join: fresh ports, empty registers, a randomness
-                    // stream distinct from both boots and reboots.
-                    node_present.set(v, true);
-                    protos[v] = make(v, self.graph);
-                    rngs[v] = rng::node_rng(self.config.seed ^ 0x1099, run_id, v);
-                    halted.set(v, false);
-                    inbox[v].clear();
-                    stats.churn_events = stats.churn_events.saturating_add(1);
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.record(TraceEvent::Churn { round, kind: ChurnKind::Join { node: v } });
-                    }
-                    let mut halt_flag = false;
-                    let mut ctx = Context {
-                        node: v,
-                        round,
-                        graph: self.graph,
-                        rng: &mut rngs[v],
-                        outbox: &mut outbox,
-                        sent: &mut sent,
-                        halted: &mut halt_flag,
-                        fault: &mut fault,
-                        integrity: &mut integrity,
-                    };
-                    protos[v].on_start(&mut ctx);
-                    halted.set(v, halt_flag);
-                    self.flush(
-                        v,
-                        round,
-                        &mut outbox,
-                        &mut sent,
-                        &halted,
-                        &node_present,
-                        &edge_present,
-                        &mut next,
-                        &mut pending,
-                        &mut stats,
-                        &mut round_max_bits,
-                        trace.as_deref_mut(),
-                        &plan,
-                        run_id,
-                        timing.as_mut(),
-                    );
-                    if let Some(err) = fault.take() {
-                        return Err(err);
-                    }
-                    continue;
-                }
-                if crash_round[v] == Some(round) && !halted[v] {
-                    halted.set(v, true); // crash-stop: silent, mid-protocol
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.record(TraceEvent::Fault {
-                            round,
-                            kind: FaultKind::Crash,
-                            node: v,
-                            peer: None,
-                        });
-                    }
-                }
-                if recovery_round[v] == Some(round) {
-                    // Crash-recover: reboot with wiped state and a fresh
-                    // randomness stream, then run on_start as a cold boot.
-                    protos[v] = make(v, self.graph);
-                    rngs[v] = rng::node_rng(self.config.seed ^ 0xB007, run_id, v);
-                    halted.set(v, false);
-                    inbox[v].clear();
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.record(TraceEvent::Fault {
-                            round,
-                            kind: FaultKind::Recover,
-                            node: v,
-                            peer: None,
-                        });
-                    }
-                    let mut halt_flag = false;
-                    let mut ctx = Context {
-                        node: v,
-                        round,
-                        graph: self.graph,
-                        rng: &mut rngs[v],
-                        outbox: &mut outbox,
-                        sent: &mut sent,
-                        halted: &mut halt_flag,
-                        fault: &mut fault,
-                        integrity: &mut integrity,
-                    };
-                    protos[v].on_start(&mut ctx);
-                    halted.set(v, halt_flag);
-                    self.flush(
-                        v,
-                        round,
-                        &mut outbox,
-                        &mut sent,
-                        &halted,
-                        &node_present,
-                        &edge_present,
-                        &mut next,
-                        &mut pending,
-                        &mut stats,
-                        &mut round_max_bits,
-                        trace.as_deref_mut(),
-                        &plan,
-                        run_id,
-                        timing.as_mut(),
-                    );
-                    if let Some(err) = fault.take() {
-                        return Err(err);
-                    }
-                    continue;
-                }
-                if halted[v] {
-                    inbox[v].clear();
-                    continue;
-                }
-                inbox[v].sort_by_key(|&(p, _)| p);
-                let mut halt_flag = halted[v];
-                let mut ctx = Context {
-                    node: v,
-                    round,
-                    graph: self.graph,
-                    rng: &mut rngs[v],
-                    outbox: &mut outbox,
-                    sent: &mut sent,
-                    halted: &mut halt_flag,
-                    fault: &mut fault,
-                    integrity: &mut integrity,
-                };
-                protos[v].on_round(&mut ctx, &inbox[v]);
-                halted.set(v, halt_flag);
-                inbox[v].clear();
-                self.flush(
-                    v,
-                    round,
-                    &mut outbox,
-                    &mut sent,
-                    &halted,
-                    &node_present,
-                    &edge_present,
-                    &mut next,
-                    &mut pending,
-                    &mut stats,
-                    &mut round_max_bits,
-                    trace.as_deref_mut(),
-                    &plan,
-                    run_id,
-                    timing.as_mut(),
-                );
-                if halted[v] {
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.record(TraceEvent::Halt { round, node: v });
-                    }
-                }
-                if let Some(err) = fault.take() {
-                    return Err(err);
-                }
-            }
-            stats.rounds = stats.rounds.saturating_add(1);
-            stats.charged_rounds = stats.charged_rounds.saturating_add(self.charge(round_max_bits));
-            self.sample_round(run_id, round, &stats, &integrity);
         }
 
+        let Tally { mut stats, trace, .. } = tally;
         integrity.fold_into(&mut stats);
         if let Some(tm) = timing.take() {
             let info = tm.finish();
@@ -1552,184 +1537,8 @@ impl<'g> Network<'g> {
             outputs: protos.into_iter().map(Protocol::into_output).collect(),
             stats,
             sessions,
+            trace,
         })
-    }
-
-    /// Delivers `v`'s outbox into `next` (or, for duplicated/reordered
-    /// messages, into `pending`), recording statistics and applying the
-    /// message-level fault model.
-    #[allow(clippy::too_many_arguments)]
-    fn flush<M: BitSize + Clone>(
-        &self,
-        v: NodeId,
-        round: usize,
-        outbox: &mut Vec<(Port, M)>,
-        sent: &mut [bool],
-        halted: &BitSet,
-        node_present: &BitSet,
-        edge_present: &BitSet,
-        next: &mut [Vec<(Port, M)>],
-        pending: &mut Vec<(usize, NodeId, Port, usize, M)>,
-        stats: &mut RunStats,
-        round_max_bits: &mut usize,
-        mut trace: Option<&mut Trace>,
-        plan: &RunPlan,
-        run_id: u64,
-        mut timing: Option<&mut crate::asynchrony::AsyncTiming>,
-    ) {
-        if let Some(tm) = timing.as_deref_mut() {
-            tm.begin_step(v);
-        }
-        for (port, msg) in outbox.drain(..) {
-            sent[port] = false;
-            let bits = msg.bit_size();
-            match msg.class() {
-                MsgClass::Protocol => stats.messages = stats.messages.saturating_add(1),
-                MsgClass::Retransmission => {
-                    stats.retransmissions = stats.retransmissions.saturating_add(1);
-                }
-                MsgClass::Heartbeat => stats.heartbeats = stats.heartbeats.saturating_add(1),
-                MsgClass::Maintenance => stats.maintenance = stats.maintenance.saturating_add(1),
-            }
-            stats.total_bits = stats.total_bits.saturating_add(bits as u64);
-            stats.max_message_bits = stats.max_message_bits.max(bits);
-            *round_max_bits = (*round_max_bits).max(bits);
-            let mut oversize = false;
-            if let Model::Congest { bits: budget } = self.config.model {
-                if bits > budget {
-                    oversize = true;
-                    match self.config.violation {
-                        ViolationPolicy::Panic => panic!(
-                            "CONGEST violation: node {v} sent {bits} bits over port {port} (budget {budget})"
-                        ),
-                        ViolationPolicy::Record => {
-                            stats.violations = stats.violations.saturating_add(1);
-                        }
-                    }
-                }
-            }
-            let (u, q) = self.peer[v][port];
-            if let Some(t) = trace.as_deref_mut() {
-                t.record(TraceEvent::Send { round, from: v, port, to: u, bits, oversize });
-            }
-            // An absent edge or receiver swallows the message at the
-            // sender — no channel exists, so no fault draw either.
-            let e = self.graph.port(v, port).1;
-            if !edge_present[e] || !node_present[u] {
-                stats.churn_drops = stats.churn_drops.saturating_add(1);
-                continue;
-            }
-            // The synchronizer frame on this port carries a payload, so
-            // no marker is owed — whatever the channel does to the
-            // payload downstream (loss, corruption, partition) happens
-            // inside an already-sent frame.
-            if let Some(tm) = timing.as_deref_mut() {
-                tm.note_frame(port);
-            }
-            // An active partition cut swallows the message outright (no
-            // randomness involved, so no fault draw here either).
-            if plan.partitioned(round, v, u) {
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(TraceEvent::Fault {
-                        round,
-                        kind: FaultKind::Partition,
-                        node: v,
-                        peer: Some(u),
-                    });
-                }
-                continue;
-            }
-            // Probabilistic faults, drawn from an RNG keyed on the
-            // message coordinates: an all-zero plan draws nothing (so
-            // run_faulty degrades to run() exactly) and the draws are
-            // independent of flush order (so the sharded executor
-            // reproduces them bit-for-bit).
-            let fate = plan.message_fate(self.config.seed, run_id, round, v, port);
-            if fate.lost {
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(TraceEvent::Fault {
-                        round,
-                        kind: FaultKind::Loss,
-                        node: v,
-                        peer: Some(u),
-                    });
-                }
-                continue;
-            }
-            // Byzantine equivocation: a listed sender tampers with every
-            // outgoing copy, independently per port, before the channel
-            // applies its own faults. Draws come from the dedicated
-            // byz stream keyed on the message coordinates.
-            let mut msg = msg;
-            if plan.equivocator[v] {
-                let mut brng = rng::byz_rng(self.config.seed, run_id, round, v, port);
-                let kind = CorruptKind::draw(&mut brng);
-                stats.equivocations = stats.equivocations.saturating_add(1);
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(TraceEvent::Fault {
-                        round,
-                        kind: FaultKind::Equivocate { kind },
-                        node: v,
-                        peer: Some(u),
-                    });
-                }
-                match msg.corrupted(kind, &mut brng) {
-                    Some(m) => msg = m,
-                    // Tampering destroyed decodability: the frame never
-                    // reaches the receiver (counted and traced above).
-                    None => continue,
-                }
-            }
-            // Channel corruption drawn by the fault plan: the damaged
-            // value replaces the original (duplicates carry the damage
-            // too — the channel corrupted the frame, not one copy).
-            if let Some(kind) = fate.corrupt {
-                let mut crng = rng::corrupt_rng(self.config.seed, run_id, round, v, port);
-                stats.corruptions = stats.corruptions.saturating_add(1);
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(TraceEvent::Fault {
-                        round,
-                        kind: FaultKind::Corrupt { kind },
-                        node: v,
-                        peer: Some(u),
-                    });
-                }
-                match msg.corrupted(kind, &mut crng) {
-                    Some(m) => msg = m,
-                    None => continue,
-                }
-            }
-            if fate.duplicated {
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(TraceEvent::Fault {
-                        round,
-                        kind: FaultKind::Duplicate,
-                        node: v,
-                        peer: Some(u),
-                    });
-                }
-                // The duplicate trails the original by one round.
-                pending.push((round + 2, u, q, round, msg.clone()));
-            }
-            if let Some(delay) = fate.delayed {
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(TraceEvent::Fault {
-                        round,
-                        kind: FaultKind::Reorder { delay },
-                        node: v,
-                        peer: Some(u),
-                    });
-                }
-                pending.push((round + 1 + delay, u, q, round, msg));
-                continue;
-            }
-            if !halted[u] {
-                next[u].push((q, msg));
-            }
-        }
-        if let Some(tm) = timing {
-            tm.end_step(v, edge_present, node_present);
-        }
     }
 
     /// Charged cost of a round whose widest message had `max_bits` bits.
@@ -1740,6 +1549,58 @@ impl<'g> Network<'g> {
             }
             _ => 1,
         }
+    }
+}
+
+/// Delivers `v`'s outbox through the shared [`Wire::send`]. What stays
+/// here is the sequential engine's write: an arriving message goes to
+/// `next` (unless its receiver is halted at this moment), a duplicated
+/// or reordered one to `pending`, and the asynchronous backend's timing
+/// layer sees every frame put on the wire.
+#[allow(clippy::too_many_arguments)]
+fn flush<M: BitSize + Clone>(
+    wire: &Wire<'_>,
+    v: NodeId,
+    round: usize,
+    outbox: &mut Vec<(Port, M)>,
+    sent: &mut [bool],
+    halted: &BitSet,
+    node_present: &BitSet,
+    edge_present: &BitSet,
+    next: &mut [Vec<(Port, M)>],
+    pending: &mut Vec<(usize, NodeId, Port, usize, M)>,
+    tally: &mut Tally,
+    mut timing: Option<&mut AsyncTiming>,
+) {
+    if let Some(tm) = timing.as_deref_mut() {
+        tm.begin_step(v);
+    }
+    for (port, msg) in outbox.drain(..) {
+        sent[port] = false;
+        let route =
+            wire.send(round, v, port, msg, tally, |u, e| edge_present[e] && node_present[u]);
+        if matches!(route, Route::NoLink) {
+            continue;
+        }
+        // The synchronizer frame on this port carries a payload, so no
+        // marker is owed — whatever the channel does to the payload
+        // (loss, corruption, partition) happens inside a sent frame.
+        if let Some(tm) = timing.as_deref_mut() {
+            tm.note_frame(port);
+        }
+        if let Route::Arrive { u, q, due, msg, dup } = route {
+            if let Some(copy) = dup {
+                pending.push((round + 2, u, q, round, copy));
+            }
+            if due > round + 1 {
+                pending.push((due, u, q, round, msg));
+            } else if !halted[u] {
+                next[u].push((q, msg));
+            }
+        }
+    }
+    if let Some(tm) = timing {
+        tm.end_step(v, edge_present, node_present);
     }
 }
 
@@ -1937,8 +1798,13 @@ mod tests {
     fn traced_run_matches_stats() {
         let g = generators::cycle(6);
         let mut net = Network::new(&g, SimConfig::local().seed(3));
-        let (out, trace) =
-            net.run_traced(|v, _| RingToken { laps: 12, holder: v == 0, received: 0 }).unwrap();
+        let mut out = net
+            .execute(
+                |v, _| RingToken { laps: 12, holder: v == 0, received: 0 },
+                &RunSpec { trace: true, ..RunSpec::default() },
+            )
+            .unwrap();
+        let trace = out.trace.take().unwrap();
         let sends = trace.events().iter().filter(|e| matches!(e, TraceEvent::Send { .. })).count();
         assert_eq!(sends as u64, out.stats.messages);
         // Every node halts eventually, and the trace knows when.
@@ -2051,10 +1917,13 @@ mod tests {
             .with_squall(Squall { from_round: 2, until_round: 6, loss: 0.3, corrupt: 0.1 })
             .validate(&g)
             .unwrap();
-        // And run_faulty surfaces validation errors.
+        // And execute surfaces validation errors.
         let mut net = Network::new(&g, SimConfig::local());
         let err = net
-            .run_faulty(|_, _| Chatter { rounds: 3, heard: 0 }, &FaultPlan::lossy(7.0))
+            .execute(
+                |_, _| Chatter { rounds: 3, heard: 0 },
+                &RunSpec { faults: &FaultPlan::lossy(7.0), ..RunSpec::default() },
+            )
             .unwrap_err();
         assert!(matches!(err, SimError::InvalidFaultPlan { .. }));
     }
@@ -2070,8 +1939,14 @@ mod tests {
             corrupt: 0.0,
         });
         let mut net = Network::new(&g, SimConfig::local().seed(9));
-        let (_, trace) =
-            net.run_faulty_traced(|_, _| Chatter { rounds: 6, heard: 0 }, &plan).unwrap();
+        let trace = net
+            .execute(
+                |_, _| Chatter { rounds: 6, heard: 0 },
+                &RunSpec { faults: &plan, trace: true, ..RunSpec::default() },
+            )
+            .unwrap()
+            .trace
+            .unwrap();
         let loss_rounds: Vec<usize> = trace
             .faults()
             .filter(|e| matches!(e, TraceEvent::Fault { kind: FaultKind::Loss, .. }))
@@ -2098,7 +1973,12 @@ mod tests {
             corrupt: 1.0,
         });
         let mut net = Network::new(&g, SimConfig::local().seed(9));
-        let out = net.run_faulty(|_, _| Chatter { rounds: 5, heard: 0 }, &plan).unwrap();
+        let out = net
+            .execute(
+                |_, _| Chatter { rounds: 5, heard: 0 },
+                &RunSpec { faults: &plan, ..RunSpec::default() },
+            )
+            .unwrap();
         assert_eq!(out.outputs, base.outputs);
         assert_eq!(out.stats, base.stats);
     }
@@ -2115,8 +1995,13 @@ mod tests {
             corrupt: 1.0,
         });
         let mut net = Network::new(&g, SimConfig::local().seed(5));
-        let (out, trace) =
-            net.run_faulty_traced(|_, _| Chatter { rounds: 5, heard: 0 }, &plan).unwrap();
+        let mut out = net
+            .execute(
+                |_, _| Chatter { rounds: 5, heard: 0 },
+                &RunSpec { faults: &plan, trace: true, ..RunSpec::default() },
+            )
+            .unwrap();
+        let trace = out.trace.take().unwrap();
         let corrupt_rounds: Vec<usize> = trace
             .faults()
             .filter(|e| matches!(e, TraceEvent::Fault { kind: FaultKind::Corrupt { .. }, .. }))
@@ -2133,11 +2018,21 @@ mod tests {
         let g = generators::cycle(4);
         let plan = FaultPlan::lossy(0.2);
         let mut bare = Network::new(&g, SimConfig::local().seed(3).max_rounds(5_000));
-        let base = bare.run_faulty(|_, _| Chatter { rounds: 5, heard: 0 }, &plan).unwrap();
+        let base = bare
+            .execute(
+                |_, _| Chatter { rounds: 5, heard: 0 },
+                &RunSpec { faults: &plan, ..RunSpec::default() },
+            )
+            .unwrap();
         let sink = Arc::new(RecordingSink::new());
         let mut net = Network::new(&g, SimConfig::local().seed(3).max_rounds(5_000));
         net.set_stats_sink(Some(SinkHandle::from(Arc::clone(&sink))));
-        let out = net.run_faulty(|_, _| Chatter { rounds: 5, heard: 0 }, &plan).unwrap();
+        let out = net
+            .execute(
+                |_, _| Chatter { rounds: 5, heard: 0 },
+                &RunSpec { faults: &plan, ..RunSpec::default() },
+            )
+            .unwrap();
         // Observation changed nothing…
         assert_eq!(out.outputs, base.outputs);
         assert_eq!(out.stats, base.stats);
@@ -2163,8 +2058,13 @@ mod tests {
         let g = generators::cycle(4);
         let plan = FaultPlan::crashes(vec![(0, 2)]).with_recoveries(vec![(0, 5)]);
         let mut net = Network::new(&g, SimConfig::local().seed(11));
-        let (out, trace) =
-            net.run_faulty_traced(|_, _| Chatter { rounds: 8, heard: 0 }, &plan).unwrap();
+        let mut out = net
+            .execute(
+                |_, _| Chatter { rounds: 8, heard: 0 },
+                &RunSpec { faults: &plan, trace: true, ..RunSpec::default() },
+            )
+            .unwrap();
+        let trace = out.trace.take().unwrap();
         let crash = trace
             .faults()
             .find(|e| matches!(e, TraceEvent::Fault { kind: FaultKind::Crash, .. }))
@@ -2193,8 +2093,13 @@ mod tests {
         let g = generators::path(2);
         let plan = FaultPlan::default().with_dup(1.0);
         let mut net = Network::new(&g, SimConfig::local().seed(5));
-        let (out, trace) =
-            net.run_faulty_traced(|_, _| Chatter { rounds: 4, heard: 0 }, &plan).unwrap();
+        let mut out = net
+            .execute(
+                |_, _| Chatter { rounds: 4, heard: 0 },
+                &RunSpec { faults: &plan, trace: true, ..RunSpec::default() },
+            )
+            .unwrap();
+        let trace = out.trace.take().unwrap();
         let dups = trace
             .faults()
             .filter(|e| matches!(e, TraceEvent::Fault { kind: FaultKind::Duplicate, .. }))
@@ -2215,8 +2120,13 @@ mod tests {
         let g = generators::path(2);
         let plan = FaultPlan::default().with_reorder(1.0);
         let mut net = Network::new(&g, SimConfig::local().seed(6));
-        let (out, trace) =
-            net.run_faulty_traced(|_, _| Chatter { rounds: 6, heard: 0 }, &plan).unwrap();
+        let mut out = net
+            .execute(
+                |_, _| Chatter { rounds: 6, heard: 0 },
+                &RunSpec { faults: &plan, trace: true, ..RunSpec::default() },
+            )
+            .unwrap();
+        let trace = out.trace.take().unwrap();
         let delays: Vec<usize> = trace
             .faults()
             .filter_map(|e| match e {
@@ -2241,8 +2151,14 @@ mod tests {
             side: vec![0, 1],
         });
         let mut net = Network::new(&g, SimConfig::local().seed(9));
-        let (_, trace) =
-            net.run_faulty_traced(|_, _| Chatter { rounds: 6, heard: 0 }, &plan).unwrap();
+        let trace = net
+            .execute(
+                |_, _| Chatter { rounds: 6, heard: 0 },
+                &RunSpec { faults: &plan, trace: true, ..RunSpec::default() },
+            )
+            .unwrap()
+            .trace
+            .unwrap();
         let cut: Vec<(usize, NodeId, Option<NodeId>)> = trace
             .faults()
             .filter_map(|e| match e {
@@ -2274,8 +2190,13 @@ mod tests {
             reorder: 0.0,
         });
         let mut net = Network::new(&g, SimConfig::local().seed(13));
-        let (out, trace) =
-            net.run_faulty_traced(|_, _| Chatter { rounds: 4, heard: 0 }, &plan).unwrap();
+        let mut out = net
+            .execute(
+                |_, _| Chatter { rounds: 4, heard: 0 },
+                &RunSpec { faults: &plan, trace: true, ..RunSpec::default() },
+            )
+            .unwrap();
+        let trace = out.trace.take().unwrap();
         for e in trace.faults() {
             if let TraceEvent::Fault { kind: FaultKind::Loss, node, peer, .. } = e {
                 let pair = (*node, peer.unwrap());
@@ -2297,13 +2218,16 @@ mod tests {
             .with_partition(Partition { from_round: 2, until_round: 4, side: (0..8).collect() });
         let go = || {
             let mut net = Network::new(&g, SimConfig::local().seed(21));
-            net.run_faulty_traced(|_, _| Chatter { rounds: 10, heard: 0 }, &plan).unwrap()
+            net.execute(
+                |_, _| Chatter { rounds: 10, heard: 0 },
+                &RunSpec { faults: &plan, trace: true, ..RunSpec::default() },
+            )
+            .unwrap()
         };
-        let (out_a, trace_a) = go();
-        let (out_b, trace_b) = go();
+        let (out_a, out_b) = (go(), go());
         assert_eq!(out_a.outputs, out_b.outputs);
         assert_eq!(out_a.stats, out_b.stats);
-        assert_eq!(trace_a.events(), trace_b.events());
+        assert_eq!(out_a.trace.unwrap().events(), out_b.trace.unwrap().events());
     }
 
     #[test]
@@ -2354,8 +2278,12 @@ mod tests {
         let faults = FaultPlan::crashes(vec![(1, 3)]);
         assert!(matches!(churn.validate_against(&faults), Err(SimError::InvalidChurnPlan { .. })));
         let mut net = Network::new(&g, SimConfig::local());
-        let err =
-            net.run_churned(|_, _| Chatter { rounds: 5, heard: 0 }, &faults, &churn).unwrap_err();
+        let err = net
+            .execute(
+                |_, _| Chatter { rounds: 5, heard: 0 },
+                &RunSpec { faults: &faults, churn: &churn, ..RunSpec::default() },
+            )
+            .unwrap_err();
         assert!(matches!(err, SimError::InvalidChurnPlan { .. }));
     }
 
@@ -2366,13 +2294,13 @@ mod tests {
         let g = generators::path(2);
         let churn = ChurnPlan::default().with_event(2, ChurnKind::EdgeDown { edge: 0 });
         let mut net = Network::new(&g, SimConfig::local().seed(4));
-        let (out, trace) = net
-            .run_churned_traced(
+        let mut out = net
+            .execute(
                 |_, _| Chatter { rounds: 6, heard: 0 },
-                &FaultPlan::default(),
-                &churn,
+                &RunSpec { churn: &churn, trace: true, ..RunSpec::default() },
             )
             .unwrap();
+        let trace = out.trace.take().unwrap();
         assert_eq!(out.stats.churn_events, 1);
         // Rounds 2..=5 each see both nodes broadcast into the cut edge,
         // plus the round-6 halt round: sends from rounds 0..2 deliver.
@@ -2394,7 +2322,10 @@ mod tests {
             .with_event(4, ChurnKind::EdgeUp { edge: 0 });
         let mut net2 = Network::new(&g, SimConfig::local().seed(4));
         let out2 = net2
-            .run_churned(|_, _| Chatter { rounds: 6, heard: 0 }, &FaultPlan::default(), &flap)
+            .execute(
+                |_, _| Chatter { rounds: 6, heard: 0 },
+                &RunSpec { churn: &flap, ..RunSpec::default() },
+            )
             .unwrap();
         assert_eq!(out2.stats.churn_events, 2);
         assert!(
@@ -2408,13 +2339,13 @@ mod tests {
         let g = generators::cycle(4);
         let churn = ChurnPlan::default().with_event(3, ChurnKind::Leave { node: 0 });
         let mut net = Network::new(&g, SimConfig::local().seed(8));
-        let (out, trace) = net
-            .run_churned_traced(
+        let mut out = net
+            .execute(
                 |_, _| Chatter { rounds: 8, heard: 0 },
-                &FaultPlan::default(),
-                &churn,
+                &RunSpec { churn: &churn, trace: true, ..RunSpec::default() },
             )
             .unwrap();
+        let trace = out.trace.take().unwrap();
         // Node 0 sends before round 3 and never after.
         let send_rounds: Vec<usize> = trace.sends_of(0).map(TraceEvent::round).collect();
         assert!(send_rounds.iter().any(|&r| r < 3));
@@ -2431,13 +2362,13 @@ mod tests {
             .with_absent_nodes(vec![2])
             .with_event(4, ChurnKind::Join { node: 2 });
         let mut net = Network::new(&g, SimConfig::local().seed(12));
-        let (out, trace) = net
-            .run_churned_traced(
+        let mut out = net
+            .execute(
                 |_, _| Chatter { rounds: 9, heard: 0 },
-                &FaultPlan::default(),
-                &churn,
+                &RunSpec { churn: &churn, trace: true, ..RunSpec::default() },
             )
             .unwrap();
+        let trace = out.trace.take().unwrap();
         let send_rounds: Vec<usize> = trace.sends_of(2).map(TraceEvent::round).collect();
         assert!(send_rounds.iter().all(|&r| r >= 4), "absent node sent early: {send_rounds:?}");
         assert!(send_rounds.iter().any(|&r| r >= 4), "joined node never sent");
@@ -2456,14 +2387,16 @@ mod tests {
         let faults = FaultPlan::lossy(0.1).with_dup(0.05);
         let go = || {
             let mut net = Network::new(&g, SimConfig::local().seed(31));
-            net.run_churned_traced(|_, _| Chatter { rounds: 10, heard: 0 }, &faults, &churn)
-                .unwrap()
+            net.execute(
+                |_, _| Chatter { rounds: 10, heard: 0 },
+                &RunSpec { faults: &faults, churn: &churn, trace: true },
+            )
+            .unwrap()
         };
-        let (out_a, trace_a) = go();
-        let (out_b, trace_b) = go();
+        let (out_a, out_b) = (go(), go());
         assert_eq!(out_a.outputs, out_b.outputs);
         assert_eq!(out_a.stats, out_b.stats);
-        assert_eq!(trace_a.events(), trace_b.events());
+        assert_eq!(out_a.trace.unwrap().events(), out_b.trace.unwrap().events());
         assert_eq!(out_a.stats.churn_events, 3);
     }
 

@@ -12,9 +12,12 @@
 //! * A distributed algorithm is a [`Protocol`]: a per-node state machine
 //!   driven by [`Protocol::on_round`].
 //! * A [`Network`] executes protocols over a [`dam_graph::Graph`]
-//!   topology, either sequentially ([`Network::run`]) or on multiple
-//!   threads ([`Network::run_parallel`]); both are deterministic given the
-//!   configured seed and produce identical results.
+//!   topology through one entry point, [`Network::execute`], which takes
+//!   the run's faults, churn and tracing as a [`RunSpec`] and runs on the
+//!   engine [`SimConfig`] selects — sequential, sharded over threads, or
+//!   asynchronous; all are deterministic given the configured seed and
+//!   produce identical results. [`Network::run`] is the sequential
+//!   shorthand for a run with nothing injected.
 //! * Messages implement [`BitSize`]; the engine accounts **bits per
 //!   message**, distinguishing the LOCAL model (unbounded messages,
 //!   Lemma 3.4's `O((|V|+|E|) log n)` floods) from CONGEST(`B`)
@@ -78,7 +81,7 @@ pub mod transport;
 pub use adaptive::{AdaptivePolicy, EpochObservation};
 pub use asynchrony::{AsyncInfo, AsyncNetwork, AsyncStats};
 pub use engine::{
-    ChurnEvent, ChurnPlan, FaultPlan, LinkFault, Network, Partition, RunOutcome, Squall,
+    ChurnEvent, ChurnPlan, FaultPlan, LinkFault, Network, Partition, RunOutcome, RunSpec, Squall,
 };
 pub use error::SimError;
 pub use maintenance::{AsMaintenance, Maint};

@@ -61,7 +61,7 @@ pub enum CostModel {
 }
 
 /// Which execution engine a [`crate::Network`] uses for
-/// [`crate::Network::execute`] and the plan-driven entry points.
+/// [`crate::Network::execute`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// The single-threaded reference engine (global round barrier).
@@ -226,8 +226,10 @@ pub struct SimConfig {
     /// empty inbox) — e.g. the auction of `dam-core`.
     pub quiescence: Option<usize>,
     /// Worker threads for [`crate::Network::execute`]: `0` or `1` runs
-    /// sequentially, `t > 1` shards the nodes over `t` workers. Results
-    /// are bit-identical either way (the differential suite checks).
+    /// sequentially, `t > 1` shards the nodes over `t` workers (and an
+    /// explicit [`Backend::Sharded`] uses `threads.max(2)`). Results are
+    /// bit-identical either way (the differential suite checks).
+    /// [`crate::Network::run`] ignores it.
     pub threads: usize,
     /// Which engine executes the run (see [`Backend`]). For backwards
     /// compatibility, `Sequential` with `threads > 1` still selects the
@@ -342,10 +344,11 @@ impl SimConfig {
         self
     }
 
-    /// The engine that will actually run: an explicit [`Backend::Async`]
-    /// or [`Backend::Sharded`] wins; a default `Sequential` backend with
-    /// `threads > 1` keeps selecting the sharded engine (the pre-backend
-    /// contract of [`SimConfig::threads`]).
+    /// The engine [`crate::Network::execute`] dispatches to: an explicit
+    /// [`Backend::Async`] or [`Backend::Sharded`] wins; a default
+    /// `Sequential` backend with `threads > 1` keeps selecting the
+    /// sharded engine (the pre-backend contract of
+    /// [`SimConfig::threads`]).
     #[must_use]
     pub fn effective_backend(&self) -> Backend {
         match self.backend {

@@ -1,10 +1,10 @@
 //! The sharded deterministic parallel executor.
 //!
-//! Executes the same synchronous semantics as the sequential engine
-//! ([`crate::Network::run`] and its faulty/churned/traced variants) across
-//! a fixed pool of worker threads, producing **bit-identical** outputs,
-//! [`RunStats`] and [`Trace`] streams — a property the differential test
-//! suite (`tests/parallel_equiv.rs`) checks exhaustively.
+//! The [`crate::Backend::Sharded`] arm of [`crate::Network::execute`]:
+//! the sequential engine's synchronous semantics across a fixed pool of
+//! worker threads, producing **bit-identical** outputs, [`RunStats`] and
+//! [`Trace`] streams for any [`RunSpec`] — a property the differential
+//! test suite (`tests/parallel_equiv.rs`) checks exhaustively.
 //!
 //! # Design
 //!
@@ -12,6 +12,10 @@
 //!   worker. Each worker owns its nodes' protocol state, RNGs and halted
 //!   flags outright (`chunks_mut`), so per-round computation needs no
 //!   locks at all.
+//! * **One delivery step.** Every message goes through the sequential
+//!   engine's per-message step, `Wire::send` (accounting, CONGEST
+//!   budget, churn and partition gates, keyed fault draws); only the
+//!   final write below is sharded.
 //! * **Slot delivery.** Message delivery uses a flat slot buffer with one
 //!   slot per *directed* edge (`offsets[u] + q` for receiver `u`, port
 //!   `q`). The model allows at most one message per directed edge per
@@ -39,10 +43,9 @@ use std::sync::Barrier;
 use dam_graph::{NodeId, Topology};
 use parking_lot::Mutex;
 
-use crate::engine::{ChurnPlan, FaultPlan, Network, RunOutcome, RunPlan};
+use crate::engine::{Network, Route, RunOutcome, RunPlan, RunSpec, Tally, Wire};
 use crate::error::SimError;
-use crate::message::{BitSize, CorruptKind, MsgClass};
-use crate::model::{Model, SimConfig, ViolationPolicy};
+use crate::message::BitSize;
 use crate::node::{Context, Port, Protocol};
 use crate::rng;
 use crate::stats::{Integrity, RunStats};
@@ -199,21 +202,17 @@ struct Coord {
     quiet: usize,
     edge_event_idx: usize,
     failure: Option<Incident>,
-    trace: Vec<TraceEvent>,
+    /// Edge-churn events, when tracing.
+    trace: Option<Trace>,
 }
 
 /// Immutable-or-synchronized state every worker sees.
 struct Shared<'a, M> {
-    graph: &'a dyn Topology,
-    config: SimConfig,
-    plan: &'a RunPlan,
-    run_id: u64,
+    /// The run's delivery step, with the graph, config, plan and run id.
+    wire: Wire<'a>,
     n: usize,
     /// Slot-index base per node: slot `(u, q)` lives at `offsets[u] + q`.
     offsets: Vec<usize>,
-    /// `(neighbour, remote port)` behind `offsets[v] + p` — a flat copy
-    /// of the network's port-translation table.
-    peers: Vec<(NodeId, Port)>,
     /// Per-directed-edge FIFO of `(delivery_round, payload)` for
     /// duplicated/reordered messages. Single producer (the edge's
     /// sender), single consumer (the receiver), mutexed because they can
@@ -239,8 +238,10 @@ struct Shared<'a, M> {
 }
 
 impl<M> Shared<'_, M> {
-    fn peer_of(&self, v: NodeId, port: Port) -> (NodeId, Port) {
-        self.peers[self.offsets[v] + port]
+    /// Queues a duplicated or reordered copy for `slot`, due in `due`.
+    fn push_later(&self, slot: usize, due: usize, msg: M) {
+        self.fifos[slot].lock().push((due, msg));
+        self.pending_count.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -264,10 +265,9 @@ struct ShardArena<P> {
 
 /// A worker's private scratch state.
 struct WorkerLocal<M> {
-    stats: RunStats,
-    trace: Option<Vec<TraceEvent>>,
+    /// Statistics partial, widest message this round, trace buffer.
+    tally: Tally,
     round_frames: u64,
-    round_max_bits: usize,
     outbox: Vec<(Port, M)>,
     sent: Vec<bool>,
     inbox: Vec<(Port, M)>,
@@ -293,7 +293,7 @@ fn drain_node<M>(
     mut out: Option<&mut Vec<(Port, M)>>,
 ) {
     let base = sh.offsets[v];
-    for q in 0..sh.graph.degree(v) {
+    for q in 0..sh.wire.graph.degree(v) {
         // SAFETY: `v`'s worker is the unique reader of slot `(v, q)` in
         // the round-`round` buffer; its writer finished last round
         // (barrier-separated).
@@ -302,7 +302,7 @@ fn drain_node<M>(
                 inbox.push((q, msg));
             }
         }
-        if sh.plan.any_dup_or_reorder {
+        if sh.wire.plan.any_dup_or_reorder {
             let mut fifo = sh.fifos[base + q].lock();
             let mut i = 0;
             while i < fifo.len() {
@@ -320,145 +320,34 @@ fn drain_node<M>(
     }
 }
 
-/// Delivers `v`'s outbox for `round`: the per-message statistics, CONGEST
-/// accounting, churn/partition gates, keyed fault draws and the final
-/// lock-free slot write. Line-for-line the sequential engine's `flush`,
-/// against worker-local statistics and the shared slot/FIFO structures.
-fn flush_worker<M: BitSize + Clone>(
+/// Delivers `v`'s outbox for `round` through the shared [`Wire::send`].
+/// What stays here is the sharded write: a lock-free slot `put` for the
+/// next round, a FIFO push for duplicated and reordered copies.
+fn flush_to_slots<M: BitSize + Clone>(
     v: NodeId,
     round: usize,
     local: &mut WorkerLocal<M>,
     sh: &Shared<'_, M>,
     nxt: &SlotBuf<M>,
 ) {
-    let mut outbox = std::mem::take(&mut local.outbox);
-    for (port, msg) in outbox.drain(..) {
+    let plan = sh.wire.plan;
+    for (port, msg) in local.outbox.drain(..) {
         local.sent[port] = false;
-        let bits = msg.bit_size();
-        match msg.class() {
-            MsgClass::Protocol => local.stats.messages = local.stats.messages.saturating_add(1),
-            MsgClass::Retransmission => {
-                local.stats.retransmissions = local.stats.retransmissions.saturating_add(1);
-            }
-            MsgClass::Heartbeat => {
-                local.stats.heartbeats = local.stats.heartbeats.saturating_add(1)
-            }
-            MsgClass::Maintenance => {
-                local.stats.maintenance = local.stats.maintenance.saturating_add(1);
-            }
-        }
-        local.stats.total_bits = local.stats.total_bits.saturating_add(bits as u64);
-        local.stats.max_message_bits = local.stats.max_message_bits.max(bits);
-        local.round_max_bits = local.round_max_bits.max(bits);
         local.round_frames += 1;
-        let mut oversize = false;
-        if let Model::Congest { bits: budget } = sh.config.model {
-            if bits > budget {
-                oversize = true;
-                match sh.config.violation {
-                    ViolationPolicy::Panic => panic!(
-                        "CONGEST violation: node {v} sent {bits} bits over port {port} (budget {budget})"
-                    ),
-                    ViolationPolicy::Record => {
-                        local.stats.violations = local.stats.violations.saturating_add(1);
-                    }
-                }
-            }
-        }
-        let (u, q) = sh.peer_of(v, port);
-        if let Some(tr) = local.trace.as_mut() {
-            tr.push(TraceEvent::Send { round, from: v, port, to: u, bits, oversize });
-        }
-        let e = sh.graph.port(v, port).1;
-        if !sh.edge_present[e].load(Ordering::Relaxed) || !sh.plan.present_seen(u, round, v) {
-            local.stats.churn_drops = local.stats.churn_drops.saturating_add(1);
+        let link_up = |u: NodeId, e: usize| {
+            sh.edge_present[e].load(Ordering::Relaxed) && plan.present_seen(u, round, v)
+        };
+        let Route::Arrive { u, q, due, msg, dup } =
+            sh.wire.send(round, v, port, msg, &mut local.tally, link_up)
+        else {
             continue;
-        }
-        if sh.plan.partitioned(round, v, u) {
-            if let Some(tr) = local.trace.as_mut() {
-                tr.push(TraceEvent::Fault {
-                    round,
-                    kind: FaultKind::Partition,
-                    node: v,
-                    peer: Some(u),
-                });
-            }
-            continue;
-        }
-        let fate = sh.plan.message_fate(sh.config.seed, sh.run_id, round, v, port);
-        if fate.lost {
-            if let Some(tr) = local.trace.as_mut() {
-                tr.push(TraceEvent::Fault { round, kind: FaultKind::Loss, node: v, peer: Some(u) });
-            }
-            continue;
-        }
-        // Byzantine equivocation: a listed sender tampers with every
-        // outgoing copy, independently per port, before the channel
-        // applies its own faults. Draws come from the dedicated
-        // byz stream keyed on the message coordinates.
-        let mut msg = msg;
-        if sh.plan.equivocator[v] {
-            let mut brng = rng::byz_rng(sh.config.seed, sh.run_id, round, v, port);
-            let kind = CorruptKind::draw(&mut brng);
-            local.stats.equivocations = local.stats.equivocations.saturating_add(1);
-            if let Some(tr) = local.trace.as_mut() {
-                tr.push(TraceEvent::Fault {
-                    round,
-                    kind: FaultKind::Equivocate { kind },
-                    node: v,
-                    peer: Some(u),
-                });
-            }
-            match msg.corrupted(kind, &mut brng) {
-                Some(m) => msg = m,
-                // Tampering destroyed decodability: the frame never
-                // reaches the receiver (counted and traced above).
-                None => continue,
-            }
-        }
-        // Channel corruption drawn by the fault plan: the damaged
-        // value replaces the original (duplicates carry the damage
-        // too — the channel corrupted the frame, not one copy).
-        if let Some(kind) = fate.corrupt {
-            let mut crng = rng::corrupt_rng(sh.config.seed, sh.run_id, round, v, port);
-            local.stats.corruptions = local.stats.corruptions.saturating_add(1);
-            if let Some(tr) = local.trace.as_mut() {
-                tr.push(TraceEvent::Fault {
-                    round,
-                    kind: FaultKind::Corrupt { kind },
-                    node: v,
-                    peer: Some(u),
-                });
-            }
-            match msg.corrupted(kind, &mut crng) {
-                Some(m) => msg = m,
-                None => continue,
-            }
-        }
+        };
         let slot = sh.offsets[u] + q;
-        if fate.duplicated {
-            if let Some(tr) = local.trace.as_mut() {
-                tr.push(TraceEvent::Fault {
-                    round,
-                    kind: FaultKind::Duplicate,
-                    node: v,
-                    peer: Some(u),
-                });
-            }
-            sh.fifos[slot].lock().push((round + 2, msg.clone()));
-            sh.pending_count.fetch_add(1, Ordering::Relaxed);
+        if let Some(copy) = dup {
+            sh.push_later(slot, round + 2, copy);
         }
-        if let Some(delay) = fate.delayed {
-            if let Some(tr) = local.trace.as_mut() {
-                tr.push(TraceEvent::Fault {
-                    round,
-                    kind: FaultKind::Reorder { delay },
-                    node: v,
-                    peer: Some(u),
-                });
-            }
-            sh.fifos[slot].lock().push((round + 1 + delay, msg));
-            sh.pending_count.fetch_add(1, Ordering::Relaxed);
+        if due > round + 1 {
+            sh.push_later(slot, due, msg);
             continue;
         }
         // The sequential engine gates immediate delivery on the
@@ -471,7 +360,7 @@ fn flush_worker<M: BitSize + Clone>(
         // plan data, so the sweep replays exactly. (Joins are already
         // ordered by `present_seen` above, and *halting* transitions
         // need no gate: the receiver discards on drain either way.)
-        if sh.plan.recovery_round[u] == Some(round) && v < u {
+        if plan.recovery_round[u] == Some(round) && v < u {
             continue;
         }
         // SAFETY: `v` is the unique sender over `(u, q)` and sends at
@@ -479,255 +368,53 @@ fn flush_worker<M: BitSize + Clone>(
         // this is the slot's only writer until `u` drains it next round.
         unsafe { nxt.put(slot, msg) };
     }
-    local.outbox = outbox;
 }
 
-/// Interleaves per-round event buffers into `out` in the sequential
-/// engine's order: for each round, worker 0's coordinator prologue
-/// (edge-churn events) first, then each worker's events — workers own
-/// contiguous ascending node ranges, so buffer order is node order.
-fn merge_traces(buffers: &[Vec<TraceEvent>], out: &mut Trace) {
-    let total: usize = buffers.iter().map(Vec::len).sum();
+/// Interleaves per-round trace buffers in the sequential engine's
+/// order: for each round, worker 0's coordinator prologue (edge-churn
+/// events) first, then each worker's events — workers own contiguous
+/// ascending node ranges, so buffer order is node order.
+fn merge_traces(buffers: &[Trace]) -> Trace {
+    let total: usize = buffers.iter().map(Trace::len).sum();
+    let mut out = Trace::new();
     let mut cursors = vec![0usize; buffers.len()];
-    let mut merged = 0usize;
     let mut round = 0usize;
-    while merged < total {
+    while out.len() < total {
         for (b, buf) in buffers.iter().enumerate() {
-            while cursors[b] < buf.len() && buf[cursors[b]].round() == round {
-                out.record(buf[cursors[b]].clone());
+            let events = buf.events();
+            while cursors[b] < events.len() && events[cursors[b]].round() == round {
+                out.record(events[cursors[b]].clone());
                 cursors[b] += 1;
-                merged += 1;
             }
         }
         round += 1;
     }
+    out
 }
 
 impl Network<'_> {
-    /// Executes one protocol run on `threads` worker threads.
-    ///
-    /// Bit-identical to [`Network::run`]: same outputs, same statistics.
-    /// Use it when the per-round computation is heavy enough to amortize
-    /// two barriers per round (large `n`, expensive local steps).
-    ///
-    /// Unlike the sequential engine, the node factory is shared across
-    /// workers and therefore must be `Fn + Sync` rather than `FnMut`.
-    ///
-    /// # Errors
-    /// As for [`Network::run`].
-    ///
-    /// # Panics
-    /// Panics if `threads == 0`, on oversize messages under
-    /// [`ViolationPolicy::Panic`], or if protocol code panics (worker
-    /// panics are resumed on the calling thread).
-    pub fn run_parallel<P, F>(
+    /// The [`crate::Backend::Sharded`] arm of [`Network::execute`]: one
+    /// run on `threads.min(n)` worker threads, or on the sequential
+    /// engine when that is at most one.
+    pub(crate) fn run_sharded<P, F>(
         &mut self,
         make: F,
+        spec: &RunSpec<'_>,
         threads: usize,
     ) -> Result<RunOutcome<P::Output>, SimError>
     where
         P: Protocol + Send,
         F: Fn(NodeId, &dyn Topology) -> P + Sync,
     {
-        self.run_parallel_impl(make, None, &FaultPlan::default(), &ChurnPlan::default(), threads)
-    }
-
-    /// As [`Network::run_parallel`], additionally collecting a [`Trace`]
-    /// byte-equal to the one [`Network::run_traced`] collects.
-    ///
-    /// # Errors
-    /// As for [`Network::run_parallel`].
-    pub fn run_parallel_traced<P, F>(
-        &mut self,
-        make: F,
-        threads: usize,
-    ) -> Result<(RunOutcome<P::Output>, Trace), SimError>
-    where
-        P: Protocol + Send,
-        F: Fn(NodeId, &dyn Topology) -> P + Sync,
-    {
-        let mut trace = Trace::new();
-        let outcome = self.run_parallel_impl(
-            make,
-            Some(&mut trace),
-            &FaultPlan::default(),
-            &ChurnPlan::default(),
-            threads,
-        )?;
-        Ok((outcome, trace))
-    }
-
-    /// As [`Network::run_faulty`], on `threads` worker threads.
-    ///
-    /// # Errors
-    /// As for [`Network::run_faulty`].
-    pub fn run_parallel_faulty<P, F>(
-        &mut self,
-        make: F,
-        faults: &FaultPlan,
-        threads: usize,
-    ) -> Result<RunOutcome<P::Output>, SimError>
-    where
-        P: Protocol + Send,
-        F: Fn(NodeId, &dyn Topology) -> P + Sync,
-    {
-        self.run_parallel_impl(make, None, faults, &ChurnPlan::default(), threads)
-    }
-
-    /// As [`Network::run_faulty_traced`], on `threads` worker threads.
-    ///
-    /// # Errors
-    /// As for [`Network::run_faulty`].
-    pub fn run_parallel_faulty_traced<P, F>(
-        &mut self,
-        make: F,
-        faults: &FaultPlan,
-        threads: usize,
-    ) -> Result<(RunOutcome<P::Output>, Trace), SimError>
-    where
-        P: Protocol + Send,
-        F: Fn(NodeId, &dyn Topology) -> P + Sync,
-    {
-        let mut trace = Trace::new();
-        let outcome =
-            self.run_parallel_impl(make, Some(&mut trace), faults, &ChurnPlan::default(), threads)?;
-        Ok((outcome, trace))
-    }
-
-    /// As [`Network::run_churned`], on `threads` worker threads.
-    ///
-    /// # Errors
-    /// As for [`Network::run_churned`].
-    pub fn run_parallel_churned<P, F>(
-        &mut self,
-        make: F,
-        faults: &FaultPlan,
-        churn: &ChurnPlan,
-        threads: usize,
-    ) -> Result<RunOutcome<P::Output>, SimError>
-    where
-        P: Protocol + Send,
-        F: Fn(NodeId, &dyn Topology) -> P + Sync,
-    {
-        self.run_parallel_impl(make, None, faults, churn, threads)
-    }
-
-    /// As [`Network::run_churned_traced`], on `threads` worker threads.
-    ///
-    /// # Errors
-    /// As for [`Network::run_churned`].
-    pub fn run_parallel_churned_traced<P, F>(
-        &mut self,
-        make: F,
-        faults: &FaultPlan,
-        churn: &ChurnPlan,
-        threads: usize,
-    ) -> Result<(RunOutcome<P::Output>, Trace), SimError>
-    where
-        P: Protocol + Send,
-        F: Fn(NodeId, &dyn Topology) -> P + Sync,
-    {
-        let mut trace = Trace::new();
-        let outcome = self.run_parallel_impl(make, Some(&mut trace), faults, churn, threads)?;
-        Ok((outcome, trace))
-    }
-
-    /// Runs via the engine [`SimConfig::threads`] selects: sequential for
-    /// `threads <= 1`, the sharded parallel executor otherwise. Results
-    /// are bit-identical either way, so drivers can expose the knob
-    /// without re-validating their algorithms.
-    ///
-    /// # Errors
-    /// As for [`Network::run`].
-    pub fn execute<P, F>(&mut self, make: F) -> Result<RunOutcome<P::Output>, SimError>
-    where
-        P: Protocol + Send,
-        F: Fn(NodeId, &dyn Topology) -> P + Sync,
-    {
-        self.execute_plan(make, &FaultPlan::default(), &ChurnPlan::default())
-    }
-
-    /// The runtime-facing entry point: one call consuming
-    /// [`SimConfig::effective_backend`], a [`FaultPlan`] and a
-    /// [`ChurnPlan`] together. Sequential by default (bit-identical to
-    /// [`Network::run_churned`]), the sharded parallel executor for
-    /// [`crate::Backend::Sharded`] or `threads > 1` (bit-identical to
-    /// [`Network::run_parallel_churned`]), the asynchronous engine for
-    /// [`crate::Backend::Async`] (bit-identical too, unless a
-    /// [`SimConfig::patience`] budget admits timing drops). Every
-    /// plan-driven driver should go through this method instead of
-    /// choosing a `run_*` variant per call site.
-    ///
-    /// # Errors
-    /// As for [`Network::run_churned`].
-    pub fn execute_plan<P, F>(
-        &mut self,
-        make: F,
-        faults: &FaultPlan,
-        churn: &ChurnPlan,
-    ) -> Result<RunOutcome<P::Output>, SimError>
-    where
-        P: Protocol + Send,
-        F: Fn(NodeId, &dyn Topology) -> P + Sync,
-    {
-        match self.config().effective_backend() {
-            crate::Backend::Async => self.run_async_churned(make, faults, churn),
-            crate::Backend::Sharded => {
-                let threads = self.config().threads.max(2);
-                self.run_parallel_churned(make, faults, churn, threads)
-            }
-            crate::Backend::Sequential => self.run_churned(make, faults, churn),
-        }
-    }
-
-    /// As [`Network::execute_plan`], additionally collecting a [`Trace`]
-    /// byte-equal to the sequential engine's regardless of the thread
-    /// count.
-    ///
-    /// # Errors
-    /// As for [`Network::execute_plan`].
-    pub fn execute_plan_traced<P, F>(
-        &mut self,
-        make: F,
-        faults: &FaultPlan,
-        churn: &ChurnPlan,
-    ) -> Result<(RunOutcome<P::Output>, Trace), SimError>
-    where
-        P: Protocol + Send,
-        F: Fn(NodeId, &dyn Topology) -> P + Sync,
-    {
-        match self.config().effective_backend() {
-            crate::Backend::Async => self.run_async_churned_traced(make, faults, churn),
-            crate::Backend::Sharded => {
-                let threads = self.config().threads.max(2);
-                self.run_parallel_churned_traced(make, faults, churn, threads)
-            }
-            crate::Backend::Sequential => self.run_churned_traced(make, faults, churn),
-        }
-    }
-
-    fn run_parallel_impl<P, F>(
-        &mut self,
-        make: F,
-        trace: Option<&mut Trace>,
-        faults: &FaultPlan,
-        churn: &ChurnPlan,
-        threads: usize,
-    ) -> Result<RunOutcome<P::Output>, SimError>
-    where
-        P: Protocol + Send,
-        F: Fn(NodeId, &dyn Topology) -> P + Sync,
-    {
-        assert!(threads > 0, "need at least one worker thread");
         let graph = self.graph();
         let config = self.config();
         let n = graph.node_count();
         if threads.min(n) <= 1 {
             // One worker (or a trivial graph): the sequential engine IS
             // the semantics; no need to spin up a pool.
-            return self.run_sequential_for_parallel(make, trace, faults, churn);
+            return self.run_impl(make, spec, false);
         }
-        let plan = RunPlan::build(graph, faults, churn)?;
+        let plan = RunPlan::build(graph, spec.faults, spec.churn)?;
         let run_id = self.next_run_id();
 
         let mut offsets = Vec::with_capacity(n + 1);
@@ -738,22 +425,12 @@ impl Network<'_> {
         }
         offsets.push(acc);
         let total_slots = acc;
-        let mut peers = Vec::with_capacity(total_slots);
-        for v in 0..n {
-            for p in 0..graph.degree(v) {
-                peers.push(self.peer(v, p));
-            }
-        }
 
         let bufs = [SlotBuf::<P::Msg>::new(total_slots), SlotBuf::<P::Msg>::new(total_slots)];
         let sh = Shared {
-            graph,
-            config,
-            plan: &plan,
-            run_id,
+            wire: Wire { graph, config, plan: &plan, run_id, peer: self.peers() },
             n,
             offsets,
-            peers,
             fifos: (0..total_slots).map(|_| Mutex::new(Vec::new())).collect(),
             edge_present: plan.edge_present0.iter().map(AtomicBool::new).collect(),
             halted_pub: (0..n).map(|_| AtomicBool::new(false)).collect(),
@@ -790,10 +467,10 @@ impl Network<'_> {
             quiet: 0,
             edge_event_idx: 0,
             failure: None,
-            trace: Vec::new(),
+            trace: spec.trace.then(Trace::new),
         });
         let incidents: Mutex<Vec<(NodeId, Incident)>> = Mutex::new(Vec::new());
-        let trace_on = trace.is_some();
+        let trace_on = spec.trace;
         let make = &make;
         let net: &Network<'_> = self;
 
@@ -837,20 +514,17 @@ impl Network<'_> {
         }
 
         let mut stats = RunStats::default();
-        for (ws, _) in &results {
-            stats.absorb(ws);
+        for tally in &results {
+            stats.absorb(&tally.stats);
         }
         stats.rounds = coord.rounds;
         stats.charged_rounds = coord.charged;
         stats.churn_events = stats.churn_events.saturating_add(coord.churn_events);
-        if let Some(out) = trace {
-            let mut buffers = Vec::with_capacity(results.len() + 1);
-            buffers.push(coord.trace);
-            for (_, tr) in results {
-                buffers.push(tr.unwrap_or_default());
-            }
-            merge_traces(&buffers, out);
-        }
+        let trace = coord.trace.map(|prologue| {
+            let mut buffers = vec![prologue];
+            buffers.extend(results.into_iter().map(|t| t.trace.unwrap_or_default()));
+            merge_traces(&buffers)
+        });
         self.record_run(&stats);
         let sessions = arenas.iter().flat_map(|a| a.protos.iter().map(Protocol::session)).collect();
         Ok(RunOutcome {
@@ -860,31 +534,8 @@ impl Network<'_> {
                 .collect(),
             stats,
             sessions,
+            trace,
         })
-    }
-
-    /// The `threads <= 1` fall-through of [`Network::run_parallel_impl`]:
-    /// dispatches to the matching sequential entry point so the trace
-    /// plumbing stays identical.
-    fn run_sequential_for_parallel<P, F>(
-        &mut self,
-        make: F,
-        trace: Option<&mut Trace>,
-        faults: &FaultPlan,
-        churn: &ChurnPlan,
-    ) -> Result<RunOutcome<P::Output>, SimError>
-    where
-        P: Protocol,
-        F: Fn(NodeId, &dyn Topology) -> P,
-    {
-        match trace {
-            None => self.run_churned(make, faults, churn),
-            Some(out) => {
-                let (outcome, tr) = self.run_churned_traced(make, faults, churn)?;
-                *out = tr;
-                Ok(outcome)
-            }
-        }
     }
 }
 
@@ -904,20 +555,19 @@ fn run_worker<'g, P, F>(
     net: &Network<'g>,
     make: &F,
     trace_on: bool,
-) -> (RunStats, Option<Vec<TraceEvent>>)
+) -> Tally
 where
     P: Protocol + Send,
     F: Fn(NodeId, &dyn Topology) -> P + Sync,
 {
     let ShardArena { base, protos: protos_t, rngs: rngs_t, halted: halted_t } = arena;
     let base = *base;
+    let Wire { graph, config, plan, run_id, .. } = sh.wire;
     let mut local = WorkerLocal {
-        stats: RunStats::default(),
-        trace: trace_on.then(Vec::new),
+        tally: Tally::new(trace_on),
         round_frames: 0,
-        round_max_bits: 0,
         outbox: Vec::new(),
-        sent: vec![false; sh.graph.max_degree()],
+        sent: vec![false; graph.max_degree()],
         inbox: Vec::new(),
         fault: None,
         integrity: Integrity::default(),
@@ -927,41 +577,23 @@ where
     loop {
         let cur = &bufs[round % 2];
         let nxt = &bufs[(round + 1) % 2];
-        let mut aborted = false;
         for i in 0..protos_t.len() {
             let v = base + i;
-            if round == 0 {
-                if !sh.plan.node_present0[v] {
+            // The node's step this round, decided exactly as in the
+            // sequential sweep: `start` runs `on_start` instead of
+            // `on_round`, and `reboot` first replaces the node with a
+            // fresh instance whose randomness stream is salted apart from
+            // its first boot.
+            let (start, reboot) = if round == 0 {
+                if !plan.node_present0[v] {
                     // Absent at round 0: silent until it joins (if ever).
                     halted_t[i] = true;
                     sh.halted_count.fetch_add(1, Ordering::SeqCst);
                     sh.halted_pub[v].store(true, Ordering::Relaxed);
                     continue;
                 }
-                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut ctx = Context {
-                        node: v,
-                        round,
-                        graph: sh.graph,
-                        rng: &mut rngs_t[i],
-                        outbox: &mut local.outbox,
-                        sent: &mut local.sent,
-                        halted: &mut halted_t[i],
-                        fault: &mut local.fault,
-                        integrity: &mut local.integrity,
-                    };
-                    protos_t[i].on_start(&mut ctx);
-                    flush_worker(v, round, &mut local, sh, nxt);
-                    if halted_t[i] {
-                        if let Some(tr) = local.trace.as_mut() {
-                            tr.push(TraceEvent::Halt { round, node: v });
-                        }
-                        sh.halted_count.fetch_add(1, Ordering::SeqCst);
-                        sh.halted_pub[v].store(true, Ordering::Relaxed);
-                    }
-                }));
-                aborted = report_incident(v, res, &mut local.fault, incidents);
-            } else if sh.plan.leave_round[v] == Some(round) {
+                (true, None)
+            } else if plan.leave_round[v] == Some(round) {
                 // Permanent leave: silent, like a crash that never
                 // recovers — but also absent from the topology.
                 drain_node(sh, cur, v, round, None);
@@ -969,141 +601,98 @@ where
                     sh.halted_count.fetch_add(1, Ordering::SeqCst);
                 }
                 halted_t[i] = true;
-                local.stats.churn_events = local.stats.churn_events.saturating_add(1);
-                if let Some(tr) = local.trace.as_mut() {
-                    tr.push(TraceEvent::Churn { round, kind: ChurnKind::Leave { node: v } });
-                }
-            } else if sh.plan.join_round[v] == Some(round) {
+                local.tally.stats.churn_events = local.tally.stats.churn_events.saturating_add(1);
+                local.tally.record(TraceEvent::Churn { round, kind: ChurnKind::Leave { node: v } });
+                continue;
+            } else if plan.join_round[v] == Some(round) {
                 drain_node(sh, cur, v, round, None);
-                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    // Join: fresh ports, empty registers, a randomness
-                    // stream distinct from both boots and reboots.
-                    protos_t[i] = make(v, sh.graph);
-                    rngs_t[i] = rng::node_rng(sh.config.seed ^ 0x1099, sh.run_id, v);
+                local.tally.stats.churn_events = local.tally.stats.churn_events.saturating_add(1);
+                local.tally.record(TraceEvent::Churn { round, kind: ChurnKind::Join { node: v } });
+                (true, Some(0x1099))
+            } else {
+                if plan.crash_round[v] == Some(round) && !halted_t[i] {
+                    halted_t[i] = true; // crash-stop: silent, mid-protocol
+                    sh.halted_count.fetch_add(1, Ordering::SeqCst);
+                    local.tally.record(TraceEvent::Fault {
+                        round,
+                        kind: FaultKind::Crash,
+                        node: v,
+                        peer: None,
+                    });
+                }
+                if plan.recovery_round[v] == Some(round) {
+                    drain_node(sh, cur, v, round, None);
+                    local.tally.record(TraceEvent::Fault {
+                        round,
+                        kind: FaultKind::Recover,
+                        node: v,
+                        peer: None,
+                    });
+                    (true, Some(0xB007))
+                } else if halted_t[i] {
+                    drain_node(sh, cur, v, round, None);
+                    continue;
+                } else {
+                    local.inbox.clear();
+                    drain_node(sh, cur, v, round, Some(&mut local.inbox));
+                    (false, None)
+                }
+            };
+            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if let Some(salt) = reboot {
+                    protos_t[i] = make(v, graph);
+                    rngs_t[i] = rng::node_rng(config.seed ^ salt, run_id, v);
                     if halted_t[i] {
                         sh.halted_count.fetch_sub(1, Ordering::SeqCst);
                     }
                     halted_t[i] = false;
-                    local.stats.churn_events = local.stats.churn_events.saturating_add(1);
-                    if let Some(tr) = local.trace.as_mut() {
-                        tr.push(TraceEvent::Churn { round, kind: ChurnKind::Join { node: v } });
-                    }
-                    let mut ctx = Context {
-                        node: v,
-                        round,
-                        graph: sh.graph,
-                        rng: &mut rngs_t[i],
-                        outbox: &mut local.outbox,
-                        sent: &mut local.sent,
-                        halted: &mut halted_t[i],
-                        fault: &mut local.fault,
-                        integrity: &mut local.integrity,
-                    };
+                }
+                let mut ctx = Context {
+                    node: v,
+                    round,
+                    graph,
+                    rng: &mut rngs_t[i],
+                    outbox: &mut local.outbox,
+                    sent: &mut local.sent,
+                    halted: &mut halted_t[i],
+                    fault: &mut local.fault,
+                    integrity: &mut local.integrity,
+                };
+                if start {
                     protos_t[i].on_start(&mut ctx);
-                    flush_worker(v, round, &mut local, sh, nxt);
-                    if halted_t[i] {
-                        // Halted again straight out of on_start; the
-                        // sequential join branch records no Halt event.
-                        sh.halted_count.fetch_add(1, Ordering::SeqCst);
-                    }
-                }));
-                aborted = report_incident(v, res, &mut local.fault, incidents);
-            } else {
-                if sh.plan.crash_round[v] == Some(round) && !halted_t[i] {
-                    halted_t[i] = true; // crash-stop: silent, mid-protocol
-                    sh.halted_count.fetch_add(1, Ordering::SeqCst);
-                    if let Some(tr) = local.trace.as_mut() {
-                        tr.push(TraceEvent::Fault {
-                            round,
-                            kind: FaultKind::Crash,
-                            node: v,
-                            peer: None,
-                        });
-                    }
-                }
-                if sh.plan.recovery_round[v] == Some(round) {
-                    drain_node(sh, cur, v, round, None);
-                    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        // Crash-recover: wiped state, fresh randomness,
-                        // on_start as a cold boot.
-                        protos_t[i] = make(v, sh.graph);
-                        rngs_t[i] = rng::node_rng(sh.config.seed ^ 0xB007, sh.run_id, v);
-                        if halted_t[i] {
-                            sh.halted_count.fetch_sub(1, Ordering::SeqCst);
-                        }
-                        halted_t[i] = false;
-                        if let Some(tr) = local.trace.as_mut() {
-                            tr.push(TraceEvent::Fault {
-                                round,
-                                kind: FaultKind::Recover,
-                                node: v,
-                                peer: None,
-                            });
-                        }
-                        let mut ctx = Context {
-                            node: v,
-                            round,
-                            graph: sh.graph,
-                            rng: &mut rngs_t[i],
-                            outbox: &mut local.outbox,
-                            sent: &mut local.sent,
-                            halted: &mut halted_t[i],
-                            fault: &mut local.fault,
-                            integrity: &mut local.integrity,
-                        };
-                        protos_t[i].on_start(&mut ctx);
-                        flush_worker(v, round, &mut local, sh, nxt);
-                        if halted_t[i] {
-                            sh.halted_count.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }));
-                    aborted = report_incident(v, res, &mut local.fault, incidents);
-                } else if halted_t[i] {
-                    drain_node(sh, cur, v, round, None);
                 } else {
-                    local.inbox.clear();
-                    let mut inbox = std::mem::take(&mut local.inbox);
-                    drain_node(sh, cur, v, round, Some(&mut inbox));
-                    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let mut ctx = Context {
-                            node: v,
-                            round,
-                            graph: sh.graph,
-                            rng: &mut rngs_t[i],
-                            outbox: &mut local.outbox,
-                            sent: &mut local.sent,
-                            halted: &mut halted_t[i],
-                            fault: &mut local.fault,
-                            integrity: &mut local.integrity,
-                        };
-                        protos_t[i].on_round(&mut ctx, &inbox);
-                        flush_worker(v, round, &mut local, sh, nxt);
-                        if halted_t[i] {
-                            if let Some(tr) = local.trace.as_mut() {
-                                tr.push(TraceEvent::Halt { round, node: v });
-                            }
-                            sh.halted_count.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }));
-                    inbox.clear();
-                    local.inbox = inbox;
-                    aborted = report_incident(v, res, &mut local.fault, incidents);
+                    protos_t[i].on_round(&mut ctx, &local.inbox);
                 }
-            }
-            if aborted {
+                flush_to_slots(v, round, &mut local, sh, nxt);
+                if halted_t[i] {
+                    // A rebooted node that halts straight out of
+                    // `on_start` records no halt event.
+                    if reboot.is_none() {
+                        local.tally.record(TraceEvent::Halt { round, node: v });
+                    }
+                    sh.halted_count.fetch_add(1, Ordering::SeqCst);
+                    if round == 0 {
+                        sh.halted_pub[v].store(true, Ordering::Relaxed);
+                    }
+                }
+            }));
+            if report_incident(v, res, &mut local.fault, incidents) {
                 break; // the coordinator ends the run at this barrier
             }
         }
         sh.round_frames.fetch_add(local.round_frames, Ordering::SeqCst);
         local.round_frames = 0;
-        sh.round_max_bits.fetch_max(local.round_max_bits, Ordering::SeqCst);
-        local.round_max_bits = 0;
+        sh.round_max_bits.fetch_max(local.tally.round_max_bits, Ordering::SeqCst);
+        local.tally.round_max_bits = 0;
         if let Some(tele) = &sh.telemetry {
-            tele.publish(TeleSnapshot::of(&local.stats, &local.integrity), &mut local.tele_prev);
+            tele.publish(
+                TeleSnapshot::of(&local.tally.stats, &local.integrity),
+                &mut local.tele_prev,
+            );
         }
         barrier.wait();
         if t == 0 {
-            coordinate(round, sh, nxt, coord, incidents, done, net, trace_on);
+            coordinate(round, sh, nxt, coord, incidents, done, net);
         }
         barrier.wait();
         if done.load(Ordering::SeqCst) {
@@ -1114,8 +703,8 @@ where
     // Integrity reports fold into the worker's stats partial; the sums
     // commute across workers, so the merged totals equal the sequential
     // engine's single-accumulator fold.
-    local.integrity.fold_into(&mut local.stats);
-    (local.stats, local.trace)
+    local.integrity.fold_into(&mut local.tally.stats);
+    local.tally
 }
 
 /// Files a per-node incident: a panic out of protocol code, or the
@@ -1156,7 +745,6 @@ fn coordinate<M>(
     incidents: &Mutex<Vec<(NodeId, Incident)>>,
     done: &AtomicBool,
     net: &Network<'_>,
-    trace_on: bool,
 ) {
     let mut c = coord.lock();
     let mut inc = incidents.lock();
@@ -1198,14 +786,14 @@ fn coordinate<M>(
             suspected: tele.suspected.load(Ordering::SeqCst),
             outstanding: tele.outstanding.load(Ordering::SeqCst),
         };
-        net.sample_round(sh.run_id, round, &stats, &integrity);
+        net.sample_round(sh.wire.run_id, round, &stats, &integrity);
     }
     let hc = sh.halted_count.load(Ordering::SeqCst);
-    if hc == sh.n && round >= sh.plan.last_wake {
+    if hc == sh.n && round >= sh.wire.plan.last_wake {
         done.store(true, Ordering::SeqCst);
         return;
     }
-    if let Some(k) = sh.config.quiescence {
+    if let Some(k) = sh.wire.config.quiescence {
         let quiet_now = if round == 0 {
             // The sequential loop head after round 0 trivially passes its
             // frames check (the baseline was just initialized), so the
@@ -1217,11 +805,11 @@ fn coordinate<M>(
             let mut next_empty = true;
             'scan: for u in 0..sh.n {
                 let b = sh.offsets[u];
-                for q in 0..sh.graph.degree(u) {
+                for q in 0..sh.wire.graph.degree(u) {
                     // SAFETY: between the barriers no worker touches the
                     // buffers; worker 0 is the sole accessor.
                     if unsafe { nxt.occupied(b + q) } {
-                        let (s, _) = sh.peers[b + q];
+                        let (s, _) = sh.wire.peer[u][q];
                         if !sh.halted_pub[u].load(Ordering::Relaxed) || u > s {
                             next_empty = false;
                             break 'scan;
@@ -1235,7 +823,7 @@ fn coordinate<M>(
         };
         if quiet_now {
             c.quiet += 1;
-            if c.quiet >= k && round >= sh.plan.last_wake {
+            if c.quiet >= k && round >= sh.wire.plan.last_wake {
                 done.store(true, Ordering::SeqCst); // message-driven protocols are done
                 return;
             }
@@ -1243,9 +831,9 @@ fn coordinate<M>(
             c.quiet = 0;
         }
     }
-    if round >= sh.config.max_rounds {
+    if round >= sh.wire.config.max_rounds {
         c.failure = Some(Incident::Error(SimError::RoundLimitExceeded {
-            limit: sh.config.max_rounds,
+            limit: sh.wire.config.max_rounds,
             running: sh.n - hc,
         }));
         done.store(true, Ordering::SeqCst);
@@ -1254,10 +842,10 @@ fn coordinate<M>(
     // Apply round r+1's edge events before anyone executes it — the
     // sequential engine's round prologue, hoisted into the barrier
     // window.
-    while c.edge_event_idx < sh.plan.edge_events.len()
-        && sh.plan.edge_events[c.edge_event_idx].round == round + 1
+    while c.edge_event_idx < sh.wire.plan.edge_events.len()
+        && sh.wire.plan.edge_events[c.edge_event_idx].round == round + 1
     {
-        let ev = sh.plan.edge_events[c.edge_event_idx];
+        let ev = sh.wire.plan.edge_events[c.edge_event_idx];
         c.edge_event_idx += 1;
         match ev.kind {
             ChurnKind::EdgeUp { edge } => sh.edge_present[edge].store(true, Ordering::Relaxed),
@@ -1265,8 +853,8 @@ fn coordinate<M>(
             ChurnKind::Join { .. } | ChurnKind::Leave { .. } => unreachable!(),
         }
         c.churn_events += 1;
-        if trace_on {
-            c.trace.push(TraceEvent::Churn { round: round + 1, kind: ev.kind });
+        if let Some(trace) = c.trace.as_mut() {
+            trace.record(TraceEvent::Churn { round: round + 1, kind: ev.kind });
         }
     }
 }
@@ -1313,7 +901,7 @@ mod tests {
 
     #[test]
     fn parallel_sink_stream_matches_sequential() {
-        use crate::engine::Squall;
+        use crate::engine::{FaultPlan, Squall};
         use crate::telemetry::{RecordingSink, SinkHandle};
         use std::sync::Arc;
         let mut seed_rng = rand::rngs::StdRng::seed_from_u64(77);
@@ -1324,22 +912,19 @@ mod tests {
             loss: 0.4,
             corrupt: 0.0,
         });
-        let record = |threads: Option<usize>| {
+        let record = |threads: usize| {
             let sink = Arc::new(RecordingSink::new());
-            let mut net = Network::new(&g, SimConfig::local().seed(3).max_rounds(5_000));
+            let cfg = SimConfig::local().seed(3).max_rounds(5_000).threads(threads);
+            let mut net = Network::new(&g, cfg);
             net.set_stats_sink(Some(SinkHandle::from(Arc::clone(&sink))));
-            let out = match threads {
-                None => net.run_faulty(|_, _| Gossip { acc: 0, rounds: 6 }, &plan).unwrap(),
-                Some(t) => {
-                    net.run_parallel_faulty(|_, _| Gossip { acc: 0, rounds: 6 }, &plan, t).unwrap()
-                }
-            };
+            let spec = RunSpec { faults: &plan, ..RunSpec::default() };
+            let out = net.execute(|_, _| Gossip { acc: 0, rounds: 6 }, &spec).unwrap();
             (out, sink.samples())
         };
-        let (seq_out, seq_samples) = record(None);
+        let (seq_out, seq_samples) = record(1);
         assert_eq!(seq_samples.len() as u64, seq_out.stats.rounds);
         for t in [2, 4, 7] {
-            let (par_out, par_samples) = record(Some(t));
+            let (par_out, par_samples) = record(t);
             assert_eq!(par_out.outputs, seq_out.outputs);
             assert_eq!(par_out.stats, seq_out.stats);
             assert_eq!(par_samples, seq_samples, "telemetry stream diverges at {t} threads");
@@ -1356,9 +941,9 @@ mod tests {
                 net.run(|_, _| Gossip { acc: 0, rounds: 6 }).unwrap()
             };
             for threads in [1, 2, 4, 7] {
-                let mut net = Network::new(&g, SimConfig::local().seed(trial));
+                let mut net = Network::new(&g, SimConfig::local().seed(trial).threads(threads));
                 let run_par =
-                    net.run_parallel(|_, _| Gossip { acc: 0, rounds: 6 }, threads).unwrap();
+                    net.execute(|_, _| Gossip { acc: 0, rounds: 6 }, &RunSpec::default()).unwrap();
                 assert_eq!(run_seq.outputs, run_par.outputs, "trial {trial}, {threads} threads");
                 assert_eq!(run_seq.stats, run_par.stats, "trial {trial}, {threads} threads");
             }
@@ -1369,16 +954,14 @@ mod tests {
     fn parallel_traces_match_sequential() {
         let mut seed_rng = rand::rngs::StdRng::seed_from_u64(77);
         let g = generators::gnp(24, 0.2, &mut seed_rng);
-        let (seq, seq_trace) = {
-            let mut net = Network::new(&g, SimConfig::congest(64).seed(5));
-            net.run_traced(|_, _| Gossip { acc: 0, rounds: 5 }).unwrap()
-        };
-        let mut net = Network::new(&g, SimConfig::congest(64).seed(5));
-        let (par, par_trace) =
-            net.run_parallel_traced(|_, _| Gossip { acc: 0, rounds: 5 }, 4).unwrap();
+        let spec = RunSpec { trace: true, ..RunSpec::default() };
+        let traced =
+            |cfg| Network::new(&g, cfg).execute(|_, _| Gossip { acc: 0, rounds: 5 }, &spec);
+        let seq = traced(SimConfig::congest(64).seed(5)).unwrap();
+        let par = traced(SimConfig::congest(64).seed(5).threads(4)).unwrap();
         assert_eq!(seq.outputs, par.outputs);
         assert_eq!(seq.stats, par.stats);
-        assert_eq!(seq_trace.events(), par_trace.events());
+        assert_eq!(seq.trace.unwrap().events(), par.trace.unwrap().events());
     }
 
     #[test]
@@ -1391,8 +974,8 @@ mod tests {
             fn into_output(self) {}
         }
         let g = generators::path(6);
-        let mut net = Network::new(&g, SimConfig::local().max_rounds(8));
-        let err = net.run_parallel(|_, _| Forever, 3).unwrap_err();
+        let mut net = Network::new(&g, SimConfig::local().max_rounds(8).threads(3));
+        let err = net.execute(|_, _| Forever, &RunSpec::default()).unwrap_err();
         assert!(matches!(err, SimError::RoundLimitExceeded { limit: 8, .. }));
     }
 
@@ -1415,8 +998,8 @@ mod tests {
             let mut net = Network::new(&g, SimConfig::local());
             net.run(|_, _| DoubleSend).unwrap_err()
         };
-        let mut net = Network::new(&g, SimConfig::local());
-        let par_err = net.run_parallel(|_, _| DoubleSend, 4).unwrap_err();
+        let mut net = Network::new(&g, SimConfig::local().threads(4));
+        let par_err = net.execute(|_, _| DoubleSend, &RunSpec::default()).unwrap_err();
         assert_eq!(format!("{seq_err:?}"), format!("{par_err:?}"));
         assert!(matches!(par_err, SimError::DuplicateSend { node: 3, port: 0, round: 2 }));
     }
@@ -1429,7 +1012,7 @@ mod tests {
             net.run(|_, _| Gossip { acc: 0, rounds: 4 }).unwrap()
         };
         let mut net = Network::new(&g, SimConfig::local().seed(2).threads(3));
-        let par = net.execute(|_, _| Gossip { acc: 0, rounds: 4 }).unwrap();
+        let par = net.execute(|_, _| Gossip { acc: 0, rounds: 4 }, &RunSpec::default()).unwrap();
         assert_eq!(seq.outputs, par.outputs);
         assert_eq!(seq.stats, par.stats);
     }
@@ -1462,8 +1045,8 @@ mod tests {
             let mut net = Network::new(&g, SimConfig::local().quiesce_after(2));
             net.run(|_, _| Relay).unwrap()
         };
-        let mut net = Network::new(&g, SimConfig::local().quiesce_after(2));
-        let par = net.run_parallel(|_, _| Relay, 3).unwrap();
+        let mut net = Network::new(&g, SimConfig::local().quiesce_after(2).threads(3));
+        let par = net.execute(|_, _| Relay, &RunSpec::default()).unwrap();
         assert_eq!(seq.stats, par.stats);
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! Traces are for debugging protocols and for teaching: they show who
 //! sent what, how wide it was, and when each node left the computation.
-//! Collected by [`crate::Network::run_traced`]; rendering is plain text.
+//! Collected by [`crate::Network::execute`] when [`crate::RunSpec::trace`]
+//! is set; rendering is plain text.
 
 use std::fmt;
 
@@ -37,8 +38,8 @@ pub enum TraceEvent {
         /// The node.
         node: NodeId,
     },
-    /// The engine injected a fault (only under
-    /// [`crate::Network::run_faulty`] with a non-empty plan).
+    /// The engine injected a fault (only under a non-empty
+    /// [`crate::FaultPlan`]).
     Fault {
         /// The round of the injection.
         round: usize,
@@ -49,8 +50,8 @@ pub enum TraceEvent {
         /// The intended receiver, for message-level faults.
         peer: Option<NodeId>,
     },
-    /// The engine applied a topology event (only under
-    /// [`crate::Network::run_churned`] with a non-empty plan).
+    /// The engine applied a topology event (only under a non-empty
+    /// [`crate::ChurnPlan`]).
     Churn {
         /// The round at whose start the event was applied.
         round: usize,

@@ -555,7 +555,7 @@ enum Rx {
 ///
 /// ```
 /// use dam_congest::transport::{Resilient, TransportCfg};
-/// use dam_congest::{Context, FaultPlan, Network, Port, Protocol, SimConfig};
+/// use dam_congest::{Context, FaultPlan, Network, Port, Protocol, RunSpec, SimConfig};
 ///
 /// struct Once;
 /// impl Protocol for Once {
@@ -576,9 +576,9 @@ enum Rx {
 /// let g = dam_graph::generators::cycle(4);
 /// let mut net = Network::new(&g, SimConfig::local().seed(1));
 /// let out = net
-///     .run_faulty(
+///     .execute(
 ///         |_, _| Resilient::new(Once, TransportCfg::default()),
-///         &FaultPlan::lossy(0.2),
+///         &RunSpec { faults: &FaultPlan::lossy(0.2), ..RunSpec::default() },
 ///     )
 ///     .unwrap();
 /// assert!(out.stats.rounds >= 2);
@@ -1171,7 +1171,7 @@ impl<P: Protocol> Protocol for Resilient<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{FaultPlan, Network};
+    use crate::engine::{FaultPlan, Network, RunSpec};
     use crate::model::SimConfig;
     use dam_graph::{generators, Graph, NodeId, Topology};
 
@@ -1312,7 +1312,9 @@ mod tests {
         let g = generators::cycle(6);
         let base = gossip_baseline(&g, 3);
         let mut net = Network::new(&g, SimConfig::local().seed(3).max_rounds(5_000));
-        let out = net.run_faulty(gossip_make, &FaultPlan::lossy(0.3)).unwrap();
+        let out = net
+            .execute(gossip_make, &RunSpec { faults: &FaultPlan::lossy(0.3), ..RunSpec::default() })
+            .unwrap();
         // Reliable delivery: byte-for-byte the fault-free outputs.
         assert_eq!(out.outputs, base);
         assert!(out.stats.retransmissions > 0, "loss must force retransmissions");
@@ -1324,7 +1326,8 @@ mod tests {
         let base = gossip_baseline(&g, 4);
         let plan = FaultPlan::lossy(0.1).with_dup(0.2).with_reorder(0.2);
         let mut net = Network::new(&g, SimConfig::local().seed(4).max_rounds(5_000));
-        let out = net.run_faulty(gossip_make, &plan).unwrap();
+        let out =
+            net.execute(gossip_make, &RunSpec { faults: &plan, ..RunSpec::default() }).unwrap();
         assert_eq!(out.outputs, base);
     }
 
@@ -1353,11 +1356,11 @@ mod tests {
         let base = gossip_baseline(&g, 3);
         let run = || {
             let mut net = Network::new(&g, SimConfig::local().seed(3).max_rounds(5_000));
-            net.run_faulty(
+            net.execute(
                 |_, _| {
                     Resilient::with_policy(Gossip { rounds: 6, acc: 0 }, AdaptivePolicy::default())
                 },
-                &FaultPlan::lossy(0.3),
+                &RunSpec { faults: &FaultPlan::lossy(0.3), ..RunSpec::default() },
             )
             .unwrap()
         };
@@ -1415,7 +1418,8 @@ mod tests {
         let g = generators::star(5);
         let plan = FaultPlan::crashes(vec![(0, 4)]);
         let mut net = Network::new(&g, SimConfig::local().seed(7).max_rounds(10_000));
-        let out = net.run_faulty(watch_make, &plan).unwrap();
+        let out =
+            net.execute(watch_make, &RunSpec { faults: &plan, ..RunSpec::default() }).unwrap();
         for v in 1..5 {
             assert_eq!(out.outputs[v], vec![0], "leaf {v} did not detect the crash");
         }
@@ -1426,7 +1430,8 @@ mod tests {
         let g = generators::cycle(4);
         let plan = FaultPlan::crashes(vec![(1, 3)]).with_recoveries(vec![(1, 10)]);
         let mut net = Network::new(&g, SimConfig::local().seed(5).max_rounds(10_000));
-        let out = net.run_faulty(watch_make, &plan).unwrap();
+        let out =
+            net.execute(watch_make, &RunSpec { faults: &plan, ..RunSpec::default() }).unwrap();
         // Node 1's neighbours (0 and 2) each see exactly one peer die —
         // by its reboot nonce or, failing that, by suspicion.
         assert_eq!(out.outputs[0].len(), 1, "node 0 missed the crash/reboot");
@@ -1485,7 +1490,8 @@ mod tests {
         let g = generators::cycle(4);
         let plan = FaultPlan::crashes(vec![(1, 3)]).with_recoveries(vec![(1, 6)]);
         let mut net = Network::new(&g, SimConfig::local().seed(11).max_rounds(10_000));
-        let out = net.run_faulty(updown_make, &plan).unwrap();
+        let out =
+            net.execute(updown_make, &RunSpec { faults: &plan, ..RunSpec::default() }).unwrap();
         for v in [0usize, 2] {
             let port = (0..g.degree(v)).find(|&p| g.port(v, p).0 == 1).unwrap();
             assert_eq!(
@@ -1506,7 +1512,8 @@ mod tests {
         let g = generators::cycle(4);
         let plan = FaultPlan::crashes(vec![(1, 3)]).with_recoveries(vec![(1, 30)]);
         let mut net = Network::new(&g, SimConfig::local().seed(11).max_rounds(10_000));
-        let out = net.run_faulty(updown_make, &plan).unwrap();
+        let out =
+            net.execute(updown_make, &RunSpec { faults: &plan, ..RunSpec::default() }).unwrap();
         for v in [0usize, 2] {
             let port = (0..g.degree(v)).find(|&p| g.port(v, p).0 == 1).unwrap();
             assert_eq!(
@@ -1552,7 +1559,10 @@ mod tests {
         let cfg = TransportCfg::default().idle_after(8);
         let mut net = Network::new(&g, SimConfig::local().seed(2).max_rounds(5_000));
         let out = net
-            .run_faulty(|_, _| Resilient::new(Flood { seen: false }, cfg), &FaultPlan::lossy(0.2))
+            .execute(
+                |_, _| Resilient::new(Flood { seen: false }, cfg),
+                &RunSpec { faults: &FaultPlan::lossy(0.2), ..RunSpec::default() },
+            )
             .unwrap();
         assert!(out.outputs.iter().all(|&s| s), "flood did not reach everyone");
     }
@@ -1561,7 +1571,12 @@ mod tests {
     fn stats_classes_are_separated() {
         let g = generators::cycle(6);
         let mut net = Network::new(&g, SimConfig::local().seed(3).max_rounds(5_000));
-        let out = net.run_faulty(gossip_make, &FaultPlan::lossy(0.25)).unwrap();
+        let out = net
+            .execute(
+                gossip_make,
+                &RunSpec { faults: &FaultPlan::lossy(0.25), ..RunSpec::default() },
+            )
+            .unwrap();
         // First transmissions of real payloads, retransmissions forced
         // by loss, and bookkeeping frames are all tallied separately.
         assert!(out.stats.messages > 0);
@@ -1579,7 +1594,7 @@ mod tests {
         let plan = FaultPlan::lossy(0.2).with_dup(0.1).with_reorder(0.1);
         let run = |seed: u64| {
             let mut net = Network::new(&g, SimConfig::local().seed(seed).max_rounds(5_000));
-            net.run_faulty(gossip_make, &plan).unwrap()
+            net.execute(gossip_make, &RunSpec { faults: &plan, ..RunSpec::default() }).unwrap()
         };
         let (a, b) = (run(11), run(11));
         assert_eq!(a.outputs, b.outputs);
@@ -1636,7 +1651,8 @@ mod tests {
         let base = gossip_baseline(&g, 3);
         let plan = FaultPlan::lossy(0.1).with_corrupt(0.15);
         let mut net = Network::new(&g, SimConfig::local().seed(3).max_rounds(10_000));
-        let out = net.run_faulty(gossip_make, &plan).unwrap();
+        let out =
+            net.execute(gossip_make, &RunSpec { faults: &plan, ..RunSpec::default() }).unwrap();
         assert_eq!(out.outputs, base, "corruption must not change delivered payloads");
         assert!(out.stats.corruptions > 0, "the plan must actually corrupt frames");
         assert!(out.stats.rejected > 0, "damaged frames must be rejected by validation");
@@ -1656,7 +1672,8 @@ mod tests {
         let g = generators::cycle(6);
         let plan = FaultPlan::default().with_corrupt(0.25);
         let mut net = Network::new(&g, SimConfig::local().seed(9).max_rounds(10_000));
-        let out = net.run_faulty(gossip_make, &plan).unwrap();
+        let out =
+            net.execute(gossip_make, &RunSpec { faults: &plan, ..RunSpec::default() }).unwrap();
         assert_eq!(out.outputs, gossip_baseline(&g, 9));
         assert_eq!(out.stats.quarantined, 0, "honest links must survive random noise");
     }
@@ -1669,7 +1686,8 @@ mod tests {
         let g = generators::cycle(6);
         let plan = FaultPlan::default().with_equivocators(vec![2]);
         let mut net = Network::new(&g, SimConfig::local().seed(5).max_rounds(20_000));
-        let out = net.run_faulty(gossip_make, &plan).unwrap();
+        let out =
+            net.execute(gossip_make, &RunSpec { faults: &plan, ..RunSpec::default() }).unwrap();
         assert!(out.stats.equivocations > 0, "the equivocator must actually tamper");
         assert!(out.stats.rejected > 0, "tampered frames must be rejected");
         // Honest nodes not adjacent to the equivocator interact only
@@ -1688,7 +1706,8 @@ mod tests {
         let base = gossip_baseline(&g, 13);
         let plan = FaultPlan::default().with_corrupt(0.2);
         let mut net = Network::new(&g, SimConfig::local().seed(13).max_rounds(10_000));
-        let out = net.run_faulty(gossip_make, &plan).unwrap();
+        let out =
+            net.execute(gossip_make, &RunSpec { faults: &plan, ..RunSpec::default() }).unwrap();
         // Forgeries were injected (corrupt draws cover all kinds) yet
         // every payload still arrives and no honest link goes down.
         assert_eq!(out.outputs, base);

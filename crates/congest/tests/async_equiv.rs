@@ -16,7 +16,8 @@ use std::sync::Arc;
 
 use dam_congest::{
     AdaptivePolicy, Backend, ChurnKind, ChurnPlan, Context, DelayModel, FaultPlan, Network, Port,
-    Protocol, RecordingSink, Resilient, SimConfig, SinkHandle, Trace, TransportCfg,
+    Protocol, RecordingSink, Resilient, RunOutcome, RunSpec, SimConfig, SinkHandle, Trace,
+    TransportCfg,
 };
 use dam_core::israeli_itai::IiNode;
 use dam_core::luby::LubyNode;
@@ -84,15 +85,14 @@ fn assert_equivalent<P, F>(
     P::Output: PartialEq + std::fmt::Debug,
     F: Fn(usize, &dyn Topology) -> P + Sync + Copy,
 {
-    let seq = {
-        let mut net = Network::new(g, config);
-        net.run_churned_traced(make, faults, churn)
-    };
+    let spec = RunSpec { faults, churn, trace: true };
+    let seq = Network::new(g, config).execute(make, &spec);
     for delay in DELAYS {
         let mut net = Network::new(g, config.backend(Backend::Async).delay(delay));
-        let asy: Result<(_, Trace), _> = net.run_async_churned_traced(make, faults, churn);
+        let asy = net.execute(make, &spec);
         match (&seq, &asy) {
-            (Ok((so, st)), Ok((ao, at))) => {
+            (Ok(so), Ok(ao)) => {
+                let (st, at) = (trace_of(so), trace_of(ao));
                 assert_eq!(so.outputs, ao.outputs, "outputs diverge under {delay:?}");
                 let mut stats = ao.stats;
                 assert!(stats.markers > 0, "async run must account synchronizer markers");
@@ -116,6 +116,10 @@ fn assert_equivalent<P, F>(
             ),
         }
     }
+}
+
+fn trace_of<O>(out: &RunOutcome<O>) -> &Trace {
+    out.trace.as_ref().expect("a traced run returns its trace")
 }
 
 fn graph_for(seed: u64) -> Graph {
@@ -378,18 +382,18 @@ fn async_sink_observes_without_perturbing() {
         let make = |v: usize, graph: &dyn Topology| {
             Resilient::new(IiNode::new(graph.degree(v)), TransportCfg::default())
         };
-        let bare = {
-            let mut net = Network::new(&g, cfg);
-            net.execute_plan_traced(make, &fault_plan(), &ChurnPlan::default())
-        };
+        let faults = fault_plan();
+        let spec = RunSpec { faults: &faults, trace: true, ..RunSpec::default() };
+        let bare = Network::new(&g, cfg).execute(make, &spec);
         let sink = Arc::new(RecordingSink::new());
         let tapped = {
             let mut net = Network::new(&g, cfg);
             net.set_stats_sink(Some(SinkHandle::from(Arc::clone(&sink))));
-            net.execute_plan_traced(make, &fault_plan(), &ChurnPlan::default())
+            net.execute(make, &spec)
         };
         match (&bare, &tapped) {
-            (Ok((bo, bt)), Ok((to, tt))) => {
+            (Ok(bo), Ok(to)) => {
+                let (bt, tt) = (trace_of(bo), trace_of(to));
                 assert_eq!(bo.outputs, to.outputs, "sink perturbed outputs (seed {seed})");
                 assert_eq!(bo.stats, to.stats, "sink perturbed stats (seed {seed})");
                 assert_eq!(bt.events(), tt.events(), "sink perturbed trace (seed {seed})");
@@ -429,23 +433,23 @@ fn adaptive_transport_async_equivalence() {
     }
 }
 
-/// The backend dispatcher itself: `execute_plan_traced` with
-/// `Backend::Async` must route to the asynchronous engine (markers
-/// appear) and still agree with an explicit sequential call.
+/// The backend dispatcher itself: `execute` with `Backend::Async` must
+/// route to the asynchronous engine (markers appear) and still agree
+/// with an explicit sequential call.
 #[test]
-fn execute_plan_dispatches_to_async() {
+fn execute_dispatches_to_async() {
     let g = graph_for(3);
     let cfg = SimConfig::congest_for(g.node_count(), 8).seed(3).max_rounds(2_000);
     let make = |v: usize, graph: &dyn Topology| {
         Resilient::new(IiNode::new(graph.degree(v)), TransportCfg::default())
     };
-    let (so, st) = {
-        let mut net = Network::new(&g, cfg);
-        net.run_churned_traced(make, &fault_plan(), &ChurnPlan::default()).unwrap()
-    };
+    let faults = fault_plan();
+    let spec = RunSpec { faults: &faults, trace: true, ..RunSpec::default() };
+    let so = Network::new(&g, cfg).execute(make, &spec).unwrap();
     let mut net =
         Network::new(&g, cfg.backend(Backend::Async).delay(DelayModel::UniformRandom { max: 4 }));
-    let (ao, at) = net.execute_plan_traced(make, &fault_plan(), &ChurnPlan::default()).unwrap();
+    let ao = net.execute(make, &spec).unwrap();
+    let (st, at) = (trace_of(&so), trace_of(&ao));
     assert_eq!(so.outputs, ao.outputs);
     assert_eq!(st.events(), at.events());
     assert!(ao.stats.markers > 0, "dispatch must reach the async engine");

@@ -5,7 +5,7 @@
 //! silently passed. Property-tested over random graphs and seeds.
 
 use dam_congest::{
-    Bandwidth, BitSize, Context, Network, Port, Protocol, SimConfig, Trace, TraceEvent,
+    Bandwidth, BitSize, Context, Network, Port, Protocol, RunSpec, SimConfig, Trace, TraceEvent,
 };
 use dam_core::israeli_itai::IiNode;
 use dam_core::luby::LubyNode;
@@ -17,12 +17,12 @@ use rand::{RngExt, SeedableRng};
 /// Traces one sequential run and returns it with its configured model.
 fn traced_run<P, F>(g: &Graph, config: SimConfig, make: F) -> Trace
 where
-    P: Protocol,
-    F: FnMut(usize, &dyn Topology) -> P,
+    P: Protocol + Send,
+    F: Fn(usize, &dyn Topology) -> P + Sync,
 {
     let mut net = Network::new(g, config);
-    let (_, trace) = net.run_traced(make).expect("run failed");
-    trace
+    let spec = RunSpec { trace: true, ..RunSpec::default() };
+    net.execute(make, &spec).expect("run failed").trace.expect("traced run")
 }
 
 proptest! {
@@ -61,10 +61,7 @@ proptest! {
         let g = generators::gnp(n, 0.2, &mut rng);
         let config = SimConfig::congest_for(g.node_count(), 4).seed(seed);
         let seq = traced_run(&g, config, |v, graph| IiNode::new(graph.degree(v)));
-        let mut net = Network::new(&g, config);
-        let (_, par) = net
-            .run_parallel_traced(|v, graph| IiNode::new(graph.degree(v)), threads)
-            .expect("parallel run failed");
+        let par = traced_run(&g, config.threads(threads), |v, graph| IiNode::new(graph.degree(v)));
         prop_assert_eq!(seq.check_bandwidth(config.model), par.check_bandwidth(config.model));
     }
 
@@ -134,9 +131,10 @@ proptest! {
         let g = generators::gnp(n, 0.25, &mut rng);
         let config = SimConfig::congest(16).seed(seed);
         let mut net = Network::new(&g, config);
-        let (out, trace) = net
-            .run_traced(|_, _| Mixed { rounds: 4 })
+        let mut out = net
+            .execute(|_, _| Mixed { rounds: 4 }, &RunSpec { trace: true, ..RunSpec::default() })
             .expect("run failed");
+        let trace = out.trace.take().unwrap();
         let verdict = trace.check_bandwidth(config.model);
         let Bandwidth::Checked { sends, widest, ref violations, .. } = verdict else {
             panic!("CONGEST run must be checked");

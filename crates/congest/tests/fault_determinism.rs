@@ -5,7 +5,7 @@
 
 use dam_congest::{
     ChurnKind, ChurnPlan, Context, FaultKind, FaultPlan, Network, Port, Protocol, Resilient,
-    RunStats, SimConfig, TraceEvent, TransportCfg,
+    RunSpec, RunStats, SimConfig, TraceEvent, TransportCfg,
 };
 use dam_graph::generators;
 use rand::rngs::StdRng;
@@ -61,12 +61,13 @@ fn run_once(engine_seed: u64) -> (Vec<u64>, RunStats, Vec<TraceEvent>) {
     let mut rng = StdRng::seed_from_u64(99);
     let g = generators::gnp(24, 0.2, &mut rng);
     let mut net = Network::new(&g, SimConfig::local().seed(engine_seed));
-    let (out, trace) = net
-        .run_faulty_traced(
+    let mut out = net
+        .execute(
             |_, _| Resilient::new(SumFlood { acc: 0, rounds: 6 }, TransportCfg::default()),
-            &hostile_plan(),
+            &RunSpec { faults: &hostile_plan(), trace: true, ..RunSpec::default() },
         )
         .expect("faulty run");
+    let trace = out.trace.take().unwrap();
     (out.outputs, out.stats, trace.events().to_vec())
 }
 
@@ -104,13 +105,13 @@ fn run_churned_once(engine_seed: u64) -> (Vec<u64>, RunStats, Vec<TraceEvent>) {
     let mut rng = StdRng::seed_from_u64(99);
     let g = generators::gnp(24, 0.2, &mut rng);
     let mut net = Network::new(&g, SimConfig::local().seed(engine_seed));
-    let (out, trace) = net
-        .run_churned_traced(
+    let mut out = net
+        .execute(
             |_, _| Resilient::new(SumFlood { acc: 0, rounds: 6 }, TransportCfg::default()),
-            &hostile_plan(),
-            &churn_plan(),
+            &RunSpec { faults: &hostile_plan(), churn: &churn_plan(), trace: true },
         )
         .expect("churned run");
+    let trace = out.trace.take().unwrap();
     (out.outputs, out.stats, trace.events().to_vec())
 }
 

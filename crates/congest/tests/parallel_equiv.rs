@@ -9,8 +9,8 @@
 use std::sync::Arc;
 
 use dam_congest::{
-    AdaptivePolicy, ChurnKind, ChurnPlan, Context, FaultPlan, Network, Port, Protocol,
-    RecordingSink, Resilient, SimConfig, SinkHandle, Trace, TransportCfg,
+    AdaptivePolicy, Backend, ChurnKind, ChurnPlan, Context, FaultPlan, Network, Port, Protocol,
+    RecordingSink, Resilient, RunOutcome, RunSpec, SimConfig, SinkHandle, Trace, TransportCfg,
 };
 use dam_core::israeli_itai::IiNode;
 use dam_core::luby::LubyNode;
@@ -68,16 +68,30 @@ fn assert_equivalent<P, F>(
     P::Output: PartialEq + std::fmt::Debug,
     F: Fn(usize, &dyn Topology) -> P + Sync + Copy,
 {
-    let seq = {
-        let mut net = Network::new(g, config);
-        net.run_churned_traced(make, faults, churn)
-    };
-    for threads in THREADS {
-        let mut net = Network::new(g, config);
-        let par: Result<(_, Trace), _> =
-            net.run_parallel_churned_traced(make, faults, churn, threads);
+    assert_equivalent_at(g, config, faults, churn, &THREADS, make);
+}
+
+/// [`assert_equivalent`] at the given sharded thread counts.
+fn assert_equivalent_at<P, F>(
+    g: &Graph,
+    config: SimConfig,
+    faults: &FaultPlan,
+    churn: &ChurnPlan,
+    thread_counts: &[usize],
+    make: F,
+) where
+    P: Protocol + Send,
+    P::Output: PartialEq + std::fmt::Debug,
+    F: Fn(usize, &dyn Topology) -> P + Sync + Copy,
+{
+    let spec = RunSpec { faults, churn, trace: true };
+    let seq = Network::new(g, config).execute(make, &spec);
+    for &threads in thread_counts {
+        let sharded = config.backend(Backend::Sharded).threads(threads);
+        let par = Network::new(g, sharded).execute(make, &spec);
         match (&seq, &par) {
-            (Ok((so, st)), Ok((po, pt))) => {
+            (Ok(so), Ok(po)) => {
+                let (st, pt) = (trace_of(so), trace_of(po));
                 assert_eq!(so.outputs, po.outputs, "outputs diverge at {threads} threads");
                 assert_eq!(so.stats, po.stats, "stats diverge at {threads} threads");
                 assert_eq!(st.events(), pt.events(), "trace streams diverge at {threads} threads");
@@ -96,6 +110,10 @@ fn assert_equivalent<P, F>(
             ),
         }
     }
+}
+
+fn trace_of<O>(out: &RunOutcome<O>) -> &Trace {
+    out.trace.as_ref().expect("a traced run returns its trace")
 }
 
 fn graph_for(seed: u64) -> Graph {
@@ -329,29 +347,30 @@ fn sharded_sink_observes_without_perturbing() {
         let make = |v: usize, graph: &dyn Topology| {
             Resilient::new(IiNode::new(graph.degree(v)), TransportCfg::default())
         };
+        let faults = fault_plan();
+        let spec = RunSpec { faults: &faults, trace: true, ..RunSpec::default() };
         let (seq, seq_samples) = {
             let sink = Arc::new(RecordingSink::new());
             let mut net = Network::new(&g, cfg);
             net.set_stats_sink(Some(SinkHandle::from(Arc::clone(&sink))));
-            let out = net.run_churned_traced(make, &fault_plan(), &ChurnPlan::default());
+            let out = net.execute(make, &spec);
             (out, sink.samples())
         };
-        if let Ok((so, _)) = &seq {
+        if let Ok(so) = &seq {
             assert_eq!(seq_samples.len() as u64, so.stats.rounds, "one sample per round");
         }
         for threads in THREADS {
-            let bare = {
-                let mut net = Network::new(&g, cfg);
-                net.run_parallel_churned_traced(make, &fault_plan(), &ChurnPlan::default(), threads)
-            };
+            let sharded = cfg.backend(Backend::Sharded).threads(threads);
+            let bare = Network::new(&g, sharded).execute(make, &spec);
             let sink = Arc::new(RecordingSink::new());
             let tapped = {
-                let mut net = Network::new(&g, cfg);
+                let mut net = Network::new(&g, sharded);
                 net.set_stats_sink(Some(SinkHandle::from(Arc::clone(&sink))));
-                net.run_parallel_churned_traced(make, &fault_plan(), &ChurnPlan::default(), threads)
+                net.execute(make, &spec)
             };
             match (&bare, &tapped) {
-                (Ok((bo, bt)), Ok((to, tt))) => {
+                (Ok(bo), Ok(to)) => {
+                    let (bt, tt) = (trace_of(bo), trace_of(to));
                     assert_eq!(bo.outputs, to.outputs, "sink perturbed outputs ({threads}t)");
                     assert_eq!(bo.stats, to.stats, "sink perturbed stats ({threads}t)");
                     assert_eq!(bt.events(), tt.events(), "sink perturbed trace ({threads}t)");
@@ -415,5 +434,79 @@ fn quiescent_relay_equivalence() {
         let g = graph_for(seed);
         let cfg = SimConfig::local().seed(seed).quiesce_after(2).max_rounds(500);
         assert_equivalent(&g, cfg, &churn_faults(), &churn_plan(), |_, _g| Relay);
+    }
+}
+
+/// More workers than nodes: with 40 or more threads on the 40-node
+/// graphs every shard is a single node, and past 40 the surplus workers
+/// are never spawned.
+#[test]
+fn threads_far_beyond_nodes() {
+    for seed in 0..SEEDS {
+        let g = graph_for(seed);
+        let cfg = SimConfig::congest_for(g.node_count(), 8).seed(seed).max_rounds(2_000);
+        assert_equivalent_at(&g, cfg, &churn_faults(), &churn_plan(), &[64], |v, graph| {
+            Resilient::new(IiNode::new(graph.degree(v)), TransportCfg::default())
+        });
+        let cfg = SimConfig::congest_for(g.node_count(), 4).seed(seed).max_rounds(300);
+        let faults = FaultPlan { corrupt: 0.15, equivocators: vec![3], ..churn_faults() };
+        assert_equivalent_at(&g, cfg, &faults, &churn_plan(), &[39, 40, 41, 64], |v, _g| Chatter {
+            acc: 0,
+            halt_round: 6 + v % 5,
+        });
+    }
+}
+
+/// The trivial graphs: n = 0 and n = 1 take the sequential fall-through
+/// (at most one node to shard), n = 2 runs two singleton shards — here
+/// with a late joiner and a flapping edge.
+#[test]
+fn tiny_graphs_shard_like_sequential() {
+    for n in 0..=2usize {
+        let g = generators::path(n);
+        let churn = if n == 2 {
+            ChurnPlan::default()
+                .with_absent_nodes(vec![1])
+                .with_event(2, ChurnKind::Join { node: 1 })
+                .with_event(4, ChurnKind::EdgeDown { edge: 0 })
+                .with_event(5, ChurnKind::EdgeUp { edge: 0 })
+        } else {
+            ChurnPlan::default()
+        };
+        for seed in 0..SEEDS {
+            let cfg = SimConfig::congest_for(n, 4).seed(seed).max_rounds(300);
+            assert_equivalent_at(&g, cfg, &churn_faults(), &churn, &[2, 64], |v, _g| Chatter {
+                acc: 0,
+                halt_round: 6 + v % 5,
+            });
+            let cfg = SimConfig::congest_for(n, 8).seed(seed).max_rounds(2_000);
+            assert_equivalent_at(&g, cfg, &churn_faults(), &ChurnPlan::default(), &[2, 64], {
+                |v, graph| Resilient::new(IiNode::new(graph.degree(v)), TransportCfg::default())
+            });
+        }
+    }
+}
+
+/// A star: the hub (node 0, in the first shard) is adjacent to every
+/// other node, so every shard writes into the hub's slots each round.
+/// The second schedule crashes and reboots the hub itself.
+#[test]
+fn star_hub_equivalence() {
+    const STAR_THREADS: [usize; 4] = [2, 4, 7, 64];
+    let g = generators::star(40);
+    for seed in 0..SEEDS {
+        let cfg = SimConfig::congest_for(g.node_count(), 8).seed(seed).max_rounds(2_000);
+        assert_equivalent_at(&g, cfg, &fault_plan(), &ChurnPlan::default(), &STAR_THREADS, {
+            |v, graph| Resilient::new(IiNode::new(graph.degree(v)), TransportCfg::default())
+        });
+        let cfg = SimConfig::congest_for(g.node_count(), 4).seed(seed).max_rounds(300);
+        assert_equivalent_at(&g, cfg, &churn_faults(), &churn_plan(), &STAR_THREADS, |v, _g| {
+            Chatter { acc: 0, halt_round: 6 + v % 5 }
+        });
+        let hub_down =
+            FaultPlan { crashes: vec![(0, 3)], recoveries: vec![(0, 6)], ..churn_faults() };
+        assert_equivalent_at(&g, cfg, &hub_down, &ChurnPlan::default(), &STAR_THREADS, |v, _g| {
+            Chatter { acc: 0, halt_round: 9 + v % 5 }
+        });
     }
 }

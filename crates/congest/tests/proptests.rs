@@ -5,7 +5,7 @@
 
 use dam_congest::{
     AsyncNetwork, BitSize, Context, CorruptKind, DelayModel, FaultPlan, Frame, FrameKind, Network,
-    Port, Protocol, Resilient, SimConfig, SimError, TraceEvent, TransportCfg,
+    Port, Protocol, Resilient, RunSpec, SimConfig, SimError, TraceEvent, TransportCfg,
 };
 use dam_graph::{Graph, GraphBuilder, Topology};
 use proptest::prelude::*;
@@ -128,8 +128,8 @@ proptest! {
     fn parallel_equals_sequential(g in arb_graph(), seed in 0u64..1000, threads in 1usize..6) {
         let make = |_: usize, _: &dyn Topology| Chaos { min_rounds: 3, halt_prob: 0.4, acc: 0 };
         let seq = Network::new(&g, SimConfig::local().seed(seed)).run(make).unwrap();
-        let par = Network::new(&g, SimConfig::local().seed(seed))
-            .run_parallel(make, threads)
+        let par = Network::new(&g, SimConfig::local().seed(seed).threads(threads))
+            .execute(make, &RunSpec::default())
             .unwrap();
         prop_assert_eq!(&seq.outputs, &par.outputs);
         prop_assert_eq!(seq.stats, par.stats);
@@ -142,7 +142,8 @@ proptest! {
     fn accounting_invariants(g in arb_graph(), seed in 0u64..1000) {
         let make = |_: usize, _: &dyn Topology| Chaos { min_rounds: 2, halt_prob: 0.5, acc: 0 };
         let mut net = Network::new(&g, SimConfig::congest(16).seed(seed));
-        let (out, trace) = net.run_traced(make).unwrap();
+        let mut out = net.execute(make, &RunSpec { trace: true, ..RunSpec::default() }).unwrap();
+        let trace = out.trace.take().unwrap();
         let s = out.stats;
         prop_assert!(s.rounds >= 1);
         prop_assert_eq!(s.charged_rounds, s.rounds, "unit cost charges 1:1");
@@ -171,8 +172,8 @@ proptest! {
     #[test]
     fn determinism_of_traces(g in arb_graph(), seed in 0u64..1000) {
         let make = |_: usize, _: &dyn Topology| Chaos { min_rounds: 2, halt_prob: 0.5, acc: 0 };
-        let (_, t1) = Network::new(&g, SimConfig::local().seed(seed)).run_traced(make).unwrap();
-        let (_, t2) = Network::new(&g, SimConfig::local().seed(seed)).run_traced(make).unwrap();
+        let t1 = Network::new(&g, SimConfig::local().seed(seed)).execute(make, &RunSpec { trace: true, ..RunSpec::default() }).unwrap().trace.unwrap();
+        let t2 = Network::new(&g, SimConfig::local().seed(seed)).execute(make, &RunSpec { trace: true, ..RunSpec::default() }).unwrap().trace.unwrap();
         prop_assert_eq!(t1.events(), t2.events());
     }
 
@@ -286,7 +287,7 @@ proptest! {
         let equivocators = if equivocate { vec![1 % g.node_count()] } else { vec![] };
         let plan =
             FaultPlan::lossy(loss).with_corrupt(corrupt).with_equivocators(equivocators.clone());
-        match Network::new(&g, cfg).run_faulty(make, &plan) {
+        match Network::new(&g, cfg).execute(make, &RunSpec { faults: &plan, ..RunSpec::default() }) {
             Ok(out) => {
                 if corrupt == 0.0 && equivocators.is_empty() {
                     prop_assert_eq!(&out.outputs, &base.outputs, "loss alone must be masked");

@@ -5,7 +5,7 @@
 //! partials, on both engines.
 
 use dam_congest::{
-    Backend, BitSize, Context, Network, Port, Protocol, RunStats, SimConfig, TotalStats,
+    Backend, BitSize, Context, Network, Port, Protocol, RunSpec, RunStats, SimConfig, TotalStats,
 };
 use dam_graph::generators;
 
@@ -104,8 +104,8 @@ fn parallel_engine_accumulates_identically() {
         let mut net = Network::new(&g, SimConfig::local().max_rounds(200_000));
         net.run(|_, _| Beacon { horizon: HORIZON }).unwrap()
     };
-    let mut net = Network::new(&g, SimConfig::local().max_rounds(200_000));
-    let par = net.run_parallel(|_, _| Beacon { horizon: HORIZON }, 2).unwrap();
+    let mut net = Network::new(&g, SimConfig::local().max_rounds(200_000).threads(2));
+    let par = net.execute(|_, _| Beacon { horizon: HORIZON }, &RunSpec::default()).unwrap();
     assert_eq!(seq.stats, par.stats);
     assert_eq!(seq.outputs, par.outputs);
 }
@@ -122,7 +122,7 @@ fn async_marathon_counts_markers_exactly() {
         net.run(|_, _| HalfBeacon { horizon: HORIZON }).unwrap()
     };
     let mut net = Network::new(&g, SimConfig::local().max_rounds(200_000).backend(Backend::Async));
-    let asy = net.execute(|_, _| HalfBeacon { horizon: HORIZON }).unwrap();
+    let asy = net.execute(|_, _| HalfBeacon { horizon: HORIZON }, &RunSpec::default()).unwrap();
     assert_eq!(asy.outputs, seq.outputs);
     // Odd rounds 1, 3, …, HORIZON−1 are silent, and so is the final
     // halt round: HORIZON/2 + 1 rounds, two nodes, one port each.

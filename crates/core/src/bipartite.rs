@@ -33,7 +33,7 @@
 //! paper's Lemma 3.9 arithmetic.
 
 use dam_congest::message::id_bits;
-use dam_congest::{BitSize, Context, Network, Port, Protocol, SimConfig};
+use dam_congest::{BitSize, Context, Network, Port, Protocol, RunSpec, SimConfig};
 use dam_graph::{EdgeId, Graph, GraphError, Matching, Side, Topology};
 use rand::RngExt;
 
@@ -422,12 +422,16 @@ pub(crate) fn exhaust_length(
     let params = PhaseParams { l, n: g.node_count(), delta: g.max_degree() };
     let mut passes = 0;
     while passes < max_passes {
-        let out = net.execute(|v, graph| {
-            let matched_edge = registers[v];
-            let matched_port = matched_edge
-                .map(|e| graph.port_of_edge(v, e).expect("register points at an incident edge"));
-            PhaseNode::new(params, sides[v], live[v].clone(), matched_port, matched_edge)
-        })?;
+        let out = net.execute(
+            |v, graph| {
+                let matched_edge = registers[v];
+                let matched_port = matched_edge.map(|e| {
+                    graph.port_of_edge(v, e).expect("register points at an incident edge")
+                });
+                PhaseNode::new(params, sides[v], live[v].clone(), matched_port, matched_edge)
+            },
+            &RunSpec::default(),
+        )?;
         passes += 1;
         let mut any_path = false;
         for (v, o) in out.outputs.iter().enumerate() {

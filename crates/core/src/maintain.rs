@@ -645,9 +645,10 @@ mod tests {
         let cfg = MaintainConfig { seed: 9, ..MaintainConfig::default() };
         let report = churn_tolerant_mm(&g, &FaultPlan::default(), &churn, &cfg).unwrap();
         report.matching.validate(&g).unwrap();
-        let (mut np, ep) = churn.final_presence(&g);
+        let (mut np, ep) = churn.final_presence_on(&g);
         assert!(!np[4] && np[31]);
-        np[4] = false;
+        np.set(4, false);
+        let (np, ep) = (np.to_bools(), ep.to_bools());
         assert!(is_valid_on_present(&g, &report.matching, &np, &ep));
         assert!(is_maximal_on_present(&g, &report.matching, &np, &ep));
         assert_eq!(report.matching.size(), report.surviving + report.added);

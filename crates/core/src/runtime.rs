@@ -20,9 +20,9 @@
 //!   │ maintain      │            ├──────────────────────────────────┤
 //!   │ repair_faults │            │ resilient transport (transport)  │
 //!   │ algo          │            ├──────────────────────────────────┤
-//!   └───────────────┘            │ Algorithm phases on execute_plan │
-//!                                │ (faults + churn + threads in one │
-//!                                │  engine entry point)             │
+//!   └───────────────┘            │ Algorithm phases on execute      │
+//!                                │ (RunSpec: faults + churn; config │
+//!                                │  picks the backend)              │
 //!                                └──────────────────────────────────┘
 //! ```
 //!
@@ -81,7 +81,8 @@ use std::path::{Path, PathBuf};
 use dam_congest::transport::TransportCfg;
 use dam_congest::{
     rng, AdaptivePolicy, Backend, ChurnPlan, Context, DelayModel, FaultPlan, Network, Port,
-    Protocol, Resilient, RunOutcome, RunStats, SessionState, SimConfig, SinkHandle, TotalStats,
+    Protocol, Resilient, RunOutcome, RunSpec, RunStats, SessionState, SimConfig, SinkHandle,
+    TotalStats,
 };
 use dam_graph::{materialize, BitSet, EdgeId, Graph, Matching, NodeId, Topology};
 
@@ -315,55 +316,45 @@ impl<'g> Exec<'g> {
         let wrap = self.resume || !first;
         let faults = if first { self.first_faults.clone() } else { self.later_faults.clone() };
         let churn = if first && !self.resume { self.churn.clone() } else { ChurnPlan::default() };
+        let spec = RunSpec { faults: &faults, churn: &churn, ..RunSpec::default() };
         let alive = &self.alive;
         let out = if !wrap {
             if let Some(p) = self.adaptive {
-                self.net.execute_plan(
-                    |v, graph| Resilient::with_policy(make(v, graph), p),
-                    &faults,
-                    &churn,
-                )?
+                self.net.execute(|v, graph| Resilient::with_policy(make(v, graph), p), &spec)?
             } else if let Some(t) = self.transport {
-                self.net.execute_plan(
-                    |v, graph| Resilient::new(make(v, graph), t),
-                    &faults,
-                    &churn,
-                )?
+                self.net.execute(|v, graph| Resilient::new(make(v, graph), t), &spec)?
             } else {
-                self.net.execute_plan(make, &faults, &churn)?
+                self.net.execute(make, &spec)?
             }
         } else if let Some(p) = self.adaptive {
-            self.net.execute_plan(
+            self.net.execute(
                 |v, graph| {
                     if !alive[v] {
                         return Slot::Dead;
                     }
                     Slot::Live(Box::new(Resilient::with_policy(make(v, graph), p)))
                 },
-                &faults,
-                &churn,
+                &spec,
             )?
         } else if let Some(t) = self.transport {
-            self.net.execute_plan(
+            self.net.execute(
                 |v, graph| {
                     if !alive[v] {
                         return Slot::Dead;
                     }
                     Slot::Live(Box::new(Resilient::new(make(v, graph), t)))
                 },
-                &faults,
-                &churn,
+                &spec,
             )?
         } else {
-            self.net.execute_plan(
+            self.net.execute(
                 |v, graph| {
                     if !alive[v] {
                         return Slot::Dead;
                     }
                     Slot::Live(Box::new(make(v, graph)))
                 },
-                &faults,
-                &churn,
+                &spec,
             )?
         };
         match &mut self.stats {
@@ -908,20 +899,13 @@ where
     cfg.validate()?;
     let mut net = Network::new(g, cfg.sim);
     net.set_stats_sink(cfg.stats_sink.clone());
+    let spec = RunSpec { faults: &cfg.faults, churn: &cfg.churn, ..RunSpec::default() };
     let out = if let Some(p) = cfg.adaptive {
-        net.execute_plan(
-            move |v, graph| Resilient::with_policy(make(v, graph), p),
-            &cfg.faults,
-            &cfg.churn,
-        )?
+        net.execute(move |v, graph| Resilient::with_policy(make(v, graph), p), &spec)?
     } else if let Some(t) = cfg.transport {
-        net.execute_plan(
-            move |v, graph| Resilient::new(make(v, graph), t),
-            &cfg.faults,
-            &cfg.churn,
-        )?
+        net.execute(move |v, graph| Resilient::new(make(v, graph), t), &spec)?
     } else {
-        net.execute_plan(make, &cfg.faults, &cfg.churn)?
+        net.execute(make, &spec)?
     };
     Ok(out)
 }

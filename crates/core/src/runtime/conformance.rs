@@ -18,7 +18,7 @@
 //! an independent record of the old behaviour is needed to prove the
 //! delegation is bit-identical.
 
-use dam_congest::{Network, SimConfig};
+use dam_congest::{Network, RunSpec, SimConfig};
 use dam_graph::{hopcroft_karp, maximal, mwm, EdgeId, Graph, GraphError, Matching};
 
 use super::AlgoSpec;
@@ -176,7 +176,7 @@ pub fn filtered_registry() -> Vec<Entry> {
 
 fn golden_israeli_itai(g: &Graph, sim: SimConfig) -> Result<Vec<Option<EdgeId>>, CoreError> {
     let mut net = Network::new(g, sim);
-    let out = net.execute(|v, graph| IiNode::new(graph.degree(v)))?;
+    let out = net.execute(|v, graph| IiNode::new(graph.degree(v)), &RunSpec::default())?;
     Ok(out.outputs)
 }
 
@@ -209,20 +209,28 @@ fn golden_weighted(g: &Graph, sim: SimConfig) -> Result<Vec<Option<EdgeId>>, Cor
     let iterations = WeightedMwmConfig::default().iterations();
     for _ in 0..iterations {
         let gains = net
-            .execute(|v, graph| {
+            .execute(
+                |v, graph| {
+                    let matched_port = registers[v].map(|e| {
+                        graph.port_of_edge(v, e).expect("register points at incident edge")
+                    });
+                    let my_weight = registers[v].map_or(0.0, |e| graph.weight(e));
+                    GainExchange::new(graph.degree(v), matched_port, my_weight)
+                },
+                &RunSpec::default(),
+            )?
+            .outputs;
+        let m_prime =
+            net.execute(|v, _| LocalMaxNode::new(gains[v].clone()), &RunSpec::default())?.outputs;
+        matching_from_registers(g, &m_prime)?;
+        let out = net.execute(
+            |v, graph| {
                 let matched_port = registers[v]
                     .map(|e| graph.port_of_edge(v, e).expect("register points at incident edge"));
-                let my_weight = registers[v].map_or(0.0, |e| graph.weight(e));
-                GainExchange::new(graph.degree(v), matched_port, my_weight)
-            })?
-            .outputs;
-        let m_prime = net.execute(|v, _| LocalMaxNode::new(gains[v].clone()))?.outputs;
-        matching_from_registers(g, &m_prime)?;
-        let out = net.execute(|v, graph| {
-            let matched_port = registers[v]
-                .map(|e| graph.port_of_edge(v, e).expect("register points at incident edge"));
-            WrapApply { matched_port, register: registers[v], m_prime: m_prime[v] }
-        })?;
+                WrapApply { matched_port, register: registers[v], m_prime: m_prime[v] }
+            },
+            &RunSpec::default(),
+        )?;
         registers = out.outputs;
         matching_from_registers(g, &registers)?;
     }
@@ -231,6 +239,7 @@ fn golden_weighted(g: &Graph, sim: SimConfig) -> Result<Vec<Option<EdgeId>>, Cor
 
 fn golden_luby_matching(g: &Graph, sim: SimConfig) -> Result<Vec<Option<EdgeId>>, CoreError> {
     let mut net = Network::new(g, sim);
-    let out = net.execute(|v, graph| LubyMatchingNode::new(graph.degree(v)))?;
+    let out =
+        net.execute(|v, graph| LubyMatchingNode::new(graph.degree(v)), &RunSpec::default())?;
     Ok(out.outputs)
 }

@@ -3,9 +3,9 @@
 //! `israeli_itai_with`, `luby_mis_with`) is now a thin shim over
 //! [`dam_core::runtime::run_mm`] / `execute_program`. This file keeps a
 //! **golden replica** of each pre-refactor pipeline body, written
-//! against the unchanged engine primitives (`run`, `run_faulty`,
-//! `run_churned`, `Resilient`, `sanitize_registers`, `certify`,
-//! `Maintainer::adopt`, …), and asserts the shims are bit-identical to
+//! against the engine primitives (`run`, `execute`, `Resilient`,
+//! `sanitize_registers`, `certify`, `Maintainer::adopt`, …), and
+//! asserts the shims are bit-identical to
 //! it — outputs, per-phase `RunStats`, certificates, traces, and error
 //! paths — across seeds, fault/churn schedules, and thread counts.
 //!
@@ -15,7 +15,7 @@
 use dam_congest::rng::splitmix64;
 use dam_congest::{
     Backend, ChurnKind, ChurnPlan, Context, DelayModel, FaultPlan, Frame, Network, Port, Protocol,
-    Resilient, RunStats, SimConfig, TransportCfg,
+    Resilient, RunSpec, RunStats, SimConfig, TransportCfg,
 };
 use dam_core::certify::{apply_lies, certified_mm, certify, Certificate, CertifiedReport};
 use dam_core::error::CoreError;
@@ -164,7 +164,7 @@ fn golden_repair(
 ) -> Result<GoldenRepair, CoreError> {
     let sane = sanitize_registers(g, registers, alive);
     let mut net = Network::new(g, SimConfig::local().seed(cfg.seed).max_rounds(cfg.max_rounds));
-    let out = net.run_faulty(
+    let out = net.execute(
         |v, graph| {
             if !alive[v] {
                 return GoldenRepairProto::Dead;
@@ -176,7 +176,7 @@ fn golden_repair(
                 cfg.transport,
             )))
         },
-        faults,
+        &RunSpec { faults, ..RunSpec::default() },
     )?;
     let final_regs = sanitize_registers(g, &out.outputs, alive);
     let matching = matching_from_registers(g, &final_regs.registers)?;
@@ -204,8 +204,10 @@ fn golden_self_healing(
     }
 
     let mut net = Network::new(g, SimConfig::local().seed(cfg.seed).max_rounds(cfg.max_rounds));
-    let phase1 = net
-        .run_faulty(|v, graph| Resilient::new(IiNode::new(graph.degree(v)), cfg.transport), plan)?;
+    let phase1 = net.execute(
+        |v, graph| Resilient::new(IiNode::new(graph.degree(v)), cfg.transport),
+        &RunSpec { faults: plan, ..RunSpec::default() },
+    )?;
 
     let repair_faults = FaultPlan {
         loss: plan.loss,
@@ -245,8 +247,10 @@ fn golden_certified(
     }
 
     let mut net = Network::new(g, SimConfig::local().seed(cfg.seed).max_rounds(cfg.max_rounds));
-    let phase1 = net
-        .run_faulty(|v, graph| Resilient::new(IiNode::new(graph.degree(v)), cfg.transport), plan)?;
+    let phase1 = net.execute(
+        |v, graph| Resilient::new(IiNode::new(graph.degree(v)), cfg.transport),
+        &RunSpec { faults: plan, ..RunSpec::default() },
+    )?;
 
     let mut regs = phase1.outputs;
     apply_lies(&mut regs, &plan.liars, cfg.seed, g.edge_count());
@@ -318,17 +322,17 @@ fn golden_churn_tolerant(
     cfg: &MaintainConfig,
 ) -> Result<ChurnReport, CoreError> {
     let mut net = Network::new(g, SimConfig::local().seed(cfg.seed).max_rounds(cfg.max_rounds));
-    let out = net.run_churned(
+    let out = net.execute(
         |v, graph| Resilient::new(IiNode::new(graph.degree(v)), cfg.transport),
-        faults,
-        churn,
+        &RunSpec { faults, churn, ..RunSpec::default() },
     )?;
-    let (mut node_present, edge_present) = churn.final_presence(g);
+    let (mut node_present, edge_present) = churn.final_presence_on(g);
     for &(v, _) in &faults.crashes {
         if !faults.recoveries.iter().any(|&(u, _)| u == v) {
-            node_present[v] = false;
+            node_present.set(v, false);
         }
     }
+    let (node_present, edge_present) = (node_present.to_bools(), edge_present.to_bools());
     let sane = sanitize_present(g, &out.outputs, &node_present, &edge_present);
     let mut mt = Maintainer::adopt(
         g,
@@ -518,12 +522,9 @@ fn plain_driver_shims_are_bit_identical() {
             // Golden israeli_itai_with: the legacy body dispatched on
             // `threads` itself, directly over the engine primitives.
             let mut net = Network::new(&g, config);
-            let out = if threads > 1 {
-                net.run_parallel(|v, graph| IiNode::new(graph.degree(v)), threads)
-            } else {
-                net.run(|v, graph| IiNode::new(graph.degree(v)))
-            }
-            .expect("golden run");
+            let out = net
+                .execute(|v, graph| IiNode::new(graph.degree(v)), &RunSpec::default())
+                .expect("golden run");
             let matching = matching_from_registers(&g, &out.outputs).expect("golden assembly");
             let iterations = usize::try_from(out.stats.rounds.div_ceil(3)).unwrap_or(usize::MAX);
             let totals = net.totals();
@@ -539,12 +540,9 @@ fn plain_driver_shims_are_bit_identical() {
 
             // Golden luby_mis_with.
             let mut net = Network::new(&g, config);
-            let out = if threads > 1 {
-                net.run_parallel(|v, graph| LubyNode::new(graph.degree(v)), threads)
-            } else {
-                net.run(|v, graph| LubyNode::new(graph.degree(v)))
-            }
-            .expect("golden run");
+            let out = net
+                .execute(|v, graph| LubyNode::new(graph.degree(v)), &RunSpec::default())
+                .expect("golden run");
             let mis = luby_mis_with(&g, config).expect("shim run");
             assert_eq!(out.outputs, mis.in_mis, "seed {i}, {threads} threads: MIS");
             assert_eq!(out.stats, mis.stats, "seed {i}, {threads} threads: stats");
@@ -563,14 +561,16 @@ fn runtime_traces_match_the_sequential_engine() {
         let make = |v: NodeId, graph: &dyn Topology| {
             Resilient::new(IiNode::new(graph.degree(v)), TransportCfg::default())
         };
+        let spec = RunSpec { faults: &faults, churn: &churn, trace: true };
 
         let mut reference = Network::new(&g, SimConfig::local().seed(i));
-        let (ref_out, ref_trace) =
-            reference.run_churned_traced(make, &faults, &churn).expect("reference run");
+        let mut ref_out = reference.execute(make, &spec).expect("reference run");
+        let ref_trace = ref_out.trace.take().unwrap();
 
         for threads in THREADS {
             let mut net = Network::new(&g, SimConfig::local().seed(i).threads(threads));
-            let (out, trace) = net.execute_plan_traced(make, &faults, &churn).expect("runtime run");
+            let mut out = net.execute(make, &spec).expect("runtime run");
+            let trace = out.trace.take().unwrap();
             assert_eq!(out.outputs, ref_out.outputs, "seed {i}, {threads} threads: outputs");
             assert_eq!(out.stats, ref_out.stats, "seed {i}, {threads} threads: stats");
             assert_eq!(trace.events(), ref_trace.events(), "seed {i}, {threads} threads: trace");
@@ -597,15 +597,17 @@ fn runtime_matches_the_async_engine() {
         let make = |v: NodeId, graph: &dyn Topology| {
             Resilient::new(IiNode::new(graph.degree(v)), TransportCfg::default())
         };
+        let spec = RunSpec { faults: &faults, churn: &churn, trace: true };
 
         let mut reference = Network::new(&g, SimConfig::local().seed(i));
-        let (ref_out, ref_trace) =
-            reference.run_churned_traced(make, &faults, &churn).expect("reference run");
+        let mut ref_out = reference.execute(make, &spec).expect("reference run");
+        let ref_trace = ref_out.trace.take().unwrap();
 
         for delay in DELAYS {
             let config = SimConfig::local().seed(i).backend(Backend::Async).delay(delay);
             let mut net = Network::new(&g, config);
-            let (out, trace) = net.execute_plan_traced(make, &faults, &churn).expect("runtime run");
+            let mut out = net.execute(make, &spec).expect("runtime run");
+            let trace = out.trace.take().unwrap();
             assert_eq!(out.outputs, ref_out.outputs, "seed {i}, {delay:?}: outputs");
             let mut stats = out.stats;
             assert!(stats.markers > 0, "seed {i}, {delay:?}: markers must be accounted");

@@ -18,7 +18,7 @@
 //! [`RunStats`]: dam_congest::RunStats
 
 use dam_congest::{
-    Backend, ChurnKind, ChurnPlan, FaultPlan, Network, Resilient, SimConfig, TransportCfg,
+    Backend, ChurnKind, ChurnPlan, FaultPlan, Network, Resilient, RunSpec, SimConfig, TransportCfg,
 };
 use dam_core::israeli_itai::IiNode;
 use dam_core::runtime::{run_mm, IsraeliItai, RunReport, RuntimeConfig};
@@ -166,12 +166,14 @@ proptest! {
         let make = |v: NodeId, graph: &dyn Topology| {
             Resilient::new(IiNode::new(graph.degree(v)), TransportCfg::default())
         };
-        let (imp_out, imp_trace) = Network::new(&topo, SimConfig::local().seed(seed))
-            .execute_plan_traced(make, &faults, &churn)
+        let spec = RunSpec { faults: &faults, churn: &churn, trace: true };
+        let mut imp_out = Network::new(&topo, SimConfig::local().seed(seed))
+            .execute(make, &spec)
             .expect("implicit run");
-        let (csr_out, csr_trace) = Network::new(&g, SimConfig::local().seed(seed))
-            .execute_plan_traced(make, &faults, &churn)
-            .expect("csr run");
+        let imp_trace = imp_out.trace.take().unwrap();
+        let mut csr_out =
+            Network::new(&g, SimConfig::local().seed(seed)).execute(make, &spec).expect("csr run");
+        let csr_trace = csr_out.trace.take().unwrap();
         prop_assert_eq!(imp_out.outputs, csr_out.outputs, "outputs");
         prop_assert_eq!(imp_out.stats, csr_out.stats, "stats");
         prop_assert_eq!(imp_trace.events(), csr_trace.events(), "trace events");

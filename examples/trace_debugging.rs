@@ -8,14 +8,18 @@
 //! per-round message/halt activity plus a per-node timeline — useful
 //! when developing new protocols against the simulator.
 
-use dam::congest::{Network, SimConfig, TraceEvent};
+use dam::congest::{Network, RunSpec, SimConfig, TraceEvent};
 use dam::core::israeli_itai::IiNode;
 use dam::graph::generators;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let g = generators::cycle(10);
     let mut net = Network::new(&g, SimConfig::congest_for(g.node_count(), 4).seed(11));
-    let (out, trace) = net.run_traced(|v, graph| IiNode::new(graph.degree(v)))?;
+    let mut out = net.execute(
+        |v, graph| IiNode::new(graph.degree(v)),
+        &RunSpec { trace: true, ..RunSpec::default() },
+    )?;
+    let trace = out.trace.take().unwrap();
 
     println!("Israeli-Itai on C_10, seed 11");
     println!("{}", out.stats);

@@ -1,6 +1,6 @@
 //! Differential tests: independent implementations must agree.
 
-use dam::congest::{Network, SimConfig};
+use dam::congest::{Network, RunSpec, SimConfig};
 use dam::core::israeli_itai::IiNode;
 use dam::core::weighted::local_max::local_max_mwm;
 use dam::graph::weights::{randomize_weights, WeightDist};
@@ -54,8 +54,8 @@ fn parallel_engine_matches_sequential_on_israeli_itai() {
         let cfg = SimConfig::congest_for(g.node_count(), 4).seed(trial);
         let seq = Network::new(&g, cfg).run(|v, graph| IiNode::new(graph.degree(v))).unwrap();
         for threads in [2usize, 5] {
-            let par = Network::new(&g, cfg)
-                .run_parallel(|v, graph| IiNode::new(graph.degree(v)), threads)
+            let par = Network::new(&g, cfg.threads(threads))
+                .execute(|v, graph| IiNode::new(graph.degree(v)), &RunSpec::default())
                 .unwrap();
             assert_eq!(seq.outputs, par.outputs, "trial {trial}, {threads} threads");
             assert_eq!(seq.stats, par.stats, "trial {trial}, {threads} threads");

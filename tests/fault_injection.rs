@@ -8,7 +8,7 @@
 //! cross-validation catches it), while fixed-schedule protocols sail
 //! through both.
 
-use dam::congest::{Context, FaultPlan, Network, Port, Protocol, SimConfig};
+use dam::congest::{Context, FaultPlan, Network, Port, Protocol, RunSpec, SimConfig};
 use dam::core::israeli_itai::IiNode;
 use dam::core::report::matching_from_registers;
 use dam::graph::generators;
@@ -50,7 +50,10 @@ fn fixed_schedule_survives_crashes() {
     let clean = net.run(|_, _| FixedGossip { rounds: 8, heard: 0 }).unwrap();
     let mut net = Network::new(&g, SimConfig::local().seed(1));
     let faulty = net
-        .run_faulty(|_, _| FixedGossip { rounds: 8, heard: 0 }, &FaultPlan::crashes(vec![(3, 4)]))
+        .execute(
+            |_, _| FixedGossip { rounds: 8, heard: 0 },
+            &RunSpec { faults: &FaultPlan::crashes(vec![(3, 4)]), ..RunSpec::default() },
+        )
         .unwrap();
     // Node 3's neighbours (2 and 4) hear strictly less than in the clean
     // run; distant nodes are unaffected.
@@ -68,8 +71,10 @@ fn israeli_itai_stalls_on_crashed_free_neighbour() {
     // "live" free neighbour and never halts.
     let g = generators::star(6);
     let mut net = Network::new(&g, SimConfig::congest_for(6, 4).seed(2).max_rounds(2_000));
-    let result =
-        net.run_faulty(|v, graph| IiNode::new(graph.degree(v)), &FaultPlan::crashes(vec![(0, 1)]));
+    let result = net.execute(
+        |v, graph| IiNode::new(graph.degree(v)),
+        &RunSpec { faults: &FaultPlan::crashes(vec![(0, 1)]), ..RunSpec::default() },
+    );
     assert!(result.is_err(), "leaves must spin waiting for the crashed centre");
 }
 
@@ -85,7 +90,10 @@ fn late_crashes_leave_consistent_survivors() {
         // Crash two nodes late, after the matching has mostly settled.
         let plan = FaultPlan::crashes(vec![(1, 40), (7, 45)]);
         let mut net = Network::new(&g, SimConfig::congest_for(20, 4).seed(trial).max_rounds(2_000));
-        let Ok(out) = net.run_faulty(|v, graph| IiNode::new(graph.degree(v)), &plan) else {
+        let Ok(out) = net.execute(
+            |v, graph| IiNode::new(graph.degree(v)),
+            &RunSpec { faults: &plan, ..RunSpec::default() },
+        ) else {
             continue; // this seed stalled: covered by the test above
         };
         // All survivors' registers must still cross-validate.
@@ -107,9 +115,10 @@ fn message_loss_breaks_handshakes_detectably() {
     for trial in 0..30u64 {
         let g = generators::gnp(24, 0.2, &mut rng);
         let mut net = Network::new(&g, SimConfig::congest_for(24, 4).seed(trial).max_rounds(3_000));
-        let Ok(out) =
-            net.run_faulty(|v, graph| IiNode::new(graph.degree(v)), &FaultPlan::lossy(0.15))
-        else {
+        let Ok(out) = net.execute(
+            |v, graph| IiNode::new(graph.degree(v)),
+            &RunSpec { faults: &FaultPlan::lossy(0.15), ..RunSpec::default() },
+        ) else {
             continue; // stalled runs are the other failure mode
         };
         total += 1;
@@ -121,7 +130,7 @@ fn message_loss_breaks_handshakes_detectably() {
     assert!(inconsistent > 0, "15% loss over {total} runs should break at least one handshake");
 }
 
-/// Loss-free fault plans are a no-op: run_faulty(default) == run.
+/// Loss-free fault plans are a no-op: execute(default plan) == run.
 #[test]
 fn empty_fault_plan_is_identity() {
     let g = generators::cycle(12);
@@ -129,7 +138,7 @@ fn empty_fault_plan_is_identity() {
         .run(|v, graph| IiNode::new(graph.degree(v)))
         .unwrap();
     let b = Network::new(&g, SimConfig::local().seed(9))
-        .run_faulty(|v, graph| IiNode::new(graph.degree(v)), &FaultPlan::default())
+        .execute(|v, graph| IiNode::new(graph.degree(v)), &RunSpec::default())
         .unwrap();
     assert_eq!(a.outputs, b.outputs);
     assert_eq!(a.stats, b.stats);

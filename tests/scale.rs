@@ -61,14 +61,15 @@ fn tree_mcm_on_deep_tree() {
 
 #[test]
 fn parallel_engine_agrees_at_scale() {
-    use dam::congest::{Network, SimConfig};
+    use dam::congest::{Network, RunSpec, SimConfig};
     use dam::core::israeli_itai::IiNode;
     let mut rng = StdRng::seed_from_u64(204);
     let g = generators::random_regular(20_000, 4, &mut rng);
     let cfg = SimConfig::congest_for(g.node_count(), 4).seed(5);
     let seq = Network::new(&g, cfg).run(|v, graph| IiNode::new(graph.degree(v))).unwrap();
-    let par =
-        Network::new(&g, cfg).run_parallel(|v, graph| IiNode::new(graph.degree(v)), 8).unwrap();
+    let par = Network::new(&g, cfg.threads(8))
+        .execute(|v, graph| IiNode::new(graph.degree(v)), &RunSpec::default())
+        .unwrap();
     assert_eq!(seq.outputs, par.outputs);
     assert_eq!(seq.stats, par.stats);
 }
