@@ -53,6 +53,7 @@ use std::collections::{BinaryHeap, HashSet};
 use dam_graph::{BitSet, NodeId, Topology};
 use rand::rngs::StdRng;
 
+use crate::engine::PortTable;
 use crate::error::SimError;
 use crate::message::BitSize;
 use crate::model::DelayModel;
@@ -84,12 +85,9 @@ pub struct AsyncInfo {
 ///
 /// Owned by `Network::run_impl` when running under
 /// [`crate::Backend::Async`]; see the module docs for the recurrence it
-/// tracks. It deliberately holds *copies* of the port/edge tables so it
-/// borrows nothing from the engine.
-pub(crate) struct AsyncTiming {
-    /// `ports[v][p]` = `(peer node, edge id)` — the engine's peer table
-    /// joined with the edge ids the presence vectors are indexed by.
-    ports: Vec<Vec<(NodeId, usize)>>,
+/// tracks. It reads peers and edge ids from the network's port table.
+pub(crate) struct AsyncTiming<'a> {
+    ports: &'a PortTable,
     delay: DelayModel,
     patience: Option<u64>,
     seed: u64,
@@ -112,19 +110,16 @@ pub(crate) struct AsyncTiming {
     timing_drops: u64,
 }
 
-impl AsyncTiming {
+impl<'a> AsyncTiming<'a> {
     pub(crate) fn new(
         graph: &dyn Topology,
-        peer: &[Vec<(NodeId, Port)>],
+        ports: &'a PortTable,
         delay: DelayModel,
         patience: Option<u64>,
         seed: u64,
         run: u64,
-    ) -> AsyncTiming {
+    ) -> AsyncTiming<'a> {
         let n = graph.node_count();
-        let ports = (0..n)
-            .map(|v| (0..graph.degree(v)).map(|p| (peer[v][p].0, graph.port(v, p).1)).collect())
-            .collect();
         AsyncTiming {
             ports,
             delay,
@@ -145,9 +140,7 @@ impl AsyncTiming {
 
     /// Called by `flush` before draining a step's outbox.
     pub(crate) fn begin_step(&mut self, v: NodeId) {
-        for p in 0..self.ports[v].len() {
-            self.frame_ports[p] = false;
-        }
+        self.frame_ports[..self.ports.range(v).len()].fill(false);
     }
 
     /// Called by `flush` for every message that found a live channel:
@@ -160,7 +153,8 @@ impl AsyncTiming {
     /// port without a payload owes a synchronizer marker, and the node
     /// counts as an active round-`r` sender its neighbours wait on.
     pub(crate) fn end_step(&mut self, v: NodeId, edge_present: &BitSet, node_present: &BitSet) {
-        for (p, &(u, e)) in self.ports[v].iter().enumerate() {
+        for (p, i) in self.ports.range(v).enumerate() {
+            let (u, e) = (self.ports.peer[i].0, self.ports.edge[i]);
             if edge_present[e] && node_present[u] && !self.frame_ports[p] {
                 self.markers = self.markers.saturating_add(1);
             }
@@ -178,7 +172,7 @@ impl AsyncTiming {
             self.dropped.retain(|&(_, _, sr)| sr + DROP_HISTORY_ROUNDS >= round);
         }
         self.t_next.clear();
-        for (v, ports) in self.ports.iter().enumerate() {
+        for v in 0..self.t.len() {
             let prev = self.t[v];
             // A round costs at least one unit of local work, which also
             // keeps dormant (halted/absent) clocks ticking — they skip
@@ -187,7 +181,8 @@ impl AsyncTiming {
             let mut tv = prev.saturating_add(1);
             let deadline = self.patience.map(|p| prev.saturating_add(p.max(1)));
             let mut any_late = false;
-            for &(u, e) in ports {
+            for i in self.ports.range(v) {
+                let (u, e) = (self.ports.peer[i].0, self.ports.edge[i]);
                 if !self.active[u] || !edge_present[e] {
                     // No frame to wait for: the sender is dormant (its
                     // "last" announcement resolves the slot) or the link
@@ -215,11 +210,6 @@ impl AsyncTiming {
             *a = false;
         }
         self.makespan = self.makespan.max(self.t.iter().copied().max().unwrap_or(0));
-    }
-
-    /// Fast gate: can this run drop frames at all?
-    pub(crate) fn may_drop(&self) -> bool {
-        self.patience.is_some()
     }
 
     /// Was the frame `sender → receiver` of `send_round` dropped for

@@ -1,6 +1,6 @@
 //! The sequential deterministic engine.
 
-use dam_graph::{BitSet, NodeId, Topology};
+use dam_graph::{BitSet, EdgeId, NodeId, Topology};
 
 use crate::asynchrony::AsyncTiming;
 use crate::error::SimError;
@@ -658,16 +658,20 @@ pub(crate) struct RunPlan {
     pub(crate) leave_round: Vec<Option<usize>>,
     /// Edge up/down events, sorted by round (plan order within one).
     pub(crate) edge_events: Vec<ChurnEvent>,
-    /// `(loss, dup, reorder, corrupt)` effective on messages leaving
-    /// `[v][port]`.
-    fx: Vec<Vec<(f64, f64, f64, f64)>>,
+    /// The plan-wide `(loss, dup, reorder, corrupt)`.
+    fx: (f64, f64, f64, f64),
+    /// Per-link overrides of [`RunPlan::fx`], indexed like
+    /// [`PortTable::peer`] by the sending port; empty when the plan names
+    /// no links, so a plain run carries no per-port table.
+    link_fx: Vec<(f64, f64, f64, f64)>,
     /// Whether each node is a Byzantine equivocator (one bit per node).
     pub(crate) equivocator: BitSet,
     /// `(from_round, until_round, side-membership)` per partition.
     partitions: Vec<(usize, usize, Vec<bool>)>,
     /// Round-windowed loss/corruption overlays.
     squalls: Vec<Squall>,
-    /// Whether duplication/reordering can occur (pending-queue gate).
+    /// Whether duplication/reordering can occur (gates the engines'
+    /// late-copy queues).
     pub(crate) any_dup_or_reorder: bool,
 }
 
@@ -689,6 +693,7 @@ impl RunPlan {
     /// schedules.
     pub(crate) fn build(
         graph: &dyn Topology,
+        ports: &PortTable,
         faults: &FaultPlan,
         churn: &ChurnPlan,
     ) -> Result<RunPlan, SimError> {
@@ -717,16 +722,16 @@ impl RunPlan {
                 ChurnKind::EdgeUp { .. } | ChurnKind::EdgeDown { .. } => edge_events.push(ev),
             }
         }
-        let mut fx: Vec<Vec<(f64, f64, f64, f64)>> = (0..n)
-            .map(|v| {
-                vec![(faults.loss, faults.dup, faults.reorder, faults.corrupt); graph.degree(v)]
-            })
-            .collect();
-        for link in &faults.links {
-            for (v, u) in [(link.a, link.b), (link.b, link.a)] {
-                for (p, w, _) in graph.incident(v) {
-                    if w == u {
-                        fx[v][p] = (link.loss, link.dup, link.reorder, faults.corrupt);
+        let fx = (faults.loss, faults.dup, faults.reorder, faults.corrupt);
+        let mut link_fx = Vec::new();
+        if !faults.links.is_empty() {
+            link_fx = vec![fx; ports.len()];
+            for link in &faults.links {
+                for (v, u) in [(link.a, link.b), (link.b, link.a)] {
+                    for i in ports.range(v) {
+                        if ports.peer[i].0 == u {
+                            link_fx[i] = (link.loss, link.dup, link.reorder, faults.corrupt);
+                        }
                     }
                 }
             }
@@ -746,7 +751,8 @@ impl RunPlan {
                 (p.from_round, p.until_round, side)
             })
             .collect();
-        let any_dup_or_reorder = fx.iter().flatten().any(|&(_, d, r, _)| d > 0.0 || r > 0.0);
+        let any_dup_or_reorder =
+            std::iter::once(&fx).chain(&link_fx).any(|&(_, d, r, _)| d > 0.0 || r > 0.0);
         Ok(RunPlan {
             crash_round,
             recovery_round,
@@ -757,6 +763,7 @@ impl RunPlan {
             leave_round,
             edge_events,
             fx,
+            link_fx,
             equivocator,
             partitions,
             squalls: faults.squalls.clone(),
@@ -771,7 +778,8 @@ impl RunPlan {
             .any(|&(from, until, ref side)| round >= from && round <= until && side[v] != side[u])
     }
 
-    /// The fate of the message leaving `(v, port)` in `round`.
+    /// The fate of the message leaving `(v, port)` in `round`; `i` is
+    /// that port's [`PortTable`] index.
     ///
     /// Drawn from a dedicated RNG keyed on the message coordinates
     /// (see [`rng::fault_rng`]), so the result is independent of flush
@@ -788,8 +796,10 @@ impl RunPlan {
         round: usize,
         v: NodeId,
         port: Port,
+        i: usize,
     ) -> MsgFate {
-        let (mut loss, dup, reorder, mut corrupt) = self.fx[v][port];
+        let (mut loss, dup, reorder, mut corrupt) =
+            if self.link_fx.is_empty() { self.fx } else { self.link_fx[i] };
         // Squall overlay: a pure function of the round, so the effective
         // probabilities (and hence the keyed per-message draws) are
         // identical on every backend. A message outside every window
@@ -893,8 +903,9 @@ pub(crate) struct Wire<'a> {
     pub(crate) config: SimConfig,
     pub(crate) plan: &'a RunPlan,
     pub(crate) run_id: u64,
-    /// `peer[v][p]` = `(u, q)`: port `p` of `v` is port `q` of `u`.
-    pub(crate) peer: &'a [Vec<(NodeId, Port)>],
+    /// The network's port table: receiver, receiver port and edge of
+    /// every sending port.
+    pub(crate) ports: &'a PortTable,
 }
 
 impl Wire<'_> {
@@ -948,11 +959,12 @@ impl Wire<'_> {
                 }
             }
         }
-        let (u, q) = self.peer[v][port];
+        let i = self.ports.index(v, port);
+        let (u, q) = self.ports.peer[i];
         tally.record(TraceEvent::Send { round, from: v, port, to: u, bits, oversize });
         // An absent edge or receiver swallows the message at the sender —
         // no channel exists, so no fault draw either.
-        if !link_up(u, self.graph.port(v, port).1) {
+        if !link_up(u, self.ports.edge[i]) {
             tally.stats.churn_drops = tally.stats.churn_drops.saturating_add(1);
             return Route::NoLink;
         }
@@ -966,7 +978,7 @@ impl Wire<'_> {
         let (seed, run) = (self.config.seed, self.run_id);
         // An all-zero plan draws nothing, so a fault-free run is
         // untouched by the fault machinery.
-        let fate = self.plan.message_fate(seed, run, round, v, port);
+        let fate = self.plan.message_fate(seed, run, round, v, port, i);
         if fate.lost {
             tally.record(fault(FaultKind::Loss));
             return Route::Lost;
@@ -1031,6 +1043,81 @@ pub struct RunOutcome<O> {
     pub trace: Option<Trace>,
 }
 
+/// The port-translation table of a [`Network`], flat over all directed
+/// edges and built once in [`Network::new`].
+///
+/// Port `p` of node `v` has index `base[v] + p`. The index is also the
+/// delivery slot of that port: both synchronous engines keep one message
+/// slot per directed edge, and the message arriving at port `q` of `u`
+/// lives in slot `base[u] + q`.
+pub(crate) struct PortTable {
+    /// `base[v]`: the index of `v`'s port 0; `base[n]` is the number of
+    /// directed edges.
+    pub(crate) base: Vec<usize>,
+    /// `peer[base[v] + p]` = `(u, q)`: port `p` of `v` is port `q` of `u`.
+    pub(crate) peer: Vec<(NodeId, Port)>,
+    /// `edge[base[v] + p]`: the edge id behind port `p` of `v`.
+    pub(crate) edge: Vec<EdgeId>,
+}
+
+impl PortTable {
+    fn new(graph: &dyn Topology) -> PortTable {
+        let n = graph.node_count();
+        let mut base = Vec::with_capacity(n + 1);
+        let mut total = 0usize;
+        for v in 0..n {
+            base.push(total);
+            total += graph.degree(v);
+        }
+        base.push(total);
+        let mut peer = vec![(0, 0); total];
+        let mut edge = vec![0; total];
+        // The two port indices of each edge, in the order they are seen.
+        let mut ends = vec![(usize::MAX, usize::MAX); graph.edge_count()];
+        for v in 0..n {
+            for p in 0..base[v + 1] - base[v] {
+                let i = base[v] + p;
+                let (u, e) = graph.port(v, p);
+                peer[i].0 = u;
+                edge[i] = e;
+                if ends[e].0 == usize::MAX {
+                    ends[e].0 = i;
+                } else {
+                    ends[e].1 = i;
+                }
+            }
+        }
+        for i in 0..total {
+            let (a, b) = ends[edge[i]];
+            let mate = if a == i { b } else { a };
+            peer[i].1 = mate - base[peer[i].0];
+        }
+        PortTable { base, peer, edge }
+    }
+
+    /// The number of directed edges (ports over all nodes).
+    pub(crate) fn len(&self) -> usize {
+        self.peer.len()
+    }
+
+    /// The indices of `v`'s ports, in port order.
+    #[inline]
+    pub(crate) fn range(&self, v: NodeId) -> std::ops::Range<usize> {
+        self.base[v]..self.base[v + 1]
+    }
+
+    /// The index of port `p` of `v`.
+    ///
+    /// # Panics
+    /// If `v` has no port `p`.
+    #[inline]
+    pub(crate) fn index(&self, v: NodeId, p: Port) -> usize {
+        let i = self.base[v] + p;
+        assert!(i < self.base[v + 1], "node {v} has no port {p}");
+        i
+    }
+}
+
 /// A synchronous network over a graph topology.
 ///
 /// One `Network` can execute many protocol runs (the *phases* of a larger
@@ -1041,8 +1128,9 @@ pub struct Network<'g> {
     config: SimConfig,
     run_counter: u64,
     totals: TotalStats,
-    /// `peer[v][p]` = `(u, q)`: port `p` of `v` is port `q` of `u`.
-    peer: Vec<Vec<(NodeId, Port)>>,
+    /// Peer, peer port and edge of every port; the slot layout of both
+    /// synchronous engines.
+    ports: PortTable,
     /// Virtual-time accounting of the most recent asynchronous run
     /// ([`crate::Backend::Async`]); `None` before the first one.
     async_info: Option<crate::asynchrony::AsyncInfo>,
@@ -1060,36 +1148,12 @@ impl<'g> Network<'g> {
     /// coerces at the call site.
     #[must_use]
     pub fn new(graph: &'g dyn Topology, config: SimConfig) -> Network<'g> {
-        let n = graph.node_count();
-        let mut peer = vec![Vec::new(); n];
-        // Map each edge to its port at each endpoint, then link the two.
-        let mut port_at = vec![(usize::MAX, usize::MAX); graph.edge_count()];
-        for v in 0..n {
-            for (p, _, e) in graph.incident(v) {
-                let (a, _) = graph.endpoints(e);
-                if v == a && port_at[e].0 == usize::MAX {
-                    port_at[e].0 = p;
-                } else {
-                    port_at[e].1 = p;
-                }
-            }
-        }
-        for (v, slot) in peer.iter_mut().enumerate() {
-            *slot = graph
-                .incident(v)
-                .map(|(p, u, e)| {
-                    let (a, _) = graph.endpoints(e);
-                    let q = if v == a && port_at[e].0 == p { port_at[e].1 } else { port_at[e].0 };
-                    (u, q)
-                })
-                .collect();
-        }
         Network {
             graph,
             config,
             run_counter: 0,
             totals: TotalStats::default(),
-            peer,
+            ports: PortTable::new(graph),
             async_info: None,
             sink: None,
         }
@@ -1161,12 +1225,12 @@ impl<'g> Network<'g> {
     /// The `(neighbour, remote port)` pair behind `(node, port)`.
     #[must_use]
     pub fn peer(&self, node: NodeId, port: Port) -> (NodeId, Port) {
-        self.peer[node][port]
+        self.ports.peer[self.ports.index(node, port)]
     }
 
-    /// The whole port-translation table, `peers()[v][p]` = `peer(v, p)`.
-    pub(crate) fn peers(&self) -> &[Vec<(NodeId, Port)>] {
-        &self.peer
+    /// The whole port table.
+    pub(crate) fn ports(&self) -> &PortTable {
+        &self.ports
     }
 
     /// Allocates the next run id (also advances the randomness stream).
@@ -1278,7 +1342,7 @@ impl<'g> Network<'g> {
         P: Protocol,
         F: FnMut(NodeId, &dyn Topology) -> P,
     {
-        let plan = RunPlan::build(self.graph, spec.faults, spec.churn)?;
+        let plan = RunPlan::build(self.graph, &self.ports, spec.faults, spec.churn)?;
         let n = self.graph.node_count();
         let run_id = self.next_run_id();
         // The asynchronous backend runs the *same* payload pipeline with
@@ -1291,7 +1355,7 @@ impl<'g> Network<'g> {
             self.async_info = None;
             Some(AsyncTiming::new(
                 self.graph,
-                &self.peer,
+                &self.ports,
                 self.config.delay,
                 self.config.patience,
                 self.config.seed,
@@ -1300,8 +1364,13 @@ impl<'g> Network<'g> {
         } else {
             None
         };
-        let wire =
-            Wire { graph: self.graph, config: self.config, plan: &plan, run_id, peer: &self.peer };
+        let wire = Wire {
+            graph: self.graph,
+            config: self.config,
+            plan: &plan,
+            run_id,
+            ports: &self.ports,
+        };
         let mut node_present = plan.node_present0.clone();
         let mut edge_present = plan.edge_present0.clone();
         let mut edge_event_idx = 0usize;
@@ -1309,13 +1378,9 @@ impl<'g> Network<'g> {
         let mut protos: Vec<P> = (0..n).map(|v| make(v, self.graph)).collect();
         let mut rngs: Vec<_> = (0..n).map(|v| rng::node_rng(self.config.seed, run_id, v)).collect();
         let mut halted = BitSet::new(n);
-        let mut inbox: Vec<Vec<(Port, P::Msg)>> = (0..n).map(|_| Vec::new()).collect();
-        let mut next: Vec<Vec<(Port, P::Msg)>> = (0..n).map(|_| Vec::new()).collect();
-        // Messages duplicated or reordered into a later round:
-        // `(delivery_round, receiver, receiver port, send_round, payload)`.
-        // The send round is carried so the asynchronous backend can drop
-        // every copy of a frame that arrived past its patience deadline.
-        let mut pending: Vec<(usize, NodeId, Port, usize, P::Msg)> = Vec::new();
+        let mut mail = Mail::new(&self.ports, plan.any_dup_or_reorder);
+        // The inbox of the node stepping now, gathered from its slots.
+        let mut inbox: Vec<(Port, P::Msg)> = Vec::new();
         let mut outbox: Vec<(Port, P::Msg)> = Vec::new();
         let mut sent = vec![false; self.graph.max_degree()];
         let mut fault: Option<SimError> = None;
@@ -1348,7 +1413,7 @@ impl<'g> Network<'g> {
                     // no message can reach its ports again.
                     node_present.set(v, false);
                     halted.set(v, true);
-                    inbox[v].clear();
+                    mail.take(v, round, None, timing.as_mut());
                     tally.stats.churn_events = tally.stats.churn_events.saturating_add(1);
                     tally.record(TraceEvent::Churn { round, kind: ChurnKind::Leave { node: v } });
                     continue;
@@ -1376,10 +1441,10 @@ impl<'g> Network<'g> {
                         });
                         (true, Some(0xB007))
                     } else if halted[v] {
-                        inbox[v].clear();
+                        mail.take(v, round, None, timing.as_mut());
                         continue;
                     } else {
-                        inbox[v].sort_by_key(|&(p, _)| p);
+                        mail.take(v, round, Some(&mut inbox), timing.as_mut());
                         (false, None)
                     }
                 };
@@ -1387,7 +1452,7 @@ impl<'g> Network<'g> {
                     protos[v] = make(v, self.graph);
                     rngs[v] = rng::node_rng(self.config.seed ^ salt, run_id, v);
                     halted.set(v, false);
-                    inbox[v].clear();
+                    mail.take(v, round, None, timing.as_mut());
                 }
                 // The word-packed mask cannot hand out `&mut bool`, so the
                 // node's halt flag is copied out for the callback and
@@ -1407,10 +1472,10 @@ impl<'g> Network<'g> {
                 if start {
                     protos[v].on_start(&mut ctx);
                 } else {
-                    protos[v].on_round(&mut ctx, &inbox[v]);
+                    protos[v].on_round(&mut ctx, &inbox);
                 }
                 halted.set(v, halt_flag);
-                inbox[v].clear();
+                inbox.clear();
                 flush(
                     &wire,
                     v,
@@ -1420,8 +1485,7 @@ impl<'g> Network<'g> {
                     &halted,
                     &node_present,
                     &edge_present,
-                    &mut next,
-                    &mut pending,
+                    &mut mail,
                     &mut tally,
                     timing.as_mut(),
                 );
@@ -1449,10 +1513,7 @@ impl<'g> Network<'g> {
                 // After round 0 there is no earlier frame count to
                 // compare with, so only in-flight messages count.
                 let frames = tally.stats.frames();
-                if (round == 0 || frames == last_messages)
-                    && next.iter().all(Vec::is_empty)
-                    && pending.is_empty()
-                {
+                if (round == 0 || frames == last_messages) && mail.in_flight() == 0 {
                     quiet_rounds += 1;
                     if quiet_rounds >= k && round >= plan.last_wake {
                         break; // message-driven protocols are done
@@ -1476,7 +1537,7 @@ impl<'g> Network<'g> {
                 tm.advance(round, &edge_present);
             }
             // Apply this round's edge events before anyone executes;
-            // node events are applied at each node's slot.
+            // node events are applied at each node's turn.
             while edge_event_idx < plan.edge_events.len()
                 && plan.edge_events[edge_event_idx].round == round
             {
@@ -1490,38 +1551,7 @@ impl<'g> Network<'g> {
                 tally.stats.churn_events = tally.stats.churn_events.saturating_add(1);
                 tally.record(TraceEvent::Churn { round, kind: ev.kind });
             }
-            std::mem::swap(&mut inbox, &mut next);
-            // Under a patience budget, frames that resolved late at the
-            // receiver are dropped wholesale — the slot payload here and
-            // every duplicated/reordered copy at its due round below.
-            if let Some(tm) = timing.as_mut() {
-                if tm.may_drop() {
-                    for (v, slot) in inbox.iter_mut().enumerate() {
-                        let peer = &self.peer[v];
-                        let before = slot.len();
-                        slot.retain(|&(q, _)| !tm.is_dropped(peer[q].0, v, round - 1));
-                        tm.count_timing_drops((before - slot.len()) as u64);
-                    }
-                }
-            }
-            if !pending.is_empty() {
-                // Deliver duplicated/reordered messages that are due.
-                let mut rest = Vec::with_capacity(pending.len());
-                for (r, u, q, sr, msg) in pending.drain(..) {
-                    if r == round {
-                        if let Some(tm) = timing.as_mut() {
-                            if tm.is_dropped(self.peer[u][q].0, u, sr) {
-                                tm.count_timing_drops(1);
-                                continue;
-                            }
-                        }
-                        inbox[u].push((q, msg));
-                    } else {
-                        rest.push((r, u, q, sr, msg));
-                    }
-                }
-                pending = rest;
-            }
+            mail.swap();
         }
 
         let Tally { mut stats, trace, .. } = tally;
@@ -1552,11 +1582,145 @@ impl<'g> Network<'g> {
     }
 }
 
+/// The sequential engine's mailboxes, laid out like [`PortTable`]: one
+/// slot per directed edge for the round being executed (`cur`) and one
+/// for the next (`next`), swapped between rounds, plus per-receiver lists
+/// of duplicated and reordered copies due in a later round.
+///
+/// Every node takes its mail every round it is visited ([`Mail::take`]),
+/// whether it steps, stays halted or reboots, so `cur` is empty again by
+/// the time it becomes `next`.
+struct Mail<'a, M> {
+    ports: &'a PortTable,
+    cur: Vec<Option<M>>,
+    next: Vec<Option<M>>,
+    /// Occupied `cur` slots per node.
+    count: Vec<u32>,
+    /// Occupied `next` slots per node.
+    count_next: Vec<u32>,
+    /// Occupied `next` slots in all.
+    posted: usize,
+    /// Per receiver, `(due round, port, send round, payload)` of every
+    /// copy still in flight, in send order. The send round lets the
+    /// asynchronous backend drop every copy of a frame that arrived past
+    /// its patience deadline. No lists unless the plan can duplicate or
+    /// reorder.
+    late: Vec<Vec<(usize, Port, usize, M)>>,
+    /// Copies in `late`, over all receivers.
+    late_count: usize,
+}
+
+impl<'a, M> Mail<'a, M> {
+    fn new(ports: &'a PortTable, dup_or_reorder: bool) -> Mail<'a, M> {
+        let n = ports.base.len() - 1;
+        Mail {
+            ports,
+            cur: std::iter::repeat_with(|| None).take(ports.len()).collect(),
+            next: std::iter::repeat_with(|| None).take(ports.len()).collect(),
+            count: vec![0; n],
+            count_next: vec![0; n],
+            posted: 0,
+            late: if dup_or_reorder { (0..n).map(|_| Vec::new()).collect() } else { Vec::new() },
+            late_count: 0,
+        }
+    }
+
+    /// Messages that will still arrive: posted for the next round or
+    /// trailing in a late list.
+    fn in_flight(&self) -> usize {
+        self.posted + self.late_count
+    }
+
+    /// Puts `msg` into the next round's slot of port `q` of `u`.
+    fn post(&mut self, u: NodeId, q: Port, msg: M) {
+        let i = self.ports.base[u] + q;
+        debug_assert!(self.next[i].is_none(), "two messages for port {q} of node {u}");
+        self.next[i] = Some(msg);
+        self.count_next[u] += 1;
+        self.posted += 1;
+    }
+
+    /// Queues a duplicated or reordered copy for port `q` of `u`, due in
+    /// round `due`; `sent` is its send round.
+    fn post_late(&mut self, u: NodeId, q: Port, due: usize, sent: usize, msg: M) {
+        self.late[u].push((due, q, sent, msg));
+        self.late_count += 1;
+    }
+
+    /// Takes `v`'s mail for `round`: its slot messages in port order, then
+    /// the copies due now. With `inbox`, they are appended to it and
+    /// stably sorted by port, so each port's on-time message comes first
+    /// and its trailing copies follow in send order; without, they are
+    /// discarded. Under a patience budget, a frame that resolved too late
+    /// at `v` is dropped and counted either way.
+    fn take(
+        &mut self,
+        v: NodeId,
+        round: usize,
+        mut inbox: Option<&mut Vec<(Port, M)>>,
+        mut timing: Option<&mut AsyncTiming<'_>>,
+    ) {
+        let mut dropped = |sender: NodeId, sent: usize| match timing.as_deref_mut() {
+            Some(tm) if tm.is_dropped(sender, v, sent) => {
+                tm.count_timing_drops(1);
+                true
+            }
+            _ => false,
+        };
+        let ports = self.ports;
+        let base = ports.base[v];
+        let mut left = std::mem::take(&mut self.count[v]);
+        let mut i = base;
+        while left > 0 {
+            debug_assert!(i < ports.base[v + 1], "mail count of node {v} out of step");
+            if let Some(msg) = self.cur[i].take() {
+                left -= 1;
+                if !dropped(ports.peer[i].0, round - 1) {
+                    if let Some(inbox) = inbox.as_deref_mut() {
+                        inbox.push((i - base, msg));
+                    }
+                }
+            }
+            i += 1;
+        }
+        let Some(late) = self.late.get_mut(v) else { return };
+        let mut trailing = false;
+        let mut j = 0;
+        while j < late.len() {
+            if late[j].0 != round {
+                j += 1;
+                continue;
+            }
+            let (_, q, sent, msg) = late.remove(j);
+            self.late_count -= 1;
+            if !dropped(ports.peer[base + q].0, sent) {
+                if let Some(inbox) = inbox.as_deref_mut() {
+                    inbox.push((q, msg));
+                    trailing = true;
+                }
+            }
+        }
+        if trailing {
+            if let Some(inbox) = inbox {
+                inbox.sort_by_key(|&(q, _)| q);
+            }
+        }
+    }
+
+    /// Ends a round: the next round's slots become current.
+    fn swap(&mut self) {
+        std::mem::swap(&mut self.cur, &mut self.next);
+        std::mem::swap(&mut self.count, &mut self.count_next);
+        self.posted = 0;
+    }
+}
+
 /// Delivers `v`'s outbox through the shared [`Wire::send`]. What stays
 /// here is the sequential engine's write: an arriving message goes to
-/// `next` (unless its receiver is halted at this moment), a duplicated
-/// or reordered one to `pending`, and the asynchronous backend's timing
-/// layer sees every frame put on the wire.
+/// its slot for the next round (unless its receiver is halted at this
+/// moment), a duplicated or reordered one to the receiver's late list,
+/// and the asynchronous backend's timing layer sees every frame put on
+/// the wire.
 #[allow(clippy::too_many_arguments)]
 fn flush<M: BitSize + Clone>(
     wire: &Wire<'_>,
@@ -1567,10 +1731,9 @@ fn flush<M: BitSize + Clone>(
     halted: &BitSet,
     node_present: &BitSet,
     edge_present: &BitSet,
-    next: &mut [Vec<(Port, M)>],
-    pending: &mut Vec<(usize, NodeId, Port, usize, M)>,
+    mail: &mut Mail<'_, M>,
     tally: &mut Tally,
-    mut timing: Option<&mut AsyncTiming>,
+    mut timing: Option<&mut AsyncTiming<'_>>,
 ) {
     if let Some(tm) = timing.as_deref_mut() {
         tm.begin_step(v);
@@ -1590,12 +1753,12 @@ fn flush<M: BitSize + Clone>(
         }
         if let Route::Arrive { u, q, due, msg, dup } = route {
             if let Some(copy) = dup {
-                pending.push((round + 2, u, q, round, copy));
+                mail.post_late(u, q, round + 2, round, copy);
             }
             if due > round + 1 {
-                pending.push((due, u, q, round, msg));
+                mail.post_late(u, q, due, round, msg);
             } else if !halted[u] {
-                next[u].push((q, msg));
+                mail.post(u, q, msg);
             }
         }
     }
@@ -2138,6 +2301,104 @@ mod tests {
         assert!(delays.iter().all(|&d| (1..=3).contains(&d)));
         // Delayed messages still arrive (those landing before the halt).
         assert!(out.outputs.iter().sum::<usize>() > 0);
+    }
+
+    /// Every inbox one node was handed, with the round it arrived in.
+    type Inboxes = Vec<(usize, Vec<(Port, u64)>)>;
+
+    /// Sends its round number over every port each round until `rounds`
+    /// and records every inbox it is handed.
+    struct RoundStamp {
+        rounds: usize,
+        seen: Inboxes,
+    }
+
+    impl Protocol for RoundStamp {
+        type Msg = u64;
+        type Output = Inboxes;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
+            ctx.broadcast(0);
+        }
+
+        fn on_round(&mut self, ctx: &mut Context<'_, u64>, inbox: &[(Port, u64)]) {
+            self.seen.push((ctx.round(), inbox.to_vec()));
+            if ctx.round() >= self.rounds {
+                ctx.halt();
+            } else {
+                ctx.broadcast(ctx.round() as u64);
+            }
+        }
+
+        fn into_output(self) -> Inboxes {
+            self.seen
+        }
+    }
+
+    /// The inboxes of every node of `g` under `plan`, round by round.
+    fn stamped_inboxes(g: &dam_graph::Graph, plan: &FaultPlan, seed: u64) -> Vec<Inboxes> {
+        let mut net = Network::new(g, SimConfig::local().seed(seed));
+        let spec = RunSpec { faults: plan, ..RunSpec::default() };
+        net.execute(|_, _| RoundStamp { rounds: 7, seen: Vec::new() }, &spec).unwrap().outputs
+    }
+
+    #[test]
+    fn inbox_order_under_dup_and_reorder() {
+        let p2 = generators::path(2);
+        // Certain duplication: the on-time message of round r - 1 comes
+        // first, then the copy of round r - 2's message trailing it.
+        let dup = stamped_inboxes(&p2, &FaultPlan::default().with_dup(1.0), 5);
+        for node in &dup {
+            assert_eq!(node.len(), 7);
+            for (round, inbox) in node {
+                let want: Vec<(Port, u64)> = if *round == 1 {
+                    vec![(0, 0)]
+                } else {
+                    vec![(0, *round as u64 - 1), (0, *round as u64 - 2)]
+                };
+                assert_eq!(inbox, &want, "dup inbox at round {round}");
+            }
+        }
+        // Certain reordering: nothing arrives on time, and the delayed
+        // copies that share a round arrive in send order.
+        let reorder = stamped_inboxes(&p2, &FaultPlan::default().with_reorder(1.0), 6);
+        let want: Vec<Inboxes> = vec![
+            vec![
+                (1, vec![]),
+                (2, vec![(0, 0)]),
+                (3, vec![]),
+                (4, vec![(0, 1), (0, 2)]),
+                (5, vec![]),
+                (6, vec![]),
+                (7, vec![(0, 3), (0, 5)]),
+            ],
+            vec![
+                (1, vec![]),
+                (2, vec![]),
+                (3, vec![(0, 1)]),
+                (4, vec![(0, 0)]),
+                (5, vec![]),
+                (6, vec![(0, 2), (0, 3)]),
+                (7, vec![]),
+            ],
+        ];
+        assert_eq!(reorder, want);
+        // The middle node of a path has two ports: per port, the on-time
+        // message first, then the trailing copies in send order (a
+        // duplicate before a delayed original sent in the same round).
+        let p3 = generators::path(3);
+        let mixed = stamped_inboxes(&p3, &FaultPlan::default().with_dup(0.5).with_reorder(0.5), 8);
+        let middle: Inboxes = vec![
+            (1, vec![(0, 0), (1, 0)]),
+            (2, vec![(0, 1), (0, 0), (1, 1)]),
+            (3, vec![(1, 2)]),
+            (4, vec![(0, 3), (1, 3)]),
+            (5, vec![(0, 3), (1, 4), (1, 3)]),
+            (6, vec![(0, 2), (0, 4), (1, 5)]),
+            (7, vec![(0, 6), (0, 5), (0, 5), (1, 6)]),
+        ];
+        assert_eq!(mixed[1], middle);
+        assert_eq!(mixed[2][4], (5, vec![(0, 3), (0, 3)]));
     }
 
     #[test]

@@ -16,15 +16,16 @@
 //!   engine's per-message step, `Wire::send` (accounting, CONGEST
 //!   budget, churn and partition gates, keyed fault draws); only the
 //!   final write below is sharded.
-//! * **Slot delivery.** Message delivery uses a flat slot buffer with one
-//!   slot per *directed* edge (`offsets[u] + q` for receiver `u`, port
-//!   `q`). The model allows at most one message per directed edge per
-//!   round and each slot has exactly one writer (the unique peer of that
-//!   port), so delivery is plain unsynchronized writes — workers never
-//!   contend on a lock to deliver. Two buffers alternate by round parity:
-//!   round `r` reads `bufs[r % 2]` and writes `bufs[(r + 1) % 2]`; every
-//!   node drains all its slots every round (halted nodes too), so a
-//!   buffer is clean by the time its parity comes round again.
+//! * **Slot delivery.** Both synchronous engines deliver into one slot
+//!   per *directed* edge, laid out by the network's port table (slot
+//!   `base[u] + q` for receiver `u`, port `q`), in two buffers that
+//!   alternate by round parity: round `r` reads one and writes the
+//!   other, and every node drains all its slots every round (halted
+//!   nodes too). What the sharded engine adds is only the sharing: each
+//!   slot has exactly one writer per round (the unique peer of that
+//!   port), so slots are `UnsafeCell`s written without locks, and
+//!   duplicated or reordered copies go to a mutexed FIFO per directed
+//!   edge.
 //! * **Determinism.** A node's behaviour depends only on its private RNG
 //!   and its port-ordered inbox; fault injections are drawn from RNGs
 //!   keyed on the message coordinates ([`crate::rng::fault_rng`]) and
@@ -53,7 +54,7 @@ use crate::trace::{ChurnKind, FaultKind, Trace, TraceEvent};
 
 /// One message slot per directed edge, written without locks.
 ///
-/// Slot `offsets[u] + q` carries the message arriving at node `u` over
+/// Slot `base[u] + q` carries the message arriving at node `u` over
 /// port `q`. Within any round it has exactly one writer (the unique
 /// sender behind that port, during its flush) and exactly one reader
 /// (`u`, in the *next* round, after a barrier) — so plain unsynchronized
@@ -211,8 +212,6 @@ struct Shared<'a, M> {
     /// The run's delivery step, with the graph, config, plan and run id.
     wire: Wire<'a>,
     n: usize,
-    /// Slot-index base per node: slot `(u, q)` lives at `offsets[u] + q`.
-    offsets: Vec<usize>,
     /// Per-directed-edge FIFO of `(delivery_round, payload)` for
     /// duplicated/reordered messages. Single producer (the edge's
     /// sender), single consumer (the receiver), mutexed because they can
@@ -225,7 +224,7 @@ struct Shared<'a, M> {
     /// round-0 quiescence scan.
     halted_pub: Vec<AtomicBool>,
     /// In-flight duplicated/reordered messages (the sequential engine's
-    /// `pending.len()`), for the quiescence check.
+    /// late-list count), for the quiescence check.
     pending_count: AtomicI64,
     /// Frames flushed this round, summed over workers.
     round_frames: AtomicU64,
@@ -280,8 +279,8 @@ struct WorkerLocal<M> {
 /// Drains node `v`'s current-buffer slots and due pending messages for
 /// `round`. With `out` set, collects them as the port-ordered inbox
 /// (slot message first, then due duplicates/reorders in arrival order —
-/// exactly the sequential engine's stably-sorted inbox); without, they
-/// are discarded, mirroring the sequential `inbox.clear()` on
+/// exactly the sequential engine's `Mail::take`); without, they are
+/// discarded, as the sequential engine discards the mail of
 /// halted/leaving/joining/recovering nodes. Every node must be drained
 /// every round so the parity buffer is clean for reuse and the pending
 /// count stays exact.
@@ -292,18 +291,19 @@ fn drain_node<M>(
     round: usize,
     mut out: Option<&mut Vec<(Port, M)>>,
 ) {
-    let base = sh.offsets[v];
-    for q in 0..sh.wire.graph.degree(v) {
+    let base = sh.wire.ports.base[v];
+    for i in sh.wire.ports.range(v) {
+        let q = i - base;
         // SAFETY: `v`'s worker is the unique reader of slot `(v, q)` in
         // the round-`round` buffer; its writer finished last round
         // (barrier-separated).
-        if let Some(msg) = unsafe { cur.take(base + q) } {
+        if let Some(msg) = unsafe { cur.take(i) } {
             if let Some(inbox) = out.as_deref_mut() {
                 inbox.push((q, msg));
             }
         }
         if sh.wire.plan.any_dup_or_reorder {
-            let mut fifo = sh.fifos[base + q].lock();
+            let mut fifo = sh.fifos[i].lock();
             let mut i = 0;
             while i < fifo.len() {
                 if fifo[i].0 == round {
@@ -342,7 +342,7 @@ fn flush_to_slots<M: BitSize + Clone>(
         else {
             continue;
         };
-        let slot = sh.offsets[u] + q;
+        let slot = sh.wire.ports.base[u] + q;
         if let Some(copy) = dup {
             sh.push_later(slot, round + 2, copy);
         }
@@ -414,23 +414,15 @@ impl Network<'_> {
             // the semantics; no need to spin up a pool.
             return self.run_impl(make, spec, false);
         }
-        let plan = RunPlan::build(graph, spec.faults, spec.churn)?;
+        let plan = RunPlan::build(graph, self.ports(), spec.faults, spec.churn)?;
         let run_id = self.next_run_id();
+        let ports = self.ports();
 
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        for v in 0..n {
-            offsets.push(acc);
-            acc += graph.degree(v);
-        }
-        offsets.push(acc);
-        let total_slots = acc;
-
+        let total_slots = ports.len();
         let bufs = [SlotBuf::<P::Msg>::new(total_slots), SlotBuf::<P::Msg>::new(total_slots)];
         let sh = Shared {
-            wire: Wire { graph, config, plan: &plan, run_id, peer: self.peers() },
+            wire: Wire { graph, config, plan: &plan, run_id, ports },
             n,
-            offsets,
             fifos: (0..total_slots).map(|_| Mutex::new(Vec::new())).collect(),
             edge_present: plan.edge_present0.iter().map(AtomicBool::new).collect(),
             halted_pub: (0..n).map(|_| AtomicBool::new(false)).collect(),
@@ -803,13 +795,13 @@ fn coordinate<M>(
             // only if the sender ran before the halt (sender id < node) —
             // exactly what the sequential halted-receiver gate saw.
             let mut next_empty = true;
+            let ports = sh.wire.ports;
             'scan: for u in 0..sh.n {
-                let b = sh.offsets[u];
-                for q in 0..sh.wire.graph.degree(u) {
+                for i in ports.range(u) {
                     // SAFETY: between the barriers no worker touches the
                     // buffers; worker 0 is the sole accessor.
-                    if unsafe { nxt.occupied(b + q) } {
-                        let (s, _) = sh.wire.peer[u][q];
+                    if unsafe { nxt.occupied(i) } {
+                        let (s, _) = ports.peer[i];
                         if !sh.halted_pub[u].load(Ordering::Relaxed) || u > s {
                             next_empty = false;
                             break 'scan;

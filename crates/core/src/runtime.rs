@@ -332,7 +332,7 @@ impl<'g> Exec<'g> {
                     if !alive[v] {
                         return Slot::Dead;
                     }
-                    Slot::Live(Box::new(Resilient::with_policy(make(v, graph), p)))
+                    Slot::Live(Resilient::with_policy(make(v, graph), p))
                 },
                 &spec,
             )?
@@ -342,7 +342,7 @@ impl<'g> Exec<'g> {
                     if !alive[v] {
                         return Slot::Dead;
                     }
-                    Slot::Live(Box::new(Resilient::new(make(v, graph), t)))
+                    Slot::Live(Resilient::new(make(v, graph), t))
                 },
                 &spec,
             )?
@@ -352,7 +352,7 @@ impl<'g> Exec<'g> {
                     if !alive[v] {
                         return Slot::Dead;
                     }
-                    Slot::Live(Box::new(make(v, graph)))
+                    Slot::Live(make(v, graph))
                 },
                 &spec,
             )?
@@ -917,8 +917,8 @@ where
 pub enum Slot<P> {
     /// A node outside the trusted domain: [`Default`] output register.
     Dead,
-    /// A trusted node running the wrapped program.
-    Live(Box<P>),
+    /// A trusted node running the wrapped program, held inline.
+    Live(P),
 }
 
 impl<P> Protocol for Slot<P>
