@@ -16,11 +16,20 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use dam_bench::baseline::{
     measure, measure_adaptive, measure_async, workload_graph, AdaptiveBaseline, AsyncBaseline,
     Baseline, ADAPTIVE_WORKLOAD, ASYNC_WORKLOAD, DEGREE, N, ROUNDS, WORKLOAD,
 };
+
+/// Serializes the three wall-clock gates: run concurrently they would
+/// time each other's load instead of the engine.
+static TIMED: Mutex<()> = Mutex::new(());
+
+fn timed() -> MutexGuard<'static, ()> {
+    TIMED.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn committed() -> Baseline {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_e12.json");
@@ -135,6 +144,7 @@ fn adaptive_overhead_within_2x_of_baseline() {
         eprintln!("skipped: set CI_SMOKE=1 to enable the wall-clock regression check");
         return;
     }
+    let _serial = timed();
     let b = committed_adaptive();
     let g = workload_graph();
     let (static_s, adaptive_s, messages) = measure_adaptive(&g, 3);
@@ -158,6 +168,7 @@ fn async_throughput_within_2x_of_baseline() {
         eprintln!("skipped: set CI_SMOKE=1 to enable the wall-clock regression check");
         return;
     }
+    let _serial = timed();
     let b = committed_async();
     let g = workload_graph();
     let (secs, messages, _) = measure_async(&g, 3);
@@ -179,6 +190,7 @@ fn parallel_throughput_within_2x_of_baseline() {
         eprintln!("skipped: set CI_SMOKE=1 to enable the wall-clock regression check");
         return;
     }
+    let _serial = timed();
     let b = committed();
     let g = workload_graph();
     let (secs, messages) = measure(&g, b.parallel_threads, 3);

@@ -12,10 +12,11 @@ fn dam_cli(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_dam-cli")).args(args).output().expect("dam-cli runs")
 }
 
-/// A committed tiny instance so the test needs no generation step.
-fn graph_file() -> String {
+/// A generated instance in a file of the calling test's own, so tests
+/// running concurrently never rewrite each other's input.
+fn graph_file(test: &str) -> String {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let path = dir.join("certify_cli.txt");
+    let path = dir.join(format!("certify_{test}.txt"));
     let gen = dam_cli(&["gen", "gnp", "24", "0.2", "--seed", "5"]);
     assert!(gen.status.success(), "gen must succeed");
     std::fs::write(&path, &gen.stdout).expect("write graph");
@@ -24,7 +25,7 @@ fn graph_file() -> String {
 
 #[test]
 fn exit_codes_follow_the_contract() {
-    let g = graph_file();
+    let g = graph_file("exit_codes_follow_the_contract");
 
     let clean = dam_cli(&["certify", &g, "--seed", "7"]);
     assert_eq!(clean.status.code(), Some(0), "honest run must certify cleanly");
@@ -44,7 +45,7 @@ fn exit_codes_follow_the_contract() {
 
 #[test]
 fn json_report_carries_the_certificate_fields() {
-    let g = graph_file();
+    let g = graph_file("json_report_carries_the_certificate_fields");
     let out =
         dam_cli(&["certify", &g, "--seed", "7", "--corrupt", "0.05", "--liars", "2,9", "--json"]);
     assert_eq!(out.status.code(), Some(3));

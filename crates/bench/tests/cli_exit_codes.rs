@@ -21,9 +21,11 @@ fn dam_cli(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_dam-cli")).args(args).output().expect("dam-cli runs")
 }
 
-fn graph_file() -> String {
+/// A generated instance in a file of the calling test's own, so tests
+/// running concurrently never rewrite each other's input.
+fn graph_file(test: &str) -> String {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let path = dir.join("exit_codes_cli.txt");
+    let path = dir.join(format!("exit_codes_{test}.txt"));
     let gen = dam_cli(&["gen", "gnp", "24", "0.2", "--seed", "5"]);
     assert!(gen.status.success(), "gen must succeed");
     std::fs::write(&path, &gen.stdout).expect("write graph");
@@ -42,7 +44,7 @@ fn global_dispatch_follows_the_contract() {
 
 #[test]
 fn match_follows_the_contract() {
-    let g = graph_file();
+    let g = graph_file("match_follows_the_contract");
     assert_eq!(code(&["match", &g]), Some(0), "a plain match succeeds");
     assert_eq!(code(&["match", &g, "ii", "--json"]), Some(0), "JSON output succeeds");
     assert_eq!(code(&["match"]), Some(2), "a missing graph is a usage error");
@@ -52,7 +54,7 @@ fn match_follows_the_contract() {
 
 #[test]
 fn run_follows_the_contract() {
-    let g = graph_file();
+    let g = graph_file("run_follows_the_contract");
     assert_eq!(code(&["run", &g]), Some(0), "a bare runtime run succeeds");
     assert_eq!(
         code(&["run", &g, "--loss", "0.05", "--repair", "--maintain", "--json"]),
@@ -116,7 +118,7 @@ fn run_follows_the_contract() {
 /// error.
 #[test]
 fn run_algo_follows_the_contract() {
-    let g = graph_file();
+    let g = graph_file("run_algo_follows_the_contract");
     assert_eq!(code(&["run", &g, "--algo", "ii"]), Some(0), "the default selector, spelled out");
     assert_eq!(code(&["run", &g, "--algo", "luby"]), Some(0), "the Luby driver runs");
     assert_eq!(code(&["run", &g, "--algo", "weighted"]), Some(0), "the weighted driver runs");
@@ -158,7 +160,7 @@ fn run_algo_follows_the_contract() {
 
 #[test]
 fn adaptive_and_stats_out_follow_the_contract() {
-    let g = graph_file();
+    let g = graph_file("adaptive_and_stats_out_follow_the_contract");
     assert_eq!(
         code(&["run", &g, "--adaptive", "--loss", "0.1", "--repair"]),
         Some(0),
@@ -205,7 +207,7 @@ fn adaptive_and_stats_out_follow_the_contract() {
 /// checkpoint flag that cannot do anything.
 #[test]
 fn checkpoint_restore_follows_the_contract() {
-    let g = graph_file();
+    let g = graph_file("checkpoint_restore_follows_the_contract");
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("exit_codes_ckpt");
     let _ = std::fs::remove_dir_all(&dir);
     let d = dir.to_string_lossy().into_owned();
@@ -256,7 +258,7 @@ fn checkpoint_restore_follows_the_contract() {
 
 #[test]
 fn certify_follows_the_contract() {
-    let g = graph_file();
+    let g = graph_file("certify_follows_the_contract");
     assert_eq!(code(&["certify", &g, "--seed", "7"]), Some(0), "an honest run certifies");
     assert_eq!(code(&["certify", &g, "--seed", "7", "--liars", "3"]), Some(3), "a lie exits 3");
     assert_eq!(code(&["certify"]), Some(2), "a missing graph is a usage error");
@@ -274,7 +276,7 @@ fn gen_follows_the_contract() {
 
 #[test]
 fn info_follows_the_contract() {
-    let g = graph_file();
+    let g = graph_file("info_follows_the_contract");
     assert_eq!(code(&["info", &g]), Some(0), "info succeeds");
     assert_eq!(code(&["info"]), Some(2), "a missing graph is a usage error");
     assert_eq!(code(&["info", "/no/such/file.txt"]), Some(1), "an unreadable graph is an error");
@@ -282,7 +284,7 @@ fn info_follows_the_contract() {
 
 #[test]
 fn dot_follows_the_contract() {
-    let g = graph_file();
+    let g = graph_file("dot_follows_the_contract");
     assert_eq!(code(&["dot", &g]), Some(0), "dot succeeds");
     assert_eq!(code(&["dot", &g, "blossom"]), Some(0), "dot with a matching overlay succeeds");
     assert_eq!(code(&["dot"]), Some(2), "a missing graph is a usage error");
@@ -336,7 +338,7 @@ fn graph_spec_follows_the_contract() {
             "{spec}: a G(n,p) over the size cap is a usage error, not a panic or an OOM"
         );
     }
-    let g = graph_file();
+    let g = graph_file("graph_spec_follows_the_contract");
     assert_eq!(
         code(&["run", &g, "--graph", "ring:24"]),
         Some(2),
