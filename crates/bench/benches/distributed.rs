@@ -4,14 +4,14 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dam_congest::SimConfig;
 use dam_core::auction::{auction_mwm, AuctionConfig};
-use dam_core::bipartite::{bipartite_mcm, BipartiteMcmConfig};
 use dam_core::general::{general_mcm, GeneralMcmConfig};
 use dam_core::hv::{hv_mwm, HvMwmConfig};
 use dam_core::israeli_itai::israeli_itai;
 use dam_core::trees::tree_mcm;
 use dam_core::weighted::local_max::local_max_mwm;
-use dam_core::weighted::{weighted_mwm, WeightedMwmConfig};
+use dam_core::{run_mm, Bipartite, RuntimeConfig, Weighted};
 use dam_graph::generators;
 use dam_graph::weights::{randomize_weights, WeightDist};
 use rand::rngs::StdRng;
@@ -32,11 +32,10 @@ fn bench_distributed(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("local_max_mwm", n), &wgen, |b, g| {
             b.iter(|| black_box(local_max_mwm(g, 1).unwrap().matching.size()));
         });
-        group.bench_with_input(BenchmarkId::new("bipartite_mcm_k3", n), &bip, |b, g| {
-            b.iter(|| {
-                let cfg = BipartiteMcmConfig { k: 3, seed: 1, ..Default::default() };
-                black_box(bipartite_mcm(g, &cfg).unwrap().matching.size())
-            });
+        group.bench_with_input(BenchmarkId::new("bipartite_k3", n), &bip, |b, g| {
+            let cfg = RuntimeConfig::new().sim(SimConfig::congest_for(g.node_count(), 4).seed(1));
+            let algo = Bipartite { k: 3, ..Bipartite::default() };
+            b.iter(|| black_box(run_mm(&algo, g, &cfg).unwrap().matching.size()));
         });
         group.bench_with_input(BenchmarkId::new("general_mcm_k2", n), &gen, |b, g| {
             b.iter(|| {
@@ -44,11 +43,10 @@ fn bench_distributed(c: &mut Criterion) {
                 black_box(general_mcm(g, &cfg).unwrap().matching.size())
             });
         });
-        group.bench_with_input(BenchmarkId::new("weighted_mwm_eps0.1", n), &wgen, |b, g| {
-            b.iter(|| {
-                let cfg = WeightedMwmConfig { eps: 0.1, seed: 1, ..Default::default() };
-                black_box(weighted_mwm(g, &cfg).unwrap().matching.size())
-            });
+        group.bench_with_input(BenchmarkId::new("weighted_eps0.1", n), &wgen, |b, g| {
+            let cfg = RuntimeConfig::new().sim(SimConfig::congest_for(g.node_count(), 8).seed(1));
+            let algo = Weighted { eps: 0.1, ..Weighted::default() };
+            b.iter(|| black_box(run_mm(&algo, g, &cfg).unwrap().matching.size()));
         });
         let wbip = randomize_weights(&bip, WeightDist::Integer { max: 50 }, &mut rng);
         group.bench_with_input(BenchmarkId::new("auction_mwm", n), &wbip, |b, g| {

@@ -157,8 +157,7 @@ pub struct ChaosOutcome {
 }
 
 /// Runs the churn pipeline of `case` (the unified runtime with the
-/// maintenance layer on — bit-identical to the legacy
-/// `churn_tolerant_mm`) and measures it. Deterministic: the same case
+/// maintenance layer on) and measures it. Deterministic: the same case
 /// always yields the same outcome.
 ///
 /// # Panics

@@ -42,18 +42,13 @@ use dam_congest::{
     RecordingSink, SimConfig, SinkHandle, TransportCfg,
 };
 use dam_core::auction::{auction_mwm, AuctionConfig};
-use dam_core::bipartite::{bipartite_mcm, BipartiteMcmConfig};
-use dam_core::certify::certified_mm;
 use dam_core::checkpoint::CheckpointCfg;
 use dam_core::general::{general_mcm, GeneralMcmConfig};
 use dam_core::hv::{hv_mwm, HvMwmConfig};
-use dam_core::israeli_itai::israeli_itai_with;
-use dam_core::repair::RepairConfig;
-use dam_core::runtime::{run_configured, AlgoSpec, RunReport, RuntimeConfig};
+use dam_core::runtime::{run_configured, run_mm, AlgoSpec, Algorithm, RunReport, RuntimeConfig};
 use dam_core::trees::tree_mcm;
 use dam_core::weighted::local_max::local_max_mwm;
-use dam_core::weighted::{weighted_mwm, WeightedMwmConfig};
-use dam_core::AlgorithmReport;
+use dam_core::{AlgorithmReport, Bipartite, IsraeliItai, Weighted};
 use dam_graph::{
     analysis, blossom, generators, hopcroft_karp, io, mwm, Graph, ImplicitTopology, Matching,
     Topology,
@@ -429,6 +424,22 @@ fn print_matching(name: &str, g: &dyn Topology, m: &Matching) {
     println!("edges     : {}", edges.join(" "));
 }
 
+/// A portfolio driver run bare through [`run_mm`] on
+/// CONGEST(`words`·log n), reported like every other `match` algorithm.
+fn run_bare(
+    algo: &dyn Algorithm,
+    g: &Graph,
+    words: usize,
+    args: &Args,
+) -> Result<AlgorithmReport, CliError> {
+    let sim = SimConfig::congest_for(g.node_count(), words)
+        .seed(args.seed)
+        .threads(args.parallel)
+        .backend(args.backend);
+    let rep = run_mm(algo, g, &RuntimeConfig::new().sim(sim)).map_err(|e| e.to_string())?;
+    Ok(AlgorithmReport { matching: rep.matching, stats: rep.totals, iterations: rep.iterations })
+}
+
 fn cmd_match(args: &Args) -> Result<(), CliError> {
     let Some(path) = args.positional.get(1) else {
         return usage_err("missing graph file");
@@ -436,35 +447,13 @@ fn cmd_match(args: &Args) -> Result<(), CliError> {
     let algo = args.positional.get(2).map_or("general", String::as_str);
     let mut g = load(path)?;
     match algo {
-        "ii" => {
-            let sim = SimConfig::congest_for(g.node_count(), 4)
-                .seed(args.seed)
-                .threads(args.parallel)
-                .backend(args.backend);
-            emit_report(
-                "israeli-itai",
-                &g,
-                &israeli_itai_with(&g, sim).map_err(|e| e.to_string())?,
-                args.json,
-            );
-        }
+        "ii" => emit_report("israeli-itai", &g, &run_bare(&IsraeliItai, &g, 4, args)?, args.json),
         "bipartite" => {
             if g.bipartition().is_none() && g.compute_bipartition().is_none() {
                 return Err(CliError::Run("graph is not bipartite".to_string()));
             }
-            let cfg = BipartiteMcmConfig {
-                k: args.k,
-                seed: args.seed,
-                threads: args.parallel,
-                backend: args.backend,
-                ..Default::default()
-            };
-            emit_report(
-                "bipartite (1-1/k)-MCM",
-                &g,
-                &bipartite_mcm(&g, &cfg).map_err(|e| e.to_string())?,
-                args.json,
-            );
+            let algo = Bipartite { k: args.k, ..Bipartite::default() };
+            emit_report("bipartite (1-1/k)-MCM", &g, &run_bare(&algo, &g, 4, args)?, args.json);
         }
         "general" => {
             let cfg = GeneralMcmConfig { k: args.k, seed: args.seed, ..Default::default() };
@@ -476,19 +465,8 @@ fn cmd_match(args: &Args) -> Result<(), CliError> {
             );
         }
         "weighted" => {
-            let cfg = WeightedMwmConfig {
-                eps: args.eps,
-                seed: args.seed,
-                threads: args.parallel,
-                backend: args.backend,
-                ..Default::default()
-            };
-            emit_report(
-                "(1/2-eps)-MWM",
-                &g,
-                &weighted_mwm(&g, &cfg).map_err(|e| e.to_string())?,
-                args.json,
-            );
+            let algo = Weighted { eps: args.eps, ..Weighted::default() };
+            emit_report("(1/2-eps)-MWM", &g, &run_bare(&algo, &g, 8, args)?, args.json);
         }
         "hv" => {
             let cfg = HvMwmConfig { eps: args.eps, seed: args.seed, ..Default::default() };
@@ -749,18 +727,27 @@ fn cmd_certify(args: &Args) -> Result<ExitCode, CliError> {
         equivocators: args.equivocators.clone(),
         ..FaultPlan::default()
     };
-    let cfg = RepairConfig { seed: args.seed, ..RepairConfig::default() };
-    let rep = certified_mm(&g, &plan, &cfg).map_err(|e| e.to_string())?;
+    let cfg = RuntimeConfig::new()
+        .sim(SimConfig::local().seed(args.seed).max_rounds(500_000))
+        .transport(TransportCfg::default())
+        .faults(plan)
+        .certify(true)
+        .repair(true);
+    let rep = run_mm(&IsraeliItai, &g, &cfg).map_err(|e| e.to_string())?;
+    let initial = rep.initial.as_ref().expect("the certify layer always verifies");
+    // Fraction of trusted nodes the repair touched (0 when the first
+    // pass certified): small values mean the damage stayed contained.
+    let locality = rep.repair_touched as f64 / initial.checked.max(1) as f64;
     if args.json {
         let excluded: Vec<String> = rep.excluded.iter().map(usize::to_string).collect();
-        let flagged: Vec<String> = rep.initial.flagged.iter().map(usize::to_string).collect();
+        let flagged: Vec<String> = initial.flagged.iter().map(usize::to_string).collect();
         println!(
             r#"{{"algorithm":"certified-ii",{},"detected":{},"certified":{},"detection_rounds":{},"repair_locality":{:?},"flagged":[{}],"excluded":[{}],"surviving":{},"dissolved":{},"added":{}}}"#,
             json_matching(&g, &rep.matching),
             rep.detected(),
             rep.certified(),
-            rep.detection_rounds(),
-            rep.repair_locality(),
+            initial.detection_rounds,
+            locality,
             flagged.join(","),
             excluded.join(","),
             rep.surviving,
@@ -772,8 +759,8 @@ fn cmd_certify(args: &Args) -> Result<ExitCode, CliError> {
         println!(
             "verdict   : {} ({} flagged, detection in {} rounds)",
             if rep.detected() { "corruption DETECTED" } else { "clean" },
-            rep.initial.flagged.len(),
-            rep.detection_rounds(),
+            initial.flagged.len(),
+            initial.detection_rounds,
         );
         println!(
             "certified : {} ({} surviving, {} dissolved, {} added, locality {:.3})",
@@ -781,7 +768,7 @@ fn cmd_certify(args: &Args) -> Result<ExitCode, CliError> {
             rep.surviving,
             rep.dissolved,
             rep.added,
-            rep.repair_locality(),
+            locality,
         );
         if !rep.excluded.is_empty() {
             let ex: Vec<String> = rep.excluded.iter().map(usize::to_string).collect();

@@ -1,9 +1,10 @@
 //! E10: ablations over the design choices called out in `DESIGN.md`.
 
-use dam_core::bipartite::{bipartite_mcm, BipartiteMcmConfig};
+use dam_congest::{CostModel, SimConfig};
 use dam_core::general::{general_mcm, paper_iteration_bound, GeneralMcmConfig};
 use dam_core::report::IterationPolicy;
-use dam_core::weighted::{weighted_mwm, BlackBox, WeightedMwmConfig};
+use dam_core::weighted::BlackBox;
+use dam_core::{run_mm, Bipartite, RuntimeConfig, Weighted};
 use dam_graph::weights::{randomize_weights, WeightDist};
 use dam_graph::{blossom, generators, mwm};
 use rand::rngs::StdRng;
@@ -39,11 +40,13 @@ pub fn e10(ctx: &ExpContext) -> Vec<Table> {
             let mut rng = StdRng::seed_from_u64(8000 + seed);
             let base = generators::gnp(n, 6.0 / n as f64, &mut rng);
             let g = randomize_weights(&base, WeightDist::Uniform { lo: 0.1, hi: 3.0 }, &mut rng);
-            let cfg = WeightedMwmConfig { eps: 0.05, seed, black_box: bb, ..Default::default() };
-            let r = weighted_mwm(&g, &cfg).expect("alg5");
+            let cfg =
+                RuntimeConfig::new().sim(SimConfig::congest_for(g.node_count(), 8).seed(seed));
+            let alg5 = Weighted { eps: 0.05, black_box: bb, ..Weighted::default() };
+            let r = run_mm(&alg5, &g, &cfg).expect("alg5");
             let opt = mwm::maximum_weight(&g).max(f64::MIN_POSITIVE);
             ratios.push(r.matching.weight(&g) / opt);
-            rounds.push(r.stats.stats.rounds as f64);
+            rounds.push(r.totals.stats.rounds as f64);
         }
         a.row(vec![name.to_string(), f(mean(&ratios)), f2(mean(&rounds))]);
     }
@@ -60,15 +63,12 @@ pub fn e10(ctx: &ExpContext) -> Vec<Table> {
         for seed in 0..seeds {
             let mut rng = StdRng::seed_from_u64(8100 + seed);
             let g = generators::bipartite_gnp(half, half, 8.0 / (2.0 * half as f64), &mut rng);
-            let cfg = BipartiteMcmConfig {
-                k,
-                seed,
-                cost: dam_congest::CostModel::Pipelined,
-                ..Default::default()
-            };
-            let r = bipartite_mcm(&g, &cfg).expect("bipartite");
-            unit.push(r.stats.stats.rounds as f64);
-            charged.push(r.stats.stats.charged_rounds as f64);
+            let sim =
+                SimConfig::congest_for(g.node_count(), 4).seed(seed).cost(CostModel::Pipelined);
+            let algo = Bipartite { k, ..Bipartite::default() };
+            let r = run_mm(&algo, &g, &RuntimeConfig::new().sim(sim)).expect("bipartite");
+            unit.push(r.totals.stats.rounds as f64);
+            charged.push(r.totals.stats.charged_rounds as f64);
         }
         b.row(vec![
             k.to_string(),
@@ -117,11 +117,13 @@ pub fn e10(ctx: &ExpContext) -> Vec<Table> {
         for seed in 0..seeds {
             let mut rng = StdRng::seed_from_u64(8300 + seed);
             let g = generators::bipartite_gnp(half, half, 8.0 / (2.0 * half as f64), &mut rng);
-            let cfg = BipartiteMcmConfig { k: 3, seed, warm_start: warm, ..Default::default() };
-            let r = bipartite_mcm(&g, &cfg).expect("bipartite");
+            let cfg =
+                RuntimeConfig::new().sim(SimConfig::congest_for(g.node_count(), 4).seed(seed));
+            let algo = Bipartite { k: 3, warm_start: warm, ..Bipartite::default() };
+            let r = run_mm(&algo, &g, &cfg).expect("bipartite");
             let opt = dam_graph::hopcroft_karp::maximum_bipartite_matching_size(&g).max(1);
             passes.push(r.iterations as f64);
-            rounds.push(r.stats.stats.rounds as f64);
+            rounds.push(r.totals.stats.rounds as f64);
             ratios.push(r.matching.size() as f64 / opt as f64);
         }
         d.row(vec![name.to_string(), f2(mean(&passes)), f2(mean(&rounds)), f(mean(&ratios))]);

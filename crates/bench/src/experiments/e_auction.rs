@@ -1,8 +1,9 @@
 //! E13: price-based vs augmenting-path-based weighted matching — the
 //! Bertsekas auction against Algorithm 5 and the exact oracle.
 
+use dam_congest::SimConfig;
 use dam_core::auction::{auction_mwm, AuctionConfig};
-use dam_core::weighted::{weighted_mwm, WeightedMwmConfig};
+use dam_core::{run_mm, RuntimeConfig, Weighted};
 use dam_graph::weights::{randomize_weights, WeightDist};
 use dam_graph::{generators, hungarian};
 use rand::rngs::StdRng;
@@ -53,10 +54,11 @@ pub fn e13(ctx: &ExpContext) -> Vec<Table> {
         for seed in 0..seeds {
             let g = instance(seed);
             let opt = hungarian::maximum_weight_bipartite(&g).max(f64::MIN_POSITIVE);
-            let r = weighted_mwm(&g, &WeightedMwmConfig { eps, seed, ..Default::default() })
-                .expect("alg5");
+            let cfg =
+                RuntimeConfig::new().sim(SimConfig::congest_for(g.node_count(), 8).seed(seed));
+            let r = run_mm(&Weighted { eps, ..Weighted::default() }, &g, &cfg).expect("alg5");
             ratios.push(r.matching.weight(&g) / opt);
-            rounds.push(r.stats.stats.rounds as f64);
+            rounds.push(r.totals.stats.rounds as f64);
         }
         t.row(vec![
             "Algorithm 5".to_string(),

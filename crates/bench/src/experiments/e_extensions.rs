@@ -4,7 +4,7 @@
 use dam_core::hv::{hv_mwm, HvMwmConfig};
 use dam_core::lca::MatchingLca;
 use dam_core::weighted::b_local_max::b_local_max;
-use dam_core::weighted::{weighted_mwm, WeightedMwmConfig};
+use dam_core::{run_mm, RuntimeConfig, Weighted};
 use dam_graph::bmatching::greedy_b_matching;
 use dam_graph::weights::{randomize_weights, WeightDist};
 use dam_graph::{generators, mwm};
@@ -52,8 +52,9 @@ pub fn e11(ctx: &ExpContext) -> Vec<Table> {
         for seed in 0..seeds {
             let g = make(seed);
             let opt = mwm::maximum_weight(&g).max(f64::MIN_POSITIVE);
-            let r5 = weighted_mwm(&g, &WeightedMwmConfig { eps: 0.05, seed, ..Default::default() })
-                .expect("alg5");
+            let sim = dam_congest::SimConfig::congest_for(g.node_count(), 8).seed(seed);
+            let alg5 = Weighted { eps: 0.05, ..Weighted::default() };
+            let r5 = run_mm(&alg5, &g, &RuntimeConfig::new().sim(sim)).expect("alg5");
             a5.push(r5.matching.weight(&g) / opt);
             let r33 =
                 hv_mwm(&g, &HvMwmConfig { eps: 0.34, seed, ..Default::default() }).expect("hv");

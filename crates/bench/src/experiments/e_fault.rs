@@ -105,8 +105,7 @@ pub fn e15(ctx: &ExpContext) -> Vec<Table> {
                 .sim(SimConfig::local().seed(seed))
                 .transport(TransportCfg::default())
                 .faults(plan.clone())
-                .repair(true)
-                .repair_faults(FaultPlan { loss, dup, reorder, ..FaultPlan::default() });
+                .repair(true);
             let rep = run_mm(&IsraeliItai, &g, &cfg).expect("self-healing run");
             let repair = rep.repair.as_ref().expect("repair layer ran");
 

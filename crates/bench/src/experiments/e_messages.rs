@@ -1,8 +1,9 @@
 //! E5: message widths — the LOCAL generic algorithm (Lemma 3.4) against
 //! the CONGEST bipartite machinery (Lemma 3.9).
 
-use dam_core::bipartite::{bipartite_mcm, BipartiteMcmConfig};
+use dam_congest::SimConfig;
 use dam_core::generic::{generic_mcm, GenericMcmConfig};
+use dam_core::{run_mm, Bipartite, RuntimeConfig};
 use dam_graph::generators;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,10 +25,10 @@ pub fn e5(ctx: &ExpContext) -> Vec<Table> {
         let g = generators::bipartite_gnp(n / 2, n / 2, 6.0 / n as f64, &mut rng);
         let gen = generic_mcm(&g, &GenericMcmConfig { k: 2, seed: 1, ..Default::default() })
             .expect("generic");
-        let bip = bipartite_mcm(&g, &BipartiteMcmConfig { k: 2, seed: 1, ..Default::default() })
-            .expect("bipartite");
+        let cfg = RuntimeConfig::new().sim(SimConfig::congest_for(g.node_count(), 4).seed(1));
+        let bip = run_mm(&Bipartite { k: 2, ..Bipartite::default() }, &g, &cfg).expect("bipartite");
         let lb = gen.stats.stats.max_message_bits;
-        let cb = bip.stats.stats.max_message_bits;
+        let cb = bip.totals.stats.max_message_bits;
         t.row(vec![
             n.to_string(),
             g.edge_count().to_string(),
@@ -49,13 +50,13 @@ pub fn e5(ctx: &ExpContext) -> Vec<Table> {
         let g = generators::bipartite_gnp(n / 2, n / 2, p, &mut rng);
         let gen = generic_mcm(&g, &GenericMcmConfig { k: 2, seed: 1, ..Default::default() })
             .expect("generic");
-        let bip = bipartite_mcm(&g, &BipartiteMcmConfig { k: 2, seed: 1, ..Default::default() })
-            .expect("bipartite");
+        let cfg = RuntimeConfig::new().sim(SimConfig::congest_for(g.node_count(), 4).seed(1));
+        let bip = run_mm(&Bipartite { k: 2, ..Bipartite::default() }, &g, &cfg).expect("bipartite");
         t2.row(vec![
             f2(p),
             g.edge_count().to_string(),
             gen.stats.stats.max_message_bits.to_string(),
-            bip.stats.stats.max_message_bits.to_string(),
+            bip.totals.stats.max_message_bits.to_string(),
         ]);
     }
     vec![t, t2]

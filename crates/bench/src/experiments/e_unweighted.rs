@@ -1,8 +1,9 @@
 //! E1–E3: the unweighted approximation theorems.
 
-use dam_core::bipartite::{bipartite_mcm, BipartiteMcmConfig};
+use dam_congest::{CostModel, SimConfig};
 use dam_core::general::{general_mcm, paper_iteration_bound, GeneralMcmConfig};
 use dam_core::report::IterationPolicy;
+use dam_core::{run_mm, Bipartite, RuntimeConfig};
 use dam_graph::{blossom, generators, hopcroft_karp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,11 +41,12 @@ pub fn e1(ctx: &ExpContext) -> Vec<Table> {
             for seed in 0..seeds {
                 let mut rng = StdRng::seed_from_u64(1000 + seed);
                 let g = make(&mut rng);
-                let r = bipartite_mcm(&g, &BipartiteMcmConfig { k, seed, ..Default::default() })
-                    .expect("bipartite mcm");
+                let sim = SimConfig::congest_for(g.node_count(), 4).seed(seed);
+                let algo = Bipartite { k, ..Bipartite::default() };
+                let r = run_mm(&algo, &g, &RuntimeConfig::new().sim(sim)).expect("bipartite mcm");
                 let opt = hopcroft_karp::maximum_bipartite_matching_size(&g);
                 ratios.push(if opt == 0 { 1.0 } else { r.matching.size() as f64 / opt as f64 });
-                rounds.push(r.stats.stats.rounds as f64);
+                rounds.push(r.totals.stats.rounds as f64);
             }
             let min = ratios.iter().cloned().fold(f64::INFINITY, f64::min);
             t.row(vec![
@@ -82,17 +84,14 @@ pub fn e2(ctx: &ExpContext) -> Vec<Table> {
         for seed in 0..seeds {
             let mut rng = StdRng::seed_from_u64(2000 + seed);
             let g = generators::bipartite_gnp(half, half, 8.0 / n as f64, &mut rng);
-            let cfg = BipartiteMcmConfig {
-                k,
-                seed,
-                cost: dam_congest::CostModel::Pipelined,
-                ..Default::default()
-            };
-            let r = bipartite_mcm(&g, &cfg).expect("bipartite mcm");
-            rounds.push(r.stats.stats.rounds as f64);
-            charged.push(r.stats.stats.charged_rounds as f64);
+            let sim =
+                SimConfig::congest_for(g.node_count(), 4).seed(seed).cost(CostModel::Pipelined);
+            let algo = Bipartite { k, ..Bipartite::default() };
+            let r = run_mm(&algo, &g, &RuntimeConfig::new().sim(sim)).expect("bipartite mcm");
+            rounds.push(r.totals.stats.rounds as f64);
+            charged.push(r.totals.stats.charged_rounds as f64);
             passes.push(r.iterations as f64);
-            maxbits = maxbits.max(r.stats.stats.max_message_bits);
+            maxbits = maxbits.max(r.totals.stats.max_message_bits);
         }
         ns.push(n);
         ys.push(mean(&rounds));

@@ -1,7 +1,8 @@
 //! E4 and E7: the weighted matching theorem and its baselines.
 
+use dam_congest::SimConfig;
 use dam_core::weighted::local_max::local_max_mwm;
-use dam_core::weighted::{weighted_mwm, WeightedMwmConfig};
+use dam_core::{run_mm, RuntimeConfig, Weighted};
 use dam_graph::weights::{randomize_weights, WeightDist};
 use dam_graph::{generators, maximal, mwm, pettie_sanders, Graph, Matching};
 use rand::rngs::StdRng;
@@ -31,12 +32,14 @@ pub fn e4(ctx: &ExpContext) -> Vec<Table> {
         let mut iters = 0usize;
         for seed in 0..seeds {
             let g = weighted_instance(n, WeightDist::Exponential { lambda: 1.0 }, seed);
-            let cfg = WeightedMwmConfig { eps, seed, ..Default::default() };
-            iters = cfg.iterations();
-            let r = weighted_mwm(&g, &cfg).expect("weighted mwm");
+            let cfg =
+                RuntimeConfig::new().sim(SimConfig::congest_for(g.node_count(), 8).seed(seed));
+            let r =
+                run_mm(&Weighted { eps, ..Weighted::default() }, &g, &cfg).expect("weighted mwm");
+            iters = r.iterations;
             let opt = mwm::maximum_weight(&g);
             ratios.push(if opt == 0.0 { 1.0 } else { r.matching.weight(&g) / opt });
-            rounds.push(r.stats.stats.rounds as f64);
+            rounds.push(r.totals.stats.rounds as f64);
         }
         let min = ratios.iter().cloned().fold(f64::INFINITY, f64::min);
         t.row(vec![
@@ -56,9 +59,10 @@ pub fn e4(ctx: &ExpContext) -> Vec<Table> {
         let mut rounds = Vec::new();
         for seed in 0..seeds {
             let g = weighted_instance(nn, WeightDist::Uniform { lo: 0.1, hi: 2.0 }, 50 + seed);
-            let cfg = WeightedMwmConfig { eps: 0.1, seed, ..Default::default() };
-            let r = weighted_mwm(&g, &cfg).expect("weighted mwm");
-            rounds.push(r.stats.stats.rounds as f64);
+            let cfg =
+                RuntimeConfig::new().sim(SimConfig::congest_for(g.node_count(), 8).seed(seed));
+            let r = run_mm(&Weighted::default(), &g, &cfg).expect("weighted mwm");
+            rounds.push(r.totals.stats.rounds as f64);
         }
         t2.row(vec![nn.to_string(), f2(mean(&rounds))]);
     }
@@ -95,8 +99,10 @@ pub fn e7(ctx: &ExpContext) -> Vec<Table> {
             sums[0] += maximal::greedy_mwm(&g).weight(&g) / opt;
             sums[1] += maximal::path_growing_mwm(&g).weight(&g) / opt;
             sums[2] += local_max_mwm(&g, seed).expect("local max").matching.weight(&g) / opt;
-            let cfg = WeightedMwmConfig { eps: 0.05, seed, ..Default::default() };
-            sums[3] += weighted_mwm(&g, &cfg).expect("alg5").matching.weight(&g) / opt;
+            let cfg =
+                RuntimeConfig::new().sim(SimConfig::congest_for(g.node_count(), 8).seed(seed));
+            let alg5 = Weighted { eps: 0.05, ..Weighted::default() };
+            sums[3] += run_mm(&alg5, &g, &cfg).expect("alg5").matching.weight(&g) / opt;
             let mut rng = StdRng::seed_from_u64(4600 + seed);
             let ps = pettie_sanders::pettie_sanders_mwm(&g, Matching::new(&g), 10, &mut rng);
             sums[4] += ps.weight(&g) / opt;

@@ -228,21 +228,23 @@ fn luby_mis_under_churn() {
 /// (modulo markers) whether its phases run on the sequential or the
 /// asynchronous engine.
 #[test]
-fn bipartite_mcm_driver_equivalence() {
-    use dam_core::bipartite::{bipartite_mcm, BipartiteMcmConfig};
+fn bipartite_driver_equivalence() {
+    use dam_core::{run_mm, Bipartite, RuntimeConfig};
     let mut rng = StdRng::seed_from_u64(1234);
     for seed in 0..SEEDS {
         let g = generators::bipartite_gnp(18, 18, 0.2, &mut rng);
         for k in [2usize, 3] {
-            let base = BipartiteMcmConfig { k, seed, ..Default::default() };
-            let seq = bipartite_mcm(&g, &base).expect("sequential driver failed");
-            let asy = bipartite_mcm(&g, &BipartiteMcmConfig { backend: Backend::Async, ..base })
-                .expect("async driver failed");
+            let algo = Bipartite { k, ..Bipartite::default() };
+            let base =
+                RuntimeConfig::new().sim(SimConfig::congest_for(g.node_count(), 4).seed(seed));
+            let seq = run_mm(&algo, &g, &base).expect("sequential driver failed");
+            let asy =
+                run_mm(&algo, &g, &base.backend(Backend::Async)).expect("async driver failed");
             assert_eq!(seq.matching, asy.matching, "matching diverges (seed {seed}, k {k})");
-            let mut stats = asy.stats;
+            let mut stats = asy.totals;
             assert!(stats.stats.markers > 0);
             stats.stats.markers = 0;
-            assert_eq!(seq.stats, stats, "stats diverge (seed {seed}, k {k})");
+            assert_eq!(seq.totals, stats, "stats diverge (seed {seed}, k {k})");
             assert_eq!(seq.iterations, asy.iterations);
         }
     }
@@ -251,22 +253,22 @@ fn bipartite_mcm_driver_equivalence() {
 /// Driver-level equivalence for the weighted Algorithm 5 (gain rounds,
 /// black-box δ-MWM, wrap application — three protocols per iteration).
 #[test]
-fn weighted_mwm_driver_equivalence() {
-    use dam_core::weighted::{weighted_mwm, WeightedMwmConfig};
+fn weighted_driver_equivalence() {
+    use dam_core::{run_mm, RuntimeConfig, Weighted};
     use dam_graph::weights::{randomize_weights, WeightDist};
     let mut rng = StdRng::seed_from_u64(4321);
     for seed in 0..SEEDS {
         let base_g = generators::gnp(30, 0.15, &mut rng);
         let g = randomize_weights(&base_g, WeightDist::Uniform { lo: 0.1, hi: 10.0 }, &mut rng);
-        let base = WeightedMwmConfig { eps: 0.1, seed, ..Default::default() };
-        let seq = weighted_mwm(&g, &base).expect("sequential driver failed");
-        let asy = weighted_mwm(&g, &WeightedMwmConfig { backend: Backend::Async, ..base })
-            .expect("async driver failed");
+        let algo = Weighted { eps: 0.1, ..Weighted::default() };
+        let base = RuntimeConfig::new().sim(SimConfig::congest_for(g.node_count(), 8).seed(seed));
+        let seq = run_mm(&algo, &g, &base).expect("sequential driver failed");
+        let asy = run_mm(&algo, &g, &base.backend(Backend::Async)).expect("async driver failed");
         assert_eq!(seq.matching, asy.matching, "matching diverges (seed {seed})");
-        let mut stats = asy.stats;
+        let mut stats = asy.totals;
         assert!(stats.stats.markers > 0);
         stats.stats.markers = 0;
-        assert_eq!(seq.stats, stats, "stats diverge (seed {seed})");
+        assert_eq!(seq.totals, stats, "stats diverge (seed {seed})");
     }
 }
 

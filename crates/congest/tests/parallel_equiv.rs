@@ -235,18 +235,19 @@ fn luby_mis_under_churn() {
 /// produces the identical matching and identical cumulative statistics
 /// whether its phases run sequentially or sharded.
 #[test]
-fn bipartite_mcm_driver_equivalence() {
-    use dam_core::bipartite::{bipartite_mcm, BipartiteMcmConfig};
+fn bipartite_driver_equivalence() {
+    use dam_core::{run_mm, Bipartite, RuntimeConfig};
     let mut rng = StdRng::seed_from_u64(1234);
     for seed in 0..SEEDS {
         let g = generators::bipartite_gnp(18, 18, 0.2, &mut rng);
         for k in [2usize, 3] {
-            let base = BipartiteMcmConfig { k, seed, ..Default::default() };
-            let seq = bipartite_mcm(&g, &base).expect("sequential driver failed");
-            let par = bipartite_mcm(&g, &BipartiteMcmConfig { threads: 4, ..base })
-                .expect("parallel driver failed");
+            let algo = Bipartite { k, ..Bipartite::default() };
+            let base =
+                RuntimeConfig::new().sim(SimConfig::congest_for(g.node_count(), 4).seed(seed));
+            let seq = run_mm(&algo, &g, &base).expect("sequential driver failed");
+            let par = run_mm(&algo, &g, &base.threads(4)).expect("parallel driver failed");
             assert_eq!(seq.matching, par.matching, "matching diverges (seed {seed}, k {k})");
-            assert_eq!(seq.stats, par.stats, "stats diverge (seed {seed}, k {k})");
+            assert_eq!(seq.totals, par.totals, "stats diverge (seed {seed}, k {k})");
             assert_eq!(seq.iterations, par.iterations);
         }
     }
@@ -255,19 +256,19 @@ fn bipartite_mcm_driver_equivalence() {
 /// Driver-level equivalence for the weighted Algorithm 5 (gain rounds,
 /// black-box δ-MWM, wrap application — three protocols per iteration).
 #[test]
-fn weighted_mwm_driver_equivalence() {
-    use dam_core::weighted::{weighted_mwm, WeightedMwmConfig};
+fn weighted_driver_equivalence() {
+    use dam_core::{run_mm, RuntimeConfig, Weighted};
     use dam_graph::weights::{randomize_weights, WeightDist};
     let mut rng = StdRng::seed_from_u64(4321);
     for seed in 0..SEEDS {
         let base_g = generators::gnp(30, 0.15, &mut rng);
         let g = randomize_weights(&base_g, WeightDist::Uniform { lo: 0.1, hi: 10.0 }, &mut rng);
-        let base = WeightedMwmConfig { eps: 0.1, seed, ..Default::default() };
-        let seq = weighted_mwm(&g, &base).expect("sequential driver failed");
-        let par = weighted_mwm(&g, &WeightedMwmConfig { threads: 4, ..base })
-            .expect("parallel driver failed");
+        let algo = Weighted { eps: 0.1, ..Weighted::default() };
+        let base = RuntimeConfig::new().sim(SimConfig::congest_for(g.node_count(), 8).seed(seed));
+        let seq = run_mm(&algo, &g, &base).expect("sequential driver failed");
+        let par = run_mm(&algo, &g, &base.threads(4)).expect("parallel driver failed");
         assert_eq!(seq.matching, par.matching, "matching diverges (seed {seed})");
-        assert_eq!(seq.stats, par.stats, "stats diverge (seed {seed})");
+        assert_eq!(seq.totals, par.totals, "stats diverge (seed {seed})");
     }
 }
 

@@ -33,15 +33,15 @@
 //! paper's Lemma 3.9 arithmetic.
 
 use dam_congest::message::id_bits;
-use dam_congest::{BitSize, Context, Network, Port, Protocol, RunSpec, SimConfig};
+use dam_congest::{BitSize, Context, Network, Port, Protocol, RunSpec};
 use dam_graph::{EdgeId, Graph, GraphError, Matching, Side, Topology};
 use rand::RngExt;
 
 use crate::error::CoreError;
 use crate::israeli_itai::IiNode;
 use crate::repair::sanitize_registers_on;
-use crate::report::{matching_from_registers, AlgorithmReport};
-use crate::runtime::{run_mm, Algorithm, Exec, MainRun, RuntimeConfig};
+use crate::report::matching_from_registers;
+use crate::runtime::{Algorithm, Exec, MainRun};
 
 /// Messages of the per-pass protocol.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -563,93 +563,6 @@ impl Algorithm for Bipartite {
     }
 }
 
-/// Configuration for [`bipartite_mcm`].
-#[derive(Debug, Clone, Copy)]
-pub struct BipartiteMcmConfig {
-    /// Approximation parameter: the result is a `(1−1/k)`-MCM.
-    pub k: usize,
-    /// Master seed.
-    pub seed: u64,
-    /// Safety cap on passes per phase (each pass augments ≥ 1 path, so
-    /// `n/2` always suffices; the cap guards against bugs, not theory).
-    pub max_passes_per_phase: usize,
-    /// Simulator configuration words: CONGEST budget is
-    /// `congest_words · log₂ n` bits.
-    pub congest_words: usize,
-    /// Round-cost accounting.
-    pub cost: dam_congest::CostModel,
-    /// Warm-start with an Israeli–Itai maximal matching before the
-    /// phases (an engineering optimization: fewer ℓ = 1 passes, same
-    /// guarantee).
-    pub warm_start: bool,
-    /// Simulator worker threads (see [`SimConfig::threads`]); every
-    /// phase runs on the sharded parallel engine when `> 1`, with
-    /// bit-identical results.
-    pub threads: usize,
-    /// Engine backend (see [`SimConfig::backend`]); every phase runs on
-    /// the selected executor — including [`dam_congest::Backend::Async`],
-    /// which is bit-identical under the synchronizer contract.
-    pub backend: dam_congest::Backend,
-}
-
-impl Default for BipartiteMcmConfig {
-    fn default() -> BipartiteMcmConfig {
-        BipartiteMcmConfig {
-            k: 3,
-            seed: 0,
-            max_passes_per_phase: usize::MAX,
-            congest_words: 4,
-            cost: dam_congest::CostModel::Unit,
-            warm_start: false,
-            threads: 1,
-            backend: dam_congest::Backend::Sequential,
-        }
-    }
-}
-
-/// Computes a `(1−1/k)`-approximate maximum-cardinality matching of a
-/// bipartite graph (Theorem 3.10).
-///
-/// # Errors
-/// Returns [`GraphError::NotBipartite`] (wrapped) if `g` has no recorded
-/// bipartition, plus simulation errors.
-///
-/// # Example
-/// ```
-/// use dam_core::bipartite::{bipartite_mcm, BipartiteMcmConfig};
-/// use dam_graph::generators;
-///
-/// let g = generators::complete_bipartite(6, 6);
-/// let r = bipartite_mcm(&g, &BipartiteMcmConfig { k: 4, ..Default::default() }).unwrap();
-/// assert!(r.matching.size() >= 5); // ≥ (1 - 1/4) · 6 rounded up
-/// ```
-pub fn bipartite_mcm(g: &Graph, config: &BipartiteMcmConfig) -> Result<AlgorithmReport, CoreError> {
-    // Deprecated shim: the driver now lives on the runtime trait
-    // ([`Bipartite`]); this entry point survives as a bit-identical
-    // field mapping (pinned by `tests/algo_conformance.rs`).
-    let sim = SimConfig::congest_for(g.node_count(), config.congest_words)
-        .seed(config.seed)
-        .cost(config.cost)
-        .threads(config.threads)
-        .backend(config.backend);
-    let algo = Bipartite {
-        k: config.k,
-        warm_start: config.warm_start,
-        max_passes_per_phase: config.max_passes_per_phase,
-    };
-    let rep = run_mm(&algo, g, &RuntimeConfig::new().sim(sim))?;
-    Ok(AlgorithmReport { matching: rep.matching, stats: rep.totals, iterations: rep.iterations })
-}
-
-/// Convenience: `(1−ε)`-MCM by choosing `k = ⌈1/ε⌉`.
-///
-/// # Errors
-/// As [`bipartite_mcm`].
-pub fn bipartite_mcm_eps(g: &Graph, eps: f64, seed: u64) -> Result<AlgorithmReport, CoreError> {
-    let k = (1.0 / eps).ceil().max(2.0) as usize;
-    bipartite_mcm(g, &BipartiteMcmConfig { k, seed, ..Default::default() })
-}
-
 /// Assembles a [`Matching`] for tests and callers holding raw registers.
 ///
 /// # Errors
@@ -661,12 +574,24 @@ pub fn registers_to_matching(g: &Graph, regs: &[Option<EdgeId>]) -> Result<Match
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::{run_mm, RunReport, RuntimeConfig};
+    use dam_congest::SimConfig;
     use dam_graph::{generators, hopcroft_karp, paths};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The driver bare on CONGEST(`4 log n`).
+    fn mcm(g: &Graph, algo: Bipartite, seed: u64) -> Result<RunReport, CoreError> {
+        let sim = SimConfig::congest_for(g.node_count(), 4).seed(seed);
+        run_mm(&algo, g, &RuntimeConfig::new().sim(sim))
+    }
+
+    fn with_k(k: usize) -> Bipartite {
+        Bipartite { k, ..Bipartite::default() }
+    }
+
     fn check_ratio(g: &Graph, k: usize, seed: u64) -> (usize, usize) {
-        let r = bipartite_mcm(g, &BipartiteMcmConfig { k, seed, ..Default::default() }).unwrap();
+        let r = mcm(g, with_k(k), seed).unwrap();
         r.matching.validate(g).unwrap();
         let opt = hopcroft_karp::maximum_bipartite_matching_size(g);
         assert!(
@@ -683,9 +608,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         for trial in 0..10 {
             let g = generators::bipartite_gnp(15, 15, 0.2, &mut rng);
-            let r =
-                bipartite_mcm(&g, &BipartiteMcmConfig { k: 1, seed: trial, ..Default::default() })
-                    .unwrap();
+            let r = mcm(&g, with_k(1), trial).unwrap();
             assert!(dam_graph::maximal::is_maximal(&g, &r.matching));
         }
     }
@@ -698,8 +621,7 @@ mod tests {
         for trial in 0..10 {
             let g = generators::bipartite_gnp(12, 12, 0.3, &mut rng);
             let k = 3;
-            let r = bipartite_mcm(&g, &BipartiteMcmConfig { k, seed: trial, ..Default::default() })
-                .unwrap();
+            let r = mcm(&g, with_k(k), trial).unwrap();
             if let Some(len) = paths::shortest_augmenting_path_len(&g, &r.matching).unwrap() {
                 assert!(
                     len > 2 * k - 1,
@@ -733,8 +655,7 @@ mod tests {
     #[test]
     fn perfect_on_complete_bipartite() {
         let g = generators::complete_bipartite(8, 8);
-        let r =
-            bipartite_mcm(&g, &BipartiteMcmConfig { k: 8, seed: 2, ..Default::default() }).unwrap();
+        let r = mcm(&g, with_k(8), 2).unwrap();
         assert!(r.matching.size() >= 7);
     }
 
@@ -744,19 +665,18 @@ mod tests {
         // words; all counts/keys must respect the declared widths.
         let mut rng = StdRng::seed_from_u64(41);
         let g = generators::bipartite_gnp(30, 30, 0.1, &mut rng);
-        let r =
-            bipartite_mcm(&g, &BipartiteMcmConfig { k: 2, seed: 7, ..Default::default() }).unwrap();
+        let r = mcm(&g, with_k(2), 7).unwrap();
         // Widths are analytic: token bits = 4(log n + log Δ) can exceed
         // 4·log n for ℓ ≥ 3 — that is exactly what the pipelined cost
         // model is for. Here we only check the accounting is populated.
-        assert!(r.stats.stats.max_message_bits > 0);
-        assert!(r.stats.stats.messages > 0);
+        assert!(r.totals.stats.max_message_bits > 0);
+        assert!(r.totals.stats.messages > 0);
     }
 
     #[test]
     fn rejects_non_bipartite() {
         let g = generators::cycle(5);
-        assert!(bipartite_mcm(&g, &BipartiteMcmConfig::default()).is_err());
+        assert!(mcm(&g, Bipartite::default(), 0).is_err());
     }
 
     #[test]
@@ -764,11 +684,11 @@ mod tests {
         let g = dam_graph::Graph::builder(0).build().unwrap();
         let mut g = g;
         g.compute_bipartition();
-        let r = bipartite_mcm(&g, &BipartiteMcmConfig::default()).unwrap();
+        let r = mcm(&g, Bipartite::default(), 0).unwrap();
         assert_eq!(r.matching.size(), 0);
 
         let g = generators::path(2);
-        let r = bipartite_mcm(&g, &BipartiteMcmConfig::default()).unwrap();
+        let r = mcm(&g, Bipartite::default(), 0).unwrap();
         assert_eq!(r.matching.size(), 1);
     }
 
@@ -776,11 +696,10 @@ mod tests {
     fn deterministic_per_seed() {
         let mut rng = StdRng::seed_from_u64(51);
         let g = generators::bipartite_gnp(15, 15, 0.25, &mut rng);
-        let cfg = BipartiteMcmConfig { k: 3, seed: 99, ..Default::default() };
-        let a = bipartite_mcm(&g, &cfg).unwrap();
-        let b = bipartite_mcm(&g, &cfg).unwrap();
+        let a = mcm(&g, with_k(3), 99).unwrap();
+        let b = mcm(&g, with_k(3), 99).unwrap();
         assert_eq!(a.matching.to_edge_vec(), b.matching.to_edge_vec());
-        assert_eq!(a.stats.stats.rounds, b.stats.stats.rounds);
+        assert_eq!(a.totals.stats.rounds, b.totals.stats.rounds);
     }
 
     #[test]
@@ -791,13 +710,8 @@ mod tests {
         for seed in 0..5u64 {
             let g = generators::bipartite_gnp(25, 25, 0.12, &mut rng);
             let opt = dam_graph::hopcroft_karp::maximum_bipartite_matching_size(&g);
-            let cold = bipartite_mcm(&g, &BipartiteMcmConfig { k: 3, seed, ..Default::default() })
-                .unwrap();
-            let warm = bipartite_mcm(
-                &g,
-                &BipartiteMcmConfig { k: 3, seed, warm_start: true, ..Default::default() },
-            )
-            .unwrap();
+            let cold = mcm(&g, with_k(3), seed).unwrap();
+            let warm = mcm(&g, Bipartite { warm_start: true, ..with_k(3) }, seed).unwrap();
             for r in [&cold, &warm] {
                 assert!(3 * r.matching.size() >= 2 * opt);
             }

@@ -33,23 +33,23 @@
 //! shared edge), the outcome is genuinely a valid maximal matching and
 //! is rightly certified.
 //!
-//! [`certified_mm`] packages the full pipeline: run Israeli–Itai over
-//! the resilient transport under an adversarial [`FaultPlan`], apply the
-//! plan's register lies, certify, and — on detection — clear every
-//! flagged register, sanitize, re-run localized repair
-//! ([`crate::repair`]) under the plan's link-level faults, and certify
-//! again. Equivocators are excluded from the trusted domain exactly as
-//! if they had crashed: their traffic fails transport integrity
-//! validation until neighbours quarantine them, the classical reduction
-//! of channel-level Byzantine faults to crash faults. Liars stay in the
-//! domain — a lie corrupts the *report*, not the node — so repair
-//! re-matches them honestly.
+//! The runtime's certification layer
+//! ([`crate::runtime::RuntimeConfig::certify`], with `repair` on)
+//! packages the full pipeline: run the algorithm under an adversarial
+//! [`dam_congest::FaultPlan`], apply the plan's register lies, certify,
+//! and — on detection — clear every flagged register, sanitize, re-run
+//! localized repair ([`crate::repair`]) under the plan's link-level
+//! faults, and certify again. Equivocators are excluded from the
+//! trusted domain exactly as if they had crashed: their traffic fails
+//! transport integrity validation until neighbours quarantine them, the
+//! classical reduction of channel-level Byzantine faults to crash
+//! faults. Liars stay in the domain — a lie corrupts the *report*, not
+//! the node — so repair re-matches them honestly.
 
-use dam_congest::{rng, BitSize, Context, FaultPlan, Network, Port, Protocol, RunStats, SimConfig};
-use dam_graph::{BitSet, EdgeId, Graph, Matching, NodeId, Topology};
+use dam_congest::{rng, BitSize, Context, Network, Port, Protocol, RunStats, SimConfig};
+use dam_graph::{BitSet, EdgeId, Graph, NodeId, Topology};
 
 use crate::error::CoreError;
-use crate::repair::RepairConfig;
 
 /// Domain-separation key for the deterministic lie stream
 /// ([`apply_lies`]), chained through [`rng::splitmix64`].
@@ -315,7 +315,8 @@ pub fn check_registers(
     verdicts
 }
 
-/// Applies the deterministic register lies of [`FaultPlan::liars`].
+/// Applies the deterministic register lies of
+/// [`dam_congest::FaultPlan::liars`].
 ///
 /// Each liar's corrupted report is derived from `(seed, node)` through
 /// [`rng::splitmix64`] under a dedicated domain key, so lies are
@@ -344,125 +345,14 @@ pub fn apply_lies(
     }
 }
 
-/// The result of the certified matching pipeline ([`certified_mm`]).
-#[derive(Debug, Clone)]
-pub struct CertifiedReport {
-    /// The final matching over the trusted domain — always valid; when
-    /// [`CertifiedReport::certified`] holds, also attested maximal.
-    pub matching: Matching,
-    /// The first verification pass, over the (possibly lied-about)
-    /// phase-1 registers.
-    pub initial: Certificate,
-    /// The post-repair verification; `None` when the initial pass
-    /// already certified and no repair ran.
-    pub recheck: Option<Certificate>,
-    /// Nodes outside the trusted domain: crashed-and-never-recovered,
-    /// plus Byzantine equivocators (quarantined ≙ crashed).
-    pub excluded: Vec<NodeId>,
-    /// Edges of the surviving consistent matching kept by sanitation.
-    pub surviving: usize,
-    /// Claimed edges dissolved by sanitation.
-    pub dissolved: usize,
-    /// Edges added by the repair phase (0 when no repair ran).
-    pub added: usize,
-    /// Trusted nodes whose register changed between the sanitized
-    /// post-detection state and the repaired state — the numerator of
-    /// [`CertifiedReport::repair_locality`].
-    pub repair_touched: usize,
-    /// Cost of phase 1 (faulty Israeli–Itai over the transport).
-    pub phase1: RunStats,
-    /// Cost of the repair phase, when one ran.
-    pub repair: Option<RunStats>,
-}
-
-impl CertifiedReport {
-    /// Whether the initial verification detected any fault.
-    #[must_use]
-    pub fn detected(&self) -> bool {
-        !self.initial.ok()
-    }
-
-    /// Whether the *final* registers were certified (initially, or after
-    /// repair).
-    #[must_use]
-    pub fn certified(&self) -> bool {
-        self.recheck.as_ref().map_or_else(|| self.initial.ok(), Certificate::ok)
-    }
-
-    /// Rounds from registers-in-hand to verdict — constant by
-    /// construction (proof-labeling detection latency).
-    #[must_use]
-    pub fn detection_rounds(&self) -> u64 {
-        self.initial.detection_rounds
-    }
-
-    /// Fraction of trusted nodes the repair phase touched (0 when the
-    /// initial pass certified). Small values mean damage was contained:
-    /// repair re-matched around the flagged region instead of redoing
-    /// the whole graph.
-    #[must_use]
-    pub fn repair_locality(&self) -> f64 {
-        self.repair_touched as f64 / self.initial.checked.max(1) as f64
-    }
-}
-
-/// Runs the full certified pipeline: Israeli–Itai over the resilient
-/// transport under `plan`, register lies applied, distributed
-/// verification, and — on detection — flagged-register clearing,
-/// sanitation, localized repair under the plan's link-level faults, and
-/// re-verification.
-///
-/// **Deprecated in favor of [`crate::runtime::run_mm`]** — this is now a
-/// thin shim over the unified runtime (a
-/// [`crate::runtime::RuntimeConfig`] with the `certify` and `repair`
-/// layers on), kept for source compatibility and bit-identical to the
-/// pre-runtime implementation (`tests/runtime_equiv.rs`). New code
-/// should build a `RuntimeConfig` directly.
-///
-/// The trusted domain excludes crashed-and-never-recovered nodes and
-/// every equivocator (see the module docs for the quarantine-as-crash
-/// reduction). The returned matching is always valid on the trusted
-/// domain; [`CertifiedReport::certified`] reports whether the final
-/// registers also carry a maximality certificate.
-///
-/// # Errors
-/// Propagates simulator errors from any phase and plan validation
-/// errors from the engine.
-pub fn certified_mm(
-    g: &Graph,
-    plan: &FaultPlan,
-    cfg: &RepairConfig,
-) -> Result<CertifiedReport, CoreError> {
-    let rep = crate::runtime::run_mm(
-        &crate::runtime::IsraeliItai,
-        g,
-        &crate::runtime::RuntimeConfig::new()
-            .sim(SimConfig::local().seed(cfg.seed).max_rounds(cfg.max_rounds))
-            .transport(cfg.transport)
-            .faults(plan.clone())
-            .certify(true)
-            .repair(true),
-    )?;
-    Ok(CertifiedReport {
-        matching: rep.matching,
-        initial: rep.initial.expect("certified pipeline always runs verification"),
-        recheck: rep.recheck,
-        excluded: rep.excluded,
-        surviving: rep.surviving,
-        dissolved: rep.dissolved,
-        added: rep.added,
-        repair_touched: rep.repair_touched,
-        phase1: rep.phase1,
-        repair: rep.repair,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::israeli_itai::israeli_itai;
     use crate::repair::is_maximal_on_residual;
-    use dam_graph::generators;
+    use crate::runtime::{run_mm, IsraeliItai, RunReport, RuntimeConfig};
+    use dam_congest::{FaultPlan, TransportCfg};
+    use dam_graph::{generators, Matching};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -586,16 +476,23 @@ mod tests {
         }
     }
 
+    /// The certified pipeline: LOCAL, default transport, a 500 000-round
+    /// guard, certify and repair on.
+    fn certified(g: &Graph, plan: &FaultPlan, seed: u64) -> RunReport {
+        let cfg = RuntimeConfig::new()
+            .sim(SimConfig::local().seed(seed).max_rounds(500_000))
+            .transport(TransportCfg::default())
+            .faults(plan.clone())
+            .certify(true)
+            .repair(true);
+        run_mm(&IsraeliItai, g, &cfg).unwrap()
+    }
+
     #[test]
-    fn certified_mm_clean_run_skips_repair() {
+    fn clean_certified_run_skips_repair() {
         let mut rng = StdRng::seed_from_u64(11);
         let g = generators::gnp(30, 0.15, &mut rng);
-        let report = certified_mm(
-            &g,
-            &FaultPlan::default(),
-            &RepairConfig { seed: 9, ..Default::default() },
-        )
-        .unwrap();
+        let report = certified(&g, &FaultPlan::default(), 9);
         assert!(!report.detected());
         assert!(report.certified());
         assert!(report.recheck.is_none());
@@ -605,32 +502,28 @@ mod tests {
     }
 
     #[test]
-    fn certified_mm_detects_and_repairs_lies() {
+    fn certified_run_detects_and_repairs_lies() {
         let mut rng = StdRng::seed_from_u64(13);
         for trial in 0..5 {
             let g = generators::gnp(30, 0.15, &mut rng);
             let plan = FaultPlan::lossy(0.05).with_liars(vec![1, 2, 3]);
-            let cfg = RepairConfig { seed: 100 + trial, ..Default::default() };
-            let report = certified_mm(&g, &plan, &cfg).unwrap();
+            let report = certified(&g, &plan, 100 + trial);
             assert!(report.detected(), "lies must be detected (trial {trial})");
             assert!(report.certified(), "repair must re-certify (trial {trial})");
             report.matching.validate(&g).unwrap();
             assert!(is_maximal_on_residual(&g, &report.matching, &[true; 30]));
             assert!(report.repair.is_some());
-            assert!(
-                report.repair_locality() <= 1.0 && report.repair_locality() >= 0.0,
-                "locality is a fraction"
-            );
+            let checked = report.initial.as_ref().unwrap().checked;
+            assert!(report.repair_touched <= checked, "locality is a fraction");
         }
     }
 
     #[test]
-    fn certified_mm_excludes_crashed_and_equivocators() {
+    fn certified_run_excludes_crashed_and_equivocators() {
         let mut rng = StdRng::seed_from_u64(17);
         let g = generators::gnp(30, 0.2, &mut rng);
         let plan = FaultPlan::crashes(vec![(3, 2)]).with_equivocators(vec![7]);
-        let cfg = RepairConfig { seed: 21, ..Default::default() };
-        let report = certified_mm(&g, &plan, &cfg).unwrap();
+        let report = certified(&g, &plan, 21);
         assert_eq!(report.excluded, vec![3, 7]);
         assert!(report.certified());
         report.matching.validate(&g).unwrap();
@@ -645,15 +538,14 @@ mod tests {
     }
 
     #[test]
-    fn certified_mm_is_deterministic() {
+    fn certified_run_is_deterministic() {
         let mut rng = StdRng::seed_from_u64(19);
         let g = generators::gnp(25, 0.2, &mut rng);
         let plan = FaultPlan::lossy(0.05).with_corrupt(0.02).with_liars(vec![4]);
-        let cfg = RepairConfig { seed: 5, ..Default::default() };
-        let a = certified_mm(&g, &plan, &cfg).unwrap();
-        let b = certified_mm(&g, &plan, &cfg).unwrap();
+        let a = certified(&g, &plan, 5);
+        let b = certified(&g, &plan, 5);
         assert_eq!(a.matching.to_edge_vec(), b.matching.to_edge_vec());
-        assert_eq!(a.initial.flagged, b.initial.flagged);
+        assert_eq!(a.initial.unwrap().flagged, b.initial.unwrap().flagged);
         assert_eq!(a.repair_touched, b.repair_touched);
     }
 }

@@ -930,7 +930,8 @@ mod tests {
 
     #[test]
     fn beats_algorithm_5_on_average() {
-        use crate::weighted::{weighted_mwm, WeightedMwmConfig};
+        use crate::runtime::{run_mm, RuntimeConfig};
+        use crate::weighted::Weighted;
         let mut rng = StdRng::seed_from_u64(33);
         let mut hv_total = 0.0;
         let mut a5_total = 0.0;
@@ -939,11 +940,9 @@ mod tests {
             let g = randomize_weights(&base, WeightDist::Integer { max: 9 }, &mut rng);
             let hv =
                 hv_mwm(&g, &HvMwmConfig { eps: 0.2, seed: trial, ..Default::default() }).unwrap();
-            let a5 = weighted_mwm(
-                &g,
-                &WeightedMwmConfig { eps: 0.05, seed: trial, ..Default::default() },
-            )
-            .unwrap();
+            let sim = dam_congest::SimConfig::congest_for(g.node_count(), 8).seed(trial);
+            let alg5 = Weighted { eps: 0.05, ..Weighted::default() };
+            let a5 = run_mm(&alg5, &g, &RuntimeConfig::new().sim(sim)).unwrap();
             hv_total += hv.matching.weight(&g);
             a5_total += a5.matching.weight(&g);
         }

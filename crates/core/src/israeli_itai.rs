@@ -16,13 +16,14 @@
 //!
 //! Messages are 2 bits — far below any CONGEST budget.
 
-use dam_congest::{BitSize, Context, CorruptKind, Port, Protocol, SimConfig, TotalStats};
+use dam_congest::{BitSize, Context, CorruptKind, Port, Protocol, SimConfig};
 use dam_graph::{EdgeId, Graph};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
 use crate::error::CoreError;
 use crate::report::AlgorithmReport;
+use crate::runtime::{run_mm, IsraeliItai, RuntimeConfig};
 
 /// Protocol messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -230,28 +231,9 @@ impl Protocol for IiNode {
 /// assert!(maximal::is_maximal(&g, &report.matching));
 /// ```
 pub fn israeli_itai(g: &Graph, seed: u64) -> Result<AlgorithmReport, CoreError> {
-    israeli_itai_with(g, SimConfig::congest_for(g.node_count(), 4).seed(seed))
-}
-
-/// Runs Israeli–Itai under an explicit simulator configuration.
-/// Honors [`SimConfig::threads`]: with `threads > 1` the rounds execute
-/// on the sharded parallel engine, bit-identically.
-///
-/// This is a seed-only convenience over the unified runtime — the bare
-/// [`crate::runtime::run_mm`] pipeline with every middleware layer off.
-///
-/// # Errors
-/// As [`israeli_itai`].
-pub fn israeli_itai_with(g: &Graph, config: SimConfig) -> Result<AlgorithmReport, CoreError> {
-    let rep = crate::runtime::run_mm(
-        &crate::runtime::IsraeliItai,
-        g,
-        &crate::runtime::RuntimeConfig::new().sim(config),
-    )?;
-    let mut stats = TotalStats::default();
-    stats.record(&rep.phase1);
-    let iterations = usize::try_from(rep.phase1.rounds.div_ceil(3)).unwrap_or(usize::MAX);
-    Ok(AlgorithmReport { matching: rep.matching, stats, iterations })
+    let sim = SimConfig::congest_for(g.node_count(), 4).seed(seed);
+    let rep = run_mm(&IsraeliItai, g, &RuntimeConfig::new().sim(sim))?;
+    Ok(AlgorithmReport { matching: rep.matching, stats: rep.totals, iterations: rep.iterations })
 }
 
 #[cfg(test)]

@@ -28,20 +28,27 @@
 //! [`paper_map`] is a rustdoc-only chapter mapping every section of the
 //! paper to the code that implements it.
 //!
-//! Every algorithm returns a [`report::AlgorithmReport`] carrying the
+//! The paper's drivers ([`Bipartite`], [`Weighted`]) and the
+//! Israeli–Itai and Luby baselines ([`IsraeliItai`], [`LubyMatching`])
+//! implement [`runtime::Algorithm`] and run through one entry point,
+//! [`runtime::run_mm`], which returns a [`runtime::RunReport`]: the
 //! computed [`dam_graph::Matching`] (already validated) plus the full
-//! round/message/bit accounting of the run.
+//! round/message/bit accounting of every stage. The LOCAL-model and
+//! extension algorithms return a [`report::AlgorithmReport`].
 //!
 //! # Example
 //!
 //! ```
-//! use dam_core::bipartite::{bipartite_mcm, BipartiteMcmConfig};
+//! use dam_congest::SimConfig;
+//! use dam_core::{run_mm, Bipartite, RuntimeConfig};
 //! use dam_graph::{generators, hopcroft_karp};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let g = generators::bipartite_gnp(40, 40, 0.2, &mut rng);
-//! let report = bipartite_mcm(&g, &BipartiteMcmConfig { k: 3, seed: 1, ..Default::default() }).unwrap();
+//! // CONGEST(4 log n) messages, seed 1.
+//! let cfg = RuntimeConfig::new().sim(SimConfig::congest_for(g.node_count(), 4).seed(1));
+//! let report = run_mm(&Bipartite { k: 3, ..Bipartite::default() }, &g, &cfg).unwrap();
 //! let opt = hopcroft_karp::maximum_bipartite_matching_size(&g);
 //! // Theorem 3.10: at least a (1 - 1/3)-approximation.
 //! assert!(3 * report.matching.size() >= 2 * opt);

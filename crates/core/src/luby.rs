@@ -16,7 +16,7 @@ use dam_graph::{EdgeId, Graph};
 use rand::RngExt;
 
 use crate::error::CoreError;
-use crate::runtime::{Algorithm, Exec, MainRun};
+use crate::runtime::{execute_program, Algorithm, Exec, MainRun, RuntimeConfig};
 
 /// Protocol messages.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -190,25 +190,10 @@ pub struct MisReport {
 /// assert!(size >= 3 && size <= 4); // MIS of C_9 has 3 or 4 nodes
 /// ```
 pub fn luby_mis(g: &Graph, seed: u64) -> Result<MisReport, CoreError> {
-    luby_mis_with(g, SimConfig::congest_for(g.node_count(), 4).seed(seed))
-}
-
-/// Runs Luby's MIS under an explicit simulator configuration. Honors
-/// [`SimConfig::threads`]: with `threads > 1` the rounds execute on the
-/// sharded parallel engine, bit-identically.
-///
-/// This is a seed-only convenience over the unified runtime's engine
-/// entry ([`crate::runtime::execute_program`]) — MIS membership is not a
-/// match register, so none of the register middleware applies.
-///
-/// # Errors
-/// As [`luby_mis`].
-pub fn luby_mis_with(g: &Graph, config: SimConfig) -> Result<MisReport, CoreError> {
-    let out = crate::runtime::execute_program(
-        g,
-        &crate::runtime::RuntimeConfig::new().sim(config),
-        |v, graph| LubyNode::new(graph.degree(v)),
-    )?;
+    let sim = SimConfig::congest_for(g.node_count(), 4).seed(seed);
+    let out = execute_program(g, &RuntimeConfig::new().sim(sim), |v, graph| {
+        LubyNode::new(graph.degree(v))
+    })?;
     Ok(MisReport { in_mis: out.outputs, stats: out.stats })
 }
 

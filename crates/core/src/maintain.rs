@@ -12,12 +12,13 @@
 //!
 //! * [`Maintainer`] holds a matching over the *present* subgraph of a
 //!   fixed universe graph (presence masks over nodes and edges, matching
-//!   the engine's [`ChurnPlan`] model). [`Maintainer::apply`] processes
-//!   one batch of [`ChurnKind`] events: it sanitizes **only the
-//!   registers incident to an event** (a leave frees its partner, a
-//!   deleted matched edge frees both endpoints), then re-matches freed
-//!   endpoints by running Israeli–Itai **restricted to the affected
-//!   neighbourhood** — the candidate edges that could violate maximality.
+//!   the engine's [`dam_congest::ChurnPlan`] model).
+//!   [`Maintainer::apply`] processes one batch of [`ChurnKind`] events:
+//!   it sanitizes **only the registers incident to an event** (a leave
+//!   frees its partner, a deleted matched edge frees both endpoints),
+//!   then re-matches freed endpoints by running Israeli–Itai
+//!   **restricted to the affected neighbourhood** — the candidate edges
+//!   that could violate maximality.
 //!
 //! * The locality argument makes the restriction sound: at a quiescent
 //!   point no present edge joins two free present nodes, so after a
@@ -32,21 +33,20 @@
 //!   (via [`AsMaintenance`]), so steady-state upkeep never pollutes the
 //!   round/message counts of the algorithm proper.
 //!
-//! * [`churn_tolerant_mm`] is the distributed pipeline: Israeli–Itai over
-//!   the resilient transport while the engine replays a [`ChurnPlan`]
-//!   (and optionally a [`FaultPlan`]), then a final sanitize + repair on
-//!   the surviving topology. The returned matching is valid and maximal
-//!   on the final graph.
+//! * The runtime's maintenance layer
+//!   ([`crate::runtime::RuntimeConfig::maintain`]) is the distributed
+//!   pipeline: the algorithm runs while the engine replays a
+//!   [`dam_congest::ChurnPlan`] (and optionally a fault plan), then a
+//!   [`Maintainer::adopt`] + [`Maintainer::repair_full`] pass restores
+//!   maximality on the surviving topology. The final matching is valid
+//!   and maximal on the final graph.
 //!
 //! **Invariant** (checked in debug builds after every batch, and exposed
 //! as [`is_valid_on_present`] / [`is_maximal_on_present`]): at every
 //! quiescent point the maintained matching is a valid matching of the
 //! present subgraph and maximal on it.
 
-use dam_congest::transport::TransportCfg;
-use dam_congest::{
-    rng, AsMaintenance, ChurnKind, ChurnPlan, FaultPlan, Network, RunStats, SimConfig,
-};
+use dam_congest::{rng, AsMaintenance, ChurnKind, Network, RunStats, SimConfig};
 use dam_graph::{EdgeId, Graph, Matching, NodeId};
 
 use crate::error::CoreError;
@@ -58,20 +58,18 @@ use crate::repair::{sanitize_registers, Sanitized};
 /// [`crate::runtime::run_mm`], chained through [`rng::splitmix64`].
 pub(crate) const MAINTAIN_DOMAIN: u64 = 0x4D41_494E;
 
-/// Tuning for the maintenance loop and the distributed churn pipeline.
+/// Tuning for the maintenance loop.
 #[derive(Debug, Clone)]
 pub struct MaintainConfig {
     /// Master seed; each maintenance batch derives its own sub-seed.
     pub seed: u64,
-    /// Transport tuning for [`churn_tolerant_mm`]'s distributed run.
-    pub transport: TransportCfg,
     /// Round guard for every internal run.
     pub max_rounds: usize,
 }
 
 impl Default for MaintainConfig {
     fn default() -> MaintainConfig {
-        MaintainConfig { seed: 0, transport: TransportCfg::default(), max_rounds: 500_000 }
+        MaintainConfig { seed: 0, max_rounds: 500_000 }
     }
 }
 
@@ -132,8 +130,8 @@ impl<'g> Maintainer<'g> {
     }
 
     /// Starts maintenance on a masked subgraph (e.g. the initial
-    /// presence of a [`ChurnPlan`]): runs Israeli–Itai on the present
-    /// edges to reach the first quiescent point.
+    /// presence of a [`dam_congest::ChurnPlan`]): runs Israeli–Itai on
+    /// the present edges to reach the first quiescent point.
     ///
     /// # Errors
     /// Propagates simulator errors from the bootstrap run.
@@ -241,7 +239,7 @@ impl<'g> Maintainer<'g> {
     /// Events are applied in order against the current presence masks;
     /// an event that contradicts them (deleting an absent edge, a
     /// present node joining, ...) panics — feed events through
-    /// [`ChurnPlan::validate`] or drive this from an engine trace if the
+    /// [`ChurnPlan::validate`](dam_congest::ChurnPlan::validate) or drive this from an engine trace if the
     /// stream is untrusted. After the call the invariant holds again:
     /// the matching is valid and maximal on the new present subgraph.
     ///
@@ -432,73 +430,11 @@ pub fn is_maximal_on_present(
     })
 }
 
-/// The result of the distributed churn pipeline ([`churn_tolerant_mm`]).
-#[derive(Debug, Clone)]
-pub struct ChurnReport {
-    /// The final matching: valid and maximal on the final topology.
-    pub matching: Matching,
-    /// Edges of the distributed run's matching that survived the final
-    /// presence cross-validation.
-    pub surviving: usize,
-    /// Claims dissolved by the final sanitation.
-    pub dissolved: usize,
-    /// Edges added by the final maintenance repair.
-    pub added: usize,
-    /// Cost of the churned distributed run (protocol + transport
-    /// traffic, plus the engine's churn counters).
-    pub run: RunStats,
-    /// Cost of the final repair (maintenance-billed).
-    pub repair: RunStats,
-}
-
-/// Distributed churn pipeline: runs Israeli–Itai over the resilient
-/// transport while the engine replays `churn` (and `faults`), then
-/// sanitizes the survivors' registers against the final topology and
-/// restores maximality with a maintenance repair.
-///
-/// **Deprecated in favor of [`crate::runtime::run_mm`]** — this is now a
-/// thin shim over the unified runtime (a
-/// [`crate::runtime::RuntimeConfig`] with the `maintain` layer on), kept
-/// for source compatibility and bit-identical to the pre-runtime
-/// implementation (`tests/runtime_equiv.rs`). New code should build a
-/// `RuntimeConfig` directly.
-///
-/// Nodes crashed by `faults` and never recovered are treated as absent
-/// in the final topology (alongside nodes the churn plan removed), so
-/// the returned matching is valid and maximal on the graph that is
-/// actually still running.
-///
-/// # Errors
-/// Propagates simulator errors, including plan validation failures.
-pub fn churn_tolerant_mm(
-    g: &Graph,
-    faults: &FaultPlan,
-    churn: &ChurnPlan,
-    cfg: &MaintainConfig,
-) -> Result<ChurnReport, CoreError> {
-    let rep = crate::runtime::run_mm(
-        &crate::runtime::IsraeliItai,
-        g,
-        &crate::runtime::RuntimeConfig::new()
-            .sim(SimConfig::local().seed(cfg.seed).max_rounds(cfg.max_rounds))
-            .transport(cfg.transport)
-            .faults(faults.clone())
-            .churn(churn.clone())
-            .maintain(true),
-    )?;
-    Ok(ChurnReport {
-        matching: rep.matching,
-        surviving: rep.surviving,
-        dissolved: rep.dissolved,
-        added: rep.added,
-        run: rep.phase1,
-        repair: rep.maintain.expect("churn pipeline always runs the maintenance phase"),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::{run_mm, IsraeliItai, RunReport, RuntimeConfig};
+    use dam_congest::{ChurnPlan, FaultPlan, TransportCfg};
     use dam_graph::{generators, maximal};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -632,8 +568,20 @@ mod tests {
         assert_eq!(sane.registers, vec![Some(0), Some(0), None, None]);
     }
 
+    /// The churn pipeline: LOCAL, default transport, a 500 000-round
+    /// guard, maintenance on.
+    fn churn_tolerant(g: &Graph, faults: &FaultPlan, churn: &ChurnPlan, seed: u64) -> RunReport {
+        let cfg = RuntimeConfig::new()
+            .sim(SimConfig::local().seed(seed).max_rounds(500_000))
+            .transport(TransportCfg::default())
+            .faults(faults.clone())
+            .churn(churn.clone())
+            .maintain(true);
+        run_mm(&IsraeliItai, g, &cfg).unwrap()
+    }
+
     #[test]
-    fn churn_tolerant_mm_is_maximal_on_the_final_graph() {
+    fn churn_pipeline_is_maximal_on_the_final_graph() {
         let mut rng = StdRng::seed_from_u64(5);
         let g = generators::gnp(32, 0.15, &mut rng);
         let churn = ChurnPlan::default()
@@ -642,8 +590,7 @@ mod tests {
             .with_event(9, ChurnKind::EdgeDown { edge: 2 })
             .with_event(12, ChurnKind::Join { node: 31 })
             .with_event(15, ChurnKind::EdgeUp { edge: 2 });
-        let cfg = MaintainConfig { seed: 9, ..MaintainConfig::default() };
-        let report = churn_tolerant_mm(&g, &FaultPlan::default(), &churn, &cfg).unwrap();
+        let report = churn_tolerant(&g, &FaultPlan::default(), &churn, 9);
         report.matching.validate(&g).unwrap();
         let (mut np, ep) = churn.final_presence_on(&g);
         assert!(!np[4] && np[31]);
@@ -652,21 +599,20 @@ mod tests {
         assert!(is_valid_on_present(&g, &report.matching, &np, &ep));
         assert!(is_maximal_on_present(&g, &report.matching, &np, &ep));
         assert_eq!(report.matching.size(), report.surviving + report.added);
-        assert!(report.run.churn_events == 4);
+        assert!(report.phase1.churn_events == 4);
     }
 
     #[test]
-    fn churn_tolerant_mm_is_deterministic() {
+    fn churn_pipeline_is_deterministic() {
         let mut rng = StdRng::seed_from_u64(6);
         let g = generators::gnp(24, 0.2, &mut rng);
         let churn = ChurnPlan::default()
             .with_event(5, ChurnKind::Leave { node: 1 })
             .with_event(8, ChurnKind::EdgeDown { edge: 0 });
         let faults = FaultPlan::lossy(0.05);
-        let cfg = MaintainConfig { seed: 77, ..MaintainConfig::default() };
-        let a = churn_tolerant_mm(&g, &faults, &churn, &cfg).unwrap();
-        let b = churn_tolerant_mm(&g, &faults, &churn, &cfg).unwrap();
+        let a = churn_tolerant(&g, &faults, &churn, 77);
+        let b = churn_tolerant(&g, &faults, &churn, 77);
         assert_eq!(a.matching.to_edge_vec(), b.matching.to_edge_vec());
-        assert_eq!((a.run, a.repair), (b.run, b.repair));
+        assert_eq!((a.phase1, a.maintain), (b.phase1, b.maintain));
     }
 }

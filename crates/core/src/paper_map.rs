@@ -44,7 +44,7 @@
 //! | §3.2 winner lottery (`max of n_y uniforms`) | [`crate::bipartite::PhaseNode`]'s lottery (`ln U / n_y` reparametrization) |
 //! | §3.2 token walk + collision + trace-back | [`crate::bipartite::PhaseNode`] token/augment stages |
 //! | Lemma 3.9 (pipelined `O(ℓ log N)` emulation) | `dam_congest::CostModel::Pipelined` + analytic token widths |
-//! | Theorem 3.10 | [`crate::bipartite::bipartite_mcm`]; experiments E1, E2 |
+//! | Theorem 3.10 | [`crate::bipartite::Bipartite`] (run by [`crate::runtime::run_mm`]); experiments E1, E2 |
 //! | Algorithm 4 (red/blue sampling, `Ĝ`) | [`crate::general::ColorNode`], [`crate::general::general_mcm`] |
 //! | Observations 3.11/3.12, Lemmas 3.13/3.14 | behaviour checked by E3's ratio floors |
 //! | `2^{2k+1}(k+1)·ln k` iterations | [`crate::general::paper_iteration_bound`] |
@@ -55,7 +55,7 @@
 //! | Paper artifact | Code |
 //! |---|---|
 //! | `wrap(e)`, gain `g(P)`, re-weighting `w_M` | [`crate::weighted`] `GainExchange` |
-//! | Algorithm 5 | [`crate::weighted::weighted_mwm`] |
+//! | Algorithm 5 | [`crate::weighted::Weighted`] (run by [`crate::runtime::run_mm`]) |
 //! | Lemma 4.1 (`w(M″) ≥ w(M) + w_M(M′)`) | `lemma_4_1_gain_inequality` property test |
 //! | Lemma 4.2 (Pettie–Sanders) | `dam_graph::pettie_sanders` implements its source algorithm (`(2/3−ε)`-MWM); measured via E4 |
 //! | Lemma 4.4 (`δ`-MWM black box, PODC'07) | [`crate::weighted::local_max`] (substitution, see `DESIGN.md`) |

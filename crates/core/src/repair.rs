@@ -19,9 +19,10 @@
 //!    Everything else is dissolved; in particular a crashed node's
 //!    partner is freed. What remains is the **surviving consistent
 //!    matching** — provably a valid matching.
-//! 2. [`repair_matching`]: the survivors re-run Israeli–Itai
-//!    ([`crate::israeli_itai`]) on the *residual graph* (live nodes,
-//!    minus already-matched ones), wrapped in the resilient transport
+//! 2. [`crate::runtime::repair_registers`]: the survivors re-run the
+//!    algorithm (for Israeli–Itai, [`crate::israeli_itai`]) on the
+//!    *residual graph* (live nodes, minus already-matched ones),
+//!    optionally wrapped in the resilient transport
 //!    ([`dam_congest::transport::Resilient`]) so the repair itself
 //!    tolerates message loss, duplication and reordering. Matched
 //!    survivors only re-announce their match and halt; free survivors
@@ -29,19 +30,13 @@
 //!    released, the repaired matching always **contains** the surviving
 //!    consistent matching — repair can only grow it.
 //!
-//! [`self_healing_mm`] packages the full pipeline: run Israeli–Itai
-//! under an adversarial [`FaultPlan`] (over the resilient transport),
-//! then sanitize and repair, returning the final matching with
-//! per-phase cost accounting. It is now a thin shim over the unified
-//! runtime ([`crate::runtime::run_mm`]); new code should drive the
-//! runtime directly.
+//! The runtime's repair layer ([`crate::runtime::RuntimeConfig::repair`])
+//! packages the full pipeline: run the algorithm under an adversarial
+//! [`dam_congest::FaultPlan`], then sanitize and repair, with per-phase
+//! cost accounting in the [`crate::runtime::RunReport`].
 
-use dam_congest::transport::TransportCfg;
-use dam_congest::{FaultPlan, RunStats, SimConfig};
-use dam_graph::{BitSet, EdgeId, Graph, Matching, NodeId, Topology};
-
-use crate::error::CoreError;
-use crate::runtime::{run_mm, IsraeliItai, RuntimeConfig};
+use dam_congest::RunStats;
+use dam_graph::{BitSet, EdgeId, Graph, Matching, Topology};
 
 /// The result of [`sanitize_registers`]: cross-validated registers plus
 /// an accounting of what was kept and what was dissolved.
@@ -117,25 +112,7 @@ pub fn sanitize_registers_on(
     Sanitized { registers: out, surviving, dissolved }
 }
 
-/// Configuration of the distributed repair phase.
-#[derive(Debug, Clone)]
-pub struct RepairConfig {
-    /// Master seed of the repair run (phase 1 of [`self_healing_mm`]
-    /// uses the same seed on a separate [`dam_congest::Network`]).
-    pub seed: u64,
-    /// Transport tuning for both phases.
-    pub transport: TransportCfg,
-    /// Round guard for each phase.
-    pub max_rounds: usize,
-}
-
-impl Default for RepairConfig {
-    fn default() -> RepairConfig {
-        RepairConfig { seed: 0, transport: TransportCfg::default(), max_rounds: 500_000 }
-    }
-}
-
-/// The result of a repair pass.
+/// The result of a repair pass ([`crate::runtime::repair_registers`]).
 #[derive(Debug, Clone)]
 pub struct RepairReport {
     /// The repaired matching: valid, contains the surviving consistent
@@ -145,125 +122,10 @@ pub struct RepairReport {
     pub surviving: usize,
     /// Claimed edges dissolved by sanitize.
     pub dissolved: usize,
-    /// Edges added by the Israeli–Itai repair on the residual graph.
+    /// Edges added by the repair run on the residual graph.
     pub added: usize,
     /// Cost of the distributed repair run.
     pub stats: RunStats,
-}
-
-/// Sanitizes damaged registers and re-runs localized Israeli–Itai on
-/// the residual graph (steps 1 + 2 of the module pipeline).
-///
-/// This is a thin shim over the runtime's repair engine,
-/// [`crate::runtime::repair_registers`], which generalizes it to any
-/// [`crate::runtime::Algorithm`].
-///
-/// `faults` applies to the repair run itself and must not contain
-/// crashes — the dead are given by `alive`; use loss/duplication/
-/// reordering to exercise repair under an unreliable network. Live
-/// nodes start knowing which of their neighbours are dead (in the
-/// self-healing pipeline the transport's failure detector told them
-/// during phase 1), so repair needs no extra detection latency for
-/// already-known deaths.
-///
-/// # Errors
-/// Propagates simulator errors; the final register assembly cannot fail
-/// for crash-free repair plans (survivors finish with symmetric
-/// registers).
-///
-/// # Panics
-/// Panics if `registers`/`alive` are not one entry per node or if
-/// `faults` contains crashes.
-pub fn repair_matching(
-    g: &Graph,
-    registers: &[Option<EdgeId>],
-    alive: &[bool],
-    faults: &FaultPlan,
-    cfg: &RepairConfig,
-) -> Result<RepairReport, CoreError> {
-    crate::runtime::repair_registers(
-        &IsraeliItai,
-        g,
-        registers,
-        &BitSet::from_bools(alive),
-        faults,
-        Some(cfg.transport),
-        None,
-        SimConfig::local().seed(cfg.seed).max_rounds(cfg.max_rounds),
-    )
-}
-
-/// The result of the full self-healing pipeline.
-#[derive(Debug, Clone)]
-pub struct SelfHealingReport {
-    /// The final matching among surviving nodes.
-    pub matching: Matching,
-    /// Nodes dead at the end (crashed and never recovered).
-    pub dead: Vec<NodeId>,
-    /// Edges of the surviving consistent matching after phase 1.
-    pub surviving: usize,
-    /// Claimed edges dissolved by sanitize after phase 1.
-    pub dissolved: usize,
-    /// Edges added back by the repair phase.
-    pub added: usize,
-    /// Cost of phase 1 (faulty Israeli–Itai over the transport).
-    pub phase1: RunStats,
-    /// Cost of phase 2 (repair over the transport).
-    pub repair: RunStats,
-}
-
-/// Runs the full self-healing pipeline: Israeli–Itai maximal matching
-/// over the resilient transport under `plan`, then register sanitation
-/// and matching repair on the residual graph (with the plan's
-/// link-level faults still active, but no further crashes).
-///
-/// **Deprecated in favor of [`crate::runtime::run_mm`]** — this is now a
-/// thin shim over the unified runtime (a [`RuntimeConfig`] with the
-/// `repair` layer on), kept for source compatibility and bit-identical
-/// to the pre-runtime implementation (`tests/runtime_equiv.rs`). New
-/// code should build a [`RuntimeConfig`] directly.
-///
-/// The returned matching is always valid; it contains the surviving
-/// consistent matching of phase 1; and (w.h.p.) no edge between two
-/// surviving unmatched nodes remains — the matching is maximal on the
-/// residual graph.
-///
-/// # Errors
-/// Propagates simulator errors from either phase.
-pub fn self_healing_mm(
-    g: &Graph,
-    plan: &FaultPlan,
-    cfg: &RepairConfig,
-) -> Result<SelfHealingReport, CoreError> {
-    // The legacy repair phase kept the plan's link-level channels except
-    // corruption; preserve that exact plan so replays stay bit-identical.
-    let repair_faults = FaultPlan {
-        loss: plan.loss,
-        dup: plan.dup,
-        reorder: plan.reorder,
-        links: plan.links.clone(),
-        ..FaultPlan::default()
-    };
-    let rep = run_mm(
-        &IsraeliItai,
-        g,
-        &RuntimeConfig::new()
-            .sim(SimConfig::local().seed(cfg.seed).max_rounds(cfg.max_rounds))
-            .transport(cfg.transport)
-            .faults(plan.clone())
-            .repair(true)
-            .repair_faults(repair_faults),
-    )?;
-
-    Ok(SelfHealingReport {
-        matching: rep.matching,
-        dead: rep.excluded,
-        surviving: rep.surviving,
-        dissolved: rep.dissolved,
-        added: rep.added,
-        phase1: rep.phase1,
-        repair: rep.repair.expect("self-healing pipeline always runs the repair phase"),
-    })
 }
 
 /// Checks that `m` is maximal on the residual graph: no edge joins two
@@ -280,7 +142,9 @@ pub fn is_maximal_on_residual(g: &Graph, m: &Matching, alive: &[bool]) -> bool {
 mod tests {
     use super::*;
     use crate::israeli_itai::israeli_itai;
-    use dam_graph::generators;
+    use crate::runtime::{repair_registers, run_mm, IsraeliItai, RunReport, RuntimeConfig};
+    use dam_congest::{FaultPlan, SimConfig, TransportCfg};
+    use dam_graph::{generators, NodeId};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -310,6 +174,18 @@ mod tests {
         assert_eq!(sane.dissolved, 2); // edge 1 + the bogus claim
     }
 
+    /// The self-healing pipeline: LOCAL, default transport, a
+    /// 500 000-round guard, repair on.
+    fn self_healing(g: &Graph, plan: &FaultPlan, seed: u64) -> RunReport {
+        let sim = SimConfig::local().seed(seed).max_rounds(500_000);
+        let cfg = RuntimeConfig::new()
+            .sim(sim)
+            .transport(TransportCfg::default())
+            .faults(plan.clone())
+            .repair(true);
+        run_mm(&IsraeliItai, g, &cfg).unwrap()
+    }
+
     #[test]
     fn repair_restores_maximality_and_keeps_survivors() {
         let mut rng = StdRng::seed_from_u64(8);
@@ -326,12 +202,15 @@ mod tests {
                 }
             }
             let sane = sanitize_registers(&g, &regs, &alive);
-            let report = repair_matching(
+            let report = repair_registers(
+                &IsraeliItai,
                 &g,
                 &regs,
-                &alive,
+                &BitSet::from_bools(&alive),
                 &FaultPlan::default(),
-                &RepairConfig { seed: 100 + trial, ..RepairConfig::default() },
+                Some(TransportCfg::default()),
+                None,
+                SimConfig::local().seed(100 + trial).max_rounds(500_000),
             )
             .unwrap();
             report.matching.validate(&g).unwrap();
@@ -355,13 +234,13 @@ mod tests {
         let g = generators::gnp(48, 0.1, &mut rng);
         let crashes: Vec<(NodeId, usize)> = vec![(3, 5), (17, 9), (31, 2)];
         let plan = FaultPlan { crashes, loss: 0.05, ..FaultPlan::default() };
-        let report = self_healing_mm(&g, &plan, &RepairConfig::default()).unwrap();
+        let report = self_healing(&g, &plan, 0);
         report.matching.validate(&g).unwrap();
-        assert_eq!(report.dead, vec![3, 17, 31]);
-        let alive: Vec<bool> = (0..g.node_count()).map(|v| !report.dead.contains(&v)).collect();
+        assert_eq!(report.excluded, vec![3, 17, 31]);
+        let alive: Vec<bool> = (0..g.node_count()).map(|v| !report.excluded.contains(&v)).collect();
         assert!(is_maximal_on_residual(&g, &report.matching, &alive));
         // No dead node is matched.
-        for &v in &report.dead {
+        for &v in &report.excluded {
             assert!(report.matching.is_free(v));
         }
         assert_eq!(report.matching.size(), report.surviving + report.added);
@@ -373,9 +252,8 @@ mod tests {
         let g = generators::gnp(30, 0.15, &mut rng);
         let plan =
             FaultPlan { crashes: vec![(5, 4)], loss: 0.1, dup: 0.05, ..FaultPlan::default() };
-        let cfg = RepairConfig { seed: 42, ..RepairConfig::default() };
-        let a = self_healing_mm(&g, &plan, &cfg).unwrap();
-        let b = self_healing_mm(&g, &plan, &cfg).unwrap();
+        let a = self_healing(&g, &plan, 42);
+        let b = self_healing(&g, &plan, 42);
         assert_eq!(a.matching.to_edge_vec(), b.matching.to_edge_vec());
         assert_eq!((a.phase1, a.repair), (b.phase1, b.repair));
     }
@@ -387,9 +265,9 @@ mod tests {
         // runs on the full survivor set, so it can be matched again.
         let g = generators::path(6);
         let plan = FaultPlan::crashes(vec![(1, 4)]).with_recoveries(vec![(1, 30)]);
-        let report = self_healing_mm(&g, &plan, &RepairConfig::default()).unwrap();
+        let report = self_healing(&g, &plan, 0);
         report.matching.validate(&g).unwrap();
-        assert!(report.dead.is_empty());
+        assert!(report.excluded.is_empty());
         let alive = vec![true; 6];
         assert!(is_maximal_on_residual(&g, &report.matching, &alive));
     }

@@ -3,11 +3,8 @@
 //!
 //! Every cross-cutting feature this crate grew — the resilient
 //! transport, churn maintenance, localized repair, proof-labeling
-//! certification — used to be hand-threaded through bespoke end-to-end
-//! pipelines (`self_healing_mm`, `churn_tolerant_mm`, `certified_mm`),
-//! each re-wiring the same phases in its own function body. This module
-//! replaces that wiring with a single stack of middleware layers around
-//! any node program:
+//! certification — is one layer of a single middleware stack around any
+//! node program:
 //!
 //! ```text
 //!   RuntimeConfig                run_mm(algo, g, cfg)
@@ -47,13 +44,13 @@
 //!   machine-checkable map that keeps CLI and config from drifting.
 //!   [`AlgoSpec`] is the portfolio selector knob; [`run_configured`]
 //!   dispatches it.
-//! * [`run_mm`] executes the stack. With every toggle off it degenerates
-//!   to the plain driver (`israeli_itai_with`); with `repair` on it is
-//!   the self-healing pipeline; with `maintain` on the churn-tolerant
-//!   pipeline; with `certify` (+`repair`) on the certified pipeline.
-//!   The legacy entry points survive as thin shims and are bit-identical
-//!   to their pre-runtime implementations (`tests/runtime_equiv.rs` and
-//!   `tests/algo_conformance.rs` are the differential proofs).
+//! * [`run_mm`] executes the stack, and is the one way to run a
+//!   matching driver. With every toggle off it is the plain driver; with
+//!   `repair` on it is the self-healing pipeline; with `maintain` on the
+//!   churn-tolerant pipeline; with `certify` (+`repair`) on the certified
+//!   pipeline. `tests/runtime_equiv.rs` and `tests/algo_conformance.rs`
+//!   pin it to golden replicas of the pre-runtime code, and
+//!   `tests/run_mm_digests.rs` to a committed digest table.
 //! * [`execute_program`] is the escape hatch for node programs whose
 //!   output is not a match register (e.g. Luby's plain MIS membership
 //!   flags): same engine entry, same transport wrapping, no register
@@ -800,9 +797,8 @@ impl RuntimeConfig {
     }
 }
 
-/// The result of one [`run_mm`] pipeline execution — a superset of the
-/// legacy per-pipeline reports, so the deprecated shims are pure field
-/// mappings.
+/// The result of one [`run_mm`] pipeline execution: every stage's
+/// output and cost.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// [`Algorithm::name`] of the program that ran.
@@ -841,8 +837,7 @@ pub struct RunReport {
     /// transport traffic, churn counters).
     pub phase1: RunStats,
     /// Engine run totals of the main run: one recorded run per driver
-    /// phase. Legacy multi-phase drivers reported exactly this, so
-    /// their shims are field mappings.
+    /// phase.
     pub totals: TotalStats,
     /// Driver-level iteration count of the main run (see
     /// [`MainRun::iterations`]).
@@ -973,8 +968,8 @@ where
 /// The runtime's repair phase, usable standalone: sanitizes damaged
 /// registers against `alive` and re-runs `algo` (via
 /// [`Algorithm::resume`]) on the residual graph, optionally over the
-/// resilient transport. This is the engine behind both
-/// [`crate::repair::repair_matching`] and [`run_mm`]'s repair layer.
+/// resilient transport. This is the engine behind [`run_mm`]'s repair
+/// layer.
 ///
 /// `faults` applies to the repair run itself and must not contain
 /// crashes — the dead are given by `alive`. The simulator seed is
@@ -1043,8 +1038,7 @@ pub fn run_configured(g: &dyn Topology, cfg: &RuntimeConfig) -> Result<RunReport
 /// maintenance against the final topology, and re-verification.
 ///
 /// With every toggle off this is the plain driver: registers are
-/// assembled directly and an inconsistent run surfaces as an error,
-/// exactly like the pre-runtime `israeli_itai_with`.
+/// assembled directly and an inconsistent run surfaces as an error.
 ///
 /// # Errors
 /// Propagates simulator errors from any phase, plan validation errors
@@ -1469,12 +1463,6 @@ fn pipeline_tail<A: Algorithm + ?Sized>(
             edge_present,
             &MaintainConfig {
                 seed: rng::splitmix64((cfg.sim.seed ^ algo_domain(algo.name())) ^ MAINTAIN_DOMAIN),
-                // Maintenance keeps static timers; an adaptive run
-                // falls back to its policy floor.
-                transport: cfg
-                    .transport
-                    .or_else(|| cfg.adaptive.map(|p| p.floor))
-                    .unwrap_or_default(),
                 max_rounds: cfg.sim.max_rounds,
             },
         );
@@ -1656,9 +1644,7 @@ mod tests {
         let cfg = RuntimeConfig::new().sim(SimConfig::congest_for(30, 4).seed(7));
         let rep = run_mm(&IsraeliItai, &g, &cfg).unwrap();
         rep.matching.validate(&g).unwrap();
-        let direct =
-            crate::israeli_itai::israeli_itai_with(&g, SimConfig::congest_for(30, 4).seed(7))
-                .unwrap();
+        let direct = crate::israeli_itai::israeli_itai(&g, 7).unwrap();
         assert_eq!(rep.matching.to_edge_vec(), direct.matching.to_edge_vec());
         assert_eq!(rep.totals, direct.stats, "engine totals surface unchanged");
         assert_eq!(rep.iterations, direct.iterations);

@@ -13,10 +13,9 @@
 //! Goldens are *legacy replicas*: they reproduce, instruction for
 //! instruction, the driver loops as they existed before the port onto
 //! the runtime trait, directly on a [`Network`]. That is the same
-//! golden-replica discipline as `tests/runtime_equiv.rs` — the shims in
-//! `bipartite.rs`/`weighted/mod.rs` delegate to [`super::run_mm`], so
-//! an independent record of the old behaviour is needed to prove the
-//! delegation is bit-identical.
+//! golden-replica discipline as `tests/runtime_equiv.rs`: an
+//! independent record of the old behaviour, so a drift in
+//! [`super::run_mm`]'s composition cannot hide behind itself.
 
 use dam_congest::{Network, RunSpec, SimConfig};
 use dam_graph::{hopcroft_karp, maximal, mwm, EdgeId, Graph, GraphError, Matching};
@@ -28,7 +27,7 @@ use crate::israeli_itai::IiNode;
 use crate::luby::LubyMatchingNode;
 use crate::report::matching_from_registers;
 use crate::weighted::local_max::LocalMaxNode;
-use crate::weighted::{GainExchange, WeightedMwmConfig, WrapApply};
+use crate::weighted::{algorithm5_iterations, GainExchange, WrapApply};
 
 /// The approximation family an implementor belongs to — what "correct"
 /// means for its output at a quiescent, fault-free point.
@@ -206,7 +205,7 @@ fn golden_bipartite_k3(g: &Graph, sim: SimConfig) -> Result<Vec<Option<EdgeId>>,
 fn golden_weighted(g: &Graph, sim: SimConfig) -> Result<Vec<Option<EdgeId>>, CoreError> {
     let mut net = Network::new(g, sim);
     let mut registers: Vec<Option<EdgeId>> = vec![None; g.node_count()];
-    let iterations = WeightedMwmConfig::default().iterations();
+    let iterations = algorithm5_iterations(0.1, 0.5);
     for _ in 0..iterations {
         let gains = net
             .execute(

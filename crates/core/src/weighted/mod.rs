@@ -20,13 +20,12 @@ pub mod b_local_max;
 pub mod local_max;
 pub mod proposal;
 
-use dam_congest::{BitSize, Context, Port, Protocol, SimConfig};
-use dam_graph::{EdgeId, Graph};
+use dam_congest::{BitSize, Context, Port, Protocol};
+use dam_graph::EdgeId;
 
 use crate::error::CoreError;
 use crate::repair::sanitize_registers_on;
-use crate::report::AlgorithmReport;
-use crate::runtime::{run_mm, Algorithm, Exec, MainRun, RuntimeConfig};
+use crate::runtime::{Algorithm, Exec, MainRun};
 
 use self::local_max::LocalMaxNode;
 use self::proposal::ProposalNode;
@@ -42,55 +41,6 @@ pub enum BlackBox {
         /// Propose/accept cycles per invocation.
         iterations: usize,
     },
-}
-
-/// Configuration for [`weighted_mwm`].
-#[derive(Debug, Clone, Copy)]
-pub struct WeightedMwmConfig {
-    /// Target slack: the result is a `(½−ε)`-MWM.
-    pub eps: f64,
-    /// Master seed.
-    pub seed: u64,
-    /// The inner `δ`-MWM.
-    pub black_box: BlackBox,
-    /// `δ` assumed in the iteration count `⌈(3/2δ)·ln(2/ε)⌉`.
-    pub delta: f64,
-    /// CONGEST budget: `congest_words · log₂ n` bits per message (gain
-    /// messages are 64-bit floats, so keep this ≥ `64/log₂ n`).
-    pub congest_words: usize,
-    /// Round-cost accounting.
-    pub cost: dam_congest::CostModel,
-    /// Simulator worker threads (see [`SimConfig::threads`]); every
-    /// phase runs on the sharded parallel engine when `> 1`, with
-    /// bit-identical results.
-    pub threads: usize,
-    /// Engine backend (see [`SimConfig::backend`]); every phase runs on
-    /// the selected executor — including [`dam_congest::Backend::Async`],
-    /// which is bit-identical under the synchronizer contract.
-    pub backend: dam_congest::Backend,
-}
-
-impl Default for WeightedMwmConfig {
-    fn default() -> WeightedMwmConfig {
-        WeightedMwmConfig {
-            eps: 0.1,
-            seed: 0,
-            black_box: BlackBox::LocalMax,
-            delta: 0.5,
-            congest_words: 8,
-            cost: dam_congest::CostModel::Unit,
-            threads: 1,
-            backend: dam_congest::Backend::Sequential,
-        }
-    }
-}
-
-impl WeightedMwmConfig {
-    /// The iteration count of Algorithm 5, line 2.
-    #[must_use]
-    pub fn iterations(&self) -> usize {
-        algorithm5_iterations(self.eps, self.delta)
-    }
 }
 
 /// Messages of the gain-exchange and wrap passes.
@@ -199,7 +149,7 @@ impl Protocol for WrapApply {
 }
 
 /// The iteration count of Algorithm 5, line 2: `⌈(3/2δ)·ln(2/ε)⌉`.
-fn algorithm5_iterations(eps: f64, delta: f64) -> usize {
+pub(crate) fn algorithm5_iterations(eps: f64, delta: f64) -> usize {
     ((3.0 / (2.0 * delta)) * (2.0 / eps).ln()).ceil().max(1.0) as usize
 }
 
@@ -315,48 +265,29 @@ impl Algorithm for Weighted {
     }
 }
 
-/// Computes a `(½−ε)`-approximate maximum-weight matching (Theorem 4.5).
-///
-/// # Errors
-/// Simulation or register-consistency failure.
-///
-/// # Panics
-/// Panics if `eps` or `delta` are outside `(0, 1]`.
-///
-/// # Example
-/// ```
-/// use dam_core::weighted::{weighted_mwm, WeightedMwmConfig};
-/// use dam_graph::generators;
-///
-/// let g = generators::greedy_trap(3, 0.2);
-/// let r = weighted_mwm(&g, &WeightedMwmConfig { eps: 0.05, seed: 1, ..Default::default() }).unwrap();
-/// // Optimum is 6.0 (all outer edges); (1/2 - ε) of that is ≈ 2.7.
-/// assert!(r.matching.weight(&g) >= 2.7);
-/// ```
-pub fn weighted_mwm(g: &Graph, config: &WeightedMwmConfig) -> Result<AlgorithmReport, CoreError> {
-    // Deprecated shim: the driver now lives on the runtime trait
-    // ([`Weighted`]); this entry point survives as a bit-identical
-    // field mapping (pinned by `tests/algo_conformance.rs`).
-    let sim = SimConfig::congest_for(g.node_count(), config.congest_words)
-        .seed(config.seed)
-        .cost(config.cost)
-        .threads(config.threads)
-        .backend(config.backend);
-    let algo = Weighted { eps: config.eps, delta: config.delta, black_box: config.black_box };
-    let rep = run_mm(&algo, g, &RuntimeConfig::new().sim(sim))?;
-    Ok(AlgorithmReport { matching: rep.matching, stats: rep.totals, iterations: rep.iterations })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::{run_mm, RunReport, RuntimeConfig};
+    use dam_congest::SimConfig;
     use dam_graph::weights::{randomize_weights, WeightDist};
-    use dam_graph::{brute, generators, mwm};
+    use dam_graph::{brute, generators, mwm, Graph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn ratio(g: &Graph, cfg: &WeightedMwmConfig) -> f64 {
-        let r = weighted_mwm(g, cfg).unwrap();
+    /// The driver bare on CONGEST(`8 log n`), wide enough for its
+    /// 64-bit gain messages.
+    fn mwm_run(g: &Graph, algo: Weighted, seed: u64) -> RunReport {
+        let sim = SimConfig::congest_for(g.node_count(), 8).seed(seed);
+        run_mm(&algo, g, &RuntimeConfig::new().sim(sim)).unwrap()
+    }
+
+    fn with_eps(eps: f64) -> Weighted {
+        Weighted { eps, ..Weighted::default() }
+    }
+
+    fn ratio(g: &Graph, algo: Weighted, seed: u64) -> f64 {
+        let r = mwm_run(g, algo, seed);
         r.matching.validate(g).unwrap();
         let opt = brute::maximum_weight(g);
         if opt == 0.0 {
@@ -368,10 +299,8 @@ mod tests {
 
     #[test]
     fn iteration_count_formula() {
-        let c = WeightedMwmConfig { eps: 0.1, delta: 0.5, ..Default::default() };
-        assert_eq!(c.iterations(), 9); // ⌈3·ln 20⌉ = ⌈8.987⌉
-        let c = WeightedMwmConfig { eps: 0.5, delta: 0.5, ..Default::default() };
-        assert_eq!(c.iterations(), 5); // ⌈3·ln 4⌉ = ⌈4.159⌉
+        assert_eq!(algorithm5_iterations(0.1, 0.5), 9); // ⌈3·ln 20⌉ = ⌈8.987⌉
+        assert_eq!(algorithm5_iterations(0.5, 0.5), 5); // ⌈3·ln 4⌉ = ⌈4.159⌉
     }
 
     #[test]
@@ -380,8 +309,7 @@ mod tests {
         for trial in 0..12 {
             let base = generators::gnp(11, 0.3, &mut rng);
             let g = randomize_weights(&base, WeightDist::Uniform { lo: 0.2, hi: 5.0 }, &mut rng);
-            let cfg = WeightedMwmConfig { eps: 0.05, seed: trial, ..Default::default() };
-            let r = ratio(&g, &cfg);
+            let r = ratio(&g, with_eps(0.05), trial);
             assert!(r >= 0.45 - 1e-9, "trial {trial}: ratio {r} < 1/2 - ε");
         }
     }
@@ -395,8 +323,7 @@ mod tests {
         // (1+δ)/2. This is the §4 observation that the reduction cannot
         // beat ½ in general.
         let g = generators::greedy_trap(4, 0.2);
-        let cfg = WeightedMwmConfig { eps: 0.02, seed: 3, ..Default::default() };
-        let r = weighted_mwm(&g, &cfg).unwrap();
+        let r = mwm_run(&g, with_eps(0.02), 3);
         let opt = brute::maximum_weight(&g); // 8.0
         let w = r.matching.weight(&g);
         assert!(w >= (0.5 - 0.02) * opt - 1e-9, "Theorem 4.5 floor violated: {w}");
@@ -413,9 +340,7 @@ mod tests {
         let g = randomize_weights(&base, WeightDist::Integer { max: 9 }, &mut rng);
         let mut last = 0.0;
         for eps in [1.0, 0.6, 0.3, 0.1, 0.03] {
-            let cfg = WeightedMwmConfig { eps, seed: 5, ..Default::default() };
-            let r = weighted_mwm(&g, &cfg).unwrap();
-            let w = r.matching.weight(&g);
+            let w = mwm_run(&g, with_eps(eps), 5).matching.weight(&g);
             assert!(w + 1e-9 >= last, "weight decreased: {last} -> {w}");
             last = w;
         }
@@ -428,8 +353,7 @@ mod tests {
         // from the empty matching and local-max takes one of the ends, so
         // it escapes. Verify only that the ratio lands in [1/2-ε, 1].
         let g = generators::three_edge_series();
-        let cfg = WeightedMwmConfig { eps: 0.1, seed: 1, ..Default::default() };
-        let r = ratio(&g, &cfg);
+        let r = ratio(&g, with_eps(0.1), 1);
         assert!(r >= 0.5 - 0.1 - 1e-9);
     }
 
@@ -438,13 +362,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(104);
         let base = generators::gnp(12, 0.3, &mut rng);
         let g = randomize_weights(&base, WeightDist::Integer { max: 7 }, &mut rng);
-        let cfg = WeightedMwmConfig {
-            eps: 0.05,
-            seed: 2,
-            black_box: BlackBox::Proposal { iterations: 12 },
-            ..Default::default()
-        };
-        let r = weighted_mwm(&g, &cfg).unwrap();
+        let algo = Weighted { black_box: BlackBox::Proposal { iterations: 12 }, ..with_eps(0.05) };
+        let r = mwm_run(&g, algo, 2);
         r.matching.validate(&g).unwrap();
         assert!(r.matching.weight(&g) > 0.0);
     }
@@ -455,8 +374,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(105);
         let base = generators::gnp(60, 0.1, &mut rng);
         let g = randomize_weights(&base, WeightDist::Exponential { lambda: 0.5 }, &mut rng);
-        let cfg = WeightedMwmConfig { eps: 0.05, seed: 8, ..Default::default() };
-        let r = weighted_mwm(&g, &cfg).unwrap();
+        let r = mwm_run(&g, with_eps(0.05), 8);
         let opt = mwm::maximum_weight(&g);
         assert!(r.matching.weight(&g) >= (0.5 - 0.05) * opt - 1e-9);
     }
@@ -464,8 +382,7 @@ mod tests {
     #[test]
     fn unweighted_graphs_work_too() {
         let g = generators::cycle(12);
-        let cfg = WeightedMwmConfig { eps: 0.1, seed: 4, ..Default::default() };
-        let r = weighted_mwm(&g, &cfg).unwrap();
+        let r = mwm_run(&g, with_eps(0.1), 4);
         assert!(r.matching.size() >= 4); // ≥ (1/2 − ε) · 6 edges
     }
 }

@@ -6,9 +6,7 @@
 //!
 //! Legs:
 //! 1. Bit-identity to the legacy code path (golden replica) across 16
-//!    seeds × threads {1, 2, 4} × all three backends — the proof that
-//!    the deprecated shims (`bipartite_mcm`, `weighted_mwm`) delegate
-//!    without drift.
+//!    seeds × threads {1, 2, 4} × all three backends.
 //! 2. Family invariants ([`Kind`]) at quiescent fault-free points,
 //!    against exact oracles.
 //! 3. Fault + churn schedules through repair and maintenance: the final

@@ -1,17 +1,16 @@
 //! Property-based tests for the distributed algorithms.
 
-use dam_congest::{BitSize, CorruptKind, FaultPlan};
+use dam_congest::{BitSize, CorruptKind, FaultPlan, SimConfig, TransportCfg};
 use dam_core::auction::{auction_mwm, AuctionConfig};
-use dam_core::bipartite::{bipartite_mcm, BipartiteMcmConfig};
+use dam_core::bipartite::Bipartite;
 use dam_core::certify::{certify, check_registers};
 use dam_core::hv::{hv_mwm, HvMwmConfig};
 use dam_core::israeli_itai::IiMsg;
 use dam_core::luby::{is_mis, luby_mis};
-use dam_core::repair::{
-    is_maximal_on_residual, repair_matching, sanitize_registers, self_healing_mm, RepairConfig,
-};
+use dam_core::repair::{is_maximal_on_residual, sanitize_registers};
+use dam_core::runtime::{repair_registers, run_mm, IsraeliItai, RuntimeConfig};
 use dam_core::trees::tree_mcm;
-use dam_graph::{blossom, brute, hopcroft_karp, Graph, GraphBuilder, Matching, Side};
+use dam_graph::{blossom, brute, hopcroft_karp, BitSet, Graph, GraphBuilder, Matching, Side};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -84,7 +83,9 @@ proptest! {
     /// Theorem 3.10 floor on arbitrary bipartite graphs.
     #[test]
     fn bipartite_ratio_floor(g in arb_bipartite(8), k in 2usize..5, seed in 0u64..100) {
-        let r = bipartite_mcm(&g, &BipartiteMcmConfig { k, seed, ..Default::default() }).unwrap();
+        let sim = SimConfig::congest_for(g.node_count(), 4).seed(seed);
+        let r = run_mm(&Bipartite { k, ..Bipartite::default() }, &g, &RuntimeConfig::new().sim(sim))
+            .unwrap();
         prop_assert!(r.matching.validate(&g).is_ok());
         let opt = hopcroft_karp::maximum_bipartite_matching_size(&g);
         prop_assert!(
@@ -276,8 +277,12 @@ proptest! {
             }
         }
         let plan = FaultPlan { crashes, recoveries, loss, dup, reorder, ..FaultPlan::default() };
-        let cfg = RepairConfig { seed, ..RepairConfig::default() };
-        let rep = self_healing_mm(&g, &plan, &cfg).unwrap();
+        let cfg = RuntimeConfig::new()
+            .sim(SimConfig::local().seed(seed).max_rounds(500_000))
+            .transport(TransportCfg::default())
+            .faults(plan)
+            .repair(true);
+        let rep = run_mm(&IsraeliItai, &g, &cfg).unwrap();
 
         prop_assert!(rep.matching.validate(&g).is_ok());
         prop_assert!(
@@ -286,11 +291,11 @@ proptest! {
             rep.matching.size(), rep.surviving
         );
         let mut alive = vec![true; n];
-        for &v in &rep.dead {
+        for &v in &rep.excluded {
             alive[v] = false;
         }
         prop_assert!(is_maximal_on_residual(&g, &rep.matching, &alive));
-        for &v in &rep.dead {
+        for &v in &rep.excluded {
             prop_assert!(rep.matching.is_free(v), "dead node {v} must end free");
         }
     }
@@ -321,9 +326,18 @@ proptest! {
         let alive: Vec<bool> = (0..n).map(|_| rng.random_bool(0.85)).collect();
 
         let plan = FaultPlan { loss, ..FaultPlan::default() };
-        let cfg = RepairConfig { seed, ..RepairConfig::default() };
         let san = sanitize_registers(&g, &registers, &alive);
-        let rep = repair_matching(&g, &registers, &alive, &plan, &cfg).unwrap();
+        let rep = repair_registers(
+            &IsraeliItai,
+            &g,
+            &registers,
+            &BitSet::from_bools(&alive),
+            &plan,
+            Some(TransportCfg::default()),
+            None,
+            SimConfig::local().seed(seed).max_rounds(500_000),
+        )
+        .unwrap();
 
         prop_assert!(rep.matching.validate(&g).is_ok());
         prop_assert_eq!(rep.surviving, san.surviving);

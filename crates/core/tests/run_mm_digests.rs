@@ -11,8 +11,11 @@
 //!   `weighted`, `luby`) × four middleware stacks (bare; repair under
 //!   loss plus crashes; certify+repair under liars plus corruption;
 //!   maintain under churn) × 8 seeds, all through [`run_mm`];
-//! * one row per retired pre-runtime entry point (`legacy/*`), run at
-//!   that entry point's exact configuration: CONGEST(4 log n) for
+//! * one row per retired pre-runtime entry point (`legacy/*`: the plain
+//!   Israeli–Itai, Luby MIS, bipartite (by `k` and by `ε`) and weighted
+//!   drivers, the self-healing, churn and certified pipelines, and the
+//!   standalone Israeli–Itai repair), run through the runtime at that
+//!   entry point's exact configuration: CONGEST(4 log n) for
 //!   Israeli–Itai, Luby and the bipartite driver, CONGEST(8 log n) for
 //!   the weighted driver, and LOCAL with the default transport and a
 //!   500 000-round guard for the repair, churn and certified pipelines.
@@ -32,11 +35,15 @@ use dam_congest::{
     TransportCfg,
 };
 use dam_core::certify::{CertFault, Certificate};
-use dam_core::israeli_itai::{israeli_itai, israeli_itai_with};
-use dam_core::luby::luby_mis_with;
-use dam_core::runtime::{run_mm, AlgoSpec, RunReport, RuntimeConfig};
+use dam_core::israeli_itai::israeli_itai;
+use dam_core::luby::LubyNode;
+use dam_core::runtime::{
+    execute_program, repair_registers, run_mm, AlgoSpec, Algorithm, IsraeliItai, RunReport,
+    RuntimeConfig,
+};
+use dam_core::{Bipartite, Weighted};
 use dam_graph::weights::{randomize_weights, WeightDist};
-use dam_graph::{generators, EdgeId, Graph, Matching, NodeId};
+use dam_graph::{generators, BitSet, EdgeId, Graph, Matching, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -253,8 +260,9 @@ fn congest(g: &Graph, words: usize, seed: u64, backend: Backend, threads: usize)
     SimConfig::congest_for(g.node_count(), words).seed(seed).backend(backend).threads(threads)
 }
 
-/// One row per retired pre-runtime entry point, at its exact legacy
-/// configuration.
+/// One row per retired pre-runtime entry point, run through the
+/// runtime at that entry point's exact legacy configuration and hashing
+/// exactly the fields its report exposed.
 fn legacy_rows(backend: Backend, threads: usize) -> Vec<(String, u64)> {
     let mut rows = Vec::new();
     let mut push = |name: &str, d: Digest| rows.push((format!("legacy/{name}"), d.0));
@@ -262,100 +270,51 @@ fn legacy_rows(backend: Backend, threads: usize) -> Vec<(String, u64)> {
     let bip = corpus_graph("bipartite", 3);
     let wg = corpus_graph("weighted", 3);
 
-    let mut d = Digest::new();
-    let r = israeli_itai_with(&g, congest(&g, 4, 3, backend, threads)).unwrap();
-    d.registers(&registers_of(&g, &r.matching));
-    d.totals(&r.stats);
-    d.usize(r.iterations);
-    push("ii-congest4", d);
+    // The plain drivers: matching, engine totals, iterations.
+    let bare = |algo: &dyn Algorithm, g: &Graph, words: usize| {
+        let rep =
+            run_mm(algo, g, &RuntimeConfig::new().sim(congest(g, words, 3, backend, threads)))
+                .unwrap();
+        let mut d = Digest::new();
+        d.registers(&registers_of(g, &rep.matching));
+        d.totals(&rep.totals);
+        d.usize(rep.iterations);
+        d
+    };
+    push("ii-congest4", bare(&IsraeliItai, &g, 4));
 
     let mut d = Digest::new();
-    let r = luby_mis_with(&g, congest(&g, 4, 3, backend, threads)).unwrap();
-    d.flags(&r.in_mis);
-    d.stats(&r.stats);
+    let sim = congest(&g, 4, 3, backend, threads);
+    let mis = execute_program(&g, &RuntimeConfig::new().sim(sim), |v, graph| {
+        LubyNode::new(graph.degree(v))
+    })
+    .unwrap();
+    d.flags(&mis.outputs);
+    d.stats(&mis.stats);
     push("luby-mis-congest4", d);
 
-    let mut d = Digest::new();
-    let cfg = dam_core::bipartite::BipartiteMcmConfig {
-        k: 3,
-        seed: 3,
-        threads,
-        backend,
-        ..Default::default()
-    };
-    let r = dam_core::bipartite::bipartite_mcm(&bip, &cfg).unwrap();
-    d.registers(&registers_of(&bip, &r.matching));
-    d.totals(&r.stats);
-    d.usize(r.iterations);
-    push("bipartite-k3-congest4", d);
-
-    // `bipartite_mcm_eps(g, 0.25, seed)`: k = ⌈1/ε⌉ = 4.
-    let mut d = Digest::new();
-    let cfg = dam_core::bipartite::BipartiteMcmConfig {
-        k: 4,
-        seed: 3,
-        threads,
-        backend,
-        ..Default::default()
-    };
-    let r = if backend == Backend::Sequential {
-        dam_core::bipartite::bipartite_mcm_eps(&bip, 0.25, 3).unwrap()
-    } else {
-        dam_core::bipartite::bipartite_mcm(&bip, &cfg).unwrap()
-    };
-    d.registers(&registers_of(&bip, &r.matching));
-    d.totals(&r.stats);
-    d.usize(r.iterations);
-    push("bipartite-eps0.25-congest4", d);
-
-    let mut d = Digest::new();
-    let cfg = dam_core::weighted::WeightedMwmConfig {
-        eps: 0.1,
-        seed: 3,
-        threads,
-        backend,
-        ..Default::default()
-    };
-    let r = dam_core::weighted::weighted_mwm(&wg, &cfg).unwrap();
-    d.registers(&registers_of(&wg, &r.matching));
-    d.totals(&r.stats);
-    d.usize(r.iterations);
-    push("weighted-congest8", d);
+    push("bipartite-k3-congest4", bare(&Bipartite { k: 3, ..Bipartite::default() }, &bip, 4));
+    // ε = 0.25: k = ⌈1/ε⌉ = 4.
+    push("bipartite-eps0.25-congest4", bare(&Bipartite { k: 4, ..Bipartite::default() }, &bip, 4));
+    push("weighted-congest8", bare(&Weighted { eps: 0.1, ..Weighted::default() }, &wg, 8));
 
     // The three pipelines and the standalone repair: LOCAL, default
     // transport, 500 000-round guard.
     let pipeline_sim =
         SimConfig::local().seed(3).max_rounds(500_000).backend(backend).threads(threads);
     let pipeline = RuntimeConfig::new().sim(pipeline_sim).transport(TransportCfg::default());
-    let repair_cfg = dam_core::repair::RepairConfig { seed: 3, ..Default::default() };
     let crashy =
         FaultPlan { loss: 0.05, dup: 0.05, crashes: vec![(2, 3), (11, 5)], ..FaultPlan::default() };
 
     let mut d = Digest::new();
-    if backend == Backend::Sequential {
-        let r = dam_core::repair::self_healing_mm(&g, &crashy, &repair_cfg).unwrap();
-        d.registers(&registers_of(&g, &r.matching));
-        d.nodes(&r.dead);
-        for c in [r.surviving, r.dissolved, r.added] {
-            d.usize(c);
-        }
-        d.stats(&r.phase1);
-        d.stats(&r.repair);
-    } else {
-        let r = run_mm(
-            &dam_core::IsraeliItai,
-            &g,
-            &pipeline.clone().faults(crashy.clone()).repair(true),
-        )
-        .unwrap();
-        d.registers(&registers_of(&g, &r.matching));
-        d.nodes(&r.excluded);
-        for c in [r.surviving, r.dissolved, r.added] {
-            d.usize(c);
-        }
-        d.stats(&r.phase1);
-        d.stats(r.repair.as_ref().unwrap());
+    let r = run_mm(&IsraeliItai, &g, &pipeline.clone().faults(crashy).repair(true)).unwrap();
+    d.registers(&registers_of(&g, &r.matching));
+    d.nodes(&r.excluded);
+    for c in [r.surviving, r.dissolved, r.added] {
+        d.usize(c);
     }
+    d.stats(&r.phase1);
+    d.stats(r.repair.as_ref().unwrap());
     push("self-healing-pipeline", d);
 
     let churn = ChurnPlan::events(vec![
@@ -364,61 +323,32 @@ fn legacy_rows(backend: Backend, threads: usize) -> Vec<(String, u64)> {
     ]);
     let lossy = FaultPlan::lossy(0.05);
     let mut d = Digest::new();
-    if backend == Backend::Sequential {
-        let cfg = dam_core::maintain::MaintainConfig { seed: 3, ..Default::default() };
-        let r = dam_core::maintain::churn_tolerant_mm(&g, &lossy, &churn, &cfg).unwrap();
-        d.registers(&registers_of(&g, &r.matching));
-        for c in [r.surviving, r.dissolved, r.added] {
-            d.usize(c);
-        }
-        d.stats(&r.run);
-        d.stats(&r.repair);
-    } else {
-        let r = run_mm(
-            &dam_core::IsraeliItai,
-            &g,
-            &pipeline.clone().faults(lossy.clone()).churn(churn.clone()).maintain(true),
-        )
-        .unwrap();
-        d.registers(&registers_of(&g, &r.matching));
-        for c in [r.surviving, r.dissolved, r.added] {
-            d.usize(c);
-        }
-        d.stats(&r.phase1);
-        d.stats(r.maintain.as_ref().unwrap());
+    let r = run_mm(
+        &IsraeliItai,
+        &g,
+        &pipeline.clone().faults(lossy.clone()).churn(churn).maintain(true),
+    )
+    .unwrap();
+    d.registers(&registers_of(&g, &r.matching));
+    for c in [r.surviving, r.dissolved, r.added] {
+        d.usize(c);
     }
+    d.stats(&r.phase1);
+    d.stats(r.maintain.as_ref().unwrap());
     push("churn-pipeline", d);
 
     let hostile = FaultPlan::lossy(0.05).with_corrupt(0.02).with_liars(vec![1, 6]);
     let mut d = Digest::new();
-    if backend == Backend::Sequential {
-        let r = dam_core::certify::certified_mm(&g, &hostile, &repair_cfg).unwrap();
-        d.registers(&registers_of(&g, &r.matching));
-        d.nodes(&r.excluded);
-        for c in [r.surviving, r.dissolved, r.added, r.repair_touched] {
-            d.usize(c);
-        }
-        d.stats(&r.phase1);
-        d.opt_stats(r.repair.as_ref());
-        d.certificate(Some(&r.initial));
-        d.certificate(r.recheck.as_ref());
-    } else {
-        let r = run_mm(
-            &dam_core::IsraeliItai,
-            &g,
-            &pipeline.clone().faults(hostile.clone()).certify(true).repair(true),
-        )
-        .unwrap();
-        d.registers(&registers_of(&g, &r.matching));
-        d.nodes(&r.excluded);
-        for c in [r.surviving, r.dissolved, r.added, r.repair_touched] {
-            d.usize(c);
-        }
-        d.stats(&r.phase1);
-        d.opt_stats(r.repair.as_ref());
-        d.certificate(r.initial.as_ref());
-        d.certificate(r.recheck.as_ref());
+    let r = run_mm(&IsraeliItai, &g, &pipeline.faults(hostile).certify(true).repair(true)).unwrap();
+    d.registers(&registers_of(&g, &r.matching));
+    d.nodes(&r.excluded);
+    for c in [r.surviving, r.dissolved, r.added, r.repair_touched] {
+        d.usize(c);
     }
+    d.stats(&r.phase1);
+    d.opt_stats(r.repair.as_ref());
+    d.certificate(r.initial.as_ref());
+    d.certificate(r.recheck.as_ref());
     push("certified-pipeline", d);
 
     // Standalone repair of an Israeli–Itai matching after deaths and a
@@ -431,21 +361,17 @@ fn legacy_rows(backend: Backend, threads: usize) -> Vec<(String, u64)> {
         regs[v] = Some(g.port(v, 0).1);
     }
     let mut d = Digest::new();
-    let r = if backend == Backend::Sequential {
-        dam_core::repair::repair_matching(&g, &regs, &alive, &lossy, &repair_cfg).unwrap()
-    } else {
-        dam_core::runtime::repair_registers(
-            &dam_core::IsraeliItai,
-            &g,
-            &regs,
-            &dam_graph::BitSet::from_bools(&alive),
-            &lossy,
-            Some(TransportCfg::default()),
-            None,
-            pipeline_sim,
-        )
-        .unwrap()
-    };
+    let r = repair_registers(
+        &IsraeliItai,
+        &g,
+        &regs,
+        &BitSet::from_bools(&alive),
+        &lossy,
+        Some(TransportCfg::default()),
+        None,
+        pipeline_sim,
+    )
+    .unwrap();
     d.registers(&registers_of(&g, &r.matching));
     for c in [r.surviving, r.dissolved, r.added] {
         d.usize(c);

@@ -1,11 +1,10 @@
-//! Differential suite for the unified runtime refactor: every legacy
-//! entry point (`self_healing_mm`, `churn_tolerant_mm`, `certified_mm`,
-//! `israeli_itai_with`, `luby_mis_with`) is now a thin shim over
-//! [`dam_core::runtime::run_mm`] / `execute_program`. This file keeps a
-//! **golden replica** of each pre-refactor pipeline body, written
-//! against the engine primitives (`run`, `execute`, `Resilient`,
-//! `sanitize_registers`, `certify`, `Maintainer::adopt`, …), and
-//! asserts the shims are bit-identical to
+//! Differential suite for the unified runtime: the self-healing, churn
+//! and certified pipelines, the plain Israeli–Itai driver and Luby's
+//! MIS all run through [`dam_core::runtime::run_mm`] /
+//! `execute_program`. This file keeps a **golden replica** of each
+//! pre-runtime pipeline body, written against the engine primitives
+//! (`run`, `execute`, `Resilient`, `sanitize_registers`, `certify`,
+//! `Maintainer::adopt`, …), and asserts the runtime is bit-identical to
 //! it — outputs, per-phase `RunStats`, certificates, traces, and error
 //! paths — across seeds, fault/churn schedules, and thread counts.
 //!
@@ -17,16 +16,14 @@ use dam_congest::{
     Backend, ChurnKind, ChurnPlan, Context, DelayModel, FaultPlan, Frame, Network, Port, Protocol,
     Resilient, RunSpec, RunStats, SimConfig, TransportCfg,
 };
-use dam_core::certify::{apply_lies, certified_mm, certify, Certificate, CertifiedReport};
+use dam_core::certify::{apply_lies, certify, Certificate};
 use dam_core::error::CoreError;
-use dam_core::israeli_itai::{israeli_itai_with, IiMsg, IiNode};
-use dam_core::luby::{luby_mis_with, LubyNode};
-use dam_core::maintain::{
-    churn_tolerant_mm, sanitize_present, ChurnReport, MaintainConfig, Maintainer,
-};
-use dam_core::repair::{sanitize_registers, self_healing_mm, RepairConfig, SelfHealingReport};
+use dam_core::israeli_itai::{IiMsg, IiNode};
+use dam_core::luby::LubyNode;
+use dam_core::maintain::{sanitize_present, MaintainConfig, Maintainer};
+use dam_core::repair::sanitize_registers;
 use dam_core::report::matching_from_registers;
-use dam_core::runtime::{run_mm, IsraeliItai, RuntimeConfig};
+use dam_core::runtime::{execute_program, run_mm, IsraeliItai, RuntimeConfig};
 use dam_graph::{generators, EdgeId, Graph, Matching, NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,6 +38,14 @@ const MAINTAIN_DOMAIN: u64 = 0x4D41_494E;
 
 const SEEDS: u64 = 16;
 const THREADS: [usize; 3] = [1, 2, 4];
+/// The pre-runtime pipelines' round guard.
+const MAX_ROUNDS: usize = 500_000;
+
+/// The pre-runtime pipelines' engine configuration: LOCAL, `seed`, and
+/// the round guard.
+fn pipeline_sim(seed: u64, max_rounds: usize) -> SimConfig {
+    SimConfig::local().seed(seed).max_rounds(max_rounds)
+}
 
 fn graph(i: u64) -> Graph {
     let mut rng = StdRng::seed_from_u64(0xD1FF ^ (1000 + i));
@@ -154,16 +159,17 @@ struct GoldenRepair {
     stats: RunStats,
 }
 
-/// Pre-refactor `repair_matching` body.
+/// Pre-refactor standalone repair body.
 fn golden_repair(
     g: &Graph,
     registers: &[Option<EdgeId>],
     alive: &[bool],
     faults: &FaultPlan,
-    cfg: &RepairConfig,
+    sim: SimConfig,
+    transport: TransportCfg,
 ) -> Result<GoldenRepair, CoreError> {
     let sane = sanitize_registers(g, registers, alive);
-    let mut net = Network::new(g, SimConfig::local().seed(cfg.seed).max_rounds(cfg.max_rounds));
+    let mut net = Network::new(g, sim);
     let out = net.execute(
         |v, graph| {
             if !alive[v] {
@@ -173,7 +179,7 @@ fn golden_repair(
                 graph.incident(v).filter_map(|(p, u, _)| (!alive[u]).then_some(p)).collect();
             GoldenRepairProto::Live(Box::new(Resilient::new(
                 IiNode::with_state(graph.degree(v), sane.registers[v], &dead_ports),
-                cfg.transport,
+                transport,
             )))
         },
         &RunSpec { faults, ..RunSpec::default() },
@@ -189,12 +195,25 @@ fn golden_repair(
     })
 }
 
-/// Pre-refactor `self_healing_mm` body.
+/// What the pre-refactor self-healing pipeline reported.
+#[derive(Debug)]
+struct GoldenSelfHealing {
+    matching: Matching,
+    dead: Vec<NodeId>,
+    surviving: usize,
+    dissolved: usize,
+    added: usize,
+    phase1: RunStats,
+    repair: RunStats,
+}
+
+/// Pre-refactor self-healing pipeline body.
 fn golden_self_healing(
     g: &Graph,
     plan: &FaultPlan,
-    cfg: &RepairConfig,
-) -> Result<SelfHealingReport, CoreError> {
+    sim: SimConfig,
+    transport: TransportCfg,
+) -> Result<GoldenSelfHealing, CoreError> {
     let n = g.node_count();
     let mut alive = vec![true; n];
     for &(v, _) in &plan.crashes {
@@ -203,9 +222,9 @@ fn golden_self_healing(
         }
     }
 
-    let mut net = Network::new(g, SimConfig::local().seed(cfg.seed).max_rounds(cfg.max_rounds));
+    let mut net = Network::new(g, sim);
     let phase1 = net.execute(
-        |v, graph| Resilient::new(IiNode::new(graph.degree(v)), cfg.transport),
+        |v, graph| Resilient::new(IiNode::new(graph.degree(v)), transport),
         &RunSpec { faults: plan, ..RunSpec::default() },
     )?;
 
@@ -216,9 +235,9 @@ fn golden_self_healing(
         links: plan.links.clone(),
         ..FaultPlan::default()
     };
-    let report = golden_repair(g, &phase1.outputs, &alive, &repair_faults, cfg)?;
+    let report = golden_repair(g, &phase1.outputs, &alive, &repair_faults, sim, transport)?;
 
-    Ok(SelfHealingReport {
+    Ok(GoldenSelfHealing {
         matching: report.matching,
         dead: (0..n).filter(|&v| !alive[v]).collect(),
         surviving: report.surviving,
@@ -229,12 +248,28 @@ fn golden_self_healing(
     })
 }
 
-/// Pre-refactor `certified_mm` body.
+/// What the pre-refactor certified pipeline reported.
+#[derive(Debug)]
+struct GoldenCertified {
+    matching: Matching,
+    initial: Certificate,
+    recheck: Option<Certificate>,
+    excluded: Vec<NodeId>,
+    surviving: usize,
+    dissolved: usize,
+    added: usize,
+    repair_touched: usize,
+    phase1: RunStats,
+    repair: Option<RunStats>,
+}
+
+/// Pre-refactor certified pipeline body.
 fn golden_certified(
     g: &Graph,
     plan: &FaultPlan,
-    cfg: &RepairConfig,
-) -> Result<CertifiedReport, CoreError> {
+    sim: SimConfig,
+    transport: TransportCfg,
+) -> Result<GoldenCertified, CoreError> {
     let n = g.node_count();
     let mut alive = vec![true; n];
     for &(v, _) in &plan.crashes {
@@ -246,23 +281,23 @@ fn golden_certified(
         alive[v] = false;
     }
 
-    let mut net = Network::new(g, SimConfig::local().seed(cfg.seed).max_rounds(cfg.max_rounds));
+    let mut net = Network::new(g, sim);
     let phase1 = net.execute(
-        |v, graph| Resilient::new(IiNode::new(graph.degree(v)), cfg.transport),
+        |v, graph| Resilient::new(IiNode::new(graph.degree(v)), transport),
         &RunSpec { faults: plan, ..RunSpec::default() },
     )?;
 
     let mut regs = phase1.outputs;
-    apply_lies(&mut regs, &plan.liars, cfg.seed, g.edge_count());
+    apply_lies(&mut regs, &plan.liars, sim.seed, g.edge_count());
 
-    let check_seed = splitmix64(cfg.seed ^ CHECK_DOMAIN);
+    let check_seed = splitmix64(sim.seed ^ CHECK_DOMAIN);
     let initial = certify(g, &regs, &alive, check_seed)?;
 
     let excluded: Vec<NodeId> = (0..n).filter(|&v| !alive[v]).collect();
     if initial.ok() {
         let sane = sanitize_registers(g, &regs, &alive);
         let matching = matching_from_registers(g, &sane.registers)?;
-        return Ok(CertifiedReport {
+        return Ok(GoldenCertified {
             matching,
             initial,
             recheck: None,
@@ -289,7 +324,7 @@ fn golden_certified(
         links: plan.links.clone(),
         ..FaultPlan::default()
     };
-    let rep = golden_repair(g, &cleared, &alive, &repair_faults, cfg)?;
+    let rep = golden_repair(g, &cleared, &alive, &repair_faults, sim, transport)?;
 
     let mut final_regs = vec![None; n];
     for e in rep.matching.to_edge_vec() {
@@ -300,7 +335,7 @@ fn golden_certified(
     let repair_touched = (0..n).filter(|&v| alive[v] && final_regs[v] != pre.registers[v]).count();
     let recheck = certify(g, &final_regs, &alive, splitmix64(check_seed ^ RECHECK_DOMAIN))?;
 
-    Ok(CertifiedReport {
+    Ok(GoldenCertified {
         matching: rep.matching,
         initial,
         recheck: Some(recheck),
@@ -314,16 +349,28 @@ fn golden_certified(
     })
 }
 
-/// Pre-refactor `churn_tolerant_mm` body.
+/// What the pre-refactor churn pipeline reported.
+#[derive(Debug)]
+struct GoldenChurn {
+    matching: Matching,
+    surviving: usize,
+    dissolved: usize,
+    added: usize,
+    run: RunStats,
+    repair: RunStats,
+}
+
+/// Pre-refactor churn pipeline body.
 fn golden_churn_tolerant(
     g: &Graph,
     faults: &FaultPlan,
     churn: &ChurnPlan,
-    cfg: &MaintainConfig,
-) -> Result<ChurnReport, CoreError> {
-    let mut net = Network::new(g, SimConfig::local().seed(cfg.seed).max_rounds(cfg.max_rounds));
+    sim: SimConfig,
+    transport: TransportCfg,
+) -> Result<GoldenChurn, CoreError> {
+    let mut net = Network::new(g, sim);
     let out = net.execute(
-        |v, graph| Resilient::new(IiNode::new(graph.degree(v)), cfg.transport),
+        |v, graph| Resilient::new(IiNode::new(graph.degree(v)), transport),
         &RunSpec { faults, churn, ..RunSpec::default() },
     )?;
     let (mut node_present, edge_present) = churn.final_presence_on(g);
@@ -339,10 +386,13 @@ fn golden_churn_tolerant(
         sane.registers,
         node_present,
         edge_present,
-        &MaintainConfig { seed: splitmix64(cfg.seed ^ MAINTAIN_DOMAIN), ..cfg.clone() },
+        &MaintainConfig {
+            seed: splitmix64(sim.seed ^ MAINTAIN_DOMAIN),
+            max_rounds: sim.max_rounds,
+        },
     );
     let repair = mt.repair_full()?;
-    Ok(ChurnReport {
+    Ok(GoldenChurn {
         matching: mt.matching(),
         surviving: sane.surviving,
         dissolved: sane.dissolved,
@@ -365,40 +415,56 @@ fn assert_cert_eq(a: &Certificate, b: &Certificate, ctx: &str) {
 // The differential assertions.
 // ---------------------------------------------------------------------
 
+/// The self-healing pipeline on the runtime at `sim`: the legacy repair
+/// phase kept the plan's link-level channels except corruption.
+fn self_healing_cfg(plan: &FaultPlan, sim: SimConfig) -> RuntimeConfig {
+    RuntimeConfig::new()
+        .sim(sim)
+        .transport(TransportCfg::default())
+        .faults(plan.clone())
+        .repair(true)
+        .repair_faults(FaultPlan {
+            loss: plan.loss,
+            dup: plan.dup,
+            reorder: plan.reorder,
+            links: plan.links.clone(),
+            ..FaultPlan::default()
+        })
+}
+
+/// The certified pipeline on the runtime at `sim`.
+fn certified_cfg(plan: &FaultPlan, sim: SimConfig) -> RuntimeConfig {
+    RuntimeConfig::new()
+        .sim(sim)
+        .transport(TransportCfg::default())
+        .faults(plan.clone())
+        .certify(true)
+        .repair(true)
+}
+
+/// The churn pipeline on the runtime at `sim`.
+fn churn_cfg(faults: &FaultPlan, churn: &ChurnPlan, sim: SimConfig) -> RuntimeConfig {
+    RuntimeConfig::new()
+        .sim(sim)
+        .transport(TransportCfg::default())
+        .faults(faults.clone())
+        .churn(churn.clone())
+        .maintain(true)
+}
+
 #[test]
-fn self_healing_shim_is_bit_identical() {
+fn self_healing_pipeline_is_bit_identical() {
     for i in 0..SEEDS {
         let g = graph(i);
-        let n = g.node_count();
-        let plan = fault_schedule(i, n);
-        let cfg = RepairConfig { seed: i, ..RepairConfig::default() };
-
-        let legacy = golden_self_healing(&g, &plan, &cfg).expect("golden pipeline");
-        let shim = self_healing_mm(&g, &plan, &cfg).expect("shim pipeline");
-
-        assert_eq!(legacy.matching.to_edge_vec(), shim.matching.to_edge_vec(), "seed {i}: edges");
-        assert_eq!(legacy.dead, shim.dead, "seed {i}: dead");
-        assert_eq!(legacy.surviving, shim.surviving, "seed {i}: surviving");
-        assert_eq!(legacy.dissolved, shim.dissolved, "seed {i}: dissolved");
-        assert_eq!(legacy.added, shim.added, "seed {i}: added");
-        assert_eq!(legacy.phase1, shim.phase1, "seed {i}: phase-1 stats");
-        assert_eq!(legacy.repair, shim.repair, "seed {i}: repair stats");
+        let plan = fault_schedule(i, g.node_count());
+        let sim = pipeline_sim(i, MAX_ROUNDS);
+        let legacy =
+            golden_self_healing(&g, &plan, sim, TransportCfg::default()).expect("golden pipeline");
 
         // The parallel executor must not change any observable either.
         for threads in THREADS {
-            let cfg_t = RuntimeConfig::new()
-                .sim(SimConfig::local().seed(i).max_rounds(cfg.max_rounds).threads(threads))
-                .transport(cfg.transport)
-                .faults(plan.clone())
-                .repair(true)
-                .repair_faults(FaultPlan {
-                    loss: plan.loss,
-                    dup: plan.dup,
-                    reorder: plan.reorder,
-                    links: plan.links.clone(),
-                    ..FaultPlan::default()
-                });
-            let rep = run_mm(&IsraeliItai, &g, &cfg_t).expect("runtime pipeline");
+            let rep = run_mm(&IsraeliItai, &g, &self_healing_cfg(&plan, sim.threads(threads)))
+                .expect("runtime pipeline");
             let repair = rep.repair.as_ref().expect("repair layer ran");
             assert_eq!(
                 rep.matching.to_edge_vec(),
@@ -418,83 +484,50 @@ fn self_healing_shim_is_bit_identical() {
 }
 
 #[test]
-fn certified_shim_is_bit_identical() {
+fn certified_pipeline_is_bit_identical() {
     for i in 0..SEEDS {
         let g = graph(i);
-        let n = g.node_count();
-        let plan = byzantine_schedule(i, n);
-        let cfg = RepairConfig { seed: i, ..RepairConfig::default() };
-
-        let legacy = golden_certified(&g, &plan, &cfg).expect("golden pipeline");
-        let shim = certified_mm(&g, &plan, &cfg).expect("shim pipeline");
-
-        assert_eq!(legacy.matching.to_edge_vec(), shim.matching.to_edge_vec(), "seed {i}: edges");
-        assert_eq!(legacy.excluded, shim.excluded, "seed {i}: excluded");
-        assert_eq!(legacy.surviving, shim.surviving, "seed {i}: surviving");
-        assert_eq!(legacy.dissolved, shim.dissolved, "seed {i}: dissolved");
-        assert_eq!(legacy.added, shim.added, "seed {i}: added");
-        assert_eq!(legacy.repair_touched, shim.repair_touched, "seed {i}: repair touched");
-        assert_eq!(legacy.phase1, shim.phase1, "seed {i}: phase-1 stats");
-        assert_eq!(legacy.repair, shim.repair, "seed {i}: repair stats");
-        assert_cert_eq(&legacy.initial, &shim.initial, &format!("seed {i}: initial"));
-        assert_eq!(legacy.recheck.is_some(), shim.recheck.is_some(), "seed {i}: recheck ran");
-        if let (Some(a), Some(b)) = (&legacy.recheck, &shim.recheck) {
-            assert_cert_eq(a, b, &format!("seed {i}: recheck"));
-        }
+        let plan = byzantine_schedule(i, g.node_count());
+        let sim = pipeline_sim(i, MAX_ROUNDS);
+        let legacy =
+            golden_certified(&g, &plan, sim, TransportCfg::default()).expect("golden pipeline");
 
         for threads in THREADS {
-            let cfg_t = RuntimeConfig::new()
-                .sim(SimConfig::local().seed(i).max_rounds(cfg.max_rounds).threads(threads))
-                .transport(cfg.transport)
-                .faults(plan.clone())
-                .certify(true)
-                .repair(true);
-            let rep = run_mm(&IsraeliItai, &g, &cfg_t).expect("runtime pipeline");
+            let rep = run_mm(&IsraeliItai, &g, &certified_cfg(&plan, sim.threads(threads)))
+                .expect("runtime pipeline");
+            let ctx = format!("seed {i}, {threads} threads");
             let initial = rep.initial.as_ref().expect("certify layer ran");
+            assert_eq!(rep.matching.to_edge_vec(), legacy.matching.to_edge_vec(), "{ctx}: edges");
+            assert_eq!(rep.excluded, legacy.excluded, "{ctx}: excluded");
             assert_eq!(
-                rep.matching.to_edge_vec(),
-                legacy.matching.to_edge_vec(),
-                "seed {i}, {threads} threads: edges"
+                (rep.surviving, rep.dissolved, rep.added, rep.repair_touched),
+                (legacy.surviving, legacy.dissolved, legacy.added, legacy.repair_touched),
+                "{ctx}: counters"
             );
-            assert_eq!(rep.excluded, legacy.excluded, "seed {i}, {threads} threads: excluded");
-            assert_eq!(rep.phase1, legacy.phase1, "seed {i}, {threads} threads: phase-1 stats");
-            assert_eq!(rep.repair, legacy.repair, "seed {i}, {threads} threads: repair stats");
-            assert_eq!(
-                rep.repair_touched, legacy.repair_touched,
-                "seed {i}, {threads} threads: repair touched"
-            );
-            assert_cert_eq(initial, &legacy.initial, &format!("seed {i}, {threads}t: initial"));
+            assert_eq!(rep.phase1, legacy.phase1, "{ctx}: phase-1 stats");
+            assert_eq!(rep.repair, legacy.repair, "{ctx}: repair stats");
+            assert_cert_eq(initial, &legacy.initial, &format!("{ctx}: initial"));
+            assert_eq!(rep.recheck.is_some(), legacy.recheck.is_some(), "{ctx}: recheck ran");
+            if let (Some(a), Some(b)) = (&rep.recheck, &legacy.recheck) {
+                assert_cert_eq(a, b, &format!("{ctx}: recheck"));
+            }
         }
     }
 }
 
 #[test]
-fn churn_shim_is_bit_identical() {
+fn churn_pipeline_is_bit_identical() {
     for i in 0..SEEDS {
         let g = graph(i);
-        let n = g.node_count();
-        let faults = fault_schedule(i, n);
+        let faults = fault_schedule(i, g.node_count());
         let churn = churn_schedule(i, &g);
-        let cfg = MaintainConfig { seed: i, ..MaintainConfig::default() };
-
-        let legacy = golden_churn_tolerant(&g, &faults, &churn, &cfg).expect("golden pipeline");
-        let shim = churn_tolerant_mm(&g, &faults, &churn, &cfg).expect("shim pipeline");
-
-        assert_eq!(legacy.matching.to_edge_vec(), shim.matching.to_edge_vec(), "seed {i}: edges");
-        assert_eq!(legacy.surviving, shim.surviving, "seed {i}: surviving");
-        assert_eq!(legacy.dissolved, shim.dissolved, "seed {i}: dissolved");
-        assert_eq!(legacy.added, shim.added, "seed {i}: added");
-        assert_eq!(legacy.run, shim.run, "seed {i}: run stats");
-        assert_eq!(legacy.repair, shim.repair, "seed {i}: repair stats");
+        let sim = pipeline_sim(i, MAX_ROUNDS);
+        let legacy = golden_churn_tolerant(&g, &faults, &churn, sim, TransportCfg::default())
+            .expect("golden pipeline");
 
         for threads in THREADS {
-            let cfg_t = RuntimeConfig::new()
-                .sim(SimConfig::local().seed(i).max_rounds(cfg.max_rounds).threads(threads))
-                .transport(cfg.transport)
-                .faults(faults.clone())
-                .churn(churn.clone())
-                .maintain(true);
-            let rep = run_mm(&IsraeliItai, &g, &cfg_t).expect("runtime pipeline");
+            let rep = run_mm(&IsraeliItai, &g, &churn_cfg(&faults, &churn, sim.threads(threads)))
+                .expect("runtime pipeline");
             let maint = rep.maintain.as_ref().expect("maintenance layer ran");
             assert_eq!(
                 rep.matching.to_edge_vec(),
@@ -513,13 +546,13 @@ fn churn_shim_is_bit_identical() {
 }
 
 #[test]
-fn plain_driver_shims_are_bit_identical() {
+fn plain_drivers_are_bit_identical() {
     for i in 0..SEEDS {
         let g = graph(i);
         for threads in THREADS {
             let config = SimConfig::local().seed(i).threads(threads);
 
-            // Golden israeli_itai_with: the legacy body dispatched on
+            // Golden plain Israeli–Itai: the legacy body dispatched on
             // `threads` itself, directly over the engine primitives.
             let mut net = Network::new(&g, config);
             let out = net
@@ -529,22 +562,26 @@ fn plain_driver_shims_are_bit_identical() {
             let iterations = usize::try_from(out.stats.rounds.div_ceil(3)).unwrap_or(usize::MAX);
             let totals = net.totals();
 
-            let shim = israeli_itai_with(&g, config).expect("shim run");
+            let rep =
+                run_mm(&IsraeliItai, &g, &RuntimeConfig::new().sim(config)).expect("runtime run");
             assert_eq!(
                 matching.to_edge_vec(),
-                shim.matching.to_edge_vec(),
+                rep.matching.to_edge_vec(),
                 "seed {i}, {threads} threads: edges"
             );
-            assert_eq!(totals, shim.stats, "seed {i}, {threads} threads: totals");
-            assert_eq!(iterations, shim.iterations, "seed {i}, {threads} threads: iterations");
+            assert_eq!(totals, rep.totals, "seed {i}, {threads} threads: totals");
+            assert_eq!(iterations, rep.iterations, "seed {i}, {threads} threads: iterations");
 
-            // Golden luby_mis_with.
+            // Golden Luby MIS.
             let mut net = Network::new(&g, config);
             let out = net
                 .execute(|v, graph| LubyNode::new(graph.degree(v)), &RunSpec::default())
                 .expect("golden run");
-            let mis = luby_mis_with(&g, config).expect("shim run");
-            assert_eq!(out.outputs, mis.in_mis, "seed {i}, {threads} threads: MIS");
+            let mis = execute_program(&g, &RuntimeConfig::new().sim(config), |v, graph| {
+                LubyNode::new(graph.degree(v))
+            })
+            .expect("runtime run");
+            assert_eq!(out.outputs, mis.outputs, "seed {i}, {threads} threads: MIS");
             assert_eq!(out.stats, mis.stats, "seed {i}, {threads} threads: stats");
         }
     }
@@ -639,36 +676,38 @@ fn runtime_matches_the_async_engine() {
 }
 
 /// Error paths survive the refactor too: an exhausted round guard must
-/// surface the same engine error through the shims as through the
+/// surface the same engine error through the runtime as through the
 /// golden replicas.
 #[test]
 fn error_paths_are_bit_identical() {
     let g = graph(99);
     let plan = FaultPlan { loss: 0.3, dup: 0.1, reorder: 0.2, ..FaultPlan::default() };
+    let sim = pipeline_sim(3, 2);
+    let transport = TransportCfg::default();
 
-    let repair_cfg = RepairConfig { seed: 3, max_rounds: 2, ..RepairConfig::default() };
-    let legacy = golden_self_healing(&g, &plan, &repair_cfg).expect_err("guard must trip");
-    let shim = self_healing_mm(&g, &plan, &repair_cfg).expect_err("guard must trip");
-    assert_eq!(format!("{legacy:?}"), format!("{shim:?}"), "self-healing error");
+    let legacy = golden_self_healing(&g, &plan, sim, transport).expect_err("guard must trip");
+    let rep = run_mm(&IsraeliItai, &g, &self_healing_cfg(&plan, sim)).expect_err("guard must trip");
+    assert_eq!(format!("{legacy:?}"), format!("{rep:?}"), "self-healing error");
 
-    let legacy = golden_certified(&g, &plan, &repair_cfg).expect_err("guard must trip");
-    let shim = certified_mm(&g, &plan, &repair_cfg).expect_err("guard must trip");
-    assert_eq!(format!("{legacy:?}"), format!("{shim:?}"), "certified error");
+    let legacy = golden_certified(&g, &plan, sim, transport).expect_err("guard must trip");
+    let rep = run_mm(&IsraeliItai, &g, &certified_cfg(&plan, sim)).expect_err("guard must trip");
+    assert_eq!(format!("{legacy:?}"), format!("{rep:?}"), "certified error");
 
-    let maintain_cfg = MaintainConfig { seed: 3, max_rounds: 2, ..MaintainConfig::default() };
     let churn = ChurnPlan::default();
     let legacy =
-        golden_churn_tolerant(&g, &plan, &churn, &maintain_cfg).expect_err("guard must trip");
-    let shim = churn_tolerant_mm(&g, &plan, &churn, &maintain_cfg).expect_err("guard must trip");
-    assert_eq!(format!("{legacy:?}"), format!("{shim:?}"), "churn error");
+        golden_churn_tolerant(&g, &plan, &churn, sim, transport).expect_err("guard must trip");
+    let rep =
+        run_mm(&IsraeliItai, &g, &churn_cfg(&plan, &churn, sim)).expect_err("guard must trip");
+    assert_eq!(format!("{legacy:?}"), format!("{rep:?}"), "churn error");
 
+    let plain = SimConfig::local().seed(3).max_rounds(1);
     let legacy_plain = {
-        let mut net = Network::new(&g, SimConfig::local().seed(3).max_rounds(1));
+        let mut net = Network::new(&g, plain);
         CoreError::from(
             net.run(|v, graph| IiNode::new(graph.degree(v))).expect_err("guard must trip"),
         )
     };
-    let shim_plain = israeli_itai_with(&g, SimConfig::local().seed(3).max_rounds(1))
-        .expect_err("guard must trip");
-    assert_eq!(format!("{legacy_plain:?}"), format!("{shim_plain:?}"), "plain-driver error");
+    let rep_plain =
+        run_mm(&IsraeliItai, &g, &RuntimeConfig::new().sim(plain)).expect_err("guard must trip");
+    assert_eq!(format!("{legacy_plain:?}"), format!("{rep_plain:?}"), "plain-driver error");
 }

@@ -8,9 +8,10 @@
 //! cell's schedule cost, making the "quality vs. scheduling latency"
 //! trade-off measurable (experiment E8).
 
-use dam_core::bipartite::{bipartite_mcm, BipartiteMcmConfig};
-use dam_core::israeli_itai::israeli_itai_with;
+use dam_congest::SimConfig;
+use dam_core::israeli_itai::israeli_itai;
 use dam_core::weighted::local_max::local_max_mwm;
+use dam_core::{run_mm, Bipartite, RuntimeConfig};
 use dam_graph::{Graph, Side};
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -93,20 +94,20 @@ impl Scheduler for Distributed {
         let n = occupancy.len();
         let g = request_graph(occupancy, matches!(self.algo, DistAlgo::LocalMaxWeight));
         let seed: u64 = rng.random();
-        let report = match self.algo {
-            DistAlgo::IsraeliItai => israeli_itai_with(
-                &g,
-                dam_congest::SimConfig::congest_for(g.node_count(), 4).seed(seed),
-            ),
+        let (matching, stats) = match self.algo {
+            DistAlgo::IsraeliItai => israeli_itai(&g, seed).map(|r| (r.matching, r.stats)),
             DistAlgo::BipartiteMcm { k } => {
-                bipartite_mcm(&g, &BipartiteMcmConfig { k, seed, ..Default::default() })
+                // CONGEST(4 log n), like the Israeli–Itai baseline.
+                let sim = SimConfig::congest_for(g.node_count(), 4).seed(seed);
+                let algo = Bipartite { k, ..Bipartite::default() };
+                run_mm(&algo, &g, &RuntimeConfig::new().sim(sim)).map(|r| (r.matching, r.totals))
             }
-            DistAlgo::LocalMaxWeight => local_max_mwm(&g, seed),
+            DistAlgo::LocalMaxWeight => local_max_mwm(&g, seed).map(|r| (r.matching, r.stats)),
         }
         .expect("distributed scheduling failed");
-        self.rounds_total += report.stats.stats.rounds as u64;
+        self.rounds_total += stats.stats.rounds;
         self.cells += 1;
-        super::oracle::matching_to_schedule(&g, &report.matching, n)
+        super::oracle::matching_to_schedule(&g, &matching, n)
     }
 }
 

@@ -14,8 +14,8 @@
 //! central controller — by the paper's bipartite `(1−1/k)`-MCM (coverage
 //! count) and the `(½−ε)`-MWM (utility).
 
-use dam::core::bipartite::{bipartite_mcm, BipartiteMcmConfig};
-use dam::core::weighted::{weighted_mwm, WeightedMwmConfig};
+use dam::congest::SimConfig;
+use dam::core::{run_mm, Bipartite, RuntimeConfig, Weighted};
 use dam::graph::{hopcroft_karp, hungarian, Graph, Side};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -51,23 +51,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Coverage objective: associate as many mobiles as possible.
     let cover_opt = hopcroft_karp::maximum_bipartite_matching_size(&g);
-    let r = bipartite_mcm(&g, &BipartiteMcmConfig { k: 4, seed: 6, ..Default::default() })?;
+    let cfg = RuntimeConfig::new().sim(SimConfig::congest_for(g.node_count(), 4).seed(6));
+    let r = run_mm(&Bipartite { k: 4, ..Bipartite::default() }, &g, &cfg)?;
     println!(
         "coverage : distributed (k=4) serves {} of {} possible ({} CONGEST rounds)",
         r.matching.size(),
         cover_opt,
-        r.stats.stats.rounds
+        r.totals.stats.rounds
     );
 
     // Utility objective: maximize total signal quality.
     let util_opt = hungarian::maximum_weight_bipartite(&g);
-    let w = weighted_mwm(&g, &WeightedMwmConfig { eps: 0.05, seed: 6, ..Default::default() })?;
+    let cfg = RuntimeConfig::new().sim(SimConfig::congest_for(g.node_count(), 8).seed(6));
+    let w = run_mm(&Weighted { eps: 0.05, ..Weighted::default() }, &g, &cfg)?;
     println!(
         "utility  : distributed (eps=0.05) achieves {:.1} of {:.1} ({:.1}%, {} rounds)",
         w.matching.weight(&g),
         util_opt,
         100.0 * w.matching.weight(&g) / util_opt,
-        w.stats.stats.rounds
+        w.totals.stats.rounds
     );
     Ok(())
 }

@@ -15,8 +15,9 @@
 //! only to its candidates), and compare against the exact optimum and the
 //! classical greedy.
 
+use dam::congest::SimConfig;
 use dam::core::auction::{auction_mwm, AuctionConfig};
-use dam::core::weighted::{weighted_mwm, WeightedMwmConfig};
+use dam::core::{run_mm, RuntimeConfig, Weighted};
 use dam::graph::{hungarian, maximal, Graph, Side};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -51,13 +52,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         greedy.weight(&g) / opt
     );
 
+    let cfg = RuntimeConfig::new().sim(SimConfig::congest_for(g.node_count(), 8).seed(3));
     for eps in [0.25, 0.05] {
-        let r = weighted_mwm(&g, &WeightedMwmConfig { eps, seed: 3, ..Default::default() })?;
+        let r = run_mm(&Weighted { eps, ..Weighted::default() }, &g, &cfg)?;
         println!(
             "  distributed Alg 5 (eps={eps:.2})  : {:>8.1}  (ratio {:.3}, {} CONGEST rounds, {} assigned)",
             r.matching.weight(&g),
             r.matching.weight(&g) / opt,
-            r.stats.stats.rounds,
+            r.totals.stats.rounds,
             r.matching.size(),
         );
     }

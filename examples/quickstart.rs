@@ -9,9 +9,9 @@
 //! and the weighted `(½−ε)`-MWM (Theorem 4.5), comparing each against
 //! the exact optimum.
 
-use dam::core::bipartite::{bipartite_mcm, BipartiteMcmConfig};
+use dam::congest::SimConfig;
 use dam::core::israeli_itai::israeli_itai;
-use dam::core::weighted::{weighted_mwm, WeightedMwmConfig};
+use dam::core::{run_mm, Bipartite, RuntimeConfig, Weighted};
 use dam::graph::weights::{randomize_weights, WeightDist};
 use dam::graph::{generators, hopcroft_karp, mwm};
 use rand::rngs::StdRng;
@@ -34,15 +34,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ii.stats.stats.rounds
     );
 
-    // The paper's algorithm: (1 - 1/k)-MCM with O(log n)-bit messages.
+    // The paper's algorithm: (1 - 1/k)-MCM with O(log n)-bit messages,
+    // run through the runtime on CONGEST(4 log n).
+    let cfg = RuntimeConfig::new().sim(SimConfig::congest_for(g.node_count(), 4).seed(1));
     for k in [2, 3, 5] {
-        let r = bipartite_mcm(&g, &BipartiteMcmConfig { k, seed: 1, ..Default::default() })?;
+        let r = run_mm(&Bipartite { k, ..Bipartite::default() }, &g, &cfg)?;
         println!(
             "  LPP-MCM (k = {k}) : size {:>3} (ratio {:.3}) in {:>4} rounds, widest msg {} bits",
             r.matching.size(),
             r.matching.size() as f64 / opt as f64,
-            r.stats.stats.rounds,
-            r.stats.stats.max_message_bits,
+            r.totals.stats.rounds,
+            r.totals.stats.max_message_bits,
         );
     }
 
@@ -51,14 +53,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let wg = randomize_weights(&base, WeightDist::Exponential { lambda: 1.0 }, &mut rng);
     let wopt = mwm::maximum_weight(&wg);
     println!("\nweighted G(80, 0.07), exponential weights: OPT = {wopt:.3}");
+    // 64-bit gain messages: CONGEST(8 log n).
+    let cfg = RuntimeConfig::new().sim(SimConfig::congest_for(wg.node_count(), 8).seed(2));
     for eps in [0.2, 0.05] {
-        let r = weighted_mwm(&wg, &WeightedMwmConfig { eps, seed: 2, ..Default::default() })?;
+        let r = run_mm(&Weighted { eps, ..Weighted::default() }, &wg, &cfg)?;
         println!(
             "  Algorithm 5 (eps = {eps:.2}): weight {:.3} (ratio {:.3} >= {:.3}) in {} rounds",
             r.matching.weight(&wg),
             r.matching.weight(&wg) / wopt,
             0.5 - eps,
-            r.stats.stats.rounds,
+            r.totals.stats.rounds,
         );
     }
     Ok(())

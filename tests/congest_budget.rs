@@ -2,15 +2,22 @@
 //! declared budgets, and the LOCAL algorithm must visibly not.
 
 use dam::congest::message::id_bits;
-use dam::core::bipartite::{bipartite_mcm, BipartiteMcmConfig, PhaseParams};
+use dam::congest::{CostModel, SimConfig};
+use dam::core::bipartite::PhaseParams;
 use dam::core::general::{general_mcm, GeneralMcmConfig};
 use dam::core::generic::{generic_mcm, GenericMcmConfig};
 use dam::core::israeli_itai::israeli_itai;
 use dam::core::luby::luby_mis;
 use dam::core::weighted::local_max::local_max_mwm;
+use dam::core::{run_mm, Bipartite, RunReport, RuntimeConfig};
 use dam::graph::generators;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The bipartite driver bare at `sim`.
+fn bipartite(g: &dam::graph::Graph, k: usize, sim: SimConfig) -> RunReport {
+    run_mm(&Bipartite { k, ..Bipartite::default() }, g, &RuntimeConfig::new().sim(sim)).unwrap()
+}
 
 /// Constant-width protocols never violate CONGEST(4 log n).
 #[test]
@@ -39,17 +46,17 @@ fn bipartite_messages_respect_token_bound() {
     let mut rng = StdRng::seed_from_u64(22);
     let g = generators::bipartite_gnp(60, 60, 0.07, &mut rng);
     let k = 3;
-    let r = bipartite_mcm(&g, &BipartiteMcmConfig { k, seed: 1, ..Default::default() }).unwrap();
+    let r = bipartite(&g, k, SimConfig::congest_for(g.node_count(), 4).seed(1));
     let params = PhaseParams { l: 2 * k - 1, n: g.node_count(), delta: g.max_degree() };
     assert!(
-        r.stats.stats.max_message_bits <= params.token_bits() as usize,
+        r.totals.stats.max_message_bits <= params.token_bits() as usize,
         "widest {} exceeds the ℓ = 2k−1 token bound {}",
-        r.stats.stats.max_message_bits,
+        r.totals.stats.max_message_bits,
         params.token_bits()
     );
     // And the width is Θ(ℓ log Δ), i.e. a small multiple of log n — far
     // below the LOCAL blow-up.
-    assert!(r.stats.stats.max_message_bits <= 20 * id_bits(g.node_count()));
+    assert!(r.totals.stats.max_message_bits <= 20 * id_bits(g.node_count()));
 }
 
 /// Algorithm 4 inherits the bounded widths (its extra colouring messages
@@ -85,19 +92,10 @@ fn generic_local_messages_blow_up() {
 fn pipelined_cost_monotonicity() {
     let mut rng = StdRng::seed_from_u64(25);
     let g = generators::bipartite_gnp(40, 40, 0.08, &mut rng);
-    let unit =
-        bipartite_mcm(&g, &BipartiteMcmConfig { k: 3, seed: 4, ..Default::default() }).unwrap();
-    let piped = bipartite_mcm(
-        &g,
-        &BipartiteMcmConfig {
-            k: 3,
-            seed: 4,
-            cost: dam::congest::CostModel::Pipelined,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(unit.stats.stats.rounds, piped.stats.stats.rounds, "same execution");
-    assert!(piped.stats.stats.charged_rounds >= piped.stats.stats.rounds);
-    assert_eq!(unit.stats.stats.charged_rounds, unit.stats.stats.rounds);
+    let sim = SimConfig::congest_for(g.node_count(), 4).seed(4);
+    let unit = bipartite(&g, 3, sim);
+    let piped = bipartite(&g, 3, sim.cost(CostModel::Pipelined));
+    assert_eq!(unit.totals.stats.rounds, piped.totals.stats.rounds, "same execution");
+    assert!(piped.totals.stats.charged_rounds >= piped.totals.stats.rounds);
+    assert_eq!(unit.totals.stats.charged_rounds, unit.totals.stats.rounds);
 }

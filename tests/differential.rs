@@ -68,7 +68,8 @@ fn parallel_engine_matches_sequential_on_israeli_itai() {
 /// when run phase by phase — both implement Hopcroft–Karp phases.
 #[test]
 fn distributed_phases_match_sequential_hk_phases() {
-    use dam::core::bipartite::{bipartite_mcm, BipartiteMcmConfig};
+    use dam::congest::SimConfig;
+    use dam::core::{run_mm, Bipartite, RuntimeConfig};
     use dam::graph::paths::{augment_all, maximal_disjoint_paths, shortest_augmenting_path_len};
     use dam::graph::Matching;
 
@@ -86,9 +87,9 @@ fn distributed_phases_match_sequential_hk_phases() {
             let ps = maximal_disjoint_paths(&g, &m, l, Some(l));
             augment_all(&g, &mut m, &ps).unwrap();
         }
-        let dist = bipartite_mcm(&g, &BipartiteMcmConfig { k, seed, ..Default::default() })
-            .unwrap()
-            .matching;
+        let sim = SimConfig::congest_for(g.node_count(), 4).seed(seed);
+        let algo = Bipartite { k, ..Bipartite::default() };
+        let dist = run_mm(&algo, &g, &RuntimeConfig::new().sim(sim)).unwrap().matching;
         // Both satisfy the same postcondition, hence the same Lemma 3.3
         // floor; sizes may differ by the randomness but both must be
         // >= (1-1/k)·OPT and neither can exceed OPT.

@@ -5,7 +5,7 @@
 use dam::core::hv::{hv_mwm, HvMwmConfig};
 use dam::core::lca::MatchingLca;
 use dam::core::weighted::b_local_max::b_local_max;
-use dam::core::weighted::{weighted_mwm, WeightedMwmConfig};
+use dam::core::{run_mm, Bipartite, RuntimeConfig, Weighted};
 use dam::graph::bmatching::brute_force_b_matching;
 use dam::graph::cover::certify_maximum_bipartite;
 use dam::graph::weights::{randomize_weights, WeightDist};
@@ -25,9 +25,8 @@ fn hv_exceeds_half_and_exhausts_to_optimum() {
         let hv = hv_mwm(&g, &HvMwmConfig { max_len: Some(13), seed: trial, ..Default::default() })
             .unwrap();
         assert!((hv.matching.weight(&g) - opt).abs() < 1e-9, "trial {trial}");
-        let a5 =
-            weighted_mwm(&g, &WeightedMwmConfig { eps: 0.1, seed: trial, ..Default::default() })
-                .unwrap();
+        let sim = dam::congest::SimConfig::congest_for(g.node_count(), 8).seed(trial);
+        let a5 = run_mm(&Weighted::default(), &g, &RuntimeConfig::new().sim(sim)).unwrap();
         assert!(hv.matching.weight(&g) >= a5.matching.weight(&g) - 1e-9);
     }
 }
@@ -73,15 +72,14 @@ fn lca_integration() {
 /// bipartite matchings never exceed a certified optimum.
 #[test]
 fn koenig_certificates_bound_distributed_results() {
-    use dam::core::bipartite::{bipartite_mcm, BipartiteMcmConfig};
     let mut rng = StdRng::seed_from_u64(94);
     for trial in 0..5u64 {
         let g = generators::bipartite_gnp(18, 18, 0.15, &mut rng);
         let hk = hopcroft_karp::maximum_bipartite_matching(&g);
         assert!(certify_maximum_bipartite(&g, &hk), "HK certificate failed");
-        let dist =
-            bipartite_mcm(&g, &BipartiteMcmConfig { k: 4, seed: trial, ..Default::default() })
-                .unwrap();
+        let sim = dam::congest::SimConfig::congest_for(g.node_count(), 4).seed(trial);
+        let algo = Bipartite { k: 4, ..Bipartite::default() };
+        let dist = run_mm(&algo, &g, &RuntimeConfig::new().sim(sim)).unwrap();
         assert!(dist.matching.size() <= hk.size(), "distributed exceeded a certified optimum");
         assert!(4 * dist.matching.size() >= 3 * hk.size());
     }

@@ -149,9 +149,9 @@ proptest! {
     /// arbitrary weighted graphs (not just the generators).
     #[test]
     fn weighted_floor_on_arbitrary_graphs(g in arb_weighted_graph(8, 12), seed in 0u64..50) {
-        use dam::core::weighted::{weighted_mwm, WeightedMwmConfig};
-        let cfg = WeightedMwmConfig { eps: 0.1, seed, ..Default::default() };
-        let r = weighted_mwm(&g, &cfg).unwrap();
+        use dam::core::{run_mm, RuntimeConfig, Weighted};
+        let sim = dam::congest::SimConfig::congest_for(g.node_count(), 8).seed(seed);
+        let r = run_mm(&Weighted::default(), &g, &RuntimeConfig::new().sim(sim)).unwrap();
         prop_assert!(r.matching.validate(&g).is_ok());
         let opt = brute::maximum_weight(&g);
         prop_assert!(r.matching.weight(&g) >= (0.5 - 0.1) * opt - 1e-9);

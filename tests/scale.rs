@@ -2,10 +2,11 @@
 //! thousands-of-nodes sizes (each test is tuned to finish in seconds
 //! under the optimized test profile).
 
-use dam::core::bipartite::{bipartite_mcm, BipartiteMcmConfig};
+use dam::congest::SimConfig;
 use dam::core::israeli_itai::israeli_itai;
 use dam::core::trees::tree_mcm;
 use dam::core::weighted::local_max::local_max_mwm;
+use dam::core::{run_mm, Bipartite, RuntimeConfig};
 use dam::graph::weights::{randomize_weights, WeightDist};
 use dam::graph::{generators, hopcroft_karp};
 use rand::rngs::StdRng;
@@ -26,15 +27,16 @@ fn israeli_itai_at_50k_nodes() {
 }
 
 #[test]
-fn bipartite_mcm_at_10k_nodes() {
+fn bipartite_at_10k_nodes() {
     let mut rng = StdRng::seed_from_u64(202);
     let g = generators::bipartite_gnp(5_000, 5_000, 8.0 / 10_000.0, &mut rng);
-    let r = bipartite_mcm(&g, &BipartiteMcmConfig { k: 3, seed: 1, ..Default::default() }).unwrap();
+    let cfg = RuntimeConfig::new().sim(SimConfig::congest_for(g.node_count(), 4).seed(1));
+    let r = run_mm(&Bipartite { k: 3, ..Bipartite::default() }, &g, &cfg).unwrap();
     let opt = hopcroft_karp::maximum_bipartite_matching_size(&g);
     assert!(3 * r.matching.size() >= 2 * opt);
-    assert!(r.stats.stats.rounds < 1_000, "rounds: {}", r.stats.stats.rounds);
+    assert!(r.totals.stats.rounds < 1_000, "rounds: {}", r.totals.stats.rounds);
     // The widest message stays logarithmic: a few words of 14-bit ids.
-    assert!(r.stats.stats.max_message_bits < 512);
+    assert!(r.totals.stats.max_message_bits < 512);
 }
 
 #[test]

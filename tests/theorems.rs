@@ -1,14 +1,20 @@
 //! End-to-end validation of the paper's four theorems, across graph
 //! families and seeds, against exact oracles.
 
-use dam::core::bipartite::{bipartite_mcm, bipartite_mcm_eps, BipartiteMcmConfig};
+use dam::congest::SimConfig;
 use dam::core::general::{general_mcm, GeneralMcmConfig};
 use dam::core::generic::{generic_mcm, GenericMcmConfig};
-use dam::core::weighted::{weighted_mwm, WeightedMwmConfig};
+use dam::core::{run_mm, Bipartite, RunReport, RuntimeConfig, Weighted};
 use dam::graph::weights::{randomize_weights, WeightDist};
 use dam::graph::{blossom, generators, hopcroft_karp, mwm, Graph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The bipartite driver bare on CONGEST(`4 log n`).
+fn bipartite(g: &Graph, k: usize, seed: u64) -> RunReport {
+    let sim = SimConfig::congest_for(g.node_count(), 4).seed(seed);
+    run_mm(&Bipartite { k, ..Bipartite::default() }, g, &RuntimeConfig::new().sim(sim)).unwrap()
+}
 
 /// Theorem 3.10: `(1−1/k)`-MCM in bipartite graphs.
 #[test]
@@ -26,8 +32,7 @@ fn theorem_3_10_bipartite_ratio() {
         let opt = hopcroft_karp::maximum_bipartite_matching_size(g);
         for k in [2usize, 3, 4] {
             for seed in 0..3u64 {
-                let r = bipartite_mcm(g, &BipartiteMcmConfig { k, seed, ..Default::default() })
-                    .unwrap();
+                let r = bipartite(g, k, seed);
                 r.matching.validate(g).unwrap();
                 assert!(
                     r.matching.size() as f64 >= (1.0 - 1.0 / k as f64) * opt as f64 - 1e-9,
@@ -39,13 +44,14 @@ fn theorem_3_10_bipartite_ratio() {
     }
 }
 
-/// Theorem 3.10 via the `ε` convenience API.
+/// Theorem 3.10 read as a `(1−ε)`-MCM: `k = ⌈1/ε⌉`.
 #[test]
 fn theorem_3_10_eps_api() {
     let mut rng = StdRng::seed_from_u64(2);
     let g = generators::bipartite_gnp(30, 30, 0.1, &mut rng);
     let opt = hopcroft_karp::maximum_bipartite_matching_size(&g);
-    let r = bipartite_mcm_eps(&g, 0.25, 7).unwrap();
+    let eps = 0.25_f64;
+    let r = bipartite(&g, (1.0 / eps).ceil() as usize, 7);
     assert!(r.matching.size() as f64 >= 0.75 * opt as f64 - 1e-9);
 }
 
@@ -113,9 +119,9 @@ fn theorem_4_5_weighted_ratio() {
             let g = randomize_weights(&base, dist, &mut rng);
             let opt = mwm::maximum_weight(&g);
             for eps in [0.25, 0.05] {
-                let r =
-                    weighted_mwm(&g, &WeightedMwmConfig { eps, seed: trial, ..Default::default() })
-                        .unwrap();
+                let sim = SimConfig::congest_for(g.node_count(), 8).seed(trial);
+                let algo = Weighted { eps, ..Weighted::default() };
+                let r = run_mm(&algo, &g, &RuntimeConfig::new().sim(sim)).unwrap();
                 r.matching.validate(&g).unwrap();
                 assert!(
                     r.matching.weight(&g) >= (0.5 - eps) * opt - 1e-9,
@@ -136,7 +142,7 @@ fn post_condition_no_short_augmenting_paths() {
     for seed in 0..4u64 {
         let g = generators::bipartite_gnp(25, 25, 0.1, &mut rng);
         let k = 3;
-        let r = bipartite_mcm(&g, &BipartiteMcmConfig { k, seed, ..Default::default() }).unwrap();
+        let r = bipartite(&g, k, seed);
         let paths = dam::graph::paths::enumerate_augmenting_paths(&g, &r.matching, 2 * k - 1);
         assert!(
             paths.is_empty(),
@@ -153,12 +159,12 @@ fn post_condition_no_short_augmenting_paths() {
 fn large_scale_round_sanity() {
     let mut rng = StdRng::seed_from_u64(7);
     let g = generators::bipartite_gnp(1000, 1000, 8.0 / 2000.0, &mut rng);
-    let r = bipartite_mcm(&g, &BipartiteMcmConfig { k: 3, seed: 1, ..Default::default() }).unwrap();
+    let r = bipartite(&g, 3, 1);
     let opt = hopcroft_karp::maximum_bipartite_matching_size(&g);
     assert!(3 * r.matching.size() >= 2 * opt);
     assert!(
-        r.stats.stats.rounds < 2000,
+        r.totals.stats.rounds < 2000,
         "rounds {} should be far below n = 2000",
-        r.stats.stats.rounds
+        r.totals.stats.rounds
     );
 }
