@@ -1,6 +1,10 @@
 //! The sequential deterministic engine.
 
+use std::any::Any;
+
 use dam_graph::{BitSet, EdgeId, NodeId, Topology};
+use parking_lot::Mutex;
+use rand::rngs::StdRng;
 
 use crate::asynchrony::AsyncTiming;
 use crate::error::SimError;
@@ -1118,6 +1122,62 @@ impl PortTable {
     }
 }
 
+/// A [`Topology`] that answers degree and port queries from a
+/// [`PortTable`] and passes everything else (endpoints, weights, sides,
+/// the CSR downcast) through to the input topology. The engines hand it
+/// to `make` and to every node's [`Context`], so a phase reads the table
+/// instead of recomputing an implicit family's ports or searching a
+/// `gnp` row.
+pub(crate) struct PortView<'a> {
+    pub(crate) graph: &'a dyn Topology,
+    pub(crate) ports: &'a PortTable,
+}
+
+impl Topology for PortView<'_> {
+    fn node_count(&self) -> usize {
+        self.ports.base.len() - 1
+    }
+
+    fn edge_count(&self) -> usize {
+        self.graph.edge_count()
+    }
+
+    #[inline]
+    fn degree(&self, v: NodeId) -> usize {
+        self.ports.base[v + 1] - self.ports.base[v]
+    }
+
+    fn max_degree(&self) -> usize {
+        self.graph.max_degree()
+    }
+
+    #[inline]
+    fn port(&self, v: NodeId, p: usize) -> (NodeId, EdgeId) {
+        let i = self.ports.index(v, p);
+        (self.ports.peer[i].0, self.ports.edge[i])
+    }
+
+    fn endpoints(&self, e: EdgeId) -> (NodeId, NodeId) {
+        self.graph.endpoints(e)
+    }
+
+    fn weight(&self, e: EdgeId) -> f64 {
+        self.graph.weight(e)
+    }
+
+    fn is_weighted(&self) -> bool {
+        self.graph.is_weighted()
+    }
+
+    fn side_of(&self, v: NodeId) -> Option<dam_graph::Side> {
+        self.graph.side_of(v)
+    }
+
+    fn as_graph(&self) -> Option<&dam_graph::Graph> {
+        self.graph.as_graph()
+    }
+}
+
 /// A synchronous network over a graph topology.
 ///
 /// One `Network` can execute many protocol runs (the *phases* of a larger
@@ -1131,6 +1191,14 @@ pub struct Network<'g> {
     /// Peer, peer port and edge of every port; the slot layout of both
     /// synchronous engines.
     ports: PortTable,
+    /// The per-node RNGs of the sequential and asynchronous engine,
+    /// sized by the first run and reseeded in place by every later one.
+    rngs: Vec<StdRng>,
+    /// Their mail buffers ([`Mail`] of the last run's message type),
+    /// kept across runs so a run only empties the slots still holding
+    /// mail. A mutex only so that `Network` stays `Sync` for the
+    /// sharded engine; runs reach it through `get_mut` and never lock.
+    mail: Mutex<Option<Box<dyn Any + Send>>>,
     /// Virtual-time accounting of the most recent asynchronous run
     /// ([`crate::Backend::Async`]); `None` before the first one.
     async_info: Option<crate::asynchrony::AsyncInfo>,
@@ -1154,6 +1222,8 @@ impl<'g> Network<'g> {
             run_counter: 0,
             totals: TotalStats::default(),
             ports: PortTable::new(graph),
+            rngs: Vec::new(),
+            mail: Mutex::new(None),
             async_info: None,
             sink: None,
         }
@@ -1364,21 +1434,27 @@ impl<'g> Network<'g> {
         } else {
             None
         };
-        let wire = Wire {
-            graph: self.graph,
-            config: self.config,
-            plan: &plan,
-            run_id,
-            ports: &self.ports,
-        };
+        let view = PortView { graph: self.graph, ports: &self.ports };
+        let wire =
+            Wire { graph: &view, config: self.config, plan: &plan, run_id, ports: &self.ports };
         let mut node_present = plan.node_present0.clone();
         let mut edge_present = plan.edge_present0.clone();
         let mut edge_event_idx = 0usize;
 
-        let mut protos: Vec<P> = (0..n).map(|v| make(v, self.graph)).collect();
-        let mut rngs: Vec<_> = (0..n).map(|v| rng::node_rng(self.config.seed, run_id, v)).collect();
+        let mut protos: Vec<P> = (0..n).map(|v| make(v, &view)).collect();
+        // The working set is the network's: taken out for the run and
+        // put back after it, whether the run succeeds or fails.
+        let mut rngs = std::mem::take(&mut self.rngs);
+        rngs.clear();
+        rngs.extend((0..n).map(|v| rng::node_rng(self.config.seed, run_id, v)));
+        let mut mail = self
+            .mail
+            .get_mut()
+            .take()
+            .and_then(|m| m.downcast::<Mail<P::Msg>>().ok())
+            .unwrap_or_else(|| Box::new(Mail::new()));
+        mail.reset(&self.ports, plan.any_dup_or_reorder);
         let mut halted = BitSet::new(n);
-        let mut mail = Mail::new(&self.ports, plan.any_dup_or_reorder);
         // The inbox of the node stepping now, gathered from its slots.
         let mut inbox: Vec<(Port, P::Msg)> = Vec::new();
         let mut outbox: Vec<(Port, P::Msg)> = Vec::new();
@@ -1393,7 +1469,7 @@ impl<'g> Network<'g> {
         let mut round = 0usize;
         let mut quiet_rounds = 0usize;
         let mut last_messages = 0u64;
-        loop {
+        let failure = 'run: loop {
             for v in 0..n {
                 // The node's step this round: `start` runs `on_start`
                 // instead of `on_round`, and `reboot` first replaces the
@@ -1413,7 +1489,7 @@ impl<'g> Network<'g> {
                     // no message can reach its ports again.
                     node_present.set(v, false);
                     halted.set(v, true);
-                    mail.take(v, round, None, timing.as_mut());
+                    mail.take(&self.ports, v, round, None, timing.as_mut());
                     tally.stats.churn_events = tally.stats.churn_events.saturating_add(1);
                     tally.record(TraceEvent::Churn { round, kind: ChurnKind::Leave { node: v } });
                     continue;
@@ -1441,18 +1517,18 @@ impl<'g> Network<'g> {
                         });
                         (true, Some(0xB007))
                     } else if halted[v] {
-                        mail.take(v, round, None, timing.as_mut());
+                        mail.take(&self.ports, v, round, None, timing.as_mut());
                         continue;
                     } else {
-                        mail.take(v, round, Some(&mut inbox), timing.as_mut());
+                        mail.take(&self.ports, v, round, Some(&mut inbox), timing.as_mut());
                         (false, None)
                     }
                 };
                 if let Some(salt) = reboot {
-                    protos[v] = make(v, self.graph);
+                    protos[v] = make(v, &view);
                     rngs[v] = rng::node_rng(self.config.seed ^ salt, run_id, v);
                     halted.set(v, false);
-                    mail.take(v, round, None, timing.as_mut());
+                    mail.take(&self.ports, v, round, None, timing.as_mut());
                 }
                 // The word-packed mask cannot hand out `&mut bool`, so the
                 // node's halt flag is copied out for the callback and
@@ -1461,7 +1537,7 @@ impl<'g> Network<'g> {
                 let mut ctx = Context {
                     node: v,
                     round,
-                    graph: self.graph,
+                    graph: &view,
                     rng: &mut rngs[v],
                     outbox: &mut outbox,
                     sent: &mut sent,
@@ -1495,7 +1571,7 @@ impl<'g> Network<'g> {
                     tally.record(TraceEvent::Halt { round, node: v });
                 }
                 if let Some(err) = fault.take() {
-                    return Err(err);
+                    break 'run Some(err);
                 }
             }
             tally.stats.rounds = tally.stats.rounds.saturating_add(1);
@@ -1507,7 +1583,7 @@ impl<'g> Network<'g> {
             // nothing can wake up again (neither a recovery nor a
             // scheduled topology event).
             if halted.all() && round >= plan.last_wake {
-                break;
+                break None;
             }
             if let Some(k) = self.config.quiescence {
                 // After round 0 there is no earlier frame count to
@@ -1516,7 +1592,7 @@ impl<'g> Network<'g> {
                 if (round == 0 || frames == last_messages) && mail.in_flight() == 0 {
                     quiet_rounds += 1;
                     if quiet_rounds >= k && round >= plan.last_wake {
-                        break; // message-driven protocols are done
+                        break 'run None; // message-driven protocols are done
                     }
                 } else {
                     quiet_rounds = 0;
@@ -1524,7 +1600,7 @@ impl<'g> Network<'g> {
                 last_messages = frames;
             }
             if round >= self.config.max_rounds {
-                return Err(SimError::RoundLimitExceeded {
+                break Some(SimError::RoundLimitExceeded {
                     limit: self.config.max_rounds,
                     running: n - halted.count_ones(),
                 });
@@ -1552,6 +1628,11 @@ impl<'g> Network<'g> {
                 tally.record(TraceEvent::Churn { round, kind: ev.kind });
             }
             mail.swap();
+        };
+        self.rngs = rngs;
+        *self.mail.get_mut() = Some(mail);
+        if let Some(err) = failure {
+            return Err(err);
         }
 
         let Tally { mut stats, trace, .. } = tally;
@@ -1589,9 +1670,10 @@ impl<'g> Network<'g> {
 ///
 /// Every node takes its mail every round it is visited ([`Mail::take`]),
 /// whether it steps, stays halted or reboots, so `cur` is empty again by
-/// the time it becomes `next`.
-struct Mail<'a, M> {
-    ports: &'a PortTable,
+/// the time it becomes `next`. The [`Network`] keeps one `Mail` across
+/// runs of the same message type; [`Mail::reset`] empties what a run
+/// left behind.
+struct Mail<M> {
     cur: Vec<Option<M>>,
     next: Vec<Option<M>>,
     /// Occupied `cur` slots per node.
@@ -1610,19 +1692,47 @@ struct Mail<'a, M> {
     late_count: usize,
 }
 
-impl<'a, M> Mail<'a, M> {
-    fn new(ports: &'a PortTable, dup_or_reorder: bool) -> Mail<'a, M> {
-        let n = ports.base.len() - 1;
+impl<M> Mail<M> {
+    fn new() -> Mail<M> {
         Mail {
-            ports,
-            cur: std::iter::repeat_with(|| None).take(ports.len()).collect(),
-            next: std::iter::repeat_with(|| None).take(ports.len()).collect(),
-            count: vec![0; n],
-            count_next: vec![0; n],
+            cur: Vec::new(),
+            next: Vec::new(),
+            count: Vec::new(),
+            count_next: Vec::new(),
             posted: 0,
-            late: if dup_or_reorder { (0..n).map(|_| Vec::new()).collect() } else { Vec::new() },
+            late: Vec::new(),
             late_count: 0,
         }
+    }
+
+    /// Readies the mailboxes for a run over `ports`: the first run sizes
+    /// them, and every run empties the slots of the nodes whose counts
+    /// show mail left over (an earlier run that ended with every node
+    /// halted, or failed mid-round).
+    fn reset(&mut self, ports: &PortTable, dup_or_reorder: bool) {
+        let n = ports.base.len() - 1;
+        self.cur.resize_with(ports.len(), || None);
+        self.next.resize_with(ports.len(), || None);
+        self.count.resize(n, 0);
+        self.count_next.resize(n, 0);
+        for v in 0..n {
+            if std::mem::take(&mut self.count[v]) > 0 {
+                self.cur[ports.range(v)].fill_with(|| None);
+            }
+            if std::mem::take(&mut self.count_next[v]) > 0 {
+                self.next[ports.range(v)].fill_with(|| None);
+            }
+        }
+        self.posted = 0;
+        if dup_or_reorder {
+            self.late.resize_with(n, Vec::new);
+            if self.late_count > 0 {
+                self.late.iter_mut().for_each(Vec::clear);
+            }
+        } else {
+            self.late.clear();
+        }
+        self.late_count = 0;
     }
 
     /// Messages that will still arrive: posted for the next round or
@@ -1632,8 +1742,8 @@ impl<'a, M> Mail<'a, M> {
     }
 
     /// Puts `msg` into the next round's slot of port `q` of `u`.
-    fn post(&mut self, u: NodeId, q: Port, msg: M) {
-        let i = self.ports.base[u] + q;
+    fn post(&mut self, ports: &PortTable, u: NodeId, q: Port, msg: M) {
+        let i = ports.base[u] + q;
         debug_assert!(self.next[i].is_none(), "two messages for port {q} of node {u}");
         self.next[i] = Some(msg);
         self.count_next[u] += 1;
@@ -1655,6 +1765,7 @@ impl<'a, M> Mail<'a, M> {
     /// at `v` is dropped and counted either way.
     fn take(
         &mut self,
+        ports: &PortTable,
         v: NodeId,
         round: usize,
         mut inbox: Option<&mut Vec<(Port, M)>>,
@@ -1667,7 +1778,6 @@ impl<'a, M> Mail<'a, M> {
             }
             _ => false,
         };
-        let ports = self.ports;
         let base = ports.base[v];
         let mut left = std::mem::take(&mut self.count[v]);
         let mut i = base;
@@ -1731,7 +1841,7 @@ fn flush<M: BitSize + Clone>(
     halted: &BitSet,
     node_present: &BitSet,
     edge_present: &BitSet,
-    mail: &mut Mail<'_, M>,
+    mail: &mut Mail<M>,
     tally: &mut Tally,
     mut timing: Option<&mut AsyncTiming<'_>>,
 ) {
@@ -1758,7 +1868,7 @@ fn flush<M: BitSize + Clone>(
             if due > round + 1 {
                 mail.post_late(u, q, due, round, msg);
             } else if !halted[u] {
-                mail.post(u, q, msg);
+                mail.post(wire.ports, u, q, msg);
             }
         }
     }
@@ -2332,6 +2442,87 @@ mod tests {
 
         fn into_output(self) -> Inboxes {
             self.seen
+        }
+    }
+
+    /// Broadcasts its round number every round up to and including
+    /// `rounds`, so its last round leaves mail posted to every neighbour
+    /// that halts after it; records every inbox it is handed.
+    struct LastWord {
+        rounds: usize,
+        seen: Inboxes,
+    }
+
+    impl Protocol for LastWord {
+        type Msg = u64;
+        type Output = Inboxes;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
+            ctx.broadcast(0);
+        }
+
+        fn on_round(&mut self, ctx: &mut Context<'_, u64>, inbox: &[(Port, u64)]) {
+            self.seen.push((ctx.round(), inbox.to_vec()));
+            ctx.broadcast(ctx.round() as u64);
+            if ctx.round() >= self.rounds {
+                ctx.halt();
+            }
+        }
+
+        fn into_output(self) -> Inboxes {
+            self.seen
+        }
+    }
+
+    /// Broadcasts every round; node 3 sends twice in round 2, which
+    /// fails the run with mail in both slot buffers.
+    struct DoubleSend;
+
+    impl Protocol for DoubleSend {
+        type Msg = u64;
+        type Output = ();
+
+        fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
+            ctx.broadcast(0);
+        }
+
+        fn on_round(&mut self, ctx: &mut Context<'_, u64>, _: &[(Port, u64)]) {
+            ctx.broadcast(1);
+            if ctx.id() == 3 && ctx.round() == 2 {
+                ctx.send(0, 2);
+            }
+        }
+
+        fn into_output(self) {}
+    }
+
+    #[test]
+    fn a_reused_network_runs_like_a_fresh_one() {
+        let g = generators::complete(8);
+        // Certain duplication leaves copies due after each run's end.
+        for (backend, faults) in [
+            (Backend::Sequential, FaultPlan::default()),
+            (Backend::Sequential, FaultPlan::default().with_dup(1.0)),
+            (Backend::Async, FaultPlan::default().with_dup(1.0)),
+        ] {
+            let config = SimConfig::local().seed(1).backend(backend);
+            let spec = RunSpec { faults: &faults, ..RunSpec::default() };
+            let last_word = |net: &mut Network<'_>, rounds| {
+                net.execute(|_, _| LastWord { rounds, seen: Vec::new() }, &spec).unwrap().outputs
+            };
+            let fresh = |rounds| last_word(&mut Network::new(&g, config), rounds);
+            let mut net = Network::new(&g, config);
+            // Each run ends with mail still posted.
+            assert_eq!(last_word(&mut net, 3), fresh(3), "{backend:?} {faults:?}");
+            assert_eq!(last_word(&mut net, 5), fresh(5), "{backend:?} {faults:?}");
+            // A run that fails mid-round leaves mail in both buffers.
+            let err = net.execute(|_, _| DoubleSend, &spec).unwrap_err();
+            assert_eq!(err, SimError::DuplicateSend { node: 3, port: 0, round: 2 });
+            assert_eq!(last_word(&mut net, 4), fresh(4), "{backend:?} {faults:?}");
+            // A run with another message type replaces the buffers.
+            let ring = |_, _: &dyn Topology| RingToken { laps: 1, holder: false, received: 0 };
+            assert_eq!(net.execute(ring, &spec).unwrap().stats.messages, 0);
+            assert_eq!(last_word(&mut net, 2), fresh(2), "{backend:?} {faults:?}");
         }
     }
 

@@ -44,7 +44,7 @@ use std::sync::Barrier;
 use dam_graph::{NodeId, Topology};
 use parking_lot::Mutex;
 
-use crate::engine::{Network, Route, RunOutcome, RunPlan, RunSpec, Tally, Wire};
+use crate::engine::{Network, PortView, Route, RunOutcome, RunPlan, RunSpec, Tally, Wire};
 use crate::error::SimError;
 use crate::message::BitSize;
 use crate::node::{Context, Port, Protocol};
@@ -417,6 +417,8 @@ impl Network<'_> {
         let plan = RunPlan::build(graph, self.ports(), spec.faults, spec.churn)?;
         let run_id = self.next_run_id();
         let ports = self.ports();
+        let view = PortView { graph, ports };
+        let graph: &dyn Topology = &view;
 
         let total_slots = ports.len();
         let bufs = [SlotBuf::<P::Msg>::new(total_slots), SlotBuf::<P::Msg>::new(total_slots)];

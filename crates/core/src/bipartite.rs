@@ -141,16 +141,18 @@ pub struct PhaseOutput {
 
 /// One pass of counting + lottery + augmentation at a fixed `ℓ`.
 #[derive(Debug)]
-pub struct PhaseNode {
+pub struct PhaseNode<'a> {
     params: PhaseParams,
     side: PhaseSide,
-    /// Ports belonging to the (induced) graph this pass runs on.
-    live: Vec<bool>,
+    /// Ports belonging to the (induced) graph this pass runs on,
+    /// borrowed from the driver, which keeps them for every pass.
+    live: &'a [bool],
     /// Current matching, as a port (if the matching edge is live).
     matched_port: Option<Port>,
     /// Output register (edge id), kept in sync with `matched_port`.
     matched_edge: Option<EdgeId>,
     // --- counting state ---
+    /// `c_v[i]` per port; empty until the first count arrives.
     counts: Vec<f64>,
     n_v: f64,
     t_v: Option<usize>,
@@ -167,7 +169,7 @@ pub struct PhaseNode {
     augmented: bool,
 }
 
-impl PhaseNode {
+impl<'a> PhaseNode<'a> {
     /// Builds the pass state for one node.
     ///
     /// `matched_port` must be the port of the node's current matching
@@ -178,19 +180,18 @@ impl PhaseNode {
     pub fn new(
         params: PhaseParams,
         side: PhaseSide,
-        live: Vec<bool>,
+        live: &'a [bool],
         matched_port: Option<Port>,
         matched_edge: Option<EdgeId>,
-    ) -> PhaseNode {
+    ) -> PhaseNode<'a> {
         debug_assert_eq!(matched_port.is_some(), matched_edge.is_some());
-        let degree = live.len();
         PhaseNode {
             params,
             side,
             live,
             matched_port,
             matched_edge,
-            counts: vec![0.0; degree],
+            counts: Vec::new(),
             n_v: 0.0,
             t_v: None,
             tok_in: None,
@@ -221,15 +222,25 @@ impl PhaseNode {
         self.counts.iter().rposition(|&c| c > 0.0).expect("n_v > 0 implies a counted port")
     }
 
-    fn handle_count(&mut self, ctx: &mut Context<'_, AugMsg>, arrivals: &[(Port, f64)]) {
-        if arrivals.is_empty() || self.t_v.is_some() || self.side.is_none() {
+    /// Takes the counts of `inbox`.
+    fn handle_count(&mut self, ctx: &mut Context<'_, AugMsg>, inbox: &[(Port, AugMsg)]) {
+        let mut arrivals = inbox
+            .iter()
+            .filter_map(|&(port, msg)| match msg {
+                AugMsg::Count { paths, .. } => Some((port, paths)),
+                _ => None,
+            })
+            .peekable();
+        let Some(&(first, _)) = arrivals.peek() else { return };
+        if self.t_v.is_some() || self.side.is_none() {
             return; // later messages are discarded (visited node) or not a participant
         }
         let round = ctx.round();
         if round > self.params.l {
             return; // counts cannot arrive after the counting stage
         }
-        for &(port, paths) in arrivals {
+        self.counts = vec![0.0; self.live.len()];
+        for (port, paths) in arrivals {
             self.counts[port] += paths;
         }
         self.n_v = self.counts.iter().sum();
@@ -249,7 +260,7 @@ impl PhaseNode {
             Some(Side::X) => {
                 // Necessarily matched (the count came over the matching
                 // edge from the mate).
-                debug_assert_eq!(Some(arrivals[0].0), self.matched_port);
+                debug_assert_eq!(Some(first), self.matched_port);
                 if round < self.params.l {
                     let msg = AugMsg::Count { paths: self.n_v, bits: count_bits(self.n_v) };
                     for p in 0..self.live.len() {
@@ -290,15 +301,17 @@ impl PhaseNode {
         );
     }
 
-    fn handle_tokens(&mut self, ctx: &mut Context<'_, AugMsg>, tokens: &[(Port, f64, u64)]) {
-        if tokens.is_empty() {
-            return;
-        }
+    /// Takes the tokens of `inbox`.
+    fn handle_tokens(&mut self, ctx: &mut Context<'_, AugMsg>, inbox: &[(Port, AugMsg)]) {
         // Keep the best (key, leader) token; the rest disappear.
-        let &(port, key, leader) = tokens
+        let best = inbox
             .iter()
-            .max_by(|a, b| (a.1, a.2).partial_cmp(&(b.1, b.2)).expect("keys are finite"))
-            .expect("nonempty");
+            .filter_map(|&(port, msg)| match msg {
+                AugMsg::Token { key, leader, .. } => Some((port, key, leader)),
+                _ => None,
+            })
+            .max_by(|a, b| (a.1, a.2).partial_cmp(&(b.1, b.2)).expect("keys are finite"));
+        let Some((port, key, leader)) = best else { return };
         if self.tok_in.is_some() || self.launched {
             // Already on a chosen path (cannot happen when arrival rounds
             // are unique; defensive for induced subgraph edge cases).
@@ -352,7 +365,7 @@ impl PhaseNode {
     }
 }
 
-impl Protocol for PhaseNode {
+impl Protocol for PhaseNode<'_> {
     type Msg = AugMsg;
     type Output = PhaseOutput;
 
@@ -369,23 +382,16 @@ impl Protocol for PhaseNode {
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_, AugMsg>, inbox: &[(Port, AugMsg)]) {
-        let mut count_arrivals: Vec<(Port, f64)> = Vec::new();
-        let mut tokens: Vec<(Port, f64, u64)> = Vec::new();
-        let mut augments: Vec<(Port, bool)> = Vec::new();
-        for &(port, msg) in inbox {
-            match msg {
-                AugMsg::Count { paths, .. } => count_arrivals.push((port, paths)),
-                AugMsg::Token { key, leader, .. } => tokens.push((port, key, leader)),
-                AugMsg::Augment { matching } => augments.push((port, matching)),
-            }
-        }
-        self.handle_count(ctx, &count_arrivals);
+        // By kind: counts, then the leader's launch, tokens and augments.
+        self.handle_count(ctx, inbox);
         if ctx.round() == self.params.l {
             self.launch_token(ctx);
         }
-        self.handle_tokens(ctx, &tokens);
-        for (port, matching) in augments {
-            self.handle_augment(ctx, port, matching);
+        self.handle_tokens(ctx, inbox);
+        for &(port, msg) in inbox {
+            if let AugMsg::Augment { matching } = msg {
+                self.handle_augment(ctx, port, matching);
+            }
         }
         if ctx.round() >= self.params.pass_rounds() {
             ctx.halt();
@@ -428,7 +434,7 @@ pub(crate) fn exhaust_length(
                 let matched_port = matched_edge.map(|e| {
                     graph.port_of_edge(v, e).expect("register points at an incident edge")
                 });
-                PhaseNode::new(params, sides[v], live[v].clone(), matched_port, matched_edge)
+                PhaseNode::new(params, sides[v], &live[v], matched_port, matched_edge)
             },
             &RunSpec::default(),
         )?;
@@ -517,7 +523,7 @@ impl Bipartite {
                     let matched_port = matched_edge.map(|e| {
                         graph.port_of_edge(v, e).expect("register points at an incident edge")
                     });
-                    PhaseNode::new(params, sides[v], live[v].clone(), matched_port, matched_edge)
+                    PhaseNode::new(params, sides[v], &live[v], matched_port, matched_edge)
                 })?;
                 passes += 1;
                 let mut any_path = false;
@@ -747,7 +753,7 @@ mod tests {
                     .run(|v, graph| {
                         let me = registers[v];
                         let mp = me.map(|e| graph.port_of_edge(v, e).unwrap());
-                        PhaseNode::new(params, sides[v], live[v].clone(), mp, me)
+                        PhaseNode::new(params, sides[v], &live[v], mp, me)
                     })
                     .unwrap();
                 let all_l = dam_graph::paths::enumerate_augmenting_paths(&g, &m_before, l);

@@ -105,7 +105,11 @@ pub enum CertFault {
 /// Per-node state of the distributed checker. Incidence of the claimed
 /// edge is resolved against the topology at construction (a node knows
 /// its own ports); everything else needs exactly one broadcast round.
-struct CheckerNode {
+struct CheckerNode<'a> {
+    /// Edge presence: nothing is sent over a port whose edge is down,
+    /// so a free neighbour there leaves no edge uncovered and a claim
+    /// across it is left without a partner.
+    edges: &'a BitSet,
     present: bool,
     claim: Option<EdgeId>,
     /// Port towards the claimed partner; `None` when free or when the
@@ -115,8 +119,14 @@ struct CheckerNode {
     verdict: Option<CertFault>,
 }
 
-impl CheckerNode {
-    fn new(v: NodeId, g: &dyn Topology, claim: Option<EdgeId>, present: bool) -> CheckerNode {
+impl<'a> CheckerNode<'a> {
+    fn new(
+        v: NodeId,
+        g: &dyn Topology,
+        edges: &'a BitSet,
+        claim: Option<EdgeId>,
+        present: bool,
+    ) -> CheckerNode<'a> {
         let mut partner_port = None;
         let mut invalid = false;
         if present {
@@ -125,16 +135,21 @@ impl CheckerNode {
                 invalid = partner_port.is_none();
             }
         }
-        CheckerNode { present, claim, partner_port, invalid, verdict: None }
+        CheckerNode { edges, present, claim, partner_port, invalid, verdict: None }
     }
 }
 
-impl Protocol for CheckerNode {
+impl Protocol for CheckerNode<'_> {
     type Msg = CheckMsg;
     type Output = Option<CertFault>;
 
     fn on_start(&mut self, ctx: &mut Context<'_, CheckMsg>) {
-        ctx.broadcast(if self.present { CheckMsg::Reg(self.claim) } else { CheckMsg::Absent });
+        let msg = if self.present { CheckMsg::Reg(self.claim) } else { CheckMsg::Absent };
+        for p in ctx.ports() {
+            if self.edges[ctx.edge(p)] {
+                ctx.send(p, msg);
+            }
+        }
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_, CheckMsg>, inbox: &[(Port, CheckMsg)]) {
@@ -145,9 +160,8 @@ impl Protocol for CheckerNode {
                 match inbox.iter().find(|&&(q, _)| q == p).map(|&(_, m)| m) {
                     Some(CheckMsg::Reg(r)) if r == self.claim => None,
                     Some(CheckMsg::Reg(_)) => Some(CertFault::Asymmetric),
-                    // An absent partner — or no broadcast at all, which
-                    // a fault-free verification round cannot produce but
-                    // is treated identically for defence in depth.
+                    // An absent partner, or no broadcast at all: the
+                    // claimed edge is down.
                     _ => Some(CertFault::PartnerAbsent),
                 }
             } else if inbox.iter().any(|&(_, m)| m == CheckMsg::Reg(None)) {
@@ -201,7 +215,7 @@ impl Certificate {
 /// per-node verdicts are aggregated into a [`Certificate`].
 ///
 /// Convenience wrapper over [`certify_on`] for slice masks and CSR
-/// graphs; the runtime pipeline calls the bitset entry directly.
+/// graphs; the runtime pipeline calls [`certify_present`] directly.
 ///
 /// # Errors
 /// Propagates simulator errors (none are expected from a two-round
@@ -218,14 +232,12 @@ pub fn certify(
     certify_on(g, registers, &BitSet::from_bools(present), seed)
 }
 
-/// The canonical entry of [`certify`]: runs the distributed checker on
-/// any [`Topology`] (implicit families included) with the presence mask
-/// as a word-packed [`BitSet`] — the representation the runtime's
-/// pipeline carries end to end.
+/// [`certify_present`] with every edge present: the checker on any
+/// [`Topology`] (implicit families included) with the node presence
+/// mask as a word-packed [`BitSet`].
 ///
 /// # Errors
-/// Propagates simulator errors (none are expected from a two-round
-/// fault-free run, but the checker refuses to unwrap).
+/// As [`certify_present`].
 ///
 /// # Panics
 /// Panics if `registers` or `present` is not one entry per node.
@@ -235,11 +247,38 @@ pub fn certify_on(
     present: &BitSet,
     seed: u64,
 ) -> Result<Certificate, CoreError> {
+    certify_present(g, registers, present, &BitSet::filled(g.edge_count(), true), seed)
+}
+
+/// The canonical entry of [`certify`]: runs the distributed checker on
+/// any [`Topology`] (implicit families included) with the node and edge
+/// presence masks as word-packed [`BitSet`]s — the representation the
+/// runtime's pipeline carries end to end. The check covers the present
+/// subgraph: nothing crosses an edge that is down, so an edge down
+/// between two free nodes leaves nothing uncovered, and a register
+/// claiming a down edge has no partner.
+///
+/// # Errors
+/// Propagates simulator errors (none are expected from a two-round
+/// fault-free run, but the checker refuses to unwrap).
+///
+/// # Panics
+/// Panics if `registers` or `present` is not one entry per node, or
+/// `edge_present` not one entry per edge.
+pub fn certify_present(
+    g: &dyn Topology,
+    registers: &[Option<EdgeId>],
+    present: &BitSet,
+    edge_present: &BitSet,
+    seed: u64,
+) -> Result<Certificate, CoreError> {
     let n = g.node_count();
     assert_eq!(registers.len(), n, "one register per node");
     assert_eq!(present.len(), n, "one presence flag per node");
+    assert_eq!(edge_present.len(), g.edge_count(), "one presence flag per edge");
     let mut net = Network::new(g, SimConfig::local().seed(seed));
-    let out = net.run(|v, graph| CheckerNode::new(v, graph, registers[v], present[v]))?;
+    let out =
+        net.run(|v, graph| CheckerNode::new(v, graph, edge_present, registers[v], present[v]))?;
     let verdicts = out.outputs;
     let flagged: Vec<NodeId> =
         verdicts.iter().enumerate().filter_map(|(v, f)| f.map(|_| v)).collect();
@@ -266,23 +305,27 @@ pub fn certify_on(
     })
 }
 
-/// The centralized twin of [`certify`]: same verdicts, no simulator.
+/// The centralized twin of [`certify_present`]: same verdicts, no
+/// simulator.
 ///
 /// Exists to cross-validate the distributed checker (the tests assert
 /// both produce identical verdict vectors on arbitrary damage) and for
 /// callers that want an oracle without paying for a run.
 ///
 /// # Panics
-/// Panics if `registers` or `present` is not one entry per node.
+/// Panics if `registers` or `present` is not one entry per node, or
+/// `edge_present` not one entry per edge.
 #[must_use]
 pub fn check_registers(
     g: &Graph,
     registers: &[Option<EdgeId>],
     present: &[bool],
+    edge_present: &[bool],
 ) -> Vec<Option<CertFault>> {
     let n = g.node_count();
     assert_eq!(registers.len(), n, "one register per node");
     assert_eq!(present.len(), n, "one presence flag per node");
+    assert_eq!(edge_present.len(), g.edge_count(), "one presence flag per edge");
     let mut verdicts = vec![None; n];
     for v in 0..n {
         if !present[v] {
@@ -297,7 +340,7 @@ pub fn check_registers(
                     Some(CertFault::InvalidRegister)
                 } else {
                     let u = g.other_endpoint(e, v);
-                    if !present[u] {
+                    if !present[u] || !edge_present[e] {
                         Some(CertFault::PartnerAbsent)
                     } else if registers[u] != Some(e) {
                         Some(CertFault::Asymmetric)
@@ -307,8 +350,8 @@ pub fn check_registers(
                 }
             }
             None => g
-                .neighbors(v)
-                .any(|u| present[u] && registers[u].is_none())
+                .incident(v)
+                .any(|(_, u, e)| edge_present[e] && present[u] && registers[u].is_none())
                 .then_some(CertFault::Uncovered),
         };
     }
@@ -438,10 +481,40 @@ mod tests {
             let cert = certify(&g, &regs, &present, trial).unwrap();
             assert_eq!(
                 cert.verdicts,
-                check_registers(&g, &regs, &present),
+                check_registers(&g, &regs, &present, &vec![true; g.edge_count()]),
                 "distributed and centralized checkers disagree (trial {trial})"
             );
         }
+    }
+
+    #[test]
+    fn edges_down_are_outside_the_check() {
+        let mut rng = StdRng::seed_from_u64(8);
+        for trial in 0..20 {
+            let g = generators::gnp(25, 0.2, &mut rng);
+            let regs = regs_of(&g, &israeli_itai(&g, trial).unwrap().matching);
+            let present = vec![true; 25];
+            let mut edges = vec![true; g.edge_count()];
+            for _ in 0..4 {
+                if let Some(e) = edges.len().checked_sub(1).map(|m| rng.random_range(0..=m)) {
+                    edges[e] = false;
+                }
+            }
+            let (node_mask, edge_mask) = (BitSet::from_bools(&present), BitSet::from_bools(&edges));
+            let cert = certify_present(&g, &regs, &node_mask, &edge_mask, trial).unwrap();
+            assert_eq!(
+                cert.verdicts,
+                check_registers(&g, &regs, &present, &edges),
+                "trial {trial}"
+            );
+        }
+        // Two free nodes joined only by a down edge leave nothing uncovered.
+        let g = Graph::builder(2).edge(0, 1).build().unwrap();
+        let (nodes, down) = (BitSet::filled(2, true), BitSet::filled(1, false));
+        assert!(certify_present(&g, &[None, None], &nodes, &down, 0).unwrap().ok());
+        // A claim across a down edge has no partner.
+        let cert = certify_present(&g, &[Some(0), Some(0)], &nodes, &down, 0).unwrap();
+        assert_eq!(cert.verdicts, vec![Some(CertFault::PartnerAbsent); 2]);
     }
 
     #[test]

@@ -83,7 +83,7 @@ use dam_congest::{
 };
 use dam_graph::{materialize, BitSet, EdgeId, Graph, Matching, NodeId, Topology};
 
-use crate::certify::{apply_lies, certify_on, Certificate, CHECK_DOMAIN, RECHECK_DOMAIN};
+use crate::certify::{apply_lies, certify_present, Certificate, CHECK_DOMAIN, RECHECK_DOMAIN};
 use crate::checkpoint::{
     CheckpointCfg, CheckpointStore, CheckpointWriter, RestoreOutcome, Snapshot, Stage,
     CHECKPOINT_DOMAIN,
@@ -291,7 +291,9 @@ impl<'g> Exec<'g> {
     }
 
     /// Runs one phase of the driver's node program `make` under the
-    /// executor's wrapping rules and returns the engine outcome.
+    /// executor's wrapping rules and returns the engine outcome. The
+    /// executor keeps the outcome's session exports for the checkpoint
+    /// layer, so the returned [`RunOutcome::sessions`] is empty.
     ///
     /// The first phase of a main run executes `make` bare (under the
     /// full fault + churn plans); every other phase wraps it in a
@@ -311,11 +313,13 @@ impl<'g> Exec<'g> {
         let first = self.phases == 0;
         self.phases += 1;
         let wrap = self.resume || !first;
-        let faults = if first { self.first_faults.clone() } else { self.later_faults.clone() };
-        let churn = if first && !self.resume { self.churn.clone() } else { ChurnPlan::default() };
-        let spec = RunSpec { faults: &faults, churn: &churn, ..RunSpec::default() };
+        let faults = if first { &self.first_faults } else { &self.later_faults };
+        let mut spec = RunSpec { faults, ..RunSpec::default() };
+        if first && !self.resume {
+            spec.churn = &self.churn;
+        }
         let alive = &self.alive;
-        let out = if !wrap {
+        let mut out = if !wrap {
             if let Some(p) = self.adaptive {
                 self.net.execute(|v, graph| Resilient::with_policy(make(v, graph), p), &spec)?
             } else if let Some(t) = self.transport {
@@ -359,9 +363,9 @@ impl<'g> Exec<'g> {
             Some(s) => s.absorb(&out.stats),
         }
         // The checkpoint layer snapshots the *last* phase's session
-        // exports (the quiescent boundary is after the final phase);
-        // cloning the summaries perturbs nothing the engine observes.
-        self.sessions.clone_from(&out.sessions);
+        // exports (the quiescent boundary is after the final phase), so
+        // they move here and the returned outcome keeps none.
+        self.sessions = std::mem::take(&mut out.sessions);
         Ok(out)
     }
 
@@ -1365,7 +1369,7 @@ fn pipeline_tail<A: Algorithm + ?Sized>(
 
         // Layer 3a: O(1)-round proof-labeling verification.
         initial = if cfg.certify {
-            Some(certify_on(g, &st.regs, &st.node_present, check_seed)?)
+            Some(certify_present(g, &st.regs, &st.node_present, &st.edge_present, check_seed)?)
         } else {
             None
         };
@@ -1492,10 +1496,11 @@ fn pipeline_tail<A: Algorithm + ?Sized>(
     let resumed = st.from != Stage::Main;
     let recheck =
         if cfg.certify && (st.repair_stats.is_some() || st.maintain_stats.is_some() || resumed) {
-            Some(certify_on(
+            Some(certify_present(
                 g,
                 &st.regs,
                 &st.node_present,
+                &st.edge_present,
                 rng::splitmix64(check_seed ^ RECHECK_DOMAIN),
             )?)
         } else {
@@ -1667,6 +1672,26 @@ mod tests {
         assert!(rep.certified(), "repair must re-certify");
         assert!(rep.repair.is_some() && rep.recheck.is_some());
         rep.matching.validate(&g).unwrap();
+    }
+
+    #[test]
+    fn certify_skips_an_edge_that_stays_down() {
+        // The only edge goes down for good in round 1, before the two
+        // nodes can match: both end free, which is maximal on the final
+        // topology, so the certificate must not call the edge uncovered.
+        let g = generators::path(2);
+        let churn =
+            ChurnPlan::events(vec![]).with_event(1, dam_congest::ChurnKind::EdgeDown { edge: 0 });
+        let cfg = RuntimeConfig::new()
+            .transport(TransportCfg::default())
+            .churn(churn)
+            .certify(true)
+            .seed(1);
+        let rep = run_mm(&IsraeliItai, &g, &cfg).unwrap();
+        assert_eq!(rep.registers, vec![None, None]);
+        assert_eq!(rep.node_present, vec![true, true]);
+        assert_eq!(rep.edge_present, vec![false]);
+        assert!(rep.certified(), "{:?}", rep.initial);
     }
 
     #[test]

@@ -220,7 +220,7 @@ fn golden_weighted(g: &Graph, sim: SimConfig) -> Result<Vec<Option<EdgeId>>, Cor
             )?
             .outputs;
         let m_prime =
-            net.execute(|v, _| LocalMaxNode::new(gains[v].clone()), &RunSpec::default())?.outputs;
+            net.execute(|v, _| LocalMaxNode::new(&gains[v]), &RunSpec::default())?.outputs;
         matching_from_registers(g, &m_prime)?;
         let out = net.execute(
             |v, graph| {

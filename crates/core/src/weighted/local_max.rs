@@ -38,10 +38,11 @@ impl BitSize for PickMsg {
 
 /// Per-node state of the locally-heaviest-edge protocol.
 #[derive(Debug)]
-pub struct LocalMaxNode {
-    /// Candidate weight per port (`None` = not a candidate edge).
-    weights: Vec<Option<f64>>,
-    /// Ports whose far node is still live.
+pub struct LocalMaxNode<'a> {
+    /// Candidate weight per port (`None` = not a candidate edge),
+    /// borrowed from the caller's per-node rows.
+    weights: &'a [Option<f64>],
+    /// Ports whose far node is still live; empty while all of them are.
     alive: Vec<bool>,
     /// My pick this iteration.
     picked: Option<Port>,
@@ -50,18 +51,19 @@ pub struct LocalMaxNode {
     announced: bool,
 }
 
-impl LocalMaxNode {
+impl<'a> LocalMaxNode<'a> {
     /// Fresh state over the given candidate weights.
     #[must_use]
-    pub fn new(weights: Vec<Option<f64>>) -> LocalMaxNode {
-        let degree = weights.len();
-        LocalMaxNode {
-            weights,
-            alive: vec![true; degree],
-            picked: None,
-            chosen: None,
-            announced: false,
+    pub fn new(weights: &'a [Option<f64>]) -> LocalMaxNode<'a> {
+        LocalMaxNode { weights, alive: Vec::new(), picked: None, chosen: None, announced: false }
+    }
+
+    /// Removes the far node of `port` from the candidate graph.
+    fn kill(&mut self, port: Port) {
+        if self.alive.is_empty() {
+            self.alive = vec![true; self.weights.len()];
         }
+        self.alive[port] = false;
     }
 
     /// The heaviest live candidate port under the `(weight, edge id)`
@@ -70,7 +72,7 @@ impl LocalMaxNode {
     fn best_port(&self, ctx: &Context<'_, PickMsg>) -> Option<Port> {
         let mut best: Option<(f64, EdgeId, Port)> = None;
         for (p, w) in self.weights.iter().enumerate() {
-            if !self.alive[p] {
+            if !self.alive.get(p).unwrap_or(&true) {
                 continue;
             }
             if let Some(w) = *w {
@@ -84,11 +86,9 @@ impl LocalMaxNode {
     }
 
     fn step(&mut self, ctx: &mut Context<'_, PickMsg>, inbox: &[(Port, PickMsg)]) {
-        let mut picks: Vec<Port> = Vec::new();
         for &(port, msg) in inbox {
-            match msg {
-                PickMsg::Dead => self.alive[port] = false,
-                PickMsg::Pick => picks.push(port),
+            if msg == PickMsg::Dead {
+                self.kill(port);
             }
         }
         if ctx.round() % 2 == 0 {
@@ -111,7 +111,7 @@ impl LocalMaxNode {
         } else {
             // Resolve: mutual picks match.
             if let Some(p) = self.picked.take() {
-                if picks.contains(&p) {
+                if inbox.contains(&(p, PickMsg::Pick)) {
                     self.chosen = Some(ctx.edge(p));
                     self.announced = false;
                 }
@@ -120,7 +120,7 @@ impl LocalMaxNode {
     }
 }
 
-impl Protocol for LocalMaxNode {
+impl Protocol for LocalMaxNode<'_> {
     type Msg = PickMsg;
     /// The edge this node matched, if any.
     type Output = Option<EdgeId>;
@@ -137,7 +137,7 @@ impl Protocol for LocalMaxNode {
         // A crashed or quarantined peer will never resolve a pick;
         // treating it like a `Dead` announcement keeps the pick loop
         // terminating (it halts once no live candidate remains).
-        self.alive[port] = false;
+        self.kill(port);
     }
 
     fn into_output(self) -> Option<EdgeId> {
@@ -163,10 +163,9 @@ impl Protocol for LocalMaxNode {
 /// ```
 pub fn local_max_mwm(g: &Graph, seed: u64) -> Result<AlgorithmReport, CoreError> {
     let mut net = Network::new(g, SimConfig::congest_for(g.node_count(), 4).seed(seed));
-    let out = net.run(|v, graph| {
-        let weights = graph.incident(v).map(|(_, _, e)| Some(graph.weight(e))).collect();
-        LocalMaxNode::new(weights)
-    })?;
+    let weights: Vec<Vec<Option<f64>>> =
+        g.nodes().map(|v| g.incident(v).map(|(_, _, e)| Some(g.weight(e))).collect()).collect();
+    let out = net.run(|v, _| LocalMaxNode::new(&weights[v]))?;
     let matching = matching_from_registers(g, &out.outputs)?;
     let iterations = usize::try_from(out.stats.rounds.div_ceil(2)).unwrap_or(usize::MAX);
     Ok(AlgorithmReport { matching, stats: net.totals(), iterations })
@@ -241,14 +240,12 @@ mod tests {
             .weighted_edge(2, 3, 9.0)
             .build()
             .unwrap();
+        let weights: Vec<Vec<Option<f64>>> = g
+            .nodes()
+            .map(|v| g.incident(v).map(|(_, _, e)| (e == 1).then(|| g.weight(e))).collect())
+            .collect();
         let mut net = Network::new(&g, SimConfig::local().seed(1));
-        let out = net
-            .run(|v, graph| {
-                let weights =
-                    graph.incident(v).map(|(_, _, e)| (e == 1).then(|| graph.weight(e))).collect();
-                LocalMaxNode::new(weights)
-            })
-            .unwrap();
+        let out = net.run(|v, _| LocalMaxNode::new(&weights[v])).unwrap();
         let m = matching_from_registers(&g, &out.outputs).unwrap();
         assert_eq!(m.to_edge_vec(), vec![1]);
     }

@@ -226,11 +226,9 @@ impl Weighted {
             }
             // Step 2: δ-MWM on the gain graph.
             let m_prime: Vec<Option<EdgeId>> = match self.black_box {
-                BlackBox::LocalMax => {
-                    exec.phase(|v, _| LocalMaxNode::new(gains[v].clone()))?.outputs
-                }
+                BlackBox::LocalMax => exec.phase(|v, _| LocalMaxNode::new(&gains[v]))?.outputs,
                 BlackBox::Proposal { iterations } => {
-                    exec.phase(|v, _| ProposalNode::new(gains[v].clone(), iterations))?.outputs
+                    exec.phase(|v, _| ProposalNode::new(&gains[v], iterations))?.outputs
                 }
             };
             let m_prime = sanitize_registers_on(g, &m_prime, &alive).registers;

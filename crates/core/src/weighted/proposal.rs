@@ -35,8 +35,9 @@ impl BitSize for ProposalMsg {
 
 /// Per-node state of the proposal heuristic.
 #[derive(Debug)]
-pub struct ProposalNode {
-    weights: Vec<Option<f64>>,
+pub struct ProposalNode<'a> {
+    /// Candidate weight per port, borrowed from the caller's rows.
+    weights: &'a [Option<f64>],
     alive: Vec<bool>,
     iterations: usize,
     proposed: Option<Port>,
@@ -44,11 +45,11 @@ pub struct ProposalNode {
     announced: bool,
 }
 
-impl ProposalNode {
+impl<'a> ProposalNode<'a> {
     /// Fresh state over candidate weights, running `iterations`
     /// propose/accept cycles (3 rounds each).
     #[must_use]
-    pub fn new(weights: Vec<Option<f64>>, iterations: usize) -> ProposalNode {
+    pub fn new(weights: &'a [Option<f64>], iterations: usize) -> ProposalNode<'a> {
         let degree = weights.len();
         ProposalNode {
             weights,
@@ -126,7 +127,7 @@ impl ProposalNode {
     }
 }
 
-impl Protocol for ProposalNode {
+impl Protocol for ProposalNode<'_> {
     type Msg = ProposalMsg;
     /// The edge this node matched, if any.
     type Output = Option<EdgeId>;
@@ -152,10 +153,9 @@ impl Protocol for ProposalNode {
 pub fn proposal_mwm(g: &Graph, seed: u64) -> Result<AlgorithmReport, CoreError> {
     let iterations = 3 * (usize::BITS - g.node_count().leading_zeros()) as usize;
     let mut net = Network::new(g, SimConfig::congest_for(g.node_count(), 4).seed(seed));
-    let out = net.run(|v, graph| {
-        let weights = graph.incident(v).map(|(_, _, e)| Some(graph.weight(e))).collect();
-        ProposalNode::new(weights, iterations.max(4))
-    })?;
+    let weights: Vec<Vec<Option<f64>>> =
+        g.nodes().map(|v| g.incident(v).map(|(_, _, e)| Some(g.weight(e))).collect()).collect();
+    let out = net.run(|v, _| ProposalNode::new(&weights[v], iterations.max(4)))?;
     let matching = matching_from_registers(g, &out.outputs)?;
     Ok(AlgorithmReport { matching, stats: net.totals(), iterations })
 }

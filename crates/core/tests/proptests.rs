@@ -443,7 +443,8 @@ proptest! {
             .collect();
         let present: Vec<bool> = (0..n).map(|_| rng.random_bool(0.85)).collect();
         let cert = certify(&g, &registers, &present, seed).unwrap();
-        prop_assert_eq!(&cert.verdicts, &check_registers(&g, &registers, &present));
+        let edges = vec![true; m];
+        prop_assert_eq!(&cert.verdicts, &check_registers(&g, &registers, &present, &edges));
         prop_assert!(cert.detection_rounds <= 2, "detection must stay in the constant window");
         prop_assert_eq!(cert.ok(), cert.flagged.is_empty());
     }

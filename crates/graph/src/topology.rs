@@ -519,54 +519,31 @@ impl ImplicitTopology {
         )
     }
 
-    /// Incident `(edge, neighbour)` pairs of `v`, sorted by edge id —
-    /// the shared implementation behind `port`/`degree` for the
-    /// constant-degree families.
-    fn incident_sorted(&self, v: NodeId) -> Vec<(EdgeId, NodeId)> {
-        match *self {
-            ImplicitTopology::Ring { n } => {
-                assert!(v < n, "node {v} out of range");
-                let pred = (v + n - 1) % n;
-                let succ = (v + 1) % n;
-                // Edge ids: predecessor edge is `pred`, successor edge is `v`.
-                let mut inc = vec![(pred, pred), (v, succ)];
-                inc.sort_unstable();
-                inc
-            }
-            ImplicitTopology::Torus { w, h } => {
-                let n = w * h;
-                assert!(v < n, "node {v} out of range");
-                let (x, y) = (v % w, v / w);
-                let right = y * w + (x + 1) % w;
-                let down = ((y + 1) % h) * w + x;
-                let left = y * w + (x + w - 1) % w;
-                let up = ((y + h - 1) % h) * w + x;
-                let mut inc =
-                    vec![(2 * v, right), (2 * v + 1, down), (2 * left, left), (2 * up + 1, up)];
-                inc.sort_unstable();
-                inc
-            }
-            ImplicitTopology::Regular { n, d } => {
-                assert!(v < n, "node {v} out of range");
-                let mut inc = Vec::with_capacity(d);
-                for j in 1..=(d / 2) {
-                    let block = ((j - 1) * n) as EdgeId;
-                    inc.push((block + v, (v + j) % n)); // forward: v -> v+j
-                    inc.push((block + (v + n - j) % n, (v + n - j) % n)); // backward
-                }
-                if d % 2 == 1 {
-                    let block = ((d / 2) * n) as EdgeId;
-                    let half = n / 2;
-                    inc.push((block + v % half, (v + half) % n));
-                }
-                inc.sort_unstable();
-                inc
-            }
-            ImplicitTopology::Gnp { .. } => {
-                unreachable!("gnp ports come from its row arrays (see `port`)")
-            }
+    /// Incident `(edge, neighbour)` pairs of `v` on the circulant
+    /// `reg:N:D`, sorted by edge id.
+    fn regular_incident(n: usize, d: usize, v: NodeId) -> Vec<(EdgeId, NodeId)> {
+        assert!(v < n, "node {v} out of range");
+        let mut inc = Vec::with_capacity(d);
+        for j in 1..=(d / 2) {
+            let block = ((j - 1) * n) as EdgeId;
+            inc.push((block + v, (v + j) % n)); // forward: v -> v+j
+            inc.push((block + (v + n - j) % n, (v + n - j) % n)); // backward
         }
+        if d % 2 == 1 {
+            let block = ((d / 2) * n) as EdgeId;
+            let half = n / 2;
+            inc.push((block + v % half, (v + half) % n));
+        }
+        inc.sort_unstable();
+        inc
     }
+}
+
+/// The `(neighbour, edge)` pair behind port `p` of `v`, where `inc` holds
+/// `v`'s `(edge, neighbour)` pairs sorted by edge id.
+fn port_in(inc: &[(EdgeId, NodeId)], v: NodeId, p: usize) -> (NodeId, EdgeId) {
+    let &(e, u) = inc.get(p).unwrap_or_else(|| panic!("port {p} out of range at node {v}"));
+    (u, e)
 }
 
 impl Topology for ImplicitTopology {
@@ -636,9 +613,32 @@ impl Topology for ImplicitTopology {
             let &u = larger.get(k).unwrap_or_else(|| panic!("port {p} out of range at node {v}"));
             return (u as usize, prefix[v] + k);
         }
-        let inc = self.incident_sorted(v);
-        let (e, u) = *inc.get(p).unwrap_or_else(|| panic!("port {p} out of range at node {v}"));
-        (u, e)
+        match *self {
+            ImplicitTopology::Ring { n } => {
+                assert!(v < n, "node {v} out of range");
+                let pred = (v + n - 1) % n;
+                // Edge ids: predecessor edge is `pred`, successor edge is `v`.
+                let mut inc = [(pred, pred), (v, (v + 1) % n)];
+                inc.sort_unstable();
+                port_in(&inc, v, p)
+            }
+            ImplicitTopology::Torus { w, h } => {
+                assert!(v < w * h, "node {v} out of range");
+                let (x, y) = (v % w, v / w);
+                let right = y * w + (x + 1) % w;
+                let down = ((y + 1) % h) * w + x;
+                let left = y * w + (x + w - 1) % w;
+                let up = ((y + h - 1) % h) * w + x;
+                let mut inc =
+                    [(2 * v, right), (2 * v + 1, down), (2 * left, left), (2 * up + 1, up)];
+                inc.sort_unstable();
+                port_in(&inc, v, p)
+            }
+            ImplicitTopology::Regular { n, d } => {
+                port_in(&ImplicitTopology::regular_incident(n, d, v), v, p)
+            }
+            ImplicitTopology::Gnp { .. } => unreachable!("handled above"),
+        }
     }
 
     fn endpoints(&self, e: EdgeId) -> (NodeId, NodeId) {
