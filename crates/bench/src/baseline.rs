@@ -7,10 +7,14 @@
 //! the same workload on the **asynchronous backend** ([`AsyncBaseline`])
 //! — its wall clock pays for virtual-time tracking and synchronizer
 //! markers, and the committed marker count pins the control-plane
-//! overhead bit-exactly. The smoke test
+//! overhead bit-exactly. `results/BENCH_e19.json` records it behind the
+//! resilient transport, static floor against the adaptive controller
+//! ([`AdaptiveBaseline`]). The smoke test
 //! (`crates/bench/tests/bench_smoke.rs`, gated on `CI_SMOKE=1`)
-//! re-measures both and fails if throughput fell below half of the
-//! committed figure.
+//! re-measures all three and fails if throughput fell below half of the
+//! committed figure (for E19: if the controller's overhead ratio more
+//! than doubled). `cargo run --release -p dam-bench --bin bench -- e12
+//! e18 e19` rewrites the files.
 //!
 //! Honesty note: on a single-hardware-thread host the parallel engine
 //! cannot beat the sequential one — the `host_threads` field exists so
@@ -18,19 +22,19 @@
 //! claim. Regression checks therefore compare parallel throughput
 //! against the *committed parallel* throughput, never against serial.
 //!
-//! The workspace is fully vendored and has no serde, so the JSON here
-//! is emitted and parsed by hand: one flat object, string and numeric
-//! values only.
+//! The JSON text is written and read by [`crate::json`].
 
 use std::time::Instant;
 
 use dam_congest::{
-    AdaptivePolicy, Backend, Context, Network, Port, Protocol, Resilient, RunSpec, SimConfig,
-    TransportCfg,
+    AdaptivePolicy, Backend, Context, Network, Port, Protocol, Resilient, RunSpec, RunStats,
+    SimConfig, TransportCfg,
 };
 use dam_graph::{generators, Graph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+use crate::json::artifact;
 
 /// Gossip rounds per run — matches E12's table workload.
 pub const ROUNDS: usize = 20;
@@ -42,6 +46,11 @@ pub const DEGREE: usize = 4;
 pub const GRAPH_SEED: u64 = 7;
 /// Simulator seed of every timed run.
 pub const SIM_SEED: u64 = 1;
+/// Timed repeats of every baseline measurement (wall clocks are
+/// best-of-`REPEATS`).
+pub const REPEATS: usize = 3;
+/// Worker threads of the E12 parallel measurement.
+pub const PARALLEL_THREADS: usize = 4;
 /// Identifies the workload so a stale file is never compared against a
 /// different experiment.
 pub const WORKLOAD: &str = "e12-gossip-4regular";
@@ -50,8 +59,9 @@ pub const ASYNC_WORKLOAD: &str = "e18-gossip-4regular-async";
 /// Workload id of the committed adaptive-controller-overhead baseline.
 pub const ADAPTIVE_WORKLOAD: &str = "e19-gossip-4regular-adaptive";
 
-/// The fixed-round gossip protocol used by E12 and the Criterion
-/// engine benchmarks: broadcast a running sum for [`ROUNDS`] rounds.
+/// The fixed-round gossip protocol of every engine-throughput workload:
+/// the committed baselines, E12's table and the Criterion engine
+/// benchmarks. Each node broadcasts a running sum for [`ROUNDS`] rounds.
 pub struct Gossip {
     rounds: usize,
     acc: u64,
@@ -102,6 +112,55 @@ pub fn workload_graph() -> Graph {
     generators::random_regular(N, DEGREE, &mut rng)
 }
 
+/// `std::thread::available_parallelism()` of this host (1 if unknown).
+#[must_use]
+pub fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+}
+
+/// The one best-of-N timing loop: `repeats` times (at least once), runs
+/// `setup` untimed and then `run` on its result under the clock. The
+/// state is dropped after the clock stops. Returns the fastest `run` in
+/// seconds and the last run's output.
+pub fn best_of<S, T>(
+    repeats: usize,
+    mut setup: impl FnMut() -> S,
+    mut run: impl FnMut(&mut S) -> T,
+) -> (f64, T) {
+    let mut timed = || {
+        let mut state = setup();
+        let t0 = Instant::now();
+        let out = run(&mut state);
+        (t0.elapsed().as_secs_f64(), out)
+    };
+    let (mut best, mut out) = timed();
+    for _ in 1..repeats {
+        let (secs, next) = timed();
+        best = best.min(secs);
+        out = next;
+    }
+    (best, out)
+}
+
+/// Best-of-`repeats` wall clock of one fault-free run of `make`'s
+/// protocol on a fresh `Network` under `cfg` (built untimed), with the
+/// last run's statistics.
+fn time_run<P: Protocol + Send>(
+    g: &Graph,
+    cfg: SimConfig,
+    repeats: usize,
+    make: impl Fn() -> P + Sync,
+) -> (f64, RunStats) {
+    let (secs, out) = best_of(
+        repeats,
+        || Network::new(g, cfg),
+        |net| {
+            net.execute(|_, _| make(), &RunSpec::default()).expect("fault-free gossip cannot fail")
+        },
+    );
+    (secs, out.stats)
+}
+
 /// Times the workload at the given thread count (1 = sequential engine)
 /// and returns the best-of-`repeats` wall-clock seconds plus the exact
 /// message count (which is deterministic and identical on both engines).
@@ -111,22 +170,9 @@ pub fn workload_graph() -> Graph {
 /// so that is a bug.
 #[must_use]
 pub fn measure(g: &Graph, threads: usize, repeats: usize) -> (f64, u64) {
-    assert!(repeats > 0, "need at least one timed repeat");
-    let mut best = f64::INFINITY;
-    let mut messages = 0u64;
-    for _ in 0..repeats {
-        let mut net = Network::new(g, SimConfig::local().seed(SIM_SEED).threads(threads));
-        let t0 = Instant::now();
-        let out = net
-            .execute(|_, _| Gossip::new(), &RunSpec::default())
-            .expect("fault-free gossip cannot fail");
-        let dt = t0.elapsed().as_secs_f64();
-        messages = out.stats.messages;
-        if dt < best {
-            best = dt;
-        }
-    }
-    (best, messages)
+    let cfg = SimConfig::local().seed(SIM_SEED).threads(threads);
+    let (secs, stats) = time_run(g, cfg, repeats, Gossip::new);
+    (secs, stats.messages)
 }
 
 /// Times the workload on the asynchronous backend (lockstep delays, no
@@ -139,24 +185,9 @@ pub fn measure(g: &Graph, threads: usize, repeats: usize) -> (f64, u64) {
 /// so that is a bug.
 #[must_use]
 pub fn measure_async(g: &Graph, repeats: usize) -> (f64, u64, u64) {
-    assert!(repeats > 0, "need at least one timed repeat");
-    let mut best = f64::INFINITY;
-    let mut messages = 0u64;
-    let mut markers = 0u64;
-    for _ in 0..repeats {
-        let mut net = Network::new(g, SimConfig::local().seed(SIM_SEED).backend(Backend::Async));
-        let t0 = Instant::now();
-        let out = net
-            .execute(|_, _| Gossip::new(), &RunSpec::default())
-            .expect("fault-free gossip cannot fail");
-        let dt = t0.elapsed().as_secs_f64();
-        messages = out.stats.messages;
-        markers = out.stats.markers;
-        if dt < best {
-            best = dt;
-        }
-    }
-    (best, messages, markers)
+    let cfg = SimConfig::local().seed(SIM_SEED).backend(Backend::Async);
+    let (secs, stats) = time_run(g, cfg, repeats, Gossip::new);
+    (secs, stats.messages, stats.markers)
 }
 
 /// Times the gossip workload behind the resilient transport, once with
@@ -173,72 +204,43 @@ pub fn measure_async(g: &Graph, repeats: usize) -> (f64, u64, u64) {
 /// so that is a bug.
 #[must_use]
 pub fn measure_adaptive(g: &Graph, repeats: usize) -> (f64, f64, u64) {
-    assert!(repeats > 0, "need at least one timed repeat");
     let floor = TransportCfg::default();
     let policy = AdaptivePolicy::for_floor(floor);
-    let mut static_best = f64::INFINITY;
-    let mut adaptive_best = f64::INFINITY;
-    let mut static_messages = 0u64;
-    let mut adaptive_messages = 0u64;
-    for _ in 0..repeats {
-        let mut net = Network::new(g, SimConfig::local().seed(SIM_SEED));
-        let t0 = Instant::now();
-        let out = net
-            .execute(|_, _| Resilient::new(Gossip::new(), floor), &RunSpec::default())
-            .expect("fault-free gossip cannot fail");
-        let dt = t0.elapsed().as_secs_f64();
-        static_messages = out.stats.messages;
-        if dt < static_best {
-            static_best = dt;
-        }
-
-        let mut net = Network::new(g, SimConfig::local().seed(SIM_SEED));
-        let t0 = Instant::now();
-        let out = net
-            .execute(|_, _| Resilient::with_policy(Gossip::new(), policy), &RunSpec::default())
-            .expect("fault-free gossip cannot fail");
-        let dt = t0.elapsed().as_secs_f64();
-        adaptive_messages = out.stats.messages;
-        if dt < adaptive_best {
-            adaptive_best = dt;
-        }
-    }
+    let cfg = SimConfig::local().seed(SIM_SEED);
+    let (static_s, fixed) = time_run(g, cfg, repeats, || Resilient::new(Gossip::new(), floor));
+    let (adaptive_s, adaptive) =
+        time_run(g, cfg, repeats, || Resilient::with_policy(Gossip::new(), policy));
     assert_eq!(
-        static_messages, adaptive_messages,
+        fixed.messages, adaptive.messages,
         "a fault-free controller must stay at its floor (identical traffic)"
     );
-    (static_best, adaptive_best, static_messages)
+    (static_s, adaptive_s, fixed.messages)
 }
 
-/// One committed measurement of the E12 workload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Baseline {
-    /// Workload identifier — must equal [`WORKLOAD`].
-    pub workload: String,
-    /// Node count.
-    pub n: usize,
-    /// Gossip rounds.
-    pub rounds: usize,
-    /// Total messages of one run (engine-independent, deterministic).
-    pub messages: u64,
-    /// Best-of-N sequential wall clock, milliseconds.
-    pub serial_ms: f64,
-    /// Best-of-N parallel wall clock, milliseconds.
-    pub parallel_ms: f64,
-    /// Worker threads of the parallel measurement.
-    pub parallel_threads: usize,
-    /// `std::thread::available_parallelism()` of the measuring host.
-    /// A baseline with `host_threads == 1` carries no speedup claim.
-    pub host_threads: usize,
+artifact! {
+    /// One committed measurement of the E12 workload.
+    pub struct Baseline {
+        /// Workload identifier — must equal [`WORKLOAD`].
+        pub workload: String,
+        /// Node count.
+        pub n: usize,
+        /// Gossip rounds.
+        pub rounds: usize,
+        /// Total messages of one run (engine-independent, deterministic).
+        pub messages: u64,
+        /// Best-of-N sequential wall clock, milliseconds.
+        pub serial_ms: f64,
+        /// Best-of-N parallel wall clock, milliseconds.
+        pub parallel_ms: f64,
+        /// Worker threads of the parallel measurement.
+        pub parallel_threads: usize,
+        /// `std::thread::available_parallelism()` of the measuring host.
+        /// A baseline with `host_threads == 1` carries no speedup claim.
+        pub host_threads: usize,
+    }
 }
 
 impl Baseline {
-    /// Sequential throughput in million messages per second.
-    #[must_use]
-    pub fn serial_mmsg_per_s(&self) -> f64 {
-        self.messages as f64 / (self.serial_ms / 1e3) / 1e6
-    }
-
     /// Parallel throughput in million messages per second.
     #[must_use]
     pub fn parallel_mmsg_per_s(&self) -> f64 {
@@ -252,12 +254,13 @@ impl Baseline {
         self.serial_ms / self.parallel_ms
     }
 
-    /// Measures a fresh baseline on this host.
+    /// Measures a fresh baseline on this host, the parallel engine at
+    /// [`PARALLEL_THREADS`] workers.
     #[must_use]
-    pub fn collect(parallel_threads: usize, repeats: usize) -> Baseline {
+    pub fn collect() -> Baseline {
         let g = workload_graph();
-        let (serial_s, messages) = measure(&g, 1, repeats);
-        let (parallel_s, par_messages) = measure(&g, parallel_threads, repeats);
+        let (serial_s, messages) = measure(&g, 1, REPEATS);
+        let (parallel_s, par_messages) = measure(&g, PARALLEL_THREADS, REPEATS);
         assert_eq!(messages, par_messages, "engines must agree on the message count");
         Baseline {
             workload: WORKLOAD.to_string(),
@@ -266,98 +269,36 @@ impl Baseline {
             messages,
             serial_ms: serial_s * 1e3,
             parallel_ms: parallel_s * 1e3,
-            parallel_threads,
-            host_threads: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
+            parallel_threads: PARALLEL_THREADS,
+            host_threads: host_threads(),
         }
-    }
-
-    /// Serializes to the committed JSON format (hand-rolled; the
-    /// workspace has no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"workload\": \"{}\",\n  \"n\": {},\n  \"rounds\": {},\n  \
-             \"messages\": {},\n  \"serial_ms\": {:.3},\n  \"parallel_ms\": {:.3},\n  \
-             \"parallel_threads\": {},\n  \"host_threads\": {}\n}}\n",
-            self.workload,
-            self.n,
-            self.rounds,
-            self.messages,
-            self.serial_ms,
-            self.parallel_ms,
-            self.parallel_threads,
-            self.host_threads,
-        )
-    }
-
-    /// Parses the committed JSON format.
-    ///
-    /// # Errors
-    /// Returns a description of the first malformed or missing field.
-    pub fn from_json(text: &str) -> Result<Baseline, String> {
-        let body = text
-            .trim()
-            .strip_prefix('{')
-            .and_then(|t| t.strip_suffix('}'))
-            .ok_or("baseline JSON must be a single object")?;
-        let mut workload = None;
-        let mut fields: Vec<(String, String)> = Vec::new();
-        for entry in body.split(',') {
-            let (key, value) =
-                entry.split_once(':').ok_or_else(|| format!("malformed entry {entry:?}"))?;
-            let key = key.trim().trim_matches('"').to_string();
-            let value = value.trim().to_string();
-            if key == "workload" {
-                workload = Some(value.trim_matches('"').to_string());
-            } else {
-                fields.push((key, value));
-            }
-        }
-        let lookup = |name: &str| -> Result<f64, String> {
-            fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .ok_or_else(|| format!("missing field {name:?}"))?
-                .1
-                .parse::<f64>()
-                .map_err(|e| format!("field {name:?}: {e}"))
-        };
-        Ok(Baseline {
-            workload: workload.ok_or("missing field \"workload\"")?,
-            n: lookup("n")? as usize,
-            rounds: lookup("rounds")? as usize,
-            messages: lookup("messages")? as u64,
-            serial_ms: lookup("serial_ms")?,
-            parallel_ms: lookup("parallel_ms")?,
-            parallel_threads: lookup("parallel_threads")? as usize,
-            host_threads: lookup("host_threads")? as usize,
-        })
     }
 }
 
-/// One committed measurement of the E18 async-overhead workload: the
-/// E12 gossip run on the asynchronous backend, against the sequential
-/// engine on the same host.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AsyncBaseline {
-    /// Workload identifier — must equal [`ASYNC_WORKLOAD`].
-    pub workload: String,
-    /// Node count.
-    pub n: usize,
-    /// Gossip rounds.
-    pub rounds: usize,
-    /// Total payload messages of one run (backend-independent,
-    /// deterministic).
-    pub messages: u64,
-    /// Synchronizer markers of one async run (deterministic — the
-    /// committed figure pins the control-plane overhead bit-exactly).
-    pub markers: u64,
-    /// Best-of-N sequential wall clock, milliseconds.
-    pub serial_ms: f64,
-    /// Best-of-N asynchronous-backend wall clock, milliseconds.
-    pub async_ms: f64,
-    /// `std::thread::available_parallelism()` of the measuring host.
-    pub host_threads: usize,
+artifact! {
+    /// One committed measurement of the E18 async-overhead workload: the
+    /// E12 gossip run on the asynchronous backend, against the sequential
+    /// engine on the same host.
+    pub struct AsyncBaseline {
+        /// Workload identifier — must equal [`ASYNC_WORKLOAD`].
+        pub workload: String,
+        /// Node count.
+        pub n: usize,
+        /// Gossip rounds.
+        pub rounds: usize,
+        /// Total payload messages of one run (backend-independent,
+        /// deterministic).
+        pub messages: u64,
+        /// Synchronizer markers of one async run (deterministic — the
+        /// committed figure pins the control-plane overhead bit-exactly).
+        pub markers: u64,
+        /// Best-of-N sequential wall clock, milliseconds.
+        pub serial_ms: f64,
+        /// Best-of-N asynchronous-backend wall clock, milliseconds.
+        pub async_ms: f64,
+        /// `std::thread::available_parallelism()` of the measuring host.
+        pub host_threads: usize,
+    }
 }
 
 impl AsyncBaseline {
@@ -377,10 +318,10 @@ impl AsyncBaseline {
 
     /// Measures a fresh async baseline on this host.
     #[must_use]
-    pub fn collect(repeats: usize) -> AsyncBaseline {
+    pub fn collect() -> AsyncBaseline {
         let g = workload_graph();
-        let (serial_s, messages) = measure(&g, 1, repeats);
-        let (async_s, async_messages, markers) = measure_async(&g, repeats);
+        let (serial_s, messages) = measure(&g, 1, REPEATS);
+        let (async_s, async_messages, markers) = measure_async(&g, REPEATS);
         assert_eq!(messages, async_messages, "backends must agree on the payload count");
         AsyncBaseline {
             workload: ASYNC_WORKLOAD.to_string(),
@@ -390,104 +331,36 @@ impl AsyncBaseline {
             markers,
             serial_ms: serial_s * 1e3,
             async_ms: async_s * 1e3,
-            host_threads: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
+            host_threads: host_threads(),
         }
-    }
-
-    /// Serializes to the committed JSON format (hand-rolled; the
-    /// workspace has no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"workload\": \"{}\",\n  \"n\": {},\n  \"rounds\": {},\n  \
-             \"messages\": {},\n  \"markers\": {},\n  \"serial_ms\": {:.3},\n  \
-             \"async_ms\": {:.3},\n  \"host_threads\": {}\n}}\n",
-            self.workload,
-            self.n,
-            self.rounds,
-            self.messages,
-            self.markers,
-            self.serial_ms,
-            self.async_ms,
-            self.host_threads,
-        )
-    }
-
-    /// Parses the committed JSON format.
-    ///
-    /// # Errors
-    /// Returns a description of the first malformed or missing field.
-    pub fn from_json(text: &str) -> Result<AsyncBaseline, String> {
-        let body = text
-            .trim()
-            .strip_prefix('{')
-            .and_then(|t| t.strip_suffix('}'))
-            .ok_or("baseline JSON must be a single object")?;
-        let mut workload = None;
-        let mut fields: Vec<(String, String)> = Vec::new();
-        for entry in body.split(',') {
-            let (key, value) =
-                entry.split_once(':').ok_or_else(|| format!("malformed entry {entry:?}"))?;
-            let key = key.trim().trim_matches('"').to_string();
-            let value = value.trim().to_string();
-            if key == "workload" {
-                workload = Some(value.trim_matches('"').to_string());
-            } else {
-                fields.push((key, value));
-            }
-        }
-        let lookup = |name: &str| -> Result<f64, String> {
-            fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .ok_or_else(|| format!("missing field {name:?}"))?
-                .1
-                .parse::<f64>()
-                .map_err(|e| format!("field {name:?}: {e}"))
-        };
-        Ok(AsyncBaseline {
-            workload: workload.ok_or("missing field \"workload\"")?,
-            n: lookup("n")? as usize,
-            rounds: lookup("rounds")? as usize,
-            messages: lookup("messages")? as u64,
-            markers: lookup("markers")? as u64,
-            serial_ms: lookup("serial_ms")?,
-            async_ms: lookup("async_ms")?,
-            host_threads: lookup("host_threads")? as usize,
-        })
     }
 }
 
-/// One committed measurement of the E19 controller-overhead workload:
-/// the E12 gossip run behind the resilient transport, static floor vs
-/// the closed-loop controller over the same floor, on the same host.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveBaseline {
-    /// Workload identifier — must equal [`ADAPTIVE_WORKLOAD`].
-    pub workload: String,
-    /// Node count.
-    pub n: usize,
-    /// Gossip rounds.
-    pub rounds: usize,
-    /// Total frames of one run (identical for both arms — the
-    /// fault-free controller never leaves its floor, and the committed
-    /// figure pins that bit-exactly).
-    pub messages: u64,
-    /// Best-of-N static-transport wall clock, milliseconds.
-    pub static_ms: f64,
-    /// Best-of-N adaptive-transport wall clock, milliseconds.
-    pub adaptive_ms: f64,
-    /// `std::thread::available_parallelism()` of the measuring host.
-    pub host_threads: usize,
+artifact! {
+    /// One committed measurement of the E19 controller-overhead workload:
+    /// the E12 gossip run behind the resilient transport, static floor vs
+    /// the closed-loop controller over the same floor, on the same host.
+    pub struct AdaptiveBaseline {
+        /// Workload identifier — must equal [`ADAPTIVE_WORKLOAD`].
+        pub workload: String,
+        /// Node count.
+        pub n: usize,
+        /// Gossip rounds.
+        pub rounds: usize,
+        /// Total frames of one run (identical for both arms — the
+        /// fault-free controller never leaves its floor, and the committed
+        /// figure pins that bit-exactly).
+        pub messages: u64,
+        /// Best-of-N static-transport wall clock, milliseconds.
+        pub static_ms: f64,
+        /// Best-of-N adaptive-transport wall clock, milliseconds.
+        pub adaptive_ms: f64,
+        /// `std::thread::available_parallelism()` of the measuring host.
+        pub host_threads: usize,
+    }
 }
 
 impl AdaptiveBaseline {
-    /// Adaptive-transport throughput in million frames per second.
-    #[must_use]
-    pub fn adaptive_mmsg_per_s(&self) -> f64 {
-        self.messages as f64 / (self.adaptive_ms / 1e3) / 1e6
-    }
-
     /// Wall-clock overhead of the controller over the static transport
     /// (≈ 1 — the control law runs once per epoch per node).
     #[must_use]
@@ -497,9 +370,9 @@ impl AdaptiveBaseline {
 
     /// Measures a fresh adaptive baseline on this host.
     #[must_use]
-    pub fn collect(repeats: usize) -> AdaptiveBaseline {
+    pub fn collect() -> AdaptiveBaseline {
         let g = workload_graph();
-        let (static_s, adaptive_s, messages) = measure_adaptive(&g, repeats);
+        let (static_s, adaptive_s, messages) = measure_adaptive(&g, REPEATS);
         AdaptiveBaseline {
             workload: ADAPTIVE_WORKLOAD.to_string(),
             n: N,
@@ -507,69 +380,8 @@ impl AdaptiveBaseline {
             messages,
             static_ms: static_s * 1e3,
             adaptive_ms: adaptive_s * 1e3,
-            host_threads: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
+            host_threads: host_threads(),
         }
-    }
-
-    /// Serializes to the committed JSON format (hand-rolled; the
-    /// workspace has no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"workload\": \"{}\",\n  \"n\": {},\n  \"rounds\": {},\n  \
-             \"messages\": {},\n  \"static_ms\": {:.3},\n  \"adaptive_ms\": {:.3},\n  \
-             \"host_threads\": {}\n}}\n",
-            self.workload,
-            self.n,
-            self.rounds,
-            self.messages,
-            self.static_ms,
-            self.adaptive_ms,
-            self.host_threads,
-        )
-    }
-
-    /// Parses the committed JSON format.
-    ///
-    /// # Errors
-    /// Returns a description of the first malformed or missing field.
-    pub fn from_json(text: &str) -> Result<AdaptiveBaseline, String> {
-        let body = text
-            .trim()
-            .strip_prefix('{')
-            .and_then(|t| t.strip_suffix('}'))
-            .ok_or("baseline JSON must be a single object")?;
-        let mut workload = None;
-        let mut fields: Vec<(String, String)> = Vec::new();
-        for entry in body.split(',') {
-            let (key, value) =
-                entry.split_once(':').ok_or_else(|| format!("malformed entry {entry:?}"))?;
-            let key = key.trim().trim_matches('"').to_string();
-            let value = value.trim().to_string();
-            if key == "workload" {
-                workload = Some(value.trim_matches('"').to_string());
-            } else {
-                fields.push((key, value));
-            }
-        }
-        let lookup = |name: &str| -> Result<f64, String> {
-            fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .ok_or_else(|| format!("missing field {name:?}"))?
-                .1
-                .parse::<f64>()
-                .map_err(|e| format!("field {name:?}: {e}"))
-        };
-        Ok(AdaptiveBaseline {
-            workload: workload.ok_or("missing field \"workload\"")?,
-            n: lookup("n")? as usize,
-            rounds: lookup("rounds")? as usize,
-            messages: lookup("messages")? as u64,
-            static_ms: lookup("static_ms")?,
-            adaptive_ms: lookup("adaptive_ms")?,
-            host_threads: lookup("host_threads")? as usize,
-        })
     }
 }
 
@@ -637,7 +449,7 @@ mod tests {
     #[test]
     fn adaptive_measurement_matches_static_traffic() {
         // Scaled down like the other engine unit tests; the full
-        // n = 4096 run is exercised by bench-e19 and the CI_SMOKE
+        // n = 4096 run is exercised by `bench e19` and the CI_SMOKE
         // regression test. The equality assert lives inside
         // `measure_adaptive`.
         let mut rng = StdRng::seed_from_u64(GRAPH_SEED);
@@ -662,7 +474,7 @@ mod tests {
     #[test]
     fn measurement_is_deterministic_across_engines() {
         // A scaled-down workload keeps the unit test fast; the full
-        // n = 4096 run is exercised by the bench-e12 binary and the
+        // n = 4096 run is exercised by `bench e12` and the
         // CI_SMOKE regression test.
         let mut rng = StdRng::seed_from_u64(GRAPH_SEED);
         let g = generators::random_regular(64, DEGREE, &mut rng);

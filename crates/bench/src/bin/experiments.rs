@@ -1,4 +1,5 @@
-//! Experiment runner: reproduces every claim of the paper (E1–E17).
+//! Experiment runner: reproduces every claim of the paper (E1–E21; E22
+//! is the `bench` binary's scale baseline).
 //!
 //! ```text
 //! experiments all            # run everything

@@ -22,6 +22,7 @@ pub mod adversary;
 pub mod baseline;
 pub mod experiments;
 pub mod fit;
+pub mod json;
 pub mod scale;
 pub mod table;
 

@@ -78,7 +78,7 @@ fn smoke_collection_reproduces_committed_counters_under_budget() {
         return;
     }
     let b = committed();
-    let now = ScaleBaseline::collect(true, 1);
+    let now = ScaleBaseline::collect(true);
     assert!(now.twins_identical, "implicit topologies diverged from their CSR twins");
     assert!(
         now.peak_rss_kb <= now.rss_budget_kb,
