@@ -23,8 +23,10 @@ use dam_bench::baseline::{
     Baseline, ADAPTIVE_WORKLOAD, ASYNC_WORKLOAD, DEGREE, N, ROUNDS, WORKLOAD,
 };
 
-/// Serializes the three wall-clock gates: run concurrently they would
-/// time each other's load instead of the engine.
+/// Serializes every test of this file: run concurrently, the three
+/// wall-clock gates would time each other's load, or the n = 4096
+/// counter runs, instead of the engine. Every test takes the lock, the
+/// untimed ones included.
 static TIMED: Mutex<()> = Mutex::new(());
 
 fn timed() -> MutexGuard<'static, ()> {
@@ -56,6 +58,7 @@ fn committed_adaptive() -> AdaptiveBaseline {
 /// the workload this suite measures.
 #[test]
 fn committed_baseline_is_well_formed() {
+    let _serial = timed();
     let b = committed();
     assert_eq!(b.workload, WORKLOAD);
     assert_eq!(b.n, N);
@@ -71,6 +74,7 @@ fn committed_baseline_is_well_formed() {
 /// by both engines today (determinism, independent of wall clock).
 #[test]
 fn workload_message_count_is_reproduced() {
+    let _serial = timed();
     let g = workload_graph();
     let (_, seq) = measure(&g, 1, 1);
     let b = committed();
@@ -84,6 +88,7 @@ fn workload_message_count_is_reproduced() {
 /// count.
 #[test]
 fn committed_async_baseline_is_well_formed() {
+    let _serial = timed();
     let b = committed_async();
     assert_eq!(b.workload, ASYNC_WORKLOAD);
     assert_eq!(b.n, N);
@@ -99,6 +104,7 @@ fn committed_async_baseline_is_well_formed() {
 /// is pinned, not merely bounded.
 #[test]
 fn async_workload_marker_count_is_reproduced() {
+    let _serial = timed();
     let g = workload_graph();
     let b = committed_async();
     let (_, messages, markers) = measure_async(&g, 1);
@@ -111,6 +117,7 @@ fn async_workload_marker_count_is_reproduced() {
 /// expensive when the baseline was recorded.
 #[test]
 fn committed_adaptive_baseline_is_well_formed() {
+    let _serial = timed();
     let b = committed_adaptive();
     assert_eq!(b.workload, ADAPTIVE_WORKLOAD);
     assert_eq!(b.n, N);
@@ -127,6 +134,7 @@ fn committed_adaptive_baseline_is_well_formed() {
 /// `measure_adaptive` itself).
 #[test]
 fn adaptive_workload_message_count_is_reproduced() {
+    let _serial = timed();
     let g = workload_graph();
     let b = committed_adaptive();
     let (_, _, messages) = measure_adaptive(&g, 1);

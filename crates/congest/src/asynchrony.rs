@@ -359,6 +359,7 @@ impl<'g> AsyncNetwork<'g> {
                 halted: &mut node.halted,
                 fault: &mut fault,
                 integrity: &mut integrity,
+                wake: 0,
             };
             node.proto.on_start(&mut ctx);
             if let Some(err) = fault.take() {
@@ -407,6 +408,7 @@ impl<'g> AsyncNetwork<'g> {
                     halted: &mut node.halted,
                     fault: &mut fault,
                     integrity: &mut integrity,
+                    wake: 0,
                 };
                 node.proto.on_round(&mut ctx, &[]);
                 if let Some(err) = fault.take() {
@@ -496,6 +498,7 @@ impl<'g> AsyncNetwork<'g> {
                     halted: &mut node.halted,
                     fault: &mut fault,
                     integrity: &mut integrity,
+                    wake: 0,
                 };
                 node.proto.on_round(&mut ctx, &inbox);
                 if let Some(err) = fault.take() {

@@ -1,6 +1,8 @@
 //! The sequential deterministic engine.
 
 use std::any::Any;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use dam_graph::{BitSet, EdgeId, NodeId, Topology};
 use parking_lot::Mutex;
@@ -251,7 +253,12 @@ impl FaultPlan {
         check_prob(self.reorder, "reordering")?;
         check_prob(self.corrupt, "corruption")?;
 
+        // Per-node lookup tables are built only for the lists that need them, so
+        // validating an empty plan allocates nothing per node.
         for (what, list) in [("equivocator", &self.equivocators), ("liar", &self.liars)] {
+            if list.is_empty() {
+                continue;
+            }
             let mut seen = vec![false; n];
             for &v in list {
                 if v >= n {
@@ -266,7 +273,8 @@ impl FaultPlan {
             }
         }
 
-        let mut crash_round = vec![None; n];
+        let tracked = if self.crashes.is_empty() && self.recoveries.is_empty() { 0 } else { n };
+        let mut crash_round = vec![None; tracked];
         for &(v, r) in &self.crashes {
             if v >= n {
                 return invalid(format!("crash names node {v}, but the graph has {n} nodes"));
@@ -276,7 +284,7 @@ impl FaultPlan {
             }
             crash_round[v] = Some(r);
         }
-        let mut recovered = vec![false; n];
+        let mut recovered = vec![false; tracked];
         for &(v, r) in &self.recoveries {
             if v >= n {
                 return invalid(format!("recovery names node {v}, but the graph has {n} nodes"));
@@ -472,6 +480,9 @@ impl ChurnPlan {
     ///
     /// Generic over [`Topology`]; a `&Graph` coerces at the call site.
     pub fn validate(&self, graph: &dyn Topology) -> Result<(), SimError> {
+        if self.is_empty() {
+            return Ok(());
+        }
         let n = graph.node_count();
         let m = graph.edge_count();
         let invalid = |reason: String| Err(SimError::InvalidChurnPlan { reason });
@@ -645,10 +656,10 @@ impl Default for RunSpec<'_> {
 /// presence and per-message fault draws from identical, immutable data —
 /// the structural half of the bit-identical-execution guarantee.
 pub(crate) struct RunPlan {
-    /// Round at which each node crash-stops, if any.
-    pub(crate) crash_round: Vec<Option<usize>>,
-    /// Round at which each crashed node reboots, if any.
-    pub(crate) recovery_round: Vec<Option<usize>>,
+    /// The scheduled events of every node, indexed by node id; empty
+    /// when neither plan schedules a node event, so a plain run carries
+    /// no per-node table (see [`RunPlan::node`]).
+    node_events: Vec<NodeEvents>,
     /// No run may end before this round: the last recovery or topology
     /// event that could wake a halted network up again.
     pub(crate) last_wake: usize,
@@ -656,10 +667,6 @@ pub(crate) struct RunPlan {
     pub(crate) node_present0: BitSet,
     /// Edge presence at round 0 (word-packed; one bit per edge).
     pub(crate) edge_present0: BitSet,
-    /// Round at which each absent node joins, if any.
-    pub(crate) join_round: Vec<Option<usize>>,
-    /// Round at which each node leaves permanently, if any.
-    pub(crate) leave_round: Vec<Option<usize>>,
     /// Edge up/down events, sorted by round (plan order within one).
     pub(crate) edge_events: Vec<ChurnEvent>,
     /// The plan-wide `(loss, dup, reorder, corrupt)`.
@@ -677,6 +684,16 @@ pub(crate) struct RunPlan {
     /// Whether duplication/reordering can occur (gates the engines'
     /// late-copy queues).
     pub(crate) any_dup_or_reorder: bool,
+}
+
+/// The rounds at which one node crash-stops, reboots, joins and leaves
+/// (each at most once, as the plans are validated).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct NodeEvents {
+    pub(crate) crash: Option<usize>,
+    pub(crate) recovery: Option<usize>,
+    pub(crate) join: Option<usize>,
+    pub(crate) leave: Option<usize>,
 }
 
 /// The fate of one message under [`RunPlan::message_fate`].
@@ -705,24 +722,28 @@ impl RunPlan {
         churn.validate(graph)?;
         churn.validate_against(faults)?;
         let n = graph.node_count();
-        let mut crash_round = vec![None; n];
-        for &(v, r) in &faults.crashes {
-            crash_round[v] = Some(r);
-        }
-        let mut recovery_round = vec![None; n];
-        for &(v, r) in &faults.recoveries {
-            recovery_round[v] = Some(r);
-        }
         let last_recovery = faults.recoveries.iter().map(|&(_, r)| r).max().unwrap_or(0);
         let last_wake = last_recovery.max(churn.last_event_round());
         let (node_present0, edge_present0) = churn.initial_presence_on(graph);
-        let mut join_round = vec![None; n];
-        let mut leave_round = vec![None; n];
+        let events = churn.sorted_events();
+        let node_churn = events
+            .iter()
+            .any(|ev| matches!(ev.kind, ChurnKind::Join { .. } | ChurnKind::Leave { .. }));
+        let mut node_events = Vec::new();
+        if node_churn || !faults.crashes.is_empty() || !faults.recoveries.is_empty() {
+            node_events = vec![NodeEvents::default(); n];
+        }
+        for &(v, r) in &faults.crashes {
+            node_events[v].crash = Some(r);
+        }
+        for &(v, r) in &faults.recoveries {
+            node_events[v].recovery = Some(r);
+        }
         let mut edge_events = Vec::new();
-        for ev in churn.sorted_events() {
+        for ev in events {
             match ev.kind {
-                ChurnKind::Join { node } => join_round[node] = Some(ev.round),
-                ChurnKind::Leave { node } => leave_round[node] = Some(ev.round),
+                ChurnKind::Join { node } => node_events[node].join = Some(ev.round),
+                ChurnKind::Leave { node } => node_events[node].leave = Some(ev.round),
                 ChurnKind::EdgeUp { .. } | ChurnKind::EdgeDown { .. } => edge_events.push(ev),
             }
         }
@@ -758,13 +779,10 @@ impl RunPlan {
         let any_dup_or_reorder =
             std::iter::once(&fx).chain(&link_fx).any(|&(_, d, r, _)| d > 0.0 || r > 0.0);
         Ok(RunPlan {
-            crash_round,
-            recovery_round,
+            node_events,
             last_wake,
             node_present0,
             edge_present0,
-            join_round,
-            leave_round,
             edge_events,
             fx,
             link_fx,
@@ -772,6 +790,19 @@ impl RunPlan {
             partitions,
             squalls: faults.squalls.clone(),
             any_dup_or_reorder,
+        })
+    }
+
+    /// The scheduled events of node `v` (all `None` for most nodes).
+    #[inline]
+    pub(crate) fn node(&self, v: NodeId) -> NodeEvents {
+        self.node_events.get(v).copied().unwrap_or_default()
+    }
+
+    /// Every scheduled node event as `(round, node)`, in node order.
+    pub(crate) fn node_event_rounds(&self) -> impl Iterator<Item = (usize, NodeId)> + '_ {
+        self.node_events.iter().enumerate().flat_map(|(v, ev)| {
+            [ev.crash, ev.recovery, ev.join, ev.leave].into_iter().flatten().map(move |r| (r, v))
         })
     }
 
@@ -845,12 +876,13 @@ impl RunPlan {
     /// evaluate the identical predicate without sharing mutable state.
     pub(crate) fn present_seen(&self, u: NodeId, round: usize, observer: NodeId) -> bool {
         let mut present = self.node_present0[u];
-        if let Some(jr) = self.join_round[u] {
+        let events = self.node(u);
+        if let Some(jr) = events.join {
             if jr < round || (jr == round && u < observer) {
                 present = true;
             }
         }
-        if let Some(lr) = self.leave_round[u] {
+        if let Some(lr) = events.leave {
             if lr < round || (lr == round && u < observer) {
                 present = false;
             }
@@ -1199,6 +1231,9 @@ pub struct Network<'g> {
     /// mail. A mutex only so that `Network` stays `Sync` for the
     /// sharded engine; runs reach it through `get_mut` and never lock.
     mail: Mutex<Option<Box<dyn Any + Send>>>,
+    /// Which nodes the sequential engine steps in a round (see
+    /// [`Agenda`]), kept across runs like the RNGs.
+    agenda: Agenda,
     /// Virtual-time accounting of the most recent asynchronous run
     /// ([`crate::Backend::Async`]); `None` before the first one.
     async_info: Option<crate::asynchrony::AsyncInfo>,
@@ -1224,6 +1259,7 @@ impl<'g> Network<'g> {
             ports: PortTable::new(graph),
             rngs: Vec::new(),
             mail: Mutex::new(None),
+            agenda: Agenda::default(),
             async_info: None,
             sink: None,
         }
@@ -1455,6 +1491,15 @@ impl<'g> Network<'g> {
             .unwrap_or_else(|| Box::new(Mail::new()));
         mail.reset(&self.ports, plan.any_dup_or_reorder);
         let mut halted = BitSet::new(n);
+        let mut agenda = std::mem::take(&mut self.agenda);
+        agenda.reset(n);
+        for (r, v) in plan.node_event_rounds() {
+            agenda.schedule(r, v);
+        }
+        // The asynchronous backend's synchronizer needs every live
+        // node's step, so only the plain sequential engine lets nodes
+        // sleep.
+        let honour_sleep = timing.is_none();
         // The inbox of the node stepping now, gathered from its slots.
         let mut inbox: Vec<(Port, P::Msg)> = Vec::new();
         let mut outbox: Vec<(Port, P::Msg)> = Vec::new();
@@ -1470,7 +1515,11 @@ impl<'g> Network<'g> {
         let mut quiet_rounds = 0usize;
         let mut last_messages = 0u64;
         let failure = 'run: loop {
-            for v in 0..n {
+            // Only the awake nodes are visited, in id order. Every other
+            // node is halted with no mail, or asleep with an empty inbox,
+            // and its visit would do nothing.
+            while let Some(v) = agenda.next_awake(&halted) {
+                let events = plan.node(v);
                 // The node's step this round: `start` runs `on_start`
                 // instead of `on_round`, and `reboot` first replaces the
                 // node with a fresh instance — empty registers, an empty
@@ -1483,7 +1532,7 @@ impl<'g> Network<'g> {
                         continue;
                     }
                     (true, None)
-                } else if plan.leave_round[v] == Some(round) {
+                } else if events.leave == Some(round) {
                     // Permanent leave: silent, like a crash that never
                     // recovers — but also absent from the topology, so
                     // no message can reach its ports again.
@@ -1493,13 +1542,13 @@ impl<'g> Network<'g> {
                     tally.stats.churn_events = tally.stats.churn_events.saturating_add(1);
                     tally.record(TraceEvent::Churn { round, kind: ChurnKind::Leave { node: v } });
                     continue;
-                } else if plan.join_round[v] == Some(round) {
+                } else if events.join == Some(round) {
                     node_present.set(v, true);
                     tally.stats.churn_events = tally.stats.churn_events.saturating_add(1);
                     tally.record(TraceEvent::Churn { round, kind: ChurnKind::Join { node: v } });
                     (true, Some(0x1099))
                 } else {
-                    if plan.crash_round[v] == Some(round) && !halted[v] {
+                    if events.crash == Some(round) && !halted[v] {
                         halted.set(v, true); // crash-stop: silent, mid-protocol
                         tally.record(TraceEvent::Fault {
                             round,
@@ -1508,7 +1557,7 @@ impl<'g> Network<'g> {
                             peer: None,
                         });
                     }
-                    if plan.recovery_round[v] == Some(round) {
+                    if events.recovery == Some(round) {
                         tally.record(TraceEvent::Fault {
                             round,
                             kind: FaultKind::Recover,
@@ -1544,13 +1593,16 @@ impl<'g> Network<'g> {
                     halted: &mut halt_flag,
                     fault: &mut fault,
                     integrity: &mut integrity,
+                    wake: 0,
                 };
                 if start {
                     protos[v].on_start(&mut ctx);
                 } else {
                     protos[v].on_round(&mut ctx, &inbox);
                 }
+                let wake = ctx.wake;
                 halted.set(v, halt_flag);
+                agenda.sleep(v, round, if honour_sleep && !halt_flag { wake } else { 0 });
                 inbox.clear();
                 flush(
                     &wire,
@@ -1562,6 +1614,7 @@ impl<'g> Network<'g> {
                     &node_present,
                     &edge_present,
                     &mut mail,
+                    &mut agenda,
                     &mut tally,
                     timing.as_mut(),
                 );
@@ -1628,7 +1681,9 @@ impl<'g> Network<'g> {
                 tally.record(TraceEvent::Churn { round, kind: ev.kind });
             }
             mail.swap();
+            agenda.begin(round);
         };
+        self.agenda = agenda;
         self.rngs = rngs;
         *self.mail.get_mut() = Some(mail);
         if let Some(err) = failure {
@@ -1663,14 +1718,167 @@ impl<'g> Network<'g> {
     }
 }
 
+/// How many rounds ahead the [`Agenda`]'s calendar files a due node in
+/// its wheel; a later round waits in the overflow heap.
+const WHEEL: usize = 64;
+
+/// Which nodes the sequential engine visits in a round.
+///
+/// A node is *awake* in round `r` when it is due — it has slot mail or
+/// a late copy arriving in `r`, its [`Context::sleep_until`] round is
+/// `r`, or a crash, recovery, join or leave is scheduled for `r` — or
+/// when it is neither halted nor asleep. Only awake nodes are visited;
+/// a halted node without mail is never touched. All sets are
+/// word-packed (one bit per node) and, with the calendar, kept in the
+/// [`Network`] across runs.
+///
+/// The calendar is a wheel of [`WHEEL`] node sets: a node due in round
+/// `r` fewer than [`WHEEL`] rounds ahead is filed in set `r % WHEEL`,
+/// which becomes due when `r` begins, and a later one waits in a heap.
+/// A node filed twice is visited once. A sleep hint that a later step
+/// replaced may still wake its node, which the sleep contract makes
+/// harmless.
+#[derive(Default)]
+struct Agenda {
+    /// Nodes whose last step asked to sleep past the next round.
+    asleep: Vec<u64>,
+    /// Nodes due in the current round.
+    due: Vec<u64>,
+    /// Nodes with slot mail for the next round.
+    due_next: Vec<u64>,
+    /// The wheel's node sets, each empty until first used.
+    wheel: Vec<Vec<u64>>,
+    /// Bit `i`: `wheel[i]` has a node filed.
+    filed: u64,
+    /// Calendar entries at least [`WHEEL`] rounds ahead, as
+    /// `(round, node)`.
+    later: BinaryHeap<Reverse<(usize, NodeId)>>,
+    /// The round being executed.
+    now: usize,
+    /// The next word of nodes the round's sweep reads.
+    word: usize,
+    /// The awake nodes of the word read last, not yet visited.
+    sweep: u64,
+    /// The bits of the last word that name nodes.
+    tail: u64,
+}
+
+impl Agenda {
+    /// Readies the agenda for a run over `n` nodes, all awake.
+    fn reset(&mut self, n: usize) {
+        let words = n.div_ceil(64);
+        for set in [&mut self.asleep, &mut self.due, &mut self.due_next] {
+            set.clear();
+            set.resize(words, 0);
+        }
+        self.wheel.resize_with(WHEEL, Vec::new);
+        for (i, set) in self.wheel.iter_mut().enumerate() {
+            if set.len() != words {
+                set.clear();
+            } else if self.filed & (1 << i) != 0 {
+                set.fill(0);
+            }
+        }
+        self.filed = 0;
+        self.later.clear();
+        self.now = 0;
+        (self.word, self.sweep) = (0, 0);
+        self.tail = match n % 64 {
+            0 => u64::MAX,
+            r => (1 << r) - 1,
+        };
+    }
+
+    /// Files `v` due in `round`; a round already begun is ignored.
+    fn schedule(&mut self, round: usize, v: NodeId) {
+        if round <= self.now {
+            return;
+        }
+        if round - self.now < WHEEL {
+            let i = round % WHEEL;
+            let set = &mut self.wheel[i];
+            if set.is_empty() {
+                set.resize(self.due.len(), 0);
+            }
+            set[v / 64] |= 1 << (v % 64);
+            self.filed |= 1 << i;
+        } else {
+            self.later.push(Reverse((round, v)));
+        }
+    }
+
+    /// Marks `v` due next round: slot mail was posted for it.
+    #[inline]
+    fn post(&mut self, v: NodeId) {
+        self.due_next[v / 64] |= 1 << (v % 64);
+    }
+
+    /// Records the hint of `v`'s step in `round`: asleep until `wake`
+    /// (and filed due then) if that is past the next round, awake
+    /// otherwise.
+    #[inline]
+    fn sleep(&mut self, v: NodeId, round: usize, wake: usize) {
+        let bit = 1 << (v % 64);
+        if wake > round + 1 {
+            self.asleep[v / 64] |= bit;
+            self.schedule(wake, v);
+        } else {
+            self.asleep[v / 64] &= !bit;
+        }
+    }
+
+    /// Begins `round`: the nodes with slot mail and the calendar's
+    /// nodes for `round` become due.
+    fn begin(&mut self, round: usize) {
+        std::mem::swap(&mut self.due, &mut self.due_next);
+        self.now = round;
+        (self.word, self.sweep) = (0, 0);
+        let i = round % WHEEL;
+        if self.filed & (1 << i) != 0 {
+            self.filed &= !(1 << i);
+            for (d, f) in self.due.iter_mut().zip(&mut self.wheel[i]) {
+                *d |= std::mem::take(f);
+            }
+        }
+        while let Some(&Reverse((r, v))) = self.later.peek() {
+            if r > round {
+                break;
+            }
+            self.later.pop();
+            self.due[v / 64] |= 1 << (v % 64);
+        }
+    }
+
+    /// The next awake node of the current round in id order, or `None`
+    /// once all have been visited. A word of nodes is read when the
+    /// sweep reaches it, and its nodes stop being due.
+    #[inline]
+    fn next_awake(&mut self, halted: &BitSet) -> Option<NodeId> {
+        while self.sweep == 0 {
+            let w = self.word;
+            if w == self.due.len() {
+                return None;
+            }
+            self.sweep = (!halted.words()[w] & !self.asleep[w]) | std::mem::take(&mut self.due[w]);
+            if w + 1 == self.due.len() {
+                self.sweep &= self.tail;
+            }
+            self.word += 1;
+        }
+        let v = 64 * (self.word - 1) + self.sweep.trailing_zeros() as usize;
+        self.sweep &= self.sweep - 1;
+        Some(v)
+    }
+}
+
 /// The sequential engine's mailboxes, laid out like [`PortTable`]: one
 /// slot per directed edge for the round being executed (`cur`) and one
 /// for the next (`next`), swapped between rounds, plus per-receiver lists
 /// of duplicated and reordered copies due in a later round.
 ///
-/// Every node takes its mail every round it is visited ([`Mail::take`]),
-/// whether it steps, stays halted or reboots, so `cur` is empty again by
-/// the time it becomes `next`. The [`Network`] keeps one `Mail` across
+/// The [`Agenda`] visits every node with mail, and a visited node takes
+/// its mail ([`Mail::take`]) whether it steps, stays halted or reboots,
+/// so `cur` is empty again by the time it becomes `next`. The [`Network`] keeps one `Mail` across
 /// runs of the same message type; [`Mail::reset`] empties what a run
 /// left behind.
 struct Mail<M> {
@@ -1829,6 +2037,7 @@ impl<M> Mail<M> {
 /// here is the sequential engine's write: an arriving message goes to
 /// its slot for the next round (unless its receiver is halted at this
 /// moment), a duplicated or reordered one to the receiver's late list,
+/// the [`Agenda`] marks the receiver due in the round its mail arrives,
 /// and the asynchronous backend's timing layer sees every frame put on
 /// the wire.
 #[allow(clippy::too_many_arguments)]
@@ -1842,6 +2051,7 @@ fn flush<M: BitSize + Clone>(
     node_present: &BitSet,
     edge_present: &BitSet,
     mail: &mut Mail<M>,
+    agenda: &mut Agenda,
     tally: &mut Tally,
     mut timing: Option<&mut AsyncTiming<'_>>,
 ) {
@@ -1864,11 +2074,14 @@ fn flush<M: BitSize + Clone>(
         if let Route::Arrive { u, q, due, msg, dup } = route {
             if let Some(copy) = dup {
                 mail.post_late(u, q, round + 2, round, copy);
+                agenda.schedule(round + 2, u);
             }
             if due > round + 1 {
                 mail.post_late(u, q, due, round, msg);
+                agenda.schedule(due, u);
             } else if !halted[u] {
                 mail.post(wire.ports, u, q, msg);
+                agenda.post(u);
             }
         }
     }
@@ -2863,6 +3076,174 @@ mod tests {
                 assert_eq!(net.peer(u, q), (v, p), "peer mapping broken at ({v},{p})");
                 assert_eq!(g.port(v, p).1, g.port(u, q).1, "ports disagree on edge");
             }
+        }
+    }
+
+    /// Ticks between the rounds in which a [`Ticker`] acts on its own.
+    const PERIOD: usize = 5;
+    /// The round in which every [`Ticker`] halts (a tick).
+    const LAST: usize = 30;
+
+    /// A [`Ticker`]'s log: `(round, port, value)` of every message it
+    /// received, and `(round, usize::MAX, value)` of every broadcast.
+    type Log = Vec<(usize, Port, u32)>;
+
+    /// A run of [`Ticker`]s: each node's log and `on_round` calls.
+    type TickerRun = RunOutcome<(Log, usize)>;
+
+    /// A sleep-contract probe. It broadcasts a random value in every
+    /// tick round (a multiple of [`PERIOD`]) and logs every message it
+    /// receives; `hinted`, it sleeps until the next tick after each
+    /// step. A node booted after round 0 (a recovery or a join) acts in
+    /// every round and never sleeps. The output is the log and the
+    /// number of `on_round` calls.
+    struct Ticker {
+        hinted: bool,
+        eager: bool,
+        log: Log,
+        steps: usize,
+    }
+
+    impl Ticker {
+        fn new(hinted: bool) -> Ticker {
+            Ticker { hinted, eager: false, log: Vec::new(), steps: 0 }
+        }
+
+        fn act(&mut self, ctx: &mut Context<'_, u32>) {
+            use rand::RngExt;
+            let x: u32 = ctx.rng().random_range(0..1000);
+            self.log.push((ctx.round(), usize::MAX, x));
+            ctx.broadcast(x);
+            if self.hinted && !self.eager {
+                ctx.sleep_until((ctx.round() / PERIOD + 1) * PERIOD);
+            }
+        }
+    }
+
+    impl Protocol for Ticker {
+        type Msg = u32;
+        type Output = (Log, usize);
+
+        fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+            self.eager = ctx.round() > 0;
+            self.act(ctx);
+        }
+
+        fn on_round(&mut self, ctx: &mut Context<'_, u32>, inbox: &[(Port, u32)]) {
+            self.steps += 1;
+            let round = ctx.round();
+            self.log.extend(inbox.iter().map(|&(p, m)| (round, p, m)));
+            if round >= LAST {
+                ctx.halt();
+            } else if self.eager || round.is_multiple_of(PERIOD) {
+                self.act(ctx);
+            } else if self.hinted {
+                ctx.sleep_until((round / PERIOD + 1) * PERIOD);
+            }
+        }
+
+        fn into_output(self) -> (Log, usize) {
+            (self.log, self.steps)
+        }
+    }
+
+    /// Late copies, a crash and a recovery of node 3, a join of node 5
+    /// and a leave of node 9, each between two ticks.
+    fn sleep_plans() -> (FaultPlan, ChurnPlan) {
+        let faults = FaultPlan::crashes(vec![(3, 7)])
+            .with_recoveries(vec![(3, 12)])
+            .with_dup(0.3)
+            .with_reorder(0.3);
+        let churn = ChurnPlan::default()
+            .with_absent_nodes(vec![5])
+            .with_event(8, ChurnKind::Join { node: 5 })
+            .with_event(13, ChurnKind::Leave { node: 9 });
+        (faults, churn)
+    }
+
+    fn run_tickers(config: SimConfig, hinted: bool, plans: &(FaultPlan, ChurnPlan)) -> TickerRun {
+        let g = generators::cycle(12);
+        let spec = RunSpec { faults: &plans.0, churn: &plans.1, trace: true };
+        Network::new(&g, config).execute(|_, _| Ticker::new(hinted), &spec).unwrap()
+    }
+
+    fn events(out: &TickerRun) -> &[TraceEvent] {
+        out.trace.as_ref().expect("a traced run returns its trace").events()
+    }
+
+    fn logs(out: &TickerRun) -> Vec<&[(usize, Port, u32)]> {
+        out.outputs.iter().map(|(log, _)| log.as_slice()).collect()
+    }
+
+    fn steps(out: &TickerRun) -> usize {
+        out.outputs.iter().map(|&(_, steps)| steps).sum()
+    }
+
+    #[test]
+    fn sleeping_nodes_wake_on_mail_late_copies_and_their_round() {
+        let plans = (FaultPlan::default().with_dup(0.5).with_reorder(0.5), ChurnPlan::default());
+        let config = SimConfig::local().seed(21);
+        let (hinted, plain) =
+            (run_tickers(config, true, &plans), run_tickers(config, false, &plans));
+        assert_eq!(logs(&hinted), logs(&plain));
+        assert!(steps(&hinted) < steps(&plain), "{} vs {}", steps(&hinted), steps(&plain));
+        // Slot mail lands one round after a tick and late copies two to
+        // four rounds after, all while the receiver sleeps; the tick
+        // itself is the wake round.
+        let offsets: Vec<usize> = logs(&hinted)
+            .iter()
+            .flat_map(|log| log.iter())
+            .map(|&(round, _, _)| round % PERIOD)
+            .collect();
+        for offset in 0..PERIOD {
+            assert!(offsets.contains(&offset), "nothing logged {offset} rounds after a tick");
+        }
+    }
+
+    #[test]
+    fn events_of_sleeping_nodes_apply_at_their_rounds() {
+        let plans = sleep_plans();
+        let config = SimConfig::local().seed(22);
+        let hinted = run_tickers(config, true, &plans);
+        let plain = run_tickers(config, false, &plans);
+        assert_eq!(logs(&hinted), logs(&plain));
+        assert_eq!(events(&hinted), events(&plain));
+        let first = |want: &dyn Fn(&TraceEvent) -> bool| {
+            events(&hinted).iter().find(|e| want(e)).map(TraceEvent::round)
+        };
+        let fault = |kind: FaultKind| move |e: &TraceEvent| matches!(*e, TraceEvent::Fault { kind: k, node: 3, .. } if k == kind);
+        let churn = |kind: ChurnKind| move |e: &TraceEvent| matches!(*e, TraceEvent::Churn { kind: k, .. } if k == kind);
+        assert_eq!(first(&fault(FaultKind::Crash)), Some(7));
+        assert_eq!(first(&fault(FaultKind::Recover)), Some(12));
+        assert_eq!(first(&churn(ChurnKind::Join { node: 5 })), Some(8));
+        assert_eq!(first(&churn(ChurnKind::Leave { node: 9 })), Some(13));
+        // The reboot cleared node 3's hint: its fresh instance acts in
+        // every round from its boot to its halt.
+        let acted: Vec<usize> = logs(&hinted)[3]
+            .iter()
+            .filter(|&&(round, port, _)| port == usize::MAX && round >= 12)
+            .map(|&(round, _, _)| round)
+            .collect();
+        assert_eq!(acted, (12..LAST).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn hints_change_nothing_on_any_backend() {
+        let plans = sleep_plans();
+        let reference = run_tickers(SimConfig::local().seed(23), false, &plans);
+        for backend in [Backend::Sequential, Backend::Sharded, Backend::Async] {
+            // More than one thread selects the sharded engine.
+            let threads = if backend == Backend::Sharded { 2 } else { 1 };
+            let config = SimConfig::local().seed(23).threads(threads).backend(backend);
+            let hinted = run_tickers(config, true, &plans);
+            let plain = run_tickers(config, false, &plans);
+            assert_eq!(logs(&hinted), logs(&plain), "{backend:?}");
+            assert_eq!(hinted.stats, plain.stats, "{backend:?}");
+            assert_eq!(events(&hinted), events(&plain), "{backend:?}");
+            assert_eq!(logs(&hinted), logs(&reference), "{backend:?}");
+            // Only the sequential engine skips the sleepers' calls.
+            let skipped = steps(&hinted) < steps(&plain);
+            assert_eq!(skipped, backend == Backend::Sequential, "{backend:?}");
         }
     }
 

@@ -76,6 +76,7 @@ impl<P: Protocol> AsMaintenance<P> {
                 halted: &mut *ctx.halted,
                 fault: &mut *ctx.fault,
                 integrity: &mut *ctx.integrity,
+                wake: 0,
             };
             f(inner, &mut inner_ctx);
         }

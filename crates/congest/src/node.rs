@@ -37,6 +37,17 @@ pub trait Protocol {
     /// by port — exactly the messages sent to this node in the previous
     /// round. Called once per round (possibly with an empty inbox) until
     /// the node halts.
+    ///
+    /// **The sleep contract.** A node that calls
+    /// [`Context::sleep_until`]`(w)` in a step promises that every call
+    /// of this method before round `w` with an *empty* inbox would be a
+    /// no-op: no send, no halt, no RNG draw and no change of state. An
+    /// engine may therefore skip those calls, and a node must give the
+    /// same outputs whether they are skipped or not. Mail wakes the node
+    /// early, and the hint lapses with the step that receives it. The
+    /// sequential engine honours the hint; the sharded engine and the
+    /// asynchronous backend (whose synchronizer needs every live node's
+    /// step) ignore it, and all three stay bit-identical.
     fn on_round(&mut self, ctx: &mut Context<'_, Self::Msg>, inbox: &[(Port, Self::Msg)]);
 
     /// Notification that the neighbour behind `port` is suspected
@@ -126,7 +137,9 @@ pub struct PortSession {
 ///
 /// Grants exactly the model's powers: the node's own id, its port list
 /// (with neighbour/edge ids), a private RNG, the current round number, and
-/// message transmission over incident edges.
+/// message transmission over incident edges. It also carries one hint
+/// from the node back to the engine, [`Context::sleep_until`], under the
+/// sleep contract of [`Protocol::on_round`].
 pub struct Context<'a, M> {
     pub(crate) node: NodeId,
     pub(crate) round: usize,
@@ -137,6 +150,8 @@ pub struct Context<'a, M> {
     pub(crate) halted: &'a mut bool,
     pub(crate) fault: &'a mut Option<SimError>,
     pub(crate) integrity: &'a mut Integrity,
+    /// The round named by this step's [`Context::sleep_until`], or 0.
+    pub(crate) wake: usize,
 }
 
 impl<M> Context<'_, M> {
@@ -228,6 +243,23 @@ impl<M> Context<'_, M> {
     /// still delivered.
     pub fn halt(&mut self) {
         *self.halted = true;
+    }
+
+    /// Hints that this node has nothing to do before round `round`
+    /// unless mail arrives: with an empty inbox, every
+    /// [`Protocol::on_round`] before `round` would be a no-op (the sleep
+    /// contract stated there), so the engine may skip those calls. The
+    /// node is stepped again at the first round in which it has mail,
+    /// and at `round` at the latest.
+    ///
+    /// The hint covers the rounds after this step and lapses with the
+    /// node's next step, so a node that wants to keep sleeping calls it
+    /// again; the last call of a step counts. A halt overrides it, a
+    /// reboot clears it, and a wrapper that drives an inner protocol
+    /// (such as the [`crate::transport::Resilient`] transport) drops
+    /// the inner protocol's hint.
+    pub fn sleep_until(&mut self, round: usize) {
+        self.wake = round;
     }
 
     /// Records that this node rejected an incoming frame on integrity

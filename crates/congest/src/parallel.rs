@@ -20,8 +20,8 @@
 //!   per *directed* edge, laid out by the network's port table (slot
 //!   `base[u] + q` for receiver `u`, port `q`), in two buffers that
 //!   alternate by round parity: round `r` reads one and writes the
-//!   other, and every node drains all its slots every round (halted
-//!   nodes too). What the sharded engine adds is only the sharing: each
+//!   other, and every node with mail drains all its slots in the round
+//!   the mail arrives (halted nodes too). What the sharded engine adds is only the sharing: each
 //!   slot has exactly one writer per round (the unique peer of that
 //!   port), so slots are `UnsafeCell`s written without locks, and
 //!   duplicated or reordered copies go to a mutexed FIFO per directed
@@ -360,7 +360,7 @@ fn flush_to_slots<M: BitSize + Clone>(
         // plan data, so the sweep replays exactly. (Joins are already
         // ordered by `present_seen` above, and *halting* transitions
         // need no gate: the receiver discards on drain either way.)
-        if plan.recovery_round[u] == Some(round) && v < u {
+        if plan.node(u).recovery == Some(round) && v < u {
             continue;
         }
         // SAFETY: `v` is the unique sender over `(u, q)` and sends at
@@ -587,7 +587,7 @@ where
                     continue;
                 }
                 (true, None)
-            } else if plan.leave_round[v] == Some(round) {
+            } else if plan.node(v).leave == Some(round) {
                 // Permanent leave: silent, like a crash that never
                 // recovers — but also absent from the topology.
                 drain_node(sh, cur, v, round, None);
@@ -598,13 +598,13 @@ where
                 local.tally.stats.churn_events = local.tally.stats.churn_events.saturating_add(1);
                 local.tally.record(TraceEvent::Churn { round, kind: ChurnKind::Leave { node: v } });
                 continue;
-            } else if plan.join_round[v] == Some(round) {
+            } else if plan.node(v).join == Some(round) {
                 drain_node(sh, cur, v, round, None);
                 local.tally.stats.churn_events = local.tally.stats.churn_events.saturating_add(1);
                 local.tally.record(TraceEvent::Churn { round, kind: ChurnKind::Join { node: v } });
                 (true, Some(0x1099))
             } else {
-                if plan.crash_round[v] == Some(round) && !halted_t[i] {
+                if plan.node(v).crash == Some(round) && !halted_t[i] {
                     halted_t[i] = true; // crash-stop: silent, mid-protocol
                     sh.halted_count.fetch_add(1, Ordering::SeqCst);
                     local.tally.record(TraceEvent::Fault {
@@ -614,7 +614,7 @@ where
                         peer: None,
                     });
                 }
-                if plan.recovery_round[v] == Some(round) {
+                if plan.node(v).recovery == Some(round) {
                     drain_node(sh, cur, v, round, None);
                     local.tally.record(TraceEvent::Fault {
                         round,
@@ -651,6 +651,7 @@ where
                     halted: &mut halted_t[i],
                     fault: &mut local.fault,
                     integrity: &mut local.integrity,
+                    wake: 0,
                 };
                 if start {
                     protos_t[i].on_start(&mut ctx);

@@ -1004,6 +1004,7 @@ impl<P: Protocol> Resilient<P> {
             halted: &mut self.inner_halted,
             fault: &mut *ctx.fault,
             integrity: &mut *ctx.integrity,
+            wake: 0,
         };
         f(&mut self.inner, &mut ictx);
     }

@@ -10,9 +10,12 @@
 //!   plan and presence masks) is a fixed number of flat vectors, and
 //!   the round loop allocates nothing.
 //! * **A repeated run reuses the working set.** The `Network` keeps its
-//!   per-node RNGs, both slot buffers and the mail counts across runs,
-//!   so a second run on the same network allocates them no more: it
-//!   makes at least that many fewer blocks and bytes than the first.
+//!   per-node RNGs, both slot buffers, the mail counts and the agenda
+//!   of awake nodes across runs, so a second run on the same network
+//!   allocates them no more: it makes at least that many fewer blocks
+//!   and bytes than the first. Empty fault and churn plans allocate no
+//!   per-node schedule either, so beyond the per-node session exports
+//!   the second run allocates at most a byte per node and per edge.
 //! * **A multi-phase driver pays per message, not per node.** `run_mm`
 //!   of the bipartite `(1−1/k)` driver and of the weighted driver
 //!   allocates no more per message on `torus:160x160` than on
@@ -24,7 +27,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dam_congest::{Context, Network, Port, Protocol, RunSpec, SimConfig};
+use dam_congest::{Context, Network, Port, Protocol, RunSpec, SessionState, SimConfig};
 use dam_core::runtime::{run_mm, Algorithm, RuntimeConfig};
 use dam_core::{Bipartite, Weighted};
 use dam_graph::{ImplicitTopology, Topology};
@@ -160,15 +163,20 @@ fn run_allocations_do_not_grow_with_n() {
     }
 
     // The second run on torus:160x160 allocates neither slot buffer,
-    // nor the mail counts, nor the RNG vector.
+    // nor the mail counts, nor the RNG vector, nor any per-node fault or
+    // churn schedule: what is left is the session exports plus a few
+    // presence bits per node and edge.
     let topo = ImplicitTopology::parse("torus:160x160").unwrap();
     let (n, ports) = (topo.node_count() as u64, 4 * topo.node_count() as u64);
+    let m = ports / 2;
     let working_set = 2 * ports * std::mem::size_of::<Option<u8>>() as u64
         + 2 * n * std::mem::size_of::<u32>() as u64
         + n * std::mem::size_of::<StdRng>() as u64;
+    let sessions = n * std::mem::size_of::<Option<SessionState>>() as u64;
     let (first, second) = allocs_of("torus:160x160", |_, _| Beacon);
     assert!(first.blocks >= second.blocks + 5, "{first:?} then {second:?}");
     assert!(first.bytes >= second.bytes + working_set, "{first:?} then {second:?}");
+    assert!(second.bytes <= sessions + n + m, "{second:?}: more than the sessions and masks");
     eprintln!("torus:160x160 beacon: first {first:?}, second {second:?}");
 
     // Multi-phase drivers: allocations per frame do not grow with n.

@@ -39,7 +39,7 @@ use rand::RngExt;
 
 use crate::error::CoreError;
 use crate::israeli_itai::IiNode;
-use crate::repair::sanitize_registers_on;
+use crate::repair::sanitize_in_place;
 use crate::report::matching_from_registers;
 use crate::runtime::{Algorithm, Exec, MainRun};
 
@@ -140,6 +140,10 @@ pub struct PhaseOutput {
 }
 
 /// One pass of counting + lottery + augmentation at a fixed `ℓ`.
+///
+/// Only mail makes a node act before the pass ends, so after every step
+/// it sleeps ([`Context::sleep_until`]) until the last round,
+/// [`PhaseParams::pass_rounds`], in which it halts.
 #[derive(Debug)]
 pub struct PhaseNode<'a> {
     params: PhaseParams,
@@ -379,6 +383,7 @@ impl Protocol for PhaseNode<'_> {
                 }
             }
         }
+        ctx.sleep_until(self.params.pass_rounds());
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_, AugMsg>, inbox: &[(Port, AugMsg)]) {
@@ -395,6 +400,11 @@ impl Protocol for PhaseNode<'_> {
         }
         if ctx.round() >= self.params.pass_rounds() {
             ctx.halt();
+        } else {
+            // Every stage acts only on mail (a leader launches in the
+            // round its counts arrive), so an empty inbox is a no-op
+            // until the pass ends.
+            ctx.sleep_until(self.params.pass_rounds());
         }
     }
 
@@ -531,7 +541,7 @@ impl Bipartite {
                     registers[v] = o.matched_edge;
                     any_path |= o.saw_path;
                 }
-                registers = sanitize_registers_on(g, &registers, &alive).registers;
+                sanitize_in_place(g, &mut registers, &alive, None);
                 if !any_path {
                     break;
                 }
@@ -554,7 +564,8 @@ impl Algorithm for Bipartite {
         let mut registers: Vec<Option<EdgeId>> = vec![None; g.node_count()];
         if self.warm_start {
             let out = exec.phase(|v, graph| IiNode::new(graph.degree(v)))?;
-            registers = sanitize_registers_on(g, &out.outputs, exec.alive()).registers;
+            registers = out.outputs;
+            sanitize_in_place(g, &mut registers, exec.alive(), None);
         }
         self.drive(exec, &sides, registers)
     }
@@ -727,6 +738,76 @@ mod tests {
         assert!(
             warm_passes <= cold_passes,
             "warm start should not need more passes: {warm_passes} vs {cold_passes}"
+        );
+    }
+
+    /// Counts the engine's calls into a wrapped protocol. The wrapper
+    /// hands the engine's context through, hint included.
+    struct Counted<P> {
+        inner: P,
+        steps: usize,
+    }
+
+    impl<P: Protocol> Protocol for Counted<P> {
+        type Msg = P::Msg;
+        type Output = (P::Output, usize);
+
+        fn on_start(&mut self, ctx: &mut Context<'_, P::Msg>) {
+            self.steps += 1;
+            self.inner.on_start(ctx);
+        }
+
+        fn on_round(&mut self, ctx: &mut Context<'_, P::Msg>, inbox: &[(Port, P::Msg)]) {
+            self.steps += 1;
+            self.inner.on_round(ctx, inbox);
+        }
+
+        fn into_output(self) -> (P::Output, usize) {
+            (self.inner.into_output(), self.steps)
+        }
+    }
+
+    /// Host-independent cost of the sequential engine on the `k = 3`
+    /// ladder: a pass steps every node in its first and last round and
+    /// otherwise only the nodes that received a frame, so its steps are
+    /// at most its frames plus `2n`.
+    #[test]
+    fn a_pass_steps_only_nodes_with_mail() {
+        let topo = dam_graph::ImplicitTopology::torus(64, 64).unwrap();
+        let n = topo.node_count();
+        let sides: Vec<PhaseSide> = (0..n).map(|v| topo.side_of(v)).collect();
+        let live: Vec<Vec<bool>> = (0..n).map(|v| vec![true; topo.degree(v)]).collect();
+        let mut net = Network::new(&topo, SimConfig::congest_for(n, 4).seed(9));
+        let mut registers: Vec<Option<EdgeId>> = vec![None; n];
+        let (mut steps, mut frames, mut passes) = (0, 0, 0);
+        for l in [1, 3, 5] {
+            let params = PhaseParams { l, n, delta: topo.max_degree() };
+            loop {
+                let out = net
+                    .run(|v, graph| {
+                        let me = registers[v];
+                        let mp = me.map(|e| graph.port_of_edge(v, e).unwrap());
+                        let inner = PhaseNode::new(params, sides[v], &live[v], mp, me);
+                        Counted { inner, steps: 0 }
+                    })
+                    .unwrap();
+                passes += 1;
+                frames += out.stats.frames() as usize;
+                let mut any_path = false;
+                for (v, (o, s)) in out.outputs.iter().enumerate() {
+                    registers[v] = o.matched_edge;
+                    any_path |= o.saw_path;
+                    steps += s;
+                }
+                if !any_path {
+                    break;
+                }
+            }
+        }
+        assert!(passes > 3, "{passes} passes");
+        assert!(
+            steps <= frames + 2 * n * passes,
+            "{steps} steps, {frames} frames, {passes} passes"
         );
     }
 

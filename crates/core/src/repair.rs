@@ -81,35 +81,62 @@ pub fn sanitize_registers_on(
     registers: &[Option<EdgeId>],
     alive: &BitSet,
 ) -> Sanitized {
+    let mut out = registers.to_vec();
+    let mut claimed = BitSet::new(g.edge_count());
+    let (surviving, bogus_claims) = sanitize_in_place(g, &mut out, alive, Some(&mut claimed));
+    let dissolved = bogus_claims + claimed.count_ones().saturating_sub(surviving);
+    Sanitized { registers: out, surviving, dissolved }
+}
+
+/// [`sanitize_registers_on`] in place: clears every register that fails
+/// validation and returns `(surviving, out-of-range claims)`; `claimed`,
+/// if given, collects every in-range claimed edge. The bipartite and
+/// weighted drivers run it after every pass without `claimed`, so it
+/// allocates nothing.
+///
+/// Working in place gives the same result as reading a copy: `v`'s own
+/// register is read before it is cleared, and a partner `u` that
+/// claimed `v`'s edge was cleared only if one of the two is dead, in
+/// which case `v` fails validation anyway.
+///
+/// # Panics
+/// Panics if `registers` or `alive` is not one entry per node.
+pub(crate) fn sanitize_in_place(
+    g: &dyn Topology,
+    registers: &mut [Option<EdgeId>],
+    alive: &BitSet,
+    mut claimed: Option<&mut BitSet>,
+) -> (usize, usize) {
     let n = g.node_count();
     assert_eq!(registers.len(), n, "one register per node");
     assert_eq!(alive.len(), n, "one liveness flag per node");
-    let mut out = vec![None; n];
-    let mut claimed = BitSet::new(g.edge_count());
     let mut bogus_claims = 0usize;
     let mut surviving = 0usize;
     for v in 0..n {
         let Some(e) = registers[v] else { continue };
         if e >= g.edge_count() {
             bogus_claims += 1;
+            registers[v] = None;
             continue;
         }
-        claimed.set(e, true);
-        let (a, b) = g.endpoints(e);
-        if v != a && v != b {
-            continue;
+        if let Some(claimed) = claimed.as_deref_mut() {
+            claimed.set(e, true);
         }
-        let u = g.other_endpoint(e, v);
-        let keep = alive[v] && alive[u] && registers[u] == Some(e);
-        if keep {
-            out[v] = Some(e);
-            if v < u {
-                surviving += 1;
+        let partner = match g.endpoints(e) {
+            (a, b) if a == v => Some(b),
+            (a, b) if b == v => Some(a),
+            _ => None,
+        };
+        match partner {
+            Some(u) if alive[v] && alive[u] && registers[u] == Some(e) => {
+                if v < u {
+                    surviving += 1;
+                }
             }
+            _ => registers[v] = None,
         }
     }
-    let dissolved = bogus_claims + claimed.count_ones().saturating_sub(surviving);
-    Sanitized { registers: out, surviving, dissolved }
+    (surviving, bogus_claims)
 }
 
 /// The result of a repair pass ([`crate::runtime::repair_registers`]).

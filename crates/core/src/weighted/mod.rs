@@ -24,7 +24,7 @@ use dam_congest::{BitSize, Context, Port, Protocol};
 use dam_graph::EdgeId;
 
 use crate::error::CoreError;
-use crate::repair::sanitize_registers_on;
+use crate::repair::sanitize_in_place;
 use crate::runtime::{Algorithm, Exec, MainRun};
 
 use self::local_max::LocalMaxNode;
@@ -225,20 +225,21 @@ impl Weighted {
                 }
             }
             // Step 2: δ-MWM on the gain graph.
-            let m_prime: Vec<Option<EdgeId>> = match self.black_box {
+            let mut m_prime: Vec<Option<EdgeId>> = match self.black_box {
                 BlackBox::LocalMax => exec.phase(|v, _| LocalMaxNode::new(&gains[v]))?.outputs,
                 BlackBox::Proposal { iterations } => {
                     exec.phase(|v, _| ProposalNode::new(&gains[v], iterations))?.outputs
                 }
             };
-            let m_prime = sanitize_registers_on(g, &m_prime, &alive).registers;
+            sanitize_in_place(g, &mut m_prime, &alive, None);
             // Step 3: apply all wraps.
             let out = exec.phase(|v, graph| {
                 let matched_port = registers[v]
                     .map(|e| graph.port_of_edge(v, e).expect("register points at incident edge"));
                 WrapApply { matched_port, register: registers[v], m_prime: m_prime[v] }
             })?;
-            registers = sanitize_registers_on(g, &out.outputs, &alive).registers;
+            registers = out.outputs;
+            sanitize_in_place(g, &mut registers, &alive, None);
         }
         Ok(MainRun { registers, iterations })
     }
