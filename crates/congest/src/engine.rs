@@ -1273,7 +1273,8 @@ impl<'g> Network<'g> {
 
     /// The attached telemetry sink, if any (shared with the sharded
     /// executor).
-    pub(crate) fn stats_sink(&self) -> Option<&crate::telemetry::SinkHandle> {
+    #[must_use]
+    pub fn stats_sink(&self) -> Option<&crate::telemetry::SinkHandle> {
         self.sink.as_ref()
     }
 
@@ -1357,6 +1358,37 @@ impl<'g> Network<'g> {
     /// Folds a finished run into the cumulative totals.
     pub(crate) fn record_run(&mut self, stats: &RunStats) {
         self.totals.record(stats);
+    }
+
+    /// Records a run that was not executed because its outcome is
+    /// already known: allocates its run id, exactly as [`Network::execute`]
+    /// would, and folds `stats` into [`Network::totals`]. Later runs
+    /// therefore draw the same randomness streams, and the totals read
+    /// the same, as if the run had happened.
+    ///
+    /// A charge is sound only if executing the run would have returned
+    /// `stats` and changed nothing else a caller can observe. That
+    /// holds when an earlier run on this network executed the same node
+    /// programs from the same inputs and returned `stats`, and the
+    /// outcome cannot depend on the run id: the programs draw no
+    /// randomness, both plans of the run are empty, no trace is
+    /// collected, no stats sink is attached (it would have received
+    /// the run's round samples), and the backend is not
+    /// [`Backend::Async`] (whose delays are keyed on the run id, and
+    /// which would have updated [`Network::async_info`]). The caller
+    /// vouches for the first three.
+    ///
+    /// # Panics
+    /// If a stats sink is attached or the effective backend is
+    /// [`Backend::Async`].
+    pub fn charge_run(&mut self, stats: &RunStats) {
+        assert!(self.sink.is_none(), "a charged run would skip its telemetry samples");
+        assert!(
+            self.config.effective_backend() != Backend::Async,
+            "an asynchronous run's outcome depends on its run id"
+        );
+        self.next_run_id();
+        self.record_run(stats);
     }
 
     /// Runs `make` on the sequential engine with empty plans and no
@@ -2095,6 +2127,47 @@ mod tests {
     use super::*;
     use dam_graph::generators;
 
+    #[test]
+    fn any_one_fault_makes_a_plan_non_empty() {
+        // Exhaustive destructuring: a new `FaultPlan` field breaks this
+        // test at compile time until it has a case below (and
+        // `is_empty` reads it). A plan that `is_empty` misreads as empty
+        // would let a faulty phase be charged as a pure one.
+        let FaultPlan {
+            crashes: _,
+            recoveries: _,
+            loss: _,
+            dup: _,
+            reorder: _,
+            corrupt: _,
+            equivocators: _,
+            liars: _,
+            links: _,
+            partitions: _,
+            squalls: _,
+        } = FaultPlan::default();
+        assert!(FaultPlan::default().is_empty());
+        let link = LinkFault { a: 0, b: 1, loss: 0.0, dup: 0.0, reorder: 0.0 };
+        let window = Partition { from_round: 1, until_round: 2, side: vec![0] };
+        let squall = Squall { from_round: 1, until_round: 2, loss: 0.0, corrupt: 0.0 };
+        let one_each = [
+            ("crash", FaultPlan::crashes(vec![(0, 1)])),
+            ("recovery", FaultPlan::default().with_recoveries(vec![(0, 2)])),
+            ("loss", FaultPlan::lossy(0.1)),
+            ("dup", FaultPlan::default().with_dup(0.1)),
+            ("reorder", FaultPlan::default().with_reorder(0.1)),
+            ("corrupt", FaultPlan::default().with_corrupt(0.1)),
+            ("equivocator", FaultPlan::default().with_equivocators(vec![0])),
+            ("liar", FaultPlan::default().with_liars(vec![0])),
+            ("link", FaultPlan::default().with_link(link)),
+            ("partition", FaultPlan::default().with_partition(window)),
+            ("squall", FaultPlan::default().with_squall(squall)),
+        ];
+        for (field, plan) in one_each {
+            assert!(!plan.is_empty(), "{field}");
+        }
+    }
+
     /// Token passing around a directed cycle for a fixed number of laps.
     struct RingToken {
         laps: usize,
@@ -2278,6 +2351,39 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
+    }
+
+    #[test]
+    fn a_charged_run_reads_like_an_executed_one() {
+        // `ran` executes a deterministic run twice; `charged` executes
+        // it once and charges its stats for the second. The totals
+        // agree, and so do the coins of the run after.
+        use rand::RngExt;
+        struct Coin(u32);
+        impl Protocol for Coin {
+            type Msg = ();
+            type Output = u32;
+            fn on_round(&mut self, ctx: &mut Context<'_, ()>, _: &[(Port, ())]) {
+                self.0 = ctx.rng().random_range(0..u32::MAX);
+                ctx.halt();
+            }
+            fn into_output(self) -> u32 {
+                self.0
+            }
+        }
+        let g = generators::cycle(6);
+        let token =
+            |v: NodeId, _: &dyn Topology| RingToken { laps: 12, holder: v == 0, received: 0 };
+        let mut ran = Network::new(&g, SimConfig::local().seed(3));
+        let mut charged = Network::new(&g, SimConfig::local().seed(3));
+        ran.run(token).unwrap();
+        ran.run(token).unwrap();
+        let once = charged.run(token).unwrap();
+        charged.charge_run(&once.stats);
+        assert_eq!(ran.totals(), charged.totals());
+        assert_eq!(charged.totals().runs, 2);
+        let coins = |net: &mut Network<'_>| net.run(|_, _| Coin(0)).unwrap().outputs;
+        assert_eq!(coins(&mut ran), coins(&mut charged));
     }
 
     #[test]

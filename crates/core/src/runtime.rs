@@ -369,6 +369,46 @@ impl<'g> Exec<'g> {
         Ok(out)
     }
 
+    /// Whether every phase of this executor is a pure function of the
+    /// node programs its driver builds. It holds when no fault is
+    /// injected, no churn is replayed, no transport or adaptive wrapper
+    /// runs, no stats sink is attached, and the backend is not
+    /// [`Backend::Async`] (whose delays are keyed on the run id). A main
+    /// run with empty plans trusts every node, so its bare first phase
+    /// runs the same programs as a later, tombstone-wrapped one.
+    #[must_use]
+    pub(crate) fn phases_are_pure(&self) -> bool {
+        // `later_faults` is a part of `first_faults`.
+        self.first_faults.is_empty()
+            && self.churn.is_empty()
+            && self.transport.is_none()
+            && self.adaptive.is_none()
+            && self.net.stats_sink().is_none()
+            && self.net.config().effective_backend() != Backend::Async
+    }
+
+    /// Records a phase the driver did not run: counts it in
+    /// [`Exec::phases`], absorbs `stats` into the run's stats and charges
+    /// the engine ([`Network::charge_run`]), so rounds, messages, bits,
+    /// the engine's run count and every later phase's randomness stream
+    /// read exactly as if the phase had executed.
+    ///
+    /// A charge is sound when [`Exec::phases_are_pure`] holds and an
+    /// executed phase of this executor ran the same node programs from
+    /// the same inputs, drew no randomness, and returned `stats`: a
+    /// pure phase would then return `stats` again and change nothing
+    /// else. Algorithm 5 charges the iterations after its fixpoint this
+    /// way ([`crate::weighted::Weighted`]).
+    ///
+    /// # Panics
+    /// If [`Exec::phases_are_pure`] does not hold.
+    pub(crate) fn charge(&mut self, stats: &RunStats) {
+        assert!(self.phases_are_pure(), "only a pure phase can be charged");
+        self.phases += 1;
+        self.net.charge_run(stats);
+        self.stats.get_or_insert_with(RunStats::default).absorb(stats);
+    }
+
     /// Consumes the executor: per-phase stats absorbed into one
     /// [`RunStats`] (exactly the single phase's stats for single-phase
     /// drivers), the engine's run totals, and the final phase's
@@ -1532,6 +1572,7 @@ fn pipeline_tail<A: Algorithm + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::weighted::{BlackBox, Weighted};
     use dam_graph::generators;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1810,5 +1851,141 @@ mod tests {
         assert_eq!(seq.matching.to_edge_vec(), par.matching.to_edge_vec());
         assert_eq!(seq.phase1, par.phase1);
         assert_eq!(seq.repair, par.repair);
+    }
+
+    /// A CSR graph behind a [`Topology`] that counts the weight and
+    /// endpoint queries, the two the engines' port table passes through
+    /// to it. The weighted driver's phases and sanitizing make such
+    /// queries in every iteration they execute; a charged iteration
+    /// makes none.
+    struct Counting<'a> {
+        g: &'a Graph,
+        queries: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Counting<'_> {
+        fn count(&self) {
+            self.queries.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    impl Topology for Counting<'_> {
+        fn node_count(&self) -> usize {
+            self.g.node_count()
+        }
+
+        fn edge_count(&self) -> usize {
+            self.g.edge_count()
+        }
+
+        fn degree(&self, v: NodeId) -> usize {
+            self.g.degree(v)
+        }
+
+        fn max_degree(&self) -> usize {
+            self.g.max_degree()
+        }
+
+        fn port(&self, v: NodeId, p: usize) -> (NodeId, EdgeId) {
+            Topology::port(self.g, v, p)
+        }
+
+        fn endpoints(&self, e: EdgeId) -> (NodeId, NodeId) {
+            self.count();
+            Topology::endpoints(self.g, e)
+        }
+
+        fn weight(&self, e: EdgeId) -> f64 {
+            self.count();
+            Topology::weight(self.g, e)
+        }
+
+        fn is_weighted(&self) -> bool {
+            self.g.is_weighted()
+        }
+    }
+
+    /// Runs `algo` on `g` through [`Counting`]: the topology queries it
+    /// made, and its report.
+    fn counted(g: &Graph, algo: &Weighted, cfg: &RuntimeConfig) -> (usize, RunReport) {
+        let topo = Counting { g, queries: std::sync::atomic::AtomicUsize::new(0) };
+        let report = run_mm(algo, &topo, cfg).unwrap();
+        (topo.queries.into_inner(), report)
+    }
+
+    /// `cfg` with a recording stats sink attached.
+    fn with_sink(cfg: RuntimeConfig) -> RuntimeConfig {
+        cfg.stats_sink(dam_congest::SinkHandle::new(std::sync::Arc::new(
+            dam_congest::RecordingSink::new(),
+        )))
+    }
+
+    fn weighted_gnp(seed: u64) -> Graph {
+        use dam_graph::weights::{randomize_weights, WeightDist};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let base = generators::gnp(60, 0.1, &mut rng);
+        randomize_weights(&base, WeightDist::Uniform { lo: 0.5, hi: 4.0 }, &mut rng)
+    }
+
+    #[test]
+    fn weighted_charges_the_iterations_after_its_fixpoint() {
+        // From an empty start, local-max returns the greedy matching in
+        // iteration 1 and iteration 2 leaves it unchanged, so a bare run
+        // of nine iterations executes two and charges seven: it queries
+        // the topology exactly as often as a run of two iterations. A
+        // stats sink makes every iteration execute, seven times the
+        // queries of iteration 3 more, and the reports agree.
+        let g = weighted_gnp(31);
+        let nine = Weighted::default();
+        let two = Weighted { eps: 1.0, delta: 1.0, ..nine };
+        let three = Weighted { eps: 0.5, delta: 1.0, ..nine };
+        for (backend, threads) in [(Backend::Sequential, 1), (Backend::Sharded, 2)] {
+            let cfg = RuntimeConfig::new().seed(5).backend(backend).threads(threads);
+            let (charged, replayed) = counted(&g, &nine, &cfg);
+            let (executed, full) = counted(&g, &nine, &with_sink(cfg.clone()));
+            let (q2, r2) = counted(&g, &two, &with_sink(cfg.clone()));
+            let (q3, r3) = counted(&g, &three, &with_sink(cfg));
+            assert_eq!((r2.iterations, r3.iterations, full.iterations), (2, 3, 9));
+            assert_eq!(charged, q2, "{backend:?}");
+            assert_eq!(executed - charged, 7 * (q3 - q2), "{backend:?}");
+            assert!(q3 > q2, "{backend:?}");
+            assert_eq!(replayed.registers, full.registers, "{backend:?}");
+            assert_eq!(replayed.phase1, full.phase1, "{backend:?}");
+            assert_eq!(replayed.totals, full.totals, "{backend:?}");
+            assert_eq!(replayed.totals.runs, 27, "{backend:?}");
+            assert_eq!(replayed.iterations, 9, "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn impure_phases_are_never_charged() {
+        // Each configuration executes all nine iterations: attaching a
+        // stats sink, which always forces that, changes no query count.
+        // The loss is too rare to drop a message of these runs (local-max
+        // does not survive a lost pick), but a plan that may lose one is
+        // never charged.
+        let g = weighted_gnp(32);
+        let base = RuntimeConfig::new().seed(6);
+        let local_max = Weighted::default();
+        let proposal =
+            Weighted { black_box: BlackBox::Proposal { iterations: 8 }, ..Weighted::default() };
+        let cases = [
+            ("loss", local_max, base.clone().faults(FaultPlan::lossy(1e-12))),
+            ("transport", local_max, base.clone().transport(TransportCfg::default())),
+            (
+                "adaptive",
+                local_max,
+                base.clone().adaptive(AdaptivePolicy::for_floor(TransportCfg::default())),
+            ),
+            ("async", local_max, base.clone().backend(Backend::Async)),
+            ("proposal", proposal, base.clone()),
+        ];
+        let (bare, _) = counted(&g, &local_max, &base);
+        for (name, algo, cfg) in cases {
+            let (queries, _) = counted(&g, &algo, &cfg);
+            let (forced, _) = counted(&g, &algo, &with_sink(cfg));
+            assert_eq!(queries, forced, "{name}");
+            assert!(queries > bare, "{name}: {queries} <= {bare}");
+        }
     }
 }

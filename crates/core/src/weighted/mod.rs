@@ -15,6 +15,15 @@
 //!
 //! Each iteration costs three protocol runs: a 2-round gain exchange, the
 //! black box (`O(log n)` w.h.p.), and a 2-round wrap/reconcile pass.
+//! Under the deterministic local-max black box, an iteration that leaves
+//! the registers unchanged is a fixpoint: every remaining iteration
+//! would run the same three phases on the same registers. When the
+//! executor's phases are pure (`Exec::phases_are_pure`), the driver
+//! charges their recorded cost (`Exec::charge`) instead of running
+//! them, so the reported rounds, messages and bits are still those of
+//! all `⌈(3/2δ)·ln(2/ε)⌉` iterations. From empty registers the black box
+//! returns the greedy matching in iteration 1, which admits no
+//! positive-gain wrap, so iteration 2 is the fixpoint.
 
 pub mod b_local_max;
 pub mod local_max;
@@ -194,17 +203,15 @@ impl Weighted {
         let g = exec.graph();
         let alive = exec.alive().clone();
         let iterations = algorithm5_iterations(self.eps, self.delta);
-        for _ in 0..iterations {
+        for it in 0..iterations {
             // Step 1: gains.
-            let mut gains = exec
-                .phase(|v, graph| {
-                    let matched_port = registers[v].map(|e| {
-                        graph.port_of_edge(v, e).expect("register points at incident edge")
-                    });
-                    let my_weight = registers[v].map_or(0.0, |e| graph.weight(e));
-                    GainExchange::new(graph.degree(v), matched_port, my_weight)
-                })?
-                .outputs;
+            let gain = exec.phase(|v, graph| {
+                let matched_port = registers[v]
+                    .map(|e| graph.port_of_edge(v, e).expect("register points at incident edge"));
+                let my_weight = registers[v].map_or(0.0, |e| graph.weight(e));
+                GainExchange::new(graph.degree(v), matched_port, my_weight)
+            })?;
+            let mut gains = gain.outputs;
             // Mask gains on ports into the untrusted domain: a neighbour
             // that broadcast its weight and then crashed (or churned
             // out) is a tombstone in the black-box phase, and a gain
@@ -225,21 +232,36 @@ impl Weighted {
                 }
             }
             // Step 2: δ-MWM on the gain graph.
-            let mut m_prime: Vec<Option<EdgeId>> = match self.black_box {
-                BlackBox::LocalMax => exec.phase(|v, _| LocalMaxNode::new(&gains[v]))?.outputs,
+            let black = match self.black_box {
+                BlackBox::LocalMax => exec.phase(|v, _| LocalMaxNode::new(&gains[v]))?,
                 BlackBox::Proposal { iterations } => {
-                    exec.phase(|v, _| ProposalNode::new(&gains[v], iterations))?.outputs
+                    exec.phase(|v, _| ProposalNode::new(&gains[v], iterations))?
                 }
             };
+            let mut m_prime = black.outputs;
             sanitize_in_place(g, &mut m_prime, &alive, None);
             // Step 3: apply all wraps.
-            let out = exec.phase(|v, graph| {
+            let wrap = exec.phase(|v, graph| {
                 let matched_port = registers[v]
                     .map(|e| graph.port_of_edge(v, e).expect("register points at incident edge"));
                 WrapApply { matched_port, register: registers[v], m_prime: m_prime[v] }
             })?;
-            registers = out.outputs;
-            sanitize_in_place(g, &mut registers, &alive, None);
+            let mut next = wrap.outputs;
+            sanitize_in_place(g, &mut next, &alive, None);
+            let fixpoint = next == registers;
+            registers = next;
+            // A fixpoint under the deterministic black box: every
+            // remaining iteration would run these three phases on these
+            // registers again. On pure phases it would also return the
+            // same stats, so charge them instead of running them.
+            if fixpoint && self.black_box == BlackBox::LocalMax && exec.phases_are_pure() {
+                for _ in it + 1..iterations {
+                    for stats in [&gain.stats, &black.stats, &wrap.stats] {
+                        exec.charge(stats);
+                    }
+                }
+                break;
+            }
         }
         Ok(MainRun { registers, iterations })
     }

@@ -32,8 +32,10 @@ use dam_congest::{
 use dam_core::maintain::is_maximal_on_present;
 use dam_core::repair::is_maximal_on_residual;
 use dam_core::runtime::conformance::{filtered_registry, Entry, Kind};
-use dam_core::runtime::{repair_registers, run_mm, Algorithm, Exec, MainRun, RuntimeConfig};
-use dam_core::CoreError;
+use dam_core::runtime::{
+    repair_registers, run_mm, Algorithm, Exec, IsraeliItai, MainRun, RuntimeConfig,
+};
+use dam_core::{CoreError, Weighted};
 use dam_graph::weights::{randomize_weights, WeightDist};
 use dam_graph::{generators, BitSet, EdgeId, Graph};
 use rand::rngs::StdRng;
@@ -309,7 +311,85 @@ fn telemetry_sink_does_not_perturb_any_implementor() {
         );
         assert_eq!(plain.phase1, observed.phase1, "{}: sink perturbed stats", entry.name);
         assert_eq!(plain.totals, observed.totals);
+        assert_eq!(
+            plain.iterations, observed.iterations,
+            "{}: sink perturbed iterations",
+            entry.name
+        );
+        assert_eq!(plain.repair, observed.repair, "{}: sink perturbed repair", entry.name);
+        assert_eq!(plain.maintain, observed.maintain, "{}: sink perturbed maintain", entry.name);
         assert!(!sink.samples().is_empty(), "{}: sink recorded nothing", entry.name);
+    }
+}
+
+/// Algorithm 5 resumed from fixed registers in place of a fresh run, so
+/// that a main run, which may carry a stats sink, drives a resume.
+struct ResumeFrom<'a> {
+    algo: Weighted,
+    start: &'a [Option<EdgeId>],
+}
+
+impl Algorithm for ResumeFrom<'_> {
+    fn name(&self) -> &'static str {
+        "weighted-resumed"
+    }
+
+    fn run(&self, exec: &mut Exec<'_>) -> Result<MainRun, CoreError> {
+        self.algo.resume(exec, self.start)
+    }
+
+    fn resume(
+        &self,
+        exec: &mut Exec<'_>,
+        registers: &[Option<EdgeId>],
+    ) -> Result<MainRun, CoreError> {
+        self.algo.resume(exec, registers)
+    }
+}
+
+/// Leg 6b: the weighted driver charges the iterations after its
+/// fixpoint instead of running them, and a stats sink makes it run them
+/// all. Resumed from Israeli–Itai's maximal matching on a weighted
+/// G(n, p), its wraps keep changing the matching after iteration 2 and
+/// stop before iteration 9 (iteration 6 is the fixpoint here), so a bare
+/// run charges iterations that follow real wraps. It must equal the run
+/// with a sink bit for bit, on the sequential and the sharded backend.
+#[test]
+fn weighted_resume_charges_what_execution_returns() {
+    if !filtered_registry().iter().any(|e| e.name == "weighted") {
+        return;
+    }
+    let mut rng = StdRng::seed_from_u64(0xC0FF_EE00);
+    let base = generators::gnp(60, 0.1, &mut rng);
+    let g = randomize_weights(&base, WeightDist::Uniform { lo: 0.2, hi: 5.0 }, &mut rng);
+    let sim = sim_for(&g, 13);
+    let start = run_mm(&IsraeliItai, &g, &RuntimeConfig::new().sim(sim)).unwrap().registers;
+    // Nine iterations at the default ε and δ = ½; seven at ε = ¼; two
+    // at ε = δ = 1.
+    let nine = ResumeFrom { algo: Weighted::default(), start: &start };
+    let seven = ResumeFrom { algo: Weighted { eps: 0.25, ..Weighted::default() }, start: &start };
+    let two = ResumeFrom {
+        algo: Weighted { eps: 1.0, delta: 1.0, ..Weighted::default() },
+        start: &start,
+    };
+    for (backend, threads) in [(Backend::Sequential, 1), (Backend::Sharded, 2)] {
+        let cfg = RuntimeConfig::new().sim(sim.backend(backend).threads(threads));
+        let executed = |algo: &ResumeFrom<'_>| {
+            let sink = SinkHandle::new(Arc::new(RecordingSink::new()));
+            run_mm(algo, &g, &cfg.clone().stats_sink(sink)).unwrap()
+        };
+        let charged = run_mm(&nine, &g, &cfg).unwrap();
+        let full = executed(&nine);
+        assert_eq!(charged.registers, full.registers, "{backend:?}");
+        assert_eq!(charged.phase1, full.phase1, "{backend:?}");
+        assert_eq!(charged.totals, full.totals, "{backend:?}");
+        assert_eq!(charged.iterations, full.iterations, "{backend:?}");
+        assert_ne!(
+            executed(&two).registers,
+            full.registers,
+            "{backend:?}: fixpoint by iteration 2"
+        );
+        assert_eq!(executed(&seven).registers, full.registers, "{backend:?}: no fixpoint by 8");
     }
 }
 

@@ -1,6 +1,8 @@
 //! Property-based tests for the distributed algorithms.
 
-use dam_congest::{BitSize, CorruptKind, FaultPlan, SimConfig, TransportCfg};
+use dam_congest::{
+    BitSize, CorruptKind, FaultPlan, RecordingSink, SimConfig, SinkHandle, TransportCfg,
+};
 use dam_core::auction::{auction_mwm, AuctionConfig};
 use dam_core::bipartite::Bipartite;
 use dam_core::certify::{certify, check_registers};
@@ -10,10 +12,13 @@ use dam_core::luby::{is_mis, luby_mis};
 use dam_core::repair::{is_maximal_on_residual, sanitize_registers};
 use dam_core::runtime::{repair_registers, run_mm, IsraeliItai, RuntimeConfig};
 use dam_core::trees::tree_mcm;
+use dam_core::weighted::local_max::local_max_mwm;
+use dam_core::Weighted;
 use dam_graph::{blossom, brute, hopcroft_karp, BitSet, Graph, GraphBuilder, Matching, Side};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Random bipartite graph with recorded bipartition.
 fn arb_bipartite(max_half: usize) -> impl Strategy<Value = Graph> {
@@ -192,6 +197,41 @@ proptest! {
             m2.weight(&g),
             m.weight(&g) + gain_sum
         );
+    }
+
+    /// Algorithm 5 over the local-max black box, from empty registers:
+    /// iteration 1 sees gains equal to the weights, so it returns the
+    /// local-max (greedy) matching of the true weights, and no later
+    /// iteration changes it (`M′ = ∅`: greedy leaves no positive-gain
+    /// wrap). With `ties`, the weights take three values only. A stats
+    /// sink makes every iteration execute, so this checks the fact the
+    /// driver's charged iterations rest on, not the charge.
+    #[test]
+    fn local_max_alg5_is_fixed_after_iteration_one(
+        g in arb_weighted(12, 30),
+        ties in any::<bool>(),
+        seed in 0u64..100,
+    ) {
+        let g = if ties {
+            let mut b = GraphBuilder::new(g.node_count());
+            for e in g.edge_ids() {
+                let (u, v) = g.endpoints(e);
+                b.weighted_edge(u, v, 1.0 + g.weight(e) % 3.0);
+            }
+            b.force_weighted();
+            b.build().expect("weighted graph")
+        } else {
+            g
+        };
+        let greedy = local_max_mwm(&g, seed).unwrap().matching.to_edge_vec();
+        let sim = SimConfig::congest_for(g.node_count(), 8).seed(seed);
+        let sink = SinkHandle::new(Arc::new(RecordingSink::new()));
+        let cfg = RuntimeConfig::new().sim(sim).stats_sink(sink);
+        // Two iterations at ε = δ = 1, nine at the defaults.
+        for algo in [Weighted { eps: 1.0, delta: 1.0, ..Weighted::default() }, Weighted::default()] {
+            let r = run_mm(&algo, &g, &cfg).unwrap();
+            prop_assert_eq!(r.matching.to_edge_vec(), greedy.clone(), "{} iterations", r.iterations);
+        }
     }
 }
 
