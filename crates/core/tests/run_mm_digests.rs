@@ -18,7 +18,12 @@
 //!   entry point's exact configuration: CONGEST(4 log n) for
 //!   Israeli–Itai, Luby and the bipartite driver, CONGEST(8 log n) for
 //!   the weighted driver, and LOCAL with the default transport and a
-//!   500 000-round guard for the repair, churn and certified pipelines.
+//!   500 000-round guard for the repair, churn and certified pipelines;
+//! * one row per rarely-run transport path (`transport/*`): Israeli–Itai
+//!   over the resilient transport under duplication plus reordering,
+//!   under a crash with recovery (a peer reboots and its neighbours
+//!   reset their sessions), under an [`AdaptivePolicy`] on a lossy
+//!   network, and through a squall window of heavy loss and corruption.
 //!
 //! Every row is recomputed on the sequential, sharded (2 workers) and
 //! asynchronous backends and must equal the committed digest on each.
@@ -31,8 +36,8 @@
 //! reviewed change of behaviour.
 
 use dam_congest::{
-    Backend, ChurnEvent, ChurnKind, ChurnPlan, FaultPlan, RunStats, SimConfig, TotalStats,
-    TransportCfg,
+    AdaptivePolicy, Backend, ChurnEvent, ChurnKind, ChurnPlan, FaultPlan, RunStats, SimConfig,
+    Squall, TotalStats, TransportCfg,
 };
 use dam_core::certify::{CertFault, Certificate};
 use dam_core::israeli_itai::israeli_itai;
@@ -382,6 +387,49 @@ fn legacy_rows(backend: Backend, threads: usize) -> Vec<(String, u64)> {
     rows
 }
 
+/// One row per transport path the stacks above never reach: Israeli–Itai
+/// over the resilient transport on a corpus graph, LOCAL with a
+/// 500 000-round guard, hashing the full report.
+fn transport_rows(backend: Backend, threads: usize) -> Vec<(String, u64)> {
+    let g = corpus_graph("ii", 5);
+    let sim = SimConfig::local().seed(5).max_rounds(500_000).backend(backend).threads(threads);
+    let transported = RuntimeConfig::new().sim(sim).transport(TransportCfg::default());
+    let squall = Squall { from_round: 3, until_round: 14, loss: 0.3, corrupt: 0.05 };
+    let cases = [
+        (
+            "dup-reorder",
+            transported.clone().faults(FaultPlan::default().with_dup(0.15).with_reorder(0.2)),
+        ),
+        (
+            "reboot",
+            transported
+                .clone()
+                .faults(
+                    FaultPlan::crashes(vec![(4, 2), (9, 3)]).with_recoveries(vec![(4, 5), (9, 30)]),
+                )
+                .repair(true),
+        ),
+        (
+            "adaptive",
+            RuntimeConfig::new()
+                .sim(sim)
+                .adaptive(AdaptivePolicy::default())
+                .faults(FaultPlan::lossy(0.15).with_corrupt(0.03)),
+        ),
+        ("squall", transported.faults(FaultPlan::lossy(0.02).with_squall(squall))),
+    ];
+    cases
+        .into_iter()
+        .map(|(name, cfg)| {
+            let rep = run_mm(&IsraeliItai, &g, &cfg)
+                .unwrap_or_else(|e| panic!("transport/{name} on {backend:?}: {e}"));
+            let mut d = Digest::new();
+            d.report(&rep);
+            (format!("transport/{name}"), d.0)
+        })
+        .collect()
+}
+
 /// The full table on one backend, in committed order.
 fn table(backend: Backend, threads: usize) -> Vec<(String, u64)> {
     let algos = [
@@ -408,6 +456,7 @@ fn table(backend: Backend, threads: usize) -> Vec<(String, u64)> {
         }
     }
     rows.extend(legacy_rows(backend, threads));
+    rows.extend(transport_rows(backend, threads));
     rows
 }
 
