@@ -1714,4 +1714,39 @@ mod tests {
         assert_eq!(out.outputs, base);
         assert_eq!(out.stats.quarantined, 0);
     }
+
+    #[test]
+    fn telemetry_gauge_series_is_pinned() {
+        // The per-round `outstanding`, `rejected` and `suspected` series
+        // a sink sees on a lossy, corrupting run with a crash, reduced to
+        // an FNV-1a digest. The gauge is observation only, so no other
+        // test notices if its value drifts; this one does.
+        use crate::telemetry::{RecordingSink, SinkHandle};
+        use std::sync::Arc;
+        let g = generators::grid(4, 5);
+        let plan =
+            FaultPlan { loss: 0.2, corrupt: 0.05, crashes: vec![(7, 6)], ..FaultPlan::default() };
+        let sink = Arc::new(RecordingSink::new());
+        let mut net = Network::new(&g, SimConfig::local().seed(17).max_rounds(5_000));
+        net.set_stats_sink(Some(SinkHandle::from(Arc::clone(&sink))));
+        net.execute(
+            |_, _| Resilient::new(Gossip { rounds: 12, acc: 0 }, TransportCfg::default()),
+            &RunSpec { faults: &plan, ..RunSpec::default() },
+        )
+        .unwrap();
+        let deltas = sink.deltas();
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for d in &deltas {
+            for x in [d.round, d.outstanding, d.rejected, d.suspected] {
+                for b in x.to_le_bytes() {
+                    digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        let total =
+            |f: fn(&crate::telemetry::RoundSample) -> u64| deltas.iter().map(f).sum::<u64>();
+        assert!(total(|d| d.outstanding) > 0 && total(|d| d.rejected) > 0);
+        assert!(total(|d| d.suspected) > 0, "the crash must be suspected");
+        assert_eq!((deltas.len(), digest), (125, 0xc393_bd7d_12b7_6b4e), "gauge series changed");
+    }
 }
