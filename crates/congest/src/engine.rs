@@ -13,7 +13,7 @@ use crate::error::SimError;
 use crate::message::{BitSize, CorruptKind, MsgClass};
 use crate::model::{Backend, CostModel, Model, SimConfig, ViolationPolicy};
 use crate::node::{Context, Port, Protocol};
-use crate::rng;
+use crate::rng::{self, RunKeys, SenderKeys};
 use crate::stats::{Integrity, RunStats, TotalStats};
 use crate::trace::{ChurnKind, FaultKind, Trace, TraceEvent};
 
@@ -684,6 +684,10 @@ pub(crate) struct RunPlan {
     /// Whether duplication/reordering can occur (gates the engines'
     /// late-copy queues).
     pub(crate) any_dup_or_reorder: bool,
+    /// Whether any message can draw from a keyed RNG: a channel fault
+    /// probability above zero, a squall or an equivocator. When not,
+    /// the engines derive no per-sender keys ([`Wire::sender`]).
+    keyed: bool,
 }
 
 /// The rounds at which one node crash-stops, reboots, joins and leaves
@@ -778,6 +782,11 @@ impl RunPlan {
             .collect();
         let any_dup_or_reorder =
             std::iter::once(&fx).chain(&link_fx).any(|&(_, d, r, _)| d > 0.0 || r > 0.0);
+        let keyed = std::iter::once(&fx)
+            .chain(&link_fx)
+            .any(|&(l, d, r, c)| l > 0.0 || d > 0.0 || r > 0.0 || c > 0.0)
+            || !faults.squalls.is_empty()
+            || !faults.equivocators.is_empty();
         Ok(RunPlan {
             node_events,
             last_wake,
@@ -790,6 +799,7 @@ impl RunPlan {
             partitions,
             squalls: faults.squalls.clone(),
             any_dup_or_reorder,
+            keyed,
         })
     }
 
@@ -813,23 +823,24 @@ impl RunPlan {
             .any(|&(from, until, ref side)| round >= from && round <= until && side[v] != side[u])
     }
 
-    /// The fate of the message leaving `(v, port)` in `round`; `i` is
-    /// that port's [`PortTable`] index.
+    /// The fate of the message leaving port `port` of the sender whose
+    /// keys are `keys` in `round`; `i` is that port's [`PortTable`]
+    /// index.
     ///
     /// Drawn from a dedicated RNG keyed on the message coordinates
     /// (see [`rng::fault_rng`]), so the result is independent of flush
     /// order — any engine, sharded or sequential, sees the same fate for
-    /// the same message. Draw order within a message mirrors the gates:
-    /// loss first (a lost message draws nothing else), then duplication,
-    /// then reordering (plus its delay), then corruption (decision plus
-    /// kind). A plan with `corrupt = 0` therefore draws the exact same
-    /// loss/dup/reorder pattern as before corruption existed.
+    /// the same message. No key work happens before the effective
+    /// probabilities are known to be non-zero. Draw order within a
+    /// message mirrors the gates: loss first (a lost message draws
+    /// nothing else), then duplication, then reordering (plus its
+    /// delay), then corruption (decision plus kind). A plan with
+    /// `corrupt = 0` therefore draws the exact same loss/dup/reorder
+    /// pattern as before corruption existed.
     pub(crate) fn message_fate(
         &self,
-        seed: u64,
-        run: u64,
+        keys: &SenderKeys,
         round: usize,
-        v: NodeId,
         port: Port,
         i: usize,
     ) -> MsgFate {
@@ -849,7 +860,7 @@ impl RunPlan {
             return MsgFate::default();
         }
         use rand::RngExt;
-        let mut rng = rng::fault_rng(seed, run, round, v, port);
+        let mut rng = keys.fault(port);
         if loss > 0.0 && rng.random_bool(loss) {
             return MsgFate { lost: true, ..MsgFate::default() };
         }
@@ -942,9 +953,34 @@ pub(crate) struct Wire<'a> {
     /// The network's port table: receiver, receiver port and edge of
     /// every sending port.
     pub(crate) ports: &'a PortTable,
+    /// The keyed fault chains with this run's `(seed, run)` mixed in.
+    keys: RunKeys,
 }
 
-impl Wire<'_> {
+impl<'a> Wire<'a> {
+    pub(crate) fn new(
+        graph: &'a dyn Topology,
+        config: SimConfig,
+        plan: &'a RunPlan,
+        run_id: u64,
+        ports: &'a PortTable,
+    ) -> Wire<'a> {
+        Wire { graph, config, plan, run_id, ports, keys: RunKeys::new(config.seed, run_id) }
+    }
+
+    /// The keys of the messages `v` sends in `round`, to pass to every
+    /// [`Wire::send`] of that sender's outbox. A plan that never draws
+    /// ([`RunPlan::keyed`]) gets placeholder keys for free: no message
+    /// of its run reaches a keyed draw.
+    #[inline]
+    pub(crate) fn sender(&self, round: usize, v: NodeId) -> SenderKeys {
+        if self.plan.keyed {
+            self.keys.sender(round, v)
+        } else {
+            SenderKeys::default()
+        }
+    }
+
     /// Sends `msg` from port `port` of `v` in `round`, in gate order: the
     /// class counters, bits and the round's widest message; the CONGEST
     /// budget under its [`ViolationPolicy`]; the `Send` trace event; the
@@ -954,17 +990,20 @@ impl Wire<'_> {
     /// counted and traced as it applies.
     ///
     /// Every draw is keyed on the message coordinates, so the result
-    /// does not depend on the order in which senders are flushed.
+    /// does not depend on the order in which senders are flushed;
+    /// `keys` are the sender's ([`Wire::sender`]).
     ///
     /// # Panics
     /// On an oversize message under [`ViolationPolicy::Panic`].
     #[inline]
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn send<M: BitSize + Clone>(
         &self,
         round: usize,
         v: NodeId,
         port: Port,
         mut msg: M,
+        keys: &SenderKeys,
         tally: &mut Tally,
         link_up: impl FnOnce(NodeId, usize) -> bool,
     ) -> Route<M> {
@@ -1011,10 +1050,9 @@ impl Wire<'_> {
             tally.record(fault(FaultKind::Partition));
             return Route::Lost;
         }
-        let (seed, run) = (self.config.seed, self.run_id);
         // An all-zero plan draws nothing, so a fault-free run is
         // untouched by the fault machinery.
-        let fate = self.plan.message_fate(seed, run, round, v, port, i);
+        let fate = self.plan.message_fate(keys, round, port, i);
         if fate.lost {
             tally.record(fault(FaultKind::Loss));
             return Route::Lost;
@@ -1023,7 +1061,7 @@ impl Wire<'_> {
         // outgoing copy, independently per port, before the channel
         // applies its own faults.
         if self.plan.equivocator[v] {
-            let mut brng = rng::byz_rng(seed, run, round, v, port);
+            let mut brng = keys.byz(port);
             let kind = CorruptKind::draw(&mut brng);
             tally.stats.equivocations = tally.stats.equivocations.saturating_add(1);
             tally.record(fault(FaultKind::Equivocate { kind }));
@@ -1038,7 +1076,7 @@ impl Wire<'_> {
         // (a duplicate carries the damage too — the channel corrupted
         // the frame, not one copy).
         if let Some(kind) = fate.corrupt {
-            let mut crng = rng::corrupt_rng(seed, run, round, v, port);
+            let mut crng = keys.corrupt(port);
             tally.stats.corruptions = tally.stats.corruptions.saturating_add(1);
             tally.record(fault(FaultKind::Corrupt { kind }));
             match msg.corrupted(kind, &mut crng) {
@@ -1503,8 +1541,7 @@ impl<'g> Network<'g> {
             None
         };
         let view = PortView { graph: self.graph, ports: &self.ports };
-        let wire =
-            Wire { graph: &view, config: self.config, plan: &plan, run_id, ports: &self.ports };
+        let wire = Wire::new(&view, self.config, &plan, run_id, &self.ports);
         let mut node_present = plan.node_present0.clone();
         let mut edge_present = plan.edge_present0.clone();
         let mut edge_event_idx = 0usize;
@@ -2090,10 +2127,11 @@ fn flush<M: BitSize + Clone>(
     if let Some(tm) = timing.as_deref_mut() {
         tm.begin_step(v);
     }
+    let keys = wire.sender(round, v);
     for (port, msg) in outbox.drain(..) {
         sent[port] = false;
         let route =
-            wire.send(round, v, port, msg, tally, |u, e| edge_present[e] && node_present[u]);
+            wire.send(round, v, port, msg, &keys, tally, |u, e| edge_present[e] && node_present[u]);
         if matches!(route, Route::NoLink) {
             continue;
         }

@@ -331,6 +331,7 @@ fn flush_to_slots<M: BitSize + Clone>(
     nxt: &SlotBuf<M>,
 ) {
     let plan = sh.wire.plan;
+    let keys = sh.wire.sender(round, v);
     for (port, msg) in local.outbox.drain(..) {
         local.sent[port] = false;
         local.round_frames += 1;
@@ -338,7 +339,7 @@ fn flush_to_slots<M: BitSize + Clone>(
             sh.edge_present[e].load(Ordering::Relaxed) && plan.present_seen(u, round, v)
         };
         let Route::Arrive { u, q, due, msg, dup } =
-            sh.wire.send(round, v, port, msg, &mut local.tally, link_up)
+            sh.wire.send(round, v, port, msg, &keys, &mut local.tally, link_up)
         else {
             continue;
         };
@@ -423,7 +424,7 @@ impl Network<'_> {
         let total_slots = ports.len();
         let bufs = [SlotBuf::<P::Msg>::new(total_slots), SlotBuf::<P::Msg>::new(total_slots)];
         let sh = Shared {
-            wire: Wire { graph, config, plan: &plan, run_id, ports },
+            wire: Wire::new(graph, config, &plan, run_id, ports),
             n,
             fifos: (0..total_slots).map(|_| Mutex::new(Vec::new())).collect(),
             edge_present: plan.edge_present0.iter().map(AtomicBool::new).collect(),

@@ -25,6 +25,11 @@ pub fn node_rng(seed: u64, run: u64, node: usize) -> StdRng {
     StdRng::seed_from_u64(mixed)
 }
 
+/// Domain tags of the three keyed per-message chains.
+const FAULT_DOMAIN: u64 = 0xFA17_5EED_0F42_11CE;
+const CORRUPT_DOMAIN: u64 = 0xC042_0F7E_DB17_F117;
+const BYZ_DOMAIN: u64 = 0xB12A_417E_E4D0_C47E;
+
 /// The RNG deciding the fate (loss/duplication/reordering) of the one
 /// message leaving `(node, port)` in `round` of `run`.
 ///
@@ -33,9 +38,16 @@ pub fn node_rng(seed: u64, run: u64, node: usize) -> StdRng {
 /// order in which the engine flushes outboxes — the property that lets
 /// the sharded parallel executor reproduce a faulty run bit-for-bit
 /// (any execution order sees the same draws for the same message).
+///
+/// This function, [`corrupt_rng`] and [`byz_rng`] are the reference
+/// definitions of a five-deep splitmix chain: domain, run, round,
+/// node, port. The engines reach the same streams through `RunKeys`:
+/// the `(seed, run)` prefix is mixed once per run and, for this chain,
+/// the `(round, node)` part once per sender, so each message mixes in
+/// only its port before seeding.
 #[must_use]
 pub fn fault_rng(seed: u64, run: u64, round: usize, node: usize, port: usize) -> StdRng {
-    let mut z = splitmix64(seed ^ 0xFA17_5EED_0F42_11CE);
+    let mut z = splitmix64(seed ^ FAULT_DOMAIN);
     z = splitmix64(z ^ run);
     z = splitmix64(z ^ round as u64);
     z = splitmix64(z ^ node as u64);
@@ -55,7 +67,7 @@ pub fn fault_rng(seed: u64, run: u64, round: usize, node: usize, port: usize) ->
 /// independence.
 #[must_use]
 pub fn corrupt_rng(seed: u64, run: u64, round: usize, node: usize, port: usize) -> StdRng {
-    let mut z = splitmix64(seed ^ 0xC042_0F7E_DB17_F117u64);
+    let mut z = splitmix64(seed ^ CORRUPT_DOMAIN);
     z = splitmix64(z ^ run);
     z = splitmix64(z ^ round as u64);
     z = splitmix64(z ^ node as u64);
@@ -70,12 +82,79 @@ pub fn corrupt_rng(seed: u64, run: u64, round: usize, node: usize, port: usize) 
 /// a corrupting network draws independent damage on both layers.
 #[must_use]
 pub fn byz_rng(seed: u64, run: u64, round: usize, node: usize, port: usize) -> StdRng {
-    let mut z = splitmix64(seed ^ 0xB12A_417E_E4D0_C47Eu64);
+    let mut z = splitmix64(seed ^ BYZ_DOMAIN);
     z = splitmix64(z ^ run);
     z = splitmix64(z ^ round as u64);
     z = splitmix64(z ^ node as u64);
     z = splitmix64(z ^ port as u64);
     StdRng::seed_from_u64(z)
+}
+
+/// The three keyed chains of one run with `(seed, run)` mixed in:
+/// [`fault_rng`], [`corrupt_rng`] and [`byz_rng`] up to their third
+/// link.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RunKeys {
+    fault: u64,
+    corrupt: u64,
+    byz: u64,
+}
+
+impl RunKeys {
+    pub(crate) fn new(seed: u64, run: u64) -> RunKeys {
+        let chain = |domain: u64| splitmix64(splitmix64(seed ^ domain) ^ run);
+        RunKeys {
+            fault: chain(FAULT_DOMAIN),
+            corrupt: chain(CORRUPT_DOMAIN),
+            byz: chain(BYZ_DOMAIN),
+        }
+    }
+
+    /// The chains of the messages `node` sends in `round`. Only the
+    /// fault chain, which every message of a faulty run draws from, is
+    /// mixed here; the corruption and equivocation chains, drawn only
+    /// for a damaged message, mix `(round, node)` when they are used.
+    pub(crate) fn sender(&self, round: usize, node: usize) -> SenderKeys {
+        let (round, node) = (round as u64, node as u64);
+        SenderKeys {
+            fault: splitmix64(splitmix64(self.fault ^ round) ^ node),
+            run: *self,
+            round,
+            node,
+        }
+    }
+}
+
+/// The keyed chains of one sender in one round; each message mixes in
+/// only its port.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SenderKeys {
+    fault: u64,
+    run: RunKeys,
+    round: u64,
+    node: u64,
+}
+
+impl SenderKeys {
+    /// [`fault_rng`] of this sender's message on `port`.
+    pub(crate) fn fault(&self, port: usize) -> StdRng {
+        StdRng::seed_from_u64(splitmix64(self.fault ^ port as u64))
+    }
+
+    /// [`corrupt_rng`] of this sender's message on `port`.
+    pub(crate) fn corrupt(&self, port: usize) -> StdRng {
+        self.rare(self.run.corrupt, port)
+    }
+
+    /// [`byz_rng`] of this sender's message on `port`.
+    pub(crate) fn byz(&self, port: usize) -> StdRng {
+        self.rare(self.run.byz, port)
+    }
+
+    fn rare(&self, run_key: u64, port: usize) -> StdRng {
+        let z = splitmix64(splitmix64(run_key ^ self.round) ^ self.node);
+        StdRng::seed_from_u64(splitmix64(z ^ port as u64))
+    }
 }
 
 #[cfg(test)]
@@ -121,6 +200,35 @@ mod tests {
         assert_eq!(b, byz_rng(1, 0, 3, 5, 1).random(), "deterministic");
         assert_ne!(c, corrupt_rng(1, 0, 3, 5, 2).random(), "port matters");
         assert_ne!(b, byz_rng(1, 0, 4, 5, 1).random(), "round matters");
+    }
+
+    proptest::proptest! {
+        /// The hoisted key path (prefix per run, `(round, node)` per
+        /// sender, port per message) reproduces the reference draws of
+        /// all three keyed chains at arbitrary coordinates.
+        #[test]
+        fn hoisted_keys_reproduce_the_reference_draws(
+            seed in proptest::any::<u64>(),
+            run in proptest::any::<u64>(),
+            round in proptest::any::<usize>(),
+            node in proptest::any::<usize>(),
+            port in proptest::any::<usize>(),
+        ) {
+            let keys = RunKeys::new(seed, run).sender(round, node);
+            let draws = |mut rng: StdRng| -> [u64; 4] { std::array::from_fn(|_| rng.random()) };
+            proptest::prop_assert_eq!(
+                draws(keys.fault(port)),
+                draws(fault_rng(seed, run, round, node, port))
+            );
+            proptest::prop_assert_eq!(
+                draws(keys.corrupt(port)),
+                draws(corrupt_rng(seed, run, round, node, port))
+            );
+            proptest::prop_assert_eq!(
+                draws(keys.byz(port)),
+                draws(byz_rng(seed, run, round, node, port))
+            );
+        }
     }
 
     #[test]

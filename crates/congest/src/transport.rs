@@ -86,7 +86,7 @@
 //! stalled or already-halted peer is eventually declared dead by
 //! suspicion, which unblocks anyone still waiting on it.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 
@@ -437,9 +437,22 @@ struct OutSlot<M> {
     next_retx: usize,
 }
 
+/// One received, not-yet-consumed slot: the inner message it carries
+/// (if the sender's inner protocol sent one) and whether it is the
+/// sender's final slot.
+type InSlot<M> = (Option<M>, bool);
+
 /// Per-port transport state. Sequence numbers on the wire are
 /// *session-relative*: wire slot `s` is inner slot `seq_base + s`, so a
 /// revived session restarts numbering from zero on both sides.
+///
+/// Received slots wait in `recv_buf`, a ring indexed from
+/// `consume_next`: entry `i` holds session slot `consume_next + i`, or
+/// `None` while that slot has not arrived. A legitimate slot lies in
+/// `[consume_next, recv_ack + window)`, every slot below `recv_ack` is
+/// present, and consuming a slot pops the ring's front, so each lookup
+/// is an index check. The ring grows to the widest span a run sees and
+/// is then reused, so buffering a slot allocates nothing.
 #[derive(Debug)]
 struct PortState<M> {
     /// Unacknowledged outgoing slots (wire-numbered), oldest first
@@ -447,8 +460,8 @@ struct PortState<M> {
     queue: VecDeque<OutSlot<M>>,
     /// The peer has acknowledged every session slot `< acked_out`.
     acked_out: u32,
-    /// Received, not-yet-consumed slots keyed by session slot index.
-    recv_buf: BTreeMap<u32, (Option<M>, bool)>,
+    /// Received slots from `consume_next` on (see the type docs).
+    recv_buf: VecDeque<Option<InSlot<M>>>,
     /// Every slot `< recv_ack` has been received (the ack we advertise).
     recv_ack: u32,
     /// Next incoming slot the inner protocol will consume.
@@ -480,7 +493,7 @@ impl<M> PortState<M> {
         PortState {
             queue: VecDeque::new(),
             acked_out: 0,
-            recv_buf: BTreeMap::new(),
+            recv_buf: VecDeque::new(),
             recv_ack: 0,
             consume_next: 0,
             ack_sent: 0,
@@ -532,6 +545,52 @@ impl<M> PortState<M> {
         self.last_progress = now;
         self.last_sent = None;
     }
+
+    /// Slots this port adds to the outstanding gauge: its queue while
+    /// the peer is alive, nothing once it is dead.
+    fn live_slots(&self) -> u64 {
+        if self.dead {
+            0
+        } else {
+            self.queue.len() as u64
+        }
+    }
+
+    /// Whether session slot `seq` (at least `consume_next`) is buffered.
+    fn has(&self, seq: u32) -> bool {
+        self.recv_buf.get((seq - self.consume_next) as usize).is_some_and(Option::is_some)
+    }
+
+    /// Buffers slot `seq` if it lies in `[consume_next, recv_ack +
+    /// window)` and is not buffered yet (the first copy wins), then
+    /// advances `recv_ack` over every slot now present.
+    fn buffer(&mut self, seq: u32, payload: &Option<M>, last: bool, window: u32)
+    where
+        M: Clone,
+    {
+        // A legitimate sender is at most `window` slots past our
+        // cumulative ack; reject anything further so stale frames
+        // cannot squat on slot numbers the new session will reuse.
+        if seq >= self.consume_next && seq < self.recv_ack + window {
+            let i = (seq - self.consume_next) as usize;
+            if i >= self.recv_buf.len() {
+                self.recv_buf.resize_with(i + 1, || None);
+            }
+            self.recv_buf[i].get_or_insert_with(|| (payload.clone(), last));
+        }
+        while self.has(self.recv_ack) {
+            self.recv_ack += 1;
+        }
+    }
+
+    /// Consumes slot `consume_next` if it has arrived.
+    fn take_next(&mut self) -> Option<InSlot<M>> {
+        if !self.recv_buf.front().is_some_and(Option::is_some) {
+            return None;
+        }
+        self.consume_next += 1;
+        self.recv_buf.pop_front().flatten()
+    }
 }
 
 /// What [`Resilient::receive`] observed about the port's peer.
@@ -550,6 +609,15 @@ enum Rx {
 
 /// A protocol wrapper adding reliable delivery, failure detection and
 /// reboot isolation — see the [module docs](self) for the full design.
+///
+/// One engine round of a transported node touches each port a constant
+/// number of times and allocates nothing once the run has warmed up:
+/// received slots wait in a per-port ring (`PortState`), inbox frames
+/// are read by reference (a payload is cloned only when its slot is
+/// buffered), the payload row, the inner inbox and outbox and the peer
+/// transitions live in buffers reused from round to round, the
+/// outstanding-slot gauge is a running count, and the suspicion scan
+/// over every port runs only when the earliest deadline can be due.
 ///
 /// Use it as the protocol handed to the engine:
 ///
@@ -605,6 +673,21 @@ pub struct Resilient<P: Protocol> {
     /// Countdown of responsive rounds after finishing.
     linger_left: Option<usize>,
     ports: Vec<PortState<P::Msg>>,
+    /// Queued slots on live ports, kept as a running count: the value
+    /// reported to the telemetry gauge ([`Context::note_outstanding`]).
+    outstanding: u64,
+    /// A lower bound on `last_progress` over the ports that expect
+    /// progress (`usize::MAX` when none does). The suspicion scan over
+    /// every port runs only once this bound's deadline has passed.
+    progress_floor: usize,
+    /// The payload row of the slot being produced, one entry per port.
+    payloads: Vec<Option<P::Msg>>,
+    /// The inner protocol's inbox for its next round.
+    inner_inbox: Vec<(Port, P::Msg)>,
+    /// What the inner protocol sent in its current callback.
+    inner_outbox: Vec<(Port, P::Msg)>,
+    /// This round's `(port, came_up)` transitions, in observation order.
+    peer_events: Vec<(Port, bool)>,
     /// Closed-loop controller, if this transport is adaptive
     /// ([`Resilient::with_policy`]). `None` runs the fixed `cfg` forever.
     policy: Option<AdaptivePolicy>,
@@ -635,6 +718,12 @@ impl<P: Protocol> Resilient<P> {
             inner_sent: Vec::new(),
             linger_left: None,
             ports: Vec::new(),
+            outstanding: 0,
+            progress_floor: usize::MAX,
+            payloads: Vec::new(),
+            inner_inbox: Vec::new(),
+            inner_outbox: Vec::new(),
+            peer_events: Vec::new(),
             policy: None,
             level: 1,
             epoch_obs: EpochObservation::default(),
@@ -684,38 +773,40 @@ impl<P: Protocol> Resilient<P> {
         (0..self.ports.len()).filter(|&p| self.ports[p].dead).collect()
     }
 
-    /// Queues slot `slots_out` (built from `payloads`) on every live
-    /// port — wire-numbered relative to the port's session — and
-    /// advances the slot counter.
-    fn produce_slot(&mut self, mut payloads: Vec<Option<P::Msg>>, last: bool) {
+    /// Queues slot `slots_out` on every live port — wire-numbered
+    /// relative to the port's session — and advances the slot counter.
+    /// The slot carries the `on_peer_down` extras and the inner outbox
+    /// (a later message on a port replaces an earlier one); both are
+    /// drained, and the inner send guard is reset.
+    fn produce_slot(&mut self, last: bool) {
+        for (p, m) in self.extra_out.drain(..).chain(self.inner_outbox.drain(..)) {
+            self.payloads[p] = Some(m);
+        }
+        self.inner_sent.fill(false);
         let seq = self.slots_out;
         self.slots_out += 1;
-        for (p, port) in self.ports.iter_mut().enumerate() {
+        for (port, payload) in self.ports.iter_mut().zip(&mut self.payloads) {
+            let payload = payload.take();
             if port.dead {
                 continue;
             }
+            // A settled port (peer done, nothing queued) starts expecting
+            // acks again, so its progress deadline counts once more.
+            if port.done && port.queue.is_empty() {
+                self.progress_floor = self.progress_floor.min(port.last_progress);
+            }
             port.queue.push_back(OutSlot {
                 seq: seq - port.seq_base,
-                payload: payloads[p].take(),
+                payload,
                 last,
                 attempts: 0,
                 next_retx: 0,
             });
+            self.outstanding += 1;
         }
         if last {
             self.inner_done = true;
         }
-    }
-
-    /// Drains the inner outbox (and any `on_peer_down` extras) into
-    /// per-port payloads, resetting the inner send guard.
-    fn collect_payloads(&mut self, inner_outbox: &mut Vec<(Port, P::Msg)>) -> Vec<Option<P::Msg>> {
-        let mut payloads: Vec<Option<P::Msg>> = (0..self.ports.len()).map(|_| None).collect();
-        for (p, m) in self.extra_out.drain(..).chain(inner_outbox.drain(..)) {
-            payloads[p] = Some(m);
-        }
-        self.inner_sent.iter_mut().for_each(|s| *s = false);
-        payloads
     }
 
     /// Processes one received frame on `port`, reporting any peer
@@ -724,7 +815,7 @@ impl<P: Protocol> Resilient<P> {
         &mut self,
         now: usize,
         port: Port,
-        frame: Frame<P::Msg>,
+        frame: &Frame<P::Msg>,
         ctx: &mut Context<'_, Frame<P::Msg>>,
     ) -> Rx {
         // Integrity validation comes before everything else: a frame
@@ -783,6 +874,7 @@ impl<P: Protocol> Resilient<P> {
                 return Rx::Ok;
             }
             ps.reset_session(now, frame.boot, seq_base);
+            self.progress_floor = self.progress_floor.min(now);
             event = Rx::Up;
         } else {
             match ps.peer_boot {
@@ -808,6 +900,7 @@ impl<P: Protocol> Resilient<P> {
                         // registers are gone. Restart the session for
                         // the new incarnation.
                         ps.reset_session(now, frame.boot, seq_base);
+                        self.progress_floor = self.progress_floor.min(now);
                         event = Rx::DownUp;
                     } else {
                         // An unknown nonce without a fresh session
@@ -845,16 +938,8 @@ impl<P: Protocol> Resilient<P> {
                 ps.queue.pop_front();
             }
         }
-        if let FrameKind::Data { seq, payload, last, .. } = frame.kind {
-            // A legitimate sender is at most `window` slots past our
-            // cumulative ack; reject anything further so stale frames
-            // cannot squat on slot numbers the new session will reuse.
-            if seq >= ps.consume_next && seq < ps.recv_ack + window {
-                ps.recv_buf.entry(seq).or_insert((payload, last));
-            }
-            while ps.recv_buf.contains_key(&ps.recv_ack) {
-                ps.recv_ack += 1;
-            }
+        if let FrameKind::Data { seq, payload, last, .. } = &frame.kind {
+            ps.buffer(*seq, payload, *last, window);
         }
         event
     }
@@ -873,28 +958,25 @@ impl<P: Protocol> Resilient<P> {
             if ps.queue.len() >= self.cfg.window {
                 return false;
             }
-            ps.done || ps.recv_buf.contains_key(&ps.consume_next)
+            ps.done || ps.has(ps.consume_next)
         })
     }
 
-    /// Consumes one slot per live port into an inner inbox.
-    fn consume_inbox(&mut self) -> Vec<(Port, P::Msg)> {
-        let mut inbox = Vec::new();
+    /// Consumes one slot per live port into the inner inbox.
+    fn consume_inbox(&mut self) {
         for (p, ps) in self.ports.iter_mut().enumerate() {
             if ps.dead || ps.done {
                 continue;
             }
-            if let Some((payload, last)) = ps.recv_buf.remove(&ps.consume_next) {
-                ps.consume_next += 1;
+            if let Some((payload, last)) = ps.take_next() {
                 if let Some(m) = payload {
-                    inbox.push((p, m));
+                    self.inner_inbox.push((p, m));
                 }
                 if last {
                     ps.done = true;
                 }
             }
         }
-        inbox
     }
 
     /// After the inner protocol has finished, keep draining incoming
@@ -904,13 +986,15 @@ impl<P: Protocol> Resilient<P> {
     /// different inner rounds would deadlock waiting on each other.
     fn drain_after_done(&mut self) {
         for ps in &mut self.ports {
-            if ps.dead {
+            // A done port has consumed its peer's final slot, and no
+            // slot of the session lies beyond that one.
+            if ps.dead || ps.done {
                 continue;
             }
-            while let Some((_, last)) = ps.recv_buf.remove(&ps.consume_next) {
-                ps.consume_next += 1;
+            while let Some((_, last)) = ps.take_next() {
                 if last {
                     ps.done = true;
+                    break;
                 }
             }
         }
@@ -936,10 +1020,16 @@ impl<P: Protocol> Resilient<P> {
             }
             let due =
                 ps.queue.front().is_some_and(|head| head.attempts > 0 && now >= head.next_retx);
-            let slot = match ps.queue.iter_mut().find(|s| s.attempts == 0) {
-                Some(fresh) => Some(fresh),
-                None if due => ps.queue.front_mut(),
-                None => None,
+            // Unsent slots form a suffix of the queue (slots are queued
+            // at the back and sent in order), so a sent last slot means
+            // there is no fresh one.
+            let fresh = ps.queue.back().is_some_and(|s| s.attempts == 0);
+            let slot = if fresh {
+                ps.queue.iter_mut().find(|s| s.attempts == 0)
+            } else if due {
+                ps.queue.front_mut()
+            } else {
+                None
             };
             if let Some(slot) = slot {
                 let retx = slot.attempts > 0;
@@ -981,17 +1071,44 @@ impl<P: Protocol> Resilient<P> {
     /// feeds [`Context::note_outstanding`], which never alters
     /// [`crate::RunStats`] or any protocol decision.
     fn report_outstanding(&self, ctx: &mut Context<'_, Frame<P::Msg>>) {
-        let slots: u64 =
-            self.ports.iter().filter(|ps| !ps.dead).map(|ps| ps.queue.len() as u64).sum();
-        ctx.note_outstanding(slots);
+        debug_assert_eq!(
+            self.outstanding,
+            self.ports.iter().map(PortState::live_slots).sum::<u64>(),
+            "running outstanding count drifted from the ports' queues"
+        );
+        ctx.note_outstanding(self.outstanding);
+    }
+
+    /// Declares dead every port whose peer owes progress and has been
+    /// silent for more than [`TransportCfg::suspicion`] rounds, in port
+    /// order, and re-derives the progress floor from the ports still
+    /// expecting progress.
+    fn suspect_silent_peers(&mut self, now: usize, ctx: &mut Context<'_, Frame<P::Msg>>) {
+        let mut floor = usize::MAX;
+        for (p, ps) in self.ports.iter_mut().enumerate() {
+            let expecting = !ps.dead && (!ps.done || !ps.queue.is_empty());
+            if !expecting {
+                continue;
+            }
+            if now.saturating_sub(ps.last_progress) > self.cfg.suspicion {
+                self.outstanding -= ps.queue.len() as u64;
+                ps.dead = true;
+                ctx.note_suspected();
+                self.epoch_obs.suspected += 1;
+                self.peer_events.push((p, false));
+            } else {
+                floor = floor.min(ps.last_progress);
+            }
+        }
+        self.progress_floor = floor;
     }
 
     /// Runs one inner callback with a context that borrows this node's
-    /// engine-level identity but transport-level round/outbox state.
+    /// engine-level identity but transport-level round/outbox state;
+    /// what the callback sends lands in `inner_outbox`.
     fn with_inner_ctx(
         &mut self,
         ctx: &mut Context<'_, Frame<P::Msg>>,
-        inner_outbox: &mut Vec<(Port, P::Msg)>,
         f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>),
     ) {
         let mut ictx = Context {
@@ -999,7 +1116,7 @@ impl<P: Protocol> Resilient<P> {
             round: self.slots_out as usize,
             graph: ctx.graph,
             rng: &mut *ctx.rng,
-            outbox: inner_outbox,
+            outbox: &mut self.inner_outbox,
             sent: &mut self.inner_sent,
             halted: &mut self.inner_halted,
             fault: &mut *ctx.fault,
@@ -1023,12 +1140,12 @@ impl<P: Protocol> Protocol for Resilient<P> {
         self.boot = ctx.rng().random();
         self.inner_sent = vec![false; degree];
         self.ports = (0..degree).map(|_| PortState::new(now)).collect();
+        self.payloads = (0..degree).map(|_| None).collect();
+        self.outstanding = 0;
+        self.progress_floor = now;
 
-        let mut inner_outbox: Vec<(Port, P::Msg)> = Vec::new();
-        self.with_inner_ctx(ctx, &mut inner_outbox, |inner, ictx| inner.on_start(ictx));
-        let payloads = self.collect_payloads(&mut inner_outbox);
-        let last = self.inner_halted;
-        self.produce_slot(payloads, last);
+        self.with_inner_ctx(ctx, |inner, ictx| inner.on_start(ictx));
+        self.produce_slot(self.inner_halted);
         self.transmit(now, ctx);
         self.report_outstanding(ctx);
         if self.finished() {
@@ -1052,55 +1169,54 @@ impl<P: Protocol> Protocol for Resilient<P> {
             }
         }
 
-        // 1. Receive: acks, slots, incarnation changes and revivals.
-        //    `(port, came_up)` transitions, in observation order.
-        let mut peer_events: Vec<(Port, bool)> = Vec::new();
-        for (p, frame) in inbox.iter().cloned() {
-            match self.receive(now, p, frame, ctx) {
+        // 1. Receive: acks, slots, incarnation changes and revivals,
+        //    recorded as `(port, came_up)` transitions in observation
+        //    order. A frame may pop acked slots, kill or revive its
+        //    port; the gauge follows the port's live queue.
+        for (p, frame) in inbox {
+            let before = self.ports[*p].live_slots();
+            let event = self.receive(now, *p, frame, ctx);
+            self.outstanding = self.outstanding + self.ports[*p].live_slots() - before;
+            match event {
                 Rx::Ok => {}
-                Rx::Down => peer_events.push((p, false)),
-                Rx::Up => peer_events.push((p, true)),
+                Rx::Down => self.peer_events.push((*p, false)),
+                Rx::Up => self.peer_events.push((*p, true)),
                 Rx::DownUp => {
-                    peer_events.push((p, false));
-                    peer_events.push((p, true));
+                    self.peer_events.push((*p, false));
+                    self.peer_events.push((*p, true));
                 }
             }
         }
 
-        // 2. Failure detection: no progress while expecting some.
-        for p in 0..self.ports.len() {
-            let ps = &self.ports[p];
-            let expecting = !ps.dead && (!ps.done || !ps.queue.is_empty());
-            if expecting && now.saturating_sub(ps.last_progress) > self.cfg.suspicion {
-                self.ports[p].dead = true;
-                ctx.note_suspected();
-                self.epoch_obs.suspected += 1;
-                peer_events.push((p, false));
-            }
+        // 2. Failure detection: no progress while expecting some. No
+        //    port can be due before the progress floor's deadline.
+        if now.saturating_sub(self.progress_floor) > self.cfg.suspicion {
+            self.suspect_silent_peers(now, ctx);
         }
 
         // 3. Tell the inner protocol about peer transitions, in order
         //    (it may send or halt in response; sends fold into the next
         //    slot).
-        if !self.inner_done && !peer_events.is_empty() {
-            for &(p, up) in &peer_events {
-                let mut inner_outbox: Vec<(Port, P::Msg)> = Vec::new();
-                self.with_inner_ctx(ctx, &mut inner_outbox, |inner, ictx| {
+        let mut events = std::mem::take(&mut self.peer_events);
+        if !self.inner_done && !events.is_empty() {
+            for &(p, up) in &events {
+                self.with_inner_ctx(ctx, |inner, ictx| {
                     if up {
                         inner.on_peer_up(ictx, p);
                     } else {
                         inner.on_peer_down(ictx, p);
                     }
                 });
-                self.extra_out.append(&mut inner_outbox);
+                self.extra_out.append(&mut self.inner_outbox);
             }
             if self.inner_halted {
                 // Halted outside a round: flush the extras as the final
                 // slot immediately.
-                let payloads = self.collect_payloads(&mut Vec::new());
-                self.produce_slot(payloads, true);
+                self.produce_slot(true);
             }
         }
+        events.clear();
+        self.peer_events = events;
 
         // 4. Advance the inner protocol if every port's next slot is in;
         //    once it has finished, keep draining (and acking) peers that
@@ -1108,14 +1224,13 @@ impl<P: Protocol> Protocol for Resilient<P> {
         if self.inner_done {
             self.drain_after_done();
         } else if self.can_advance() {
-            let inner_inbox = self.consume_inbox();
-            let mut inner_outbox: Vec<(Port, P::Msg)> = Vec::new();
-            self.with_inner_ctx(ctx, &mut inner_outbox, |inner, ictx| {
-                inner.on_round(ictx, &inner_inbox);
-            });
+            self.consume_inbox();
+            let inner_inbox = std::mem::take(&mut self.inner_inbox);
+            self.with_inner_ctx(ctx, |inner, ictx| inner.on_round(ictx, &inner_inbox));
             let quiet =
-                inner_inbox.is_empty() && inner_outbox.is_empty() && self.extra_out.is_empty();
-            let payloads = self.collect_payloads(&mut inner_outbox);
+                inner_inbox.is_empty() && self.inner_outbox.is_empty() && self.extra_out.is_empty();
+            self.inner_inbox = inner_inbox;
+            self.inner_inbox.clear();
             let mut last = self.inner_halted;
             if let Some(k) = self.cfg.idle_after {
                 self.idle_rounds = if quiet { self.idle_rounds + 1 } else { 0 };
@@ -1123,7 +1238,7 @@ impl<P: Protocol> Protocol for Resilient<P> {
                     last = true; // idled out: declare this slot final
                 }
             }
-            self.produce_slot(payloads, last);
+            self.produce_slot(last);
         }
 
         // 5. Finished? Linger a little so trailing acks still flow.

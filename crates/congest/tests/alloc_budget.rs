@@ -1,7 +1,7 @@
 //! What a run allocates, in blocks and bytes.
 //!
 //! A counting global allocator tallies every allocation made while a
-//! run executes. Three legs:
+//! run executes. Four legs:
 //!
 //! * **One run does not grow with `n`.** A fault-free
 //!   [`Network::execute`] of the same allocation-free protocol on a
@@ -20,6 +20,12 @@
 //!   of the bipartite `(1−1/k)` driver and of the weighted driver
 //!   allocates no more per message on `torus:160x160` than on
 //!   `torus:40x40`: no pass rebuilds per-node vectors it could borrow.
+//! * **A transported round allocates nothing.** A repeated fault-free
+//!   run of a [`Resilient`]-wrapped protocol that halts after `2R`
+//!   inner rounds allocates at most one block per node and per port
+//!   more than the same run halting after `R`: the transport's slot
+//!   rings, payload row, inner inbox and outbox are reused from round
+//!   to round, so only their warm-up growth may differ.
 //!
 //! The binary holds a single `#[test]`, so no other test thread can
 //! allocate while a run is being counted.
@@ -27,7 +33,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dam_congest::{Context, Network, Port, Protocol, RunSpec, SessionState, SimConfig};
+use dam_congest::{
+    Context, Network, Port, Protocol, Resilient, RunSpec, SessionState, SimConfig, TransportCfg,
+};
 use dam_core::runtime::{run_mm, Algorithm, RuntimeConfig};
 use dam_core::{Bipartite, Weighted};
 use dam_graph::{ImplicitTopology, Topology};
@@ -125,6 +133,47 @@ impl Protocol for Idle {
     fn into_output(self) {}
 }
 
+/// Broadcasts one byte every round and halts after `rounds` rounds.
+struct Pulse {
+    rounds: usize,
+}
+
+impl Protocol for Pulse {
+    type Msg = u8;
+    type Output = usize;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, u8>) {
+        ctx.broadcast(0);
+    }
+
+    fn on_round(&mut self, ctx: &mut Context<'_, u8>, _: &[(Port, u8)]) {
+        if ctx.round() >= self.rounds {
+            ctx.halt();
+        } else {
+            ctx.broadcast(1);
+        }
+    }
+
+    fn into_output(self) -> usize {
+        self.rounds
+    }
+}
+
+/// Allocations of the second of two sequential `execute`s of
+/// [`Pulse`] over the default [`Resilient`] transport on one network
+/// over `spec`, halting after `rounds` inner rounds.
+fn transported_allocs(spec: &str, rounds: usize) -> Allocs {
+    let topo = ImplicitTopology::parse(spec).unwrap();
+    let mut net = Network::new(&topo, SimConfig::local().seed(1));
+    let make =
+        |_: usize, _: &dyn Topology| Resilient::new(Pulse { rounds }, TransportCfg::default());
+    net.execute(make, &RunSpec::default()).unwrap();
+    let (out, allocs) = allocs_during(|| net.execute(make, &RunSpec::default()).unwrap());
+    assert!(out.stats.rounds > rounds as u64, "{spec}: the transport ran {rounds} inner rounds");
+    assert_eq!(out.stats.retransmissions, 0, "{spec}: fault-free");
+    allocs
+}
+
 /// Allocations of one sequential `execute` of `make` on a fresh network
 /// over `spec` (the network is built outside the count), and of a
 /// second `execute` of it on the same network.
@@ -189,4 +238,15 @@ fn run_allocations_do_not_grow_with_n() {
         assert!(large.0 <= small.0, "{name}: {small:?} at torus:40x40, {large:?} at 160x160");
         eprintln!("{name}: per frame {:.3} at torus:40x40, {:.3} at 160x160", small.0, large.0);
     }
+
+    // A transported inner round allocates nothing: twice the rounds,
+    // at most the warm-up growth of one buffer per node and per port.
+    let spec = "torus:20x20";
+    let (n, ports) = (400u64, 1600u64);
+    let (short, long) = (transported_allocs(spec, 12), transported_allocs(spec, 24));
+    assert!(
+        long.blocks <= short.blocks + n + ports,
+        "transport: {short:?} for 12 inner rounds, {long:?} for 24 on {spec}"
+    );
+    eprintln!("transport on {spec}: 12 inner rounds {short:?}, 24 inner rounds {long:?}");
 }
