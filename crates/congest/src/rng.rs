@@ -42,9 +42,9 @@ const BYZ_DOMAIN: u64 = 0xB12A_417E_E4D0_C47E;
 /// This function, [`corrupt_rng`] and [`byz_rng`] are the reference
 /// definitions of a five-deep splitmix chain: domain, run, round,
 /// node, port. The engines reach the same streams through `RunKeys`:
-/// the `(seed, run)` prefix is mixed once per run and, for this chain,
-/// the `(round, node)` part once per sender, so each message mixes in
-/// only its port before seeding.
+/// the `(seed, run)` prefix is mixed once per run and the
+/// `(round, node)` part once per sender, so each message mixes in only
+/// its port before seeding.
 #[must_use]
 pub fn fault_rng(seed: u64, run: u64, round: usize, node: usize, port: usize) -> StdRng {
     let mut z = splitmix64(seed ^ FAULT_DOMAIN);
@@ -93,7 +93,7 @@ pub fn byz_rng(seed: u64, run: u64, round: usize, node: usize, port: usize) -> S
 /// The three keyed chains of one run with `(seed, run)` mixed in:
 /// [`fault_rng`], [`corrupt_rng`] and [`byz_rng`] up to their third
 /// link.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct RunKeys {
     fault: u64,
     corrupt: u64,
@@ -110,51 +110,42 @@ impl RunKeys {
         }
     }
 
-    /// The chains of the messages `node` sends in `round`. Only the
-    /// fault chain, which every message of a faulty run draws from, is
-    /// mixed here; the corruption and equivocation chains, drawn only
-    /// for a damaged message, mix `(round, node)` when they are used.
+    /// The chains of the messages `node` sends in `round`.
     pub(crate) fn sender(&self, round: usize, node: usize) -> SenderKeys {
-        let (round, node) = (round as u64, node as u64);
-        SenderKeys {
-            fault: splitmix64(splitmix64(self.fault ^ round) ^ node),
-            run: *self,
-            round,
-            node,
-        }
+        let chain = |key: u64| splitmix64(splitmix64(key ^ round as u64) ^ node as u64);
+        SenderKeys { fault: chain(self.fault), corrupt: chain(self.corrupt), byz: chain(self.byz) }
     }
 }
 
-/// The keyed chains of one sender in one round; each message mixes in
-/// only its port.
+/// The three keyed chains of one sender in one round; each message
+/// mixes in only its port.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SenderKeys {
     fault: u64,
-    run: RunKeys,
-    round: u64,
-    node: u64,
+    corrupt: u64,
+    byz: u64,
 }
 
 impl SenderKeys {
     /// [`fault_rng`] of this sender's message on `port`.
     pub(crate) fn fault(&self, port: usize) -> StdRng {
-        StdRng::seed_from_u64(splitmix64(self.fault ^ port as u64))
+        seeded(self.fault, port)
     }
 
     /// [`corrupt_rng`] of this sender's message on `port`.
     pub(crate) fn corrupt(&self, port: usize) -> StdRng {
-        self.rare(self.run.corrupt, port)
+        seeded(self.corrupt, port)
     }
 
     /// [`byz_rng`] of this sender's message on `port`.
     pub(crate) fn byz(&self, port: usize) -> StdRng {
-        self.rare(self.run.byz, port)
+        seeded(self.byz, port)
     }
+}
 
-    fn rare(&self, run_key: u64, port: usize) -> StdRng {
-        let z = splitmix64(splitmix64(run_key ^ self.round) ^ self.node);
-        StdRng::seed_from_u64(splitmix64(z ^ port as u64))
-    }
+/// The last link of a keyed chain: mix in the port and seed the RNG.
+fn seeded(key: u64, port: usize) -> StdRng {
+    StdRng::seed_from_u64(splitmix64(key ^ port as u64))
 }
 
 #[cfg(test)]

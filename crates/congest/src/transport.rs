@@ -1020,16 +1020,10 @@ impl<P: Protocol> Resilient<P> {
             }
             let due =
                 ps.queue.front().is_some_and(|head| head.attempts > 0 && now >= head.next_retx);
-            // Unsent slots form a suffix of the queue (slots are queued
-            // at the back and sent in order), so a sent last slot means
-            // there is no fresh one.
-            let fresh = ps.queue.back().is_some_and(|s| s.attempts == 0);
-            let slot = if fresh {
-                ps.queue.iter_mut().find(|s| s.attempts == 0)
-            } else if due {
-                ps.queue.front_mut()
-            } else {
-                None
+            let slot = match ps.queue.iter_mut().find(|s| s.attempts == 0) {
+                Some(fresh) => Some(fresh),
+                None if due => ps.queue.front_mut(),
+                None => None,
             };
             if let Some(slot) = slot {
                 let retx = slot.attempts > 0;
