@@ -309,29 +309,154 @@ impl Protocol for Chatter {
     }
 }
 
+/// The heavy combined fault + churn schedule [`Chatter`] runs under.
+fn heavy_schedule() -> (FaultPlan, ChurnPlan) {
+    let faults = FaultPlan {
+        loss: 0.2,
+        dup: 0.1,
+        reorder: 0.15,
+        crashes: vec![(2, 3), (5, 5)],
+        recoveries: vec![(2, 8)],
+        ..FaultPlan::default()
+    };
+    let churn = ChurnPlan::default()
+        .with_absent_nodes(vec![12])
+        .with_event(2, ChurnKind::EdgeDown { edge: 0 })
+        .with_event(4, ChurnKind::Join { node: 12 })
+        .with_event(6, ChurnKind::Leave { node: 17 })
+        .with_event(7, ChurnKind::EdgeUp { edge: 0 });
+    (faults, churn)
+}
+
 #[test]
 fn chatter_under_heavy_combined_schedule() {
+    let (faults, churn) = heavy_schedule();
     for seed in 0..SEEDS {
         let g = graph_for(seed);
         let cfg = SimConfig::congest_for(g.node_count(), 4).seed(seed).max_rounds(200);
-        let faults = FaultPlan {
-            loss: 0.2,
-            dup: 0.1,
-            reorder: 0.15,
-            crashes: vec![(2, 3), (5, 5)],
-            recoveries: vec![(2, 8)],
-            ..FaultPlan::default()
-        };
-        let churn = ChurnPlan::default()
-            .with_absent_nodes(vec![12])
-            .with_event(2, ChurnKind::EdgeDown { edge: 0 })
-            .with_event(4, ChurnKind::Join { node: 12 })
-            .with_event(6, ChurnKind::Leave { node: 17 })
-            .with_event(7, ChurnKind::EdgeUp { edge: 0 });
         assert_equivalent(&g, cfg, &faults, &churn, |v, _g| Chatter {
             acc: 0,
             halt_round: 6 + v % 5,
         });
+    }
+}
+
+/// The heavy schedule again, 64 times at two threads: with as many
+/// workers as hardware threads the two shards really do run at once,
+/// so each repeat interleaves them differently, and every repeat must
+/// still equal the sequential run.
+#[test]
+fn repeated_concurrent_runs_match_sequential() {
+    let (faults, churn) = heavy_schedule();
+    let spec = RunSpec { faults: &faults, churn: &churn, trace: true };
+    let make = |v: usize, _: &dyn Topology| Chatter { acc: 0, halt_round: 6 + v % 5 };
+    for repeat in 0..64 {
+        let seed = repeat % SEEDS;
+        let g = graph_for(seed);
+        let cfg = SimConfig::congest_for(g.node_count(), 4).seed(seed).max_rounds(200);
+        let seq = Network::new(&g, cfg).execute(make, &spec).unwrap();
+        let sharded = cfg.backend(Backend::Sharded).threads(2);
+        let par = Network::new(&g, sharded).execute(make, &spec).unwrap();
+        assert_eq!(seq.outputs, par.outputs, "outputs diverge on repeat {repeat}");
+        assert_eq!(seq.stats, par.stats, "stats diverge on repeat {repeat}");
+        assert_eq!(trace_of(&seq).events(), trace_of(&par).events(), "repeat {repeat}");
+    }
+}
+
+/// Panics and double sends at chosen `(round, node)` pairs; every node
+/// sends one message a round and never halts.
+#[derive(Clone, Copy)]
+struct Incidents {
+    panics: &'static [(usize, usize)],
+    doubles: &'static [(usize, usize)],
+}
+
+impl Protocol for Incidents {
+    type Msg = u8;
+    type Output = ();
+
+    fn on_round(&mut self, ctx: &mut Context<'_, u8>, _: &[(Port, u8)]) {
+        let at = (ctx.round(), ctx.id());
+        if self.panics.contains(&at) {
+            panic!("node {} panics in round {}", at.1, at.0);
+        }
+        ctx.send(0, 1);
+        if self.doubles.contains(&at) {
+            ctx.send(0, 2);
+        }
+    }
+
+    fn into_output(self) {}
+}
+
+/// How a run ended: its error, its panic message, or success.
+fn outcome_of(config: SimConfig, g: &Graph, make: Incidents) -> String {
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        Network::new(g, config).execute(move |_, _| make, &RunSpec::default())
+    }));
+    match run {
+        Ok(Ok(_)) => "ok".to_string(),
+        Ok(Err(e)) => format!("error: {e:?}"),
+        Err(p) => match (p.downcast_ref::<String>(), p.downcast_ref::<&str>()) {
+            (Some(msg), _) => format!("panic: {msg}"),
+            (None, Some(msg)) => format!("panic: {msg}"),
+            (None, None) => "panic without a message".to_string(),
+        },
+    }
+}
+
+/// When several nodes fail, both engines stop at the first incident in
+/// `(round, node)` order and report it the same way: the same error, or
+/// the same panic message.
+#[test]
+fn first_incident_wins_on_both_engines() {
+    let g = generators::cycle(12);
+    let cases = [
+        (Incidents { panics: &[(3, 9)], doubles: &[] }, "panic: node 9 panics in round 3"),
+        (
+            Incidents { panics: &[(3, 9)], doubles: &[(3, 4)] },
+            "error: DuplicateSend { node: 4, port: 0, round: 3 }",
+        ),
+        (Incidents { panics: &[(3, 4)], doubles: &[(3, 9)] }, "panic: node 4 panics in round 3"),
+        (Incidents { panics: &[(2, 9)], doubles: &[(3, 4)] }, "panic: node 9 panics in round 2"),
+    ];
+    for (make, expected) in cases {
+        let cfg = SimConfig::local().max_rounds(20);
+        assert_eq!(outcome_of(cfg, &g, make), expected, "sequential");
+        for threads in THREADS {
+            let sharded = cfg.backend(Backend::Sharded).threads(threads);
+            assert_eq!(outcome_of(sharded, &g, make), expected, "{threads} threads");
+        }
+    }
+}
+
+/// The round limit reports how many nodes were still running. Absent,
+/// left and crashed nodes count as halted; a joined and a recovered node
+/// count as running.
+#[test]
+fn round_limit_counts_running_nodes_alike() {
+    struct Forever;
+    impl Protocol for Forever {
+        type Msg = ();
+        type Output = ();
+        fn on_round(&mut self, _: &mut Context<'_, ()>, _: &[(Port, ())]) {}
+        fn into_output(self) {}
+    }
+    let g = generators::path(12);
+    let faults = FaultPlan::crashes(vec![(7, 1), (8, 2)]).with_recoveries(vec![(8, 5)]);
+    let churn = ChurnPlan::default()
+        .with_absent_nodes(vec![3, 10])
+        .with_event(4, ChurnKind::Join { node: 10 })
+        .with_event(2, ChurnKind::Leave { node: 5 });
+    let spec = RunSpec { faults: &faults, churn: &churn, trace: false };
+    let cfg = SimConfig::local().max_rounds(8);
+    let expected = "RoundLimitExceeded { limit: 8, running: 9 }";
+    let seq = Network::new(&g, cfg).execute(|_, _| Forever, &spec).unwrap_err();
+    assert_eq!(format!("{seq:?}"), expected, "sequential");
+    for threads in THREADS {
+        let sharded = cfg.backend(Backend::Sharded).threads(threads);
+        let par = Network::new(&g, sharded).execute(|_, _| Forever, &spec).unwrap_err();
+        assert_eq!(format!("{par:?}"), expected, "{threads} threads");
     }
 }
 
