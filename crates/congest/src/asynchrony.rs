@@ -50,7 +50,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
-use dam_graph::{BitSet, NodeId, Topology};
+use dam_graph::{BitSet, EdgeId, NodeId, Topology};
 use rand::rngs::StdRng;
 
 use crate::engine::PortTable;
@@ -149,13 +149,15 @@ impl<'a> AsyncTiming<'a> {
         self.frame_ports[port] = true;
     }
 
-    /// Called by `flush` after draining a step's outbox: every present
-    /// port without a payload owes a synchronizer marker, and the node
-    /// counts as an active round-`r` sender its neighbours wait on.
-    pub(crate) fn end_step(&mut self, v: NodeId, edge_present: &BitSet, node_present: &BitSet) {
+    /// Called by `flush` after draining a step's outbox: every port
+    /// whose link is up (`link_up(peer, edge)`, the gate the step's
+    /// messages went through) and that carried no payload owes a
+    /// synchronizer marker, and the node counts as an active round-`r`
+    /// sender its neighbours wait on.
+    pub(crate) fn end_step(&mut self, v: NodeId, link_up: impl Fn(NodeId, EdgeId) -> bool) {
         for (p, i) in self.ports.range(v).enumerate() {
             let (u, e) = (self.ports.peer[i].0, self.ports.edge[i]);
-            if edge_present[e] && node_present[u] && !self.frame_ports[p] {
+            if link_up(u, e) && !self.frame_ports[p] {
                 self.markers = self.markers.saturating_add(1);
             }
         }

@@ -3,6 +3,7 @@
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::ControlFlow;
 
 use dam_graph::{BitSet, EdgeId, NodeId, Topology};
 use parking_lot::Mutex;
@@ -886,19 +887,12 @@ impl RunPlan {
     /// sender `v` only when `u < v`. This reconstruction lets shards
     /// evaluate the identical predicate without sharing mutable state.
     pub(crate) fn present_seen(&self, u: NodeId, round: usize, observer: NodeId) -> bool {
-        let mut present = self.node_present0[u];
-        let events = self.node(u);
-        if let Some(jr) = events.join {
-            if jr < round || (jr == round && u < observer) {
-                present = true;
-            }
+        let seen = |r: Option<usize>| r.is_some_and(|r| r < round || (r == round && u < observer));
+        match self.node_events.get(u) {
+            Some(events) if seen(events.leave) => false,
+            Some(events) if seen(events.join) => true,
+            _ => self.node_present0[u],
         }
-        if let Some(lr) = events.leave {
-            if lr < round || (lr == round && u < observer) {
-                present = false;
-            }
-        }
-        present
     }
 }
 
@@ -1096,6 +1090,297 @@ impl<'a> Wire<'a> {
             None => round + 1,
         };
         Route::Arrive { u, q, due, msg, dup }
+    }
+}
+
+/// How one engine moves the mail of the node [`Sweep::step`] is
+/// stepping. The sequential engine keeps it in its [`Mail`] slots and
+/// wakes receivers through its [`Agenda`]; the sharded engine
+/// ([`crate::parallel`]) keeps it in slot buffers shared by its
+/// workers.
+pub(crate) trait Mailroom<M> {
+    /// Takes `v`'s mail for `round`: its slot messages in port order
+    /// and the late copies due now, each port's on-time message before
+    /// its copies. With `inbox` they are appended to it; without, they
+    /// are discarded.
+    fn take(&mut self, v: NodeId, round: usize, inbox: Option<&mut Vec<(Port, M)>>);
+
+    /// Delivers `v`'s outbox for `round`, message by message through
+    /// [`Wire::send`], and clears the sent flag of every port it drains.
+    fn flush(
+        &mut self,
+        v: NodeId,
+        round: usize,
+        outbox: &mut Vec<(Port, M)>,
+        sent: &mut [bool],
+        tally: &mut Tally,
+    );
+}
+
+/// The node a [`Sweep::step`] steps: its id, its program, its
+/// randomness and its halt flag.
+pub(crate) struct NodeSlot<'n, P> {
+    pub(crate) id: NodeId,
+    pub(crate) proto: &'n mut P,
+    pub(crate) rng: &'n mut StdRng,
+    pub(crate) halted: &'n mut bool,
+}
+
+/// What the sequential engine, and each worker of the sharded engine,
+/// keeps while it steps nodes: the accounting, the integrity reports,
+/// the first protocol error, and the inbox, outbox and sent flags of the
+/// node being stepped.
+pub(crate) struct Sweep<'a, M> {
+    wire: &'a Wire<'a>,
+    pub(crate) tally: Tally,
+    integrity: Integrity,
+    /// The protocol error of the last step, for the engine to take.
+    pub(crate) fault: Option<SimError>,
+    inbox: Vec<(Port, M)>,
+    outbox: Vec<(Port, M)>,
+    sent: Vec<bool>,
+}
+
+impl<'a, M: BitSize + Clone> Sweep<'a, M> {
+    pub(crate) fn new(wire: &'a Wire<'a>, trace: bool) -> Sweep<'a, M> {
+        Sweep {
+            wire,
+            tally: Tally::new(trace),
+            integrity: Integrity::default(),
+            fault: None,
+            inbox: Vec::new(),
+            outbox: Vec::new(),
+            sent: vec![false; wire.graph.max_degree()],
+        }
+    }
+
+    /// Steps `node` in `round`. This is the node step of both
+    /// synchronous engines, and it never asks which one calls it: the
+    /// engine supplies only how mail moves (`mail`) and does its own
+    /// bookkeeping with the result.
+    ///
+    /// The step applies the node's scheduled event, in this order of
+    /// precedence: absent at round 0, leave, join, crash, recovery. A
+    /// node that is halted, absent or leaving stays silent and only has
+    /// its mail discarded. A joining or recovering node reboots: `make`
+    /// builds a fresh program, its randomness is salted apart from its
+    /// first boot, its mail is discarded, and it runs `on_start`. Any
+    /// other node runs `on_round` on its inbox. Its outbox then goes to
+    /// `mail`, and a node that halted records its halt event (a rebooted
+    /// node that halts straight out of `on_start` records none).
+    ///
+    /// Returns the node's wake hint ([`Context::sleep_until`], or 0) if
+    /// its program ran, and `None` if it stayed silent. A protocol error
+    /// is left in [`Sweep::fault`].
+    pub(crate) fn step<P: Protocol<Msg = M>>(
+        &mut self,
+        round: usize,
+        node: NodeSlot<'_, P>,
+        make: &mut impl FnMut(NodeId, &dyn Topology) -> P,
+        mail: &mut impl Mailroom<M>,
+    ) -> Option<usize> {
+        let NodeSlot { id: v, proto, rng, halted } = node;
+        let wire = self.wire;
+        let events = wire.plan.node(v);
+        let (start, reboot) = if round == 0 {
+            if !wire.plan.node_present0[v] {
+                // Absent at round 0: silent until it joins (if ever).
+                *halted = true;
+                return None;
+            }
+            (true, None)
+        } else if events.leave == Some(round) {
+            // Permanent leave: silent, like a crash that never
+            // recovers — but also absent from the topology, so no
+            // message can reach its ports again.
+            *halted = true;
+            mail.take(v, round, None);
+            self.tally.stats.churn_events = self.tally.stats.churn_events.saturating_add(1);
+            self.tally.record(TraceEvent::Churn { round, kind: ChurnKind::Leave { node: v } });
+            return None;
+        } else if events.join == Some(round) {
+            self.tally.stats.churn_events = self.tally.stats.churn_events.saturating_add(1);
+            self.tally.record(TraceEvent::Churn { round, kind: ChurnKind::Join { node: v } });
+            (true, Some(0x1099))
+        } else {
+            let fault = |kind| TraceEvent::Fault { round, kind, node: v, peer: None };
+            if events.crash == Some(round) && !*halted {
+                *halted = true; // crash-stop: silent, mid-protocol
+                self.tally.record(fault(FaultKind::Crash));
+            }
+            if events.recovery == Some(round) {
+                self.tally.record(fault(FaultKind::Recover));
+                (true, Some(0xB007))
+            } else if *halted {
+                mail.take(v, round, None);
+                return None;
+            } else {
+                mail.take(v, round, Some(&mut self.inbox));
+                (false, None)
+            }
+        };
+        if let Some(salt) = reboot {
+            *proto = make(v, wire.graph);
+            *rng = rng::node_rng(wire.config.seed ^ salt, wire.run_id, v);
+            *halted = false;
+            mail.take(v, round, None);
+        }
+        let mut ctx = Context {
+            node: v,
+            round,
+            graph: wire.graph,
+            rng,
+            outbox: &mut self.outbox,
+            sent: &mut self.sent,
+            halted: &mut *halted,
+            fault: &mut self.fault,
+            integrity: &mut self.integrity,
+            wake: 0,
+        };
+        if start {
+            proto.on_start(&mut ctx);
+        } else {
+            proto.on_round(&mut ctx, &self.inbox);
+        }
+        let wake = ctx.wake;
+        self.inbox.clear();
+        mail.flush(v, round, &mut self.outbox, &mut self.sent, &mut self.tally);
+        if reboot.is_none() && *halted {
+            self.tally.record(TraceEvent::Halt { round, node: v });
+        }
+        Some(wake)
+    }
+
+    /// This sweep's part of the [`RoundEnd`] of the round just swept,
+    /// with the engine's `halted` count and `in_flight` flag. The widest
+    /// message starts over for the next round.
+    pub(crate) fn report(&mut self, halted: usize, in_flight: bool) -> RoundEnd {
+        RoundEnd {
+            stats: self.tally.stats,
+            integrity: self.integrity,
+            max_bits: std::mem::take(&mut self.tally.round_max_bits),
+            halted,
+            in_flight,
+        }
+    }
+
+    /// The sweep's accounting after the last round, integrity reports
+    /// folded in.
+    pub(crate) fn finish(mut self) -> Tally {
+        self.integrity.fold_into(&mut self.tally.stats);
+        self.tally
+    }
+}
+
+/// What the [`LoopHead`] learns of a round from the engine that ran it.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct RoundEnd {
+    /// The run's counters so far, over every node.
+    pub(crate) stats: RunStats,
+    /// The integrity reports so far, over every node.
+    pub(crate) integrity: Integrity,
+    /// The widest message of the round, in bits.
+    pub(crate) max_bits: usize,
+    /// How many nodes are halted.
+    pub(crate) halted: usize,
+    /// Whether a message is still on its way: in a slot for the next
+    /// round or among the late copies. After round 0 the head reads it
+    /// only when the round sent no frame, when no slot can be full.
+    pub(crate) in_flight: bool,
+}
+
+impl RoundEnd {
+    /// Adds another part of the network (a sharded worker's report).
+    pub(crate) fn absorb(&mut self, other: &RoundEnd) {
+        self.stats.absorb(&other.stats);
+        self.integrity.absorb(&other.integrity);
+        self.max_bits = self.max_bits.max(other.max_bits);
+        self.halted += other.halted;
+        self.in_flight |= other.in_flight;
+    }
+}
+
+/// The head of the round loop, run between rounds by both synchronous
+/// engines — inline in the sequential engine, by worker 0 between the
+/// barriers in the sharded one. Like [`Sweep::step`], it never asks
+/// which engine calls it: the engine hands it a [`RoundEnd`] and applies
+/// the edge events it returns to its own presence table.
+pub(crate) struct LoopHead<'a> {
+    net: &'a Network<'a>,
+    plan: &'a RunPlan,
+    run_id: u64,
+    /// Consecutive rounds that sent nothing with nothing in flight.
+    quiet: usize,
+    /// Frames sent up to the last round.
+    frames: u64,
+    /// The first edge event still to come.
+    next_edge: usize,
+}
+
+impl<'a> LoopHead<'a> {
+    pub(crate) fn new(net: &'a Network<'a>, plan: &'a RunPlan, run_id: u64) -> LoopHead<'a> {
+        LoopHead { net, plan, run_id, quiet: 0, frames: 0, next_edge: 0 }
+    }
+
+    /// Ends `round`. Counts the round and its charged cost into `tally`,
+    /// streams the round's telemetry sample, then decides:
+    /// `Break(None)` when every node is halted, or the network has been
+    /// quiet for [`SimConfig::quiescence`] rounds, and no recovery or
+    /// churn event is left to wake it ([`RunPlan::last_wake`]);
+    /// `Break(Some(_))` at the round limit; otherwise `Continue` with
+    /// round `round + 1`'s edge events as `(edge, up)`, already counted
+    /// and traced into `tally`, for the engine to apply before anyone
+    /// executes that round.
+    pub(crate) fn end_round(
+        &mut self,
+        round: usize,
+        end: &RoundEnd,
+        tally: &mut Tally,
+    ) -> ControlFlow<Option<SimError>, impl Iterator<Item = (EdgeId, bool)> + 'a> {
+        let config = self.net.config;
+        let stats = &mut tally.stats;
+        stats.rounds = stats.rounds.saturating_add(1);
+        stats.charged_rounds = stats.charged_rounds.saturating_add(self.net.charge(end.max_bits));
+        self.net.sample_round(self.run_id, round, &end.stats, &end.integrity);
+        let n = self.net.graph.node_count();
+        let settled = round >= self.plan.last_wake;
+        if end.halted == n && settled {
+            return ControlFlow::Break(None);
+        }
+        if let Some(k) = config.quiescence {
+            // After round 0 there is no earlier frame count to compare
+            // with, so only messages in flight count.
+            let frames = end.stats.frames();
+            if (round == 0 || frames == self.frames) && !end.in_flight {
+                self.quiet += 1;
+                if self.quiet >= k && settled {
+                    return ControlFlow::Break(None); // message-driven protocols are done
+                }
+            } else {
+                self.quiet = 0;
+            }
+            self.frames = frames;
+        }
+        if round >= config.max_rounds {
+            let limit = config.max_rounds;
+            return ControlFlow::Break(Some(SimError::RoundLimitExceeded {
+                limit,
+                running: n - end.halted,
+            }));
+        }
+        // Node events apply in each node's step; edge events apply here.
+        let upcoming = &self.plan.edge_events[self.next_edge..];
+        let due = &upcoming[..upcoming.iter().take_while(|ev| ev.round == round + 1).count()];
+        self.next_edge += due.len();
+        for ev in due {
+            tally.stats.churn_events = tally.stats.churn_events.saturating_add(1);
+            tally.record(TraceEvent::Churn { round: ev.round, kind: ev.kind });
+        }
+        ControlFlow::Continue(due.iter().map(|ev| match ev.kind {
+            ChurnKind::EdgeUp { edge } => (edge, true),
+            ChurnKind::EdgeDown { edge } => (edge, false),
+            ChurnKind::Join { .. } | ChurnKind::Leave { .. } => unreachable!(),
+        }))
     }
 }
 
@@ -1542,9 +1827,7 @@ impl<'g> Network<'g> {
         };
         let view = PortView { graph: self.graph, ports: &self.ports };
         let wire = Wire::new(&view, self.config, &plan, run_id, &self.ports);
-        let mut node_present = plan.node_present0.clone();
         let mut edge_present = plan.edge_present0.clone();
-        let mut edge_event_idx = 0usize;
 
         let mut protos: Vec<P> = (0..n).map(|v| make(v, &view)).collect();
         // The working set is the network's: taken out for the run and
@@ -1569,185 +1852,51 @@ impl<'g> Network<'g> {
         // node's step, so only the plain sequential engine lets nodes
         // sleep.
         let honour_sleep = timing.is_none();
-        // The inbox of the node stepping now, gathered from its slots.
-        let mut inbox: Vec<(Port, P::Msg)> = Vec::new();
-        let mut outbox: Vec<(Port, P::Msg)> = Vec::new();
-        let mut sent = vec![false; self.graph.max_degree()];
-        let mut fault: Option<SimError> = None;
-        let mut tally = Tally::new(spec.trace);
-        // Receiver-side integrity reports (Context::note_rejected /
-        // note_quarantined), folded into the stats after the run so the
-        // quiescence detector's frames() view is unaffected.
-        let mut integrity = Integrity::default();
+        let mut sweep = Sweep::new(&wire, spec.trace);
+        let mut head = LoopHead::new(self, &plan, run_id);
 
         let mut round = 0usize;
-        let mut quiet_rounds = 0usize;
-        let mut last_messages = 0u64;
         let failure = 'run: loop {
             // Only the awake nodes are visited, in id order. Every other
             // node is halted with no mail, or asleep with an empty inbox,
             // and its visit would do nothing.
             while let Some(v) = agenda.next_awake(&halted) {
-                let events = plan.node(v);
-                // The node's step this round: `start` runs `on_start`
-                // instead of `on_round`, and `reboot` first replaces the
-                // node with a fresh instance — empty registers, an empty
-                // inbox, a randomness stream salted apart from its first
-                // boot.
-                let (start, reboot) = if round == 0 {
-                    if !node_present[v] {
-                        // Absent at round 0: silent until it joins (if ever).
-                        halted.set(v, true);
-                        continue;
-                    }
-                    (true, None)
-                } else if events.leave == Some(round) {
-                    // Permanent leave: silent, like a crash that never
-                    // recovers — but also absent from the topology, so
-                    // no message can reach its ports again.
-                    node_present.set(v, false);
-                    halted.set(v, true);
-                    mail.take(&self.ports, v, round, None, timing.as_mut());
-                    tally.stats.churn_events = tally.stats.churn_events.saturating_add(1);
-                    tally.record(TraceEvent::Churn { round, kind: ChurnKind::Leave { node: v } });
-                    continue;
-                } else if events.join == Some(round) {
-                    node_present.set(v, true);
-                    tally.stats.churn_events = tally.stats.churn_events.saturating_add(1);
-                    tally.record(TraceEvent::Churn { round, kind: ChurnKind::Join { node: v } });
-                    (true, Some(0x1099))
-                } else {
-                    if events.crash == Some(round) && !halted[v] {
-                        halted.set(v, true); // crash-stop: silent, mid-protocol
-                        tally.record(TraceEvent::Fault {
-                            round,
-                            kind: FaultKind::Crash,
-                            node: v,
-                            peer: None,
-                        });
-                    }
-                    if events.recovery == Some(round) {
-                        tally.record(TraceEvent::Fault {
-                            round,
-                            kind: FaultKind::Recover,
-                            node: v,
-                            peer: None,
-                        });
-                        (true, Some(0xB007))
-                    } else if halted[v] {
-                        mail.take(&self.ports, v, round, None, timing.as_mut());
-                        continue;
-                    } else {
-                        mail.take(&self.ports, v, round, Some(&mut inbox), timing.as_mut());
-                        (false, None)
-                    }
-                };
-                if let Some(salt) = reboot {
-                    protos[v] = make(v, &view);
-                    rngs[v] = rng::node_rng(self.config.seed ^ salt, run_id, v);
-                    halted.set(v, false);
-                    mail.take(&self.ports, v, round, None, timing.as_mut());
-                }
                 // The word-packed mask cannot hand out `&mut bool`, so the
-                // node's halt flag is copied out for the callback and
-                // written back before anyone else can observe it.
-                let mut halt_flag = halted[v];
-                let mut ctx = Context {
-                    node: v,
-                    round,
-                    graph: &view,
-                    rng: &mut rngs[v],
-                    outbox: &mut outbox,
-                    sent: &mut sent,
-                    halted: &mut halt_flag,
-                    fault: &mut fault,
-                    integrity: &mut integrity,
-                    wake: 0,
+                // node's halt flag is copied out for the step and written
+                // back before the next node is visited.
+                let mut halt = halted[v];
+                let node =
+                    NodeSlot { id: v, proto: &mut protos[v], rng: &mut rngs[v], halted: &mut halt };
+                let mut post = Post {
+                    wire: &wire,
+                    mail: &mut mail,
+                    agenda: &mut agenda,
+                    halted: &halted,
+                    edge_present: &edge_present,
+                    timing: timing.as_mut(),
                 };
-                if start {
-                    protos[v].on_start(&mut ctx);
-                } else {
-                    protos[v].on_round(&mut ctx, &inbox);
+                let wake = sweep.step(round, node, &mut make, &mut post);
+                halted.set(v, halt);
+                if let Some(wake) = wake {
+                    agenda.sleep(v, round, if honour_sleep && !halt { wake } else { 0 });
                 }
-                let wake = ctx.wake;
-                halted.set(v, halt_flag);
-                agenda.sleep(v, round, if honour_sleep && !halt_flag { wake } else { 0 });
-                inbox.clear();
-                flush(
-                    &wire,
-                    v,
-                    round,
-                    &mut outbox,
-                    &mut sent,
-                    &halted,
-                    &node_present,
-                    &edge_present,
-                    &mut mail,
-                    &mut agenda,
-                    &mut tally,
-                    timing.as_mut(),
-                );
-                // A rebooted node that halts straight out of `on_start`
-                // records no halt event.
-                if reboot.is_none() && halted[v] {
-                    tally.record(TraceEvent::Halt { round, node: v });
-                }
-                if let Some(err) = fault.take() {
+                if let Some(err) = sweep.fault.take() {
                     break 'run Some(err);
                 }
             }
-            tally.stats.rounds = tally.stats.rounds.saturating_add(1);
-            tally.stats.charged_rounds =
-                tally.stats.charged_rounds.saturating_add(self.charge(tally.round_max_bits));
-            self.sample_round(run_id, round, &tally.stats, &integrity);
-
-            // Between rounds: all halted + `plan.last_wake` reached ⇒
-            // nothing can wake up again (neither a recovery nor a
-            // scheduled topology event).
-            if halted.all() && round >= plan.last_wake {
-                break None;
-            }
-            if let Some(k) = self.config.quiescence {
-                // After round 0 there is no earlier frame count to
-                // compare with, so only in-flight messages count.
-                let frames = tally.stats.frames();
-                if (round == 0 || frames == last_messages) && mail.in_flight() == 0 {
-                    quiet_rounds += 1;
-                    if quiet_rounds >= k && round >= plan.last_wake {
-                        break 'run None; // message-driven protocols are done
-                    }
-                } else {
-                    quiet_rounds = 0;
-                }
-                last_messages = frames;
-            }
-            if round >= self.config.max_rounds {
-                break Some(SimError::RoundLimitExceeded {
-                    limit: self.config.max_rounds,
-                    running: n - halted.count_ones(),
-                });
-            }
+            let end = sweep.report(halted.count_ones(), mail.in_flight() > 0);
+            let edge_flips = match head.end_round(round, &end, &mut sweep.tally) {
+                ControlFlow::Break(failure) => break failure,
+                ControlFlow::Continue(flips) => flips,
+            };
             round += 1;
-            tally.round_max_bits = 0;
             // Advance virtual time before this round's edge events: the
             // frames being timed were sent under the previous topology.
             if let Some(tm) = timing.as_mut() {
                 tm.advance(round, &edge_present);
             }
-            // Apply this round's edge events before anyone executes;
-            // node events are applied at each node's turn.
-            while edge_event_idx < plan.edge_events.len()
-                && plan.edge_events[edge_event_idx].round == round
-            {
-                let ev = plan.edge_events[edge_event_idx];
-                edge_event_idx += 1;
-                match ev.kind {
-                    ChurnKind::EdgeUp { edge } => edge_present.set(edge, true),
-                    ChurnKind::EdgeDown { edge } => edge_present.set(edge, false),
-                    ChurnKind::Join { .. } | ChurnKind::Leave { .. } => unreachable!(),
-                }
-                tally.stats.churn_events = tally.stats.churn_events.saturating_add(1);
-                tally.record(TraceEvent::Churn { round, kind: ev.kind });
+            for (e, up) in edge_flips {
+                edge_present.set(e, up);
             }
             mail.swap();
             agenda.begin(round);
@@ -1759,8 +1908,7 @@ impl<'g> Network<'g> {
             return Err(err);
         }
 
-        let Tally { mut stats, trace, .. } = tally;
-        integrity.fold_into(&mut stats);
+        let Tally { mut stats, trace, .. } = sweep.finish();
         if let Some(tm) = timing.take() {
             let info = tm.finish();
             stats.markers = info.markers;
@@ -2102,61 +2250,70 @@ impl<M> Mail<M> {
     }
 }
 
-/// Delivers `v`'s outbox through the shared [`Wire::send`]. What stays
-/// here is the sequential engine's write: an arriving message goes to
-/// its slot for the next round (unless its receiver is halted at this
-/// moment), a duplicated or reordered one to the receiver's late list,
-/// the [`Agenda`] marks the receiver due in the round its mail arrives,
-/// and the asynchronous backend's timing layer sees every frame put on
-/// the wire.
-#[allow(clippy::too_many_arguments)]
-fn flush<M: BitSize + Clone>(
-    wire: &Wire<'_>,
-    v: NodeId,
-    round: usize,
-    outbox: &mut Vec<(Port, M)>,
-    sent: &mut [bool],
-    halted: &BitSet,
-    node_present: &BitSet,
-    edge_present: &BitSet,
-    mail: &mut Mail<M>,
-    agenda: &mut Agenda,
-    tally: &mut Tally,
-    mut timing: Option<&mut AsyncTiming<'_>>,
-) {
-    if let Some(tm) = timing.as_deref_mut() {
-        tm.begin_step(v);
+/// The sequential engine's [`Mailroom`] for one step: its [`Mail`], the
+/// [`Agenda`] that marks a receiver due in the round its mail arrives,
+/// and the asynchronous backend's timing layer, which sees every frame
+/// put on the wire.
+struct Post<'r, 'w, M> {
+    wire: &'r Wire<'w>,
+    mail: &'r mut Mail<M>,
+    agenda: &'r mut Agenda,
+    halted: &'r BitSet,
+    edge_present: &'r BitSet,
+    timing: Option<&'r mut AsyncTiming<'w>>,
+}
+
+impl<M: BitSize + Clone> Mailroom<M> for Post<'_, '_, M> {
+    fn take(&mut self, v: NodeId, round: usize, inbox: Option<&mut Vec<(Port, M)>>) {
+        self.mail.take(self.wire.ports, v, round, inbox, self.timing.as_deref_mut());
     }
-    let keys = wire.sender(round, v);
-    for (port, msg) in outbox.drain(..) {
-        sent[port] = false;
-        let route =
-            wire.send(round, v, port, msg, &keys, tally, |u, e| edge_present[e] && node_present[u]);
-        if matches!(route, Route::NoLink) {
-            continue;
+
+    /// An arriving message goes to its slot for the next round (unless
+    /// its receiver is halted at this moment), a duplicated or reordered
+    /// one to the receiver's late list.
+    fn flush(
+        &mut self,
+        v: NodeId,
+        round: usize,
+        outbox: &mut Vec<(Port, M)>,
+        sent: &mut [bool],
+        tally: &mut Tally,
+    ) {
+        let (wire, edge_present) = (self.wire, self.edge_present);
+        let link_up = |u: NodeId, e: EdgeId| edge_present[e] && wire.plan.present_seen(u, round, v);
+        if let Some(tm) = self.timing.as_deref_mut() {
+            tm.begin_step(v);
         }
-        // The synchronizer frame on this port carries a payload, so no
-        // marker is owed — whatever the channel does to the payload
-        // (loss, corruption, partition) happens inside a sent frame.
-        if let Some(tm) = timing.as_deref_mut() {
-            tm.note_frame(port);
-        }
-        if let Route::Arrive { u, q, due, msg, dup } = route {
-            if let Some(copy) = dup {
-                mail.post_late(u, q, round + 2, round, copy);
-                agenda.schedule(round + 2, u);
+        let keys = wire.sender(round, v);
+        for (port, msg) in outbox.drain(..) {
+            sent[port] = false;
+            let route = wire.send(round, v, port, msg, &keys, tally, link_up);
+            if matches!(route, Route::NoLink) {
+                continue;
             }
-            if due > round + 1 {
-                mail.post_late(u, q, due, round, msg);
-                agenda.schedule(due, u);
-            } else if !halted[u] {
-                mail.post(wire.ports, u, q, msg);
-                agenda.post(u);
+            // The synchronizer frame on this port carries a payload, so no
+            // marker is owed — whatever the channel does to the payload
+            // (loss, corruption, partition) happens inside a sent frame.
+            if let Some(tm) = self.timing.as_deref_mut() {
+                tm.note_frame(port);
+            }
+            if let Route::Arrive { u, q, due, msg, dup } = route {
+                if let Some(copy) = dup {
+                    self.mail.post_late(u, q, round + 2, round, copy);
+                    self.agenda.schedule(round + 2, u);
+                }
+                if due > round + 1 {
+                    self.mail.post_late(u, q, due, round, msg);
+                    self.agenda.schedule(due, u);
+                } else if !self.halted[u] {
+                    self.mail.post(wire.ports, u, q, msg);
+                    self.agenda.post(u);
+                }
             }
         }
-    }
-    if let Some(tm) = timing {
-        tm.end_step(v, edge_present, node_present);
+        if let Some(tm) = self.timing.as_deref_mut() {
+            tm.end_step(v, link_up);
+        }
     }
 }
 

@@ -176,6 +176,14 @@ pub(crate) struct Integrity {
 }
 
 impl Integrity {
+    /// Adds another part of the network's reports (a sharded worker's).
+    pub(crate) fn absorb(&mut self, other: &Integrity) {
+        self.rejected = self.rejected.saturating_add(other.rejected);
+        self.quarantined = self.quarantined.saturating_add(other.quarantined);
+        self.suspected = self.suspected.saturating_add(other.suspected);
+        self.outstanding = self.outstanding.saturating_add(other.outstanding);
+    }
+
     /// Folds the accumulated counters into `stats` (the `outstanding`
     /// gauge stays telemetry-only).
     pub fn fold_into(self, stats: &mut RunStats) {

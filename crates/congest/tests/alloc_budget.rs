@@ -1,7 +1,7 @@
 //! What a run allocates, in blocks and bytes.
 //!
 //! A counting global allocator tallies every allocation made while a
-//! run executes. Four legs:
+//! run executes. Five legs:
 //!
 //! * **One run does not grow with `n`.** A fault-free
 //!   [`Network::execute`] of the same allocation-free protocol on a
@@ -16,6 +16,11 @@
 //!   and bytes than the first. Empty fault and churn plans allocate no
 //!   per-node schedule either, so beyond the per-node session exports
 //!   the second run allocates at most a byte per node and per edge.
+//! * **A fault-free sharded run builds no FIFO table.** The sharded
+//!   engine keeps duplicated and reordered copies in one FIFO per
+//!   directed edge, allocated only when the plan can duplicate or
+//!   reorder: a fault-free run at two threads allocates less than the
+//!   sequential engine's first run plus half such a table.
 //! * **A multi-phase driver pays per message, not per node.** `run_mm`
 //!   of the bipartite `(1−1/k)` driver and of the weighted driver
 //!   allocates no more per message on `torus:160x160` than on
@@ -192,6 +197,15 @@ where
     (run(), run())
 }
 
+/// Allocations of one fault-free [`Beacon`] run on the sharded engine
+/// at two threads.
+fn sharded_allocs(topo: &dyn Topology) -> Allocs {
+    let mut net = Network::new(topo, SimConfig::local().seed(1).threads(2));
+    let (out, allocs) = allocs_during(|| net.execute(|_, _| Beacon, &RunSpec::default()).unwrap());
+    assert_eq!(out.stats.rounds, ROUNDS as u64 + 1, "sharded");
+    allocs
+}
+
 /// Allocations per frame of one bare `run_mm` of `algo` on `spec`.
 fn allocs_per_frame(algo: &dyn Algorithm, spec: &str, words: usize) -> (f64, Allocs) {
     let topo = ImplicitTopology::parse(spec).unwrap();
@@ -227,6 +241,17 @@ fn run_allocations_do_not_grow_with_n() {
     assert!(first.bytes >= second.bytes + working_set, "{first:?} then {second:?}");
     assert!(second.bytes <= sessions + n + m, "{second:?}: more than the sessions and masks");
     eprintln!("torus:160x160 beacon: first {first:?}, second {second:?}");
+
+    // The sharded engine at two threads needs about what the sequential
+    // engine's first run does; a mutexed FIFO per directed edge would add
+    // at least 32 bytes per port on top.
+    let sharded = sharded_allocs(&topo);
+    let fifo_table = ports * std::mem::size_of::<std::sync::Mutex<Vec<(usize, u8)>>>() as u64;
+    assert!(
+        sharded.bytes < first.bytes + fifo_table / 2,
+        "{sharded:?}: a fault-free sharded run allocated a per-port FIFO table ({fifo_table} B)"
+    );
+    eprintln!("torus:160x160 beacon, sharded at two threads: {sharded:?}");
 
     // Multi-phase drivers: allocations per frame do not grow with n.
     let bipartite = Bipartite { k: 3, ..Bipartite::default() };
