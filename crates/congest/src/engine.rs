@@ -13,7 +13,7 @@ use crate::asynchrony::AsyncTiming;
 use crate::error::SimError;
 use crate::message::{BitSize, CorruptKind, MsgClass};
 use crate::model::{Backend, CostModel, Model, SimConfig, ViolationPolicy};
-use crate::node::{Context, Port, Protocol};
+use crate::node::{Context, Port, Protocol, SessionState};
 use crate::rng::{self, RunKeys, SenderKeys};
 use crate::stats::{Integrity, RunStats, TotalStats};
 use crate::trace::{ChurnKind, FaultKind, Trace, TraceEvent};
@@ -818,6 +818,7 @@ impl RunPlan {
     }
 
     /// Whether `v → u` crosses an active partition cut in `round`.
+    #[inline]
     pub(crate) fn partitioned(&self, round: usize, v: NodeId, u: NodeId) -> bool {
         self.partitions
             .iter()
@@ -838,6 +839,7 @@ impl RunPlan {
     /// delay), then corruption (decision plus kind). A plan with
     /// `corrupt = 0` therefore draws the exact same loss/dup/reorder
     /// pattern as before corruption existed.
+    #[inline]
     pub(crate) fn message_fate(
         &self,
         keys: &SenderKeys,
@@ -845,6 +847,16 @@ impl RunPlan {
         port: Port,
         i: usize,
     ) -> MsgFate {
+        // An unkeyed plan has no positive probability anywhere.
+        if self.keyed {
+            self.draw_fate(keys, round, port, i)
+        } else {
+            MsgFate::default()
+        }
+    }
+
+    /// [`RunPlan::message_fate`] of a keyed plan.
+    fn draw_fate(&self, keys: &SenderKeys, round: usize, port: Port, i: usize) -> MsgFate {
         let (mut loss, dup, reorder, mut corrupt) =
             if self.link_fx.is_empty() { self.fx } else { self.link_fx[i] };
         // Squall overlay: a pure function of the round, so the effective
@@ -886,6 +898,7 @@ impl RunPlan {
     /// within a round, so a same-round join/leave of `u` is visible to a
     /// sender `v` only when `u < v`. This reconstruction lets shards
     /// evaluate the identical predicate without sharing mutable state.
+    #[inline]
     pub(crate) fn present_seen(&self, u: NodeId, round: usize, observer: NodeId) -> bool {
         let seen = |r: Option<usize>| r.is_some_and(|r| r < round || (r == round && u < observer));
         match self.node_events.get(u) {
@@ -1394,12 +1407,29 @@ pub struct RunOutcome<O> {
     /// Per-node transport-session exports, indexed by node id — sampled
     /// once via [`Protocol::session`] after the last round, before the
     /// outputs were collected. `None` for protocols without a session
-    /// (the plain engine's default). Checkpointing reads these to
-    /// validate quiescence and record incarnation state; nothing in the
-    /// engine consumes them.
-    pub sessions: Vec<Option<crate::node::SessionState>>,
+    /// (the plain engine's default), and empty when no node exported
+    /// one. Checkpointing reads these to validate quiescence and record
+    /// incarnation state; nothing in the engine consumes them.
+    pub sessions: Vec<Option<SessionState>>,
     /// The execution trace, when [`RunSpec::trace`] asked for one.
     pub trace: Option<Trace>,
+}
+
+/// The session exports of a run's `n` node programs, in node order, for
+/// [`RunOutcome::sessions`]: empty unless some node exports one, so a
+/// bare run allocates nothing for them.
+pub(crate) fn sessions_of<'a, P: Protocol + 'a>(
+    n: usize,
+    protos: impl Iterator<Item = &'a P>,
+) -> Vec<Option<SessionState>> {
+    let mut sessions = Vec::new();
+    for (v, proto) in protos.enumerate() {
+        if let Some(s) = proto.session() {
+            sessions.resize(n, None);
+            sessions[v] = Some(s);
+        }
+    }
+    sessions
 }
 
 /// The port-translation table of a [`Network`], flat over all directed
@@ -1915,7 +1945,7 @@ impl<'g> Network<'g> {
             self.async_info = Some(info);
         }
         self.totals.record(&stats);
-        let sessions = protos.iter().map(Protocol::session).collect();
+        let sessions = sessions_of(n, protos.iter());
         Ok(RunOutcome {
             outputs: protos.into_iter().map(Protocol::into_output).collect(),
             stats,

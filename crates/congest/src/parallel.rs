@@ -54,8 +54,8 @@ use dam_graph::{EdgeId, NodeId, Topology};
 use parking_lot::Mutex;
 
 use crate::engine::{
-    LoopHead, Mailroom, Network, NodeSlot, PortView, RoundEnd, Route, RunOutcome, RunPlan, RunSpec,
-    Sweep, Tally, Wire,
+    sessions_of, LoopHead, Mailroom, Network, NodeSlot, PortView, RoundEnd, Route, RunOutcome,
+    RunPlan, RunSpec, Sweep, Tally, Wire,
 };
 use crate::error::SimError;
 use crate::message::BitSize;
@@ -415,7 +415,7 @@ impl Network<'_> {
         }
         let trace = spec.trace.then(|| merge_traces(&traces));
         self.record_run(&stats);
-        let sessions = arenas.iter().flat_map(|a| a.protos.iter().map(Protocol::session)).collect();
+        let sessions = sessions_of(n, arenas.iter().flat_map(|a| &a.protos));
         Ok(RunOutcome {
             outputs: arenas
                 .into_iter()

@@ -11,6 +11,7 @@ use rand::SeedableRng;
 
 /// splitmix64 finalizer — a high-quality 64-bit mix.
 #[must_use]
+#[inline]
 pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -111,6 +112,7 @@ impl RunKeys {
     }
 
     /// The chains of the messages `node` sends in `round`.
+    #[inline]
     pub(crate) fn sender(&self, round: usize, node: usize) -> SenderKeys {
         let chain = |key: u64| splitmix64(splitmix64(key ^ round as u64) ^ node as u64);
         SenderKeys { fault: chain(self.fault), corrupt: chain(self.corrupt), byz: chain(self.byz) }
@@ -144,6 +146,7 @@ impl SenderKeys {
 }
 
 /// The last link of a keyed chain: mix in the port and seed the RNG.
+#[inline]
 fn seeded(key: u64, port: usize) -> StdRng {
     StdRng::seed_from_u64(splitmix64(key ^ port as u64))
 }

@@ -14,17 +14,21 @@
 //!   of awake nodes across runs, so a second run on the same network
 //!   allocates them no more: it makes at least that many fewer blocks
 //!   and bytes than the first. Empty fault and churn plans allocate no
-//!   per-node schedule either, so beyond the per-node session exports
-//!   the second run allocates at most a byte per node and per edge.
+//!   per-node schedule either, and a protocol without a transport
+//!   session exports none, so the second run allocates at most a byte
+//!   per node and per edge.
 //! * **A fault-free sharded run builds no FIFO table.** The sharded
 //!   engine keeps duplicated and reordered copies in one FIFO per
 //!   directed edge, allocated only when the plan can duplicate or
 //!   reorder: a fault-free run at two threads allocates less than the
 //!   sequential engine's first run plus half such a table.
-//! * **A multi-phase driver pays per message, not per node.** `run_mm`
-//!   of the bipartite `(1−1/k)` driver and of the weighted driver
-//!   allocates no more per message on `torus:160x160` than on
-//!   `torus:40x40`: no pass rebuilds per-node vectors it could borrow.
+//! * **A driver pays per node once, not per step or pass.** `run_mm`
+//!   of Israeli–Itai, Luby's line-graph matching, the bipartite
+//!   `(1−1/k)` driver and the weighted driver allocates no more per
+//!   message on `torus:160x160` than on `torus:40x40`, and on
+//!   `torus:160x160` at most its per-node state rows (one or two per
+//!   node) plus a few blocks per phase: no step or pass builds a
+//!   vector it could count, refill or borrow.
 //! * **A transported round allocates nothing.** A repeated fault-free
 //!   run of a [`Resilient`]-wrapped protocol that halts after `2R`
 //!   inner rounds allocates at most one block per node and per port
@@ -38,11 +42,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dam_congest::{
-    Context, Network, Port, Protocol, Resilient, RunSpec, SessionState, SimConfig, TransportCfg,
-};
-use dam_core::runtime::{run_mm, Algorithm, RuntimeConfig};
-use dam_core::{Bipartite, Weighted};
+use dam_congest::{Context, Network, Port, Protocol, Resilient, RunSpec, SimConfig, TransportCfg};
+use dam_core::runtime::{run_mm, Algorithm, IsraeliItai, RuntimeConfig};
+use dam_core::{Bipartite, LubyMatching, Weighted};
 use dam_graph::{ImplicitTopology, Topology};
 use rand::rngs::StdRng;
 
@@ -206,13 +208,14 @@ fn sharded_allocs(topo: &dyn Topology) -> Allocs {
     allocs
 }
 
-/// Allocations per frame of one bare `run_mm` of `algo` on `spec`.
-fn allocs_per_frame(algo: &dyn Algorithm, spec: &str, words: usize) -> (f64, Allocs) {
+/// Allocations of one bare `run_mm` of `algo` on `spec`, per frame and
+/// in total, and the run's phases.
+fn run_mm_allocs(algo: &dyn Algorithm, spec: &str, words: usize) -> (f64, Allocs, usize) {
     let topo = ImplicitTopology::parse(spec).unwrap();
     let sim = SimConfig::congest_for(topo.node_count(), words).seed(3);
     let (rep, allocs) = allocs_during(|| run_mm(algo, &topo, &RuntimeConfig::new().sim(sim)));
-    let frames = rep.unwrap().totals.stats.frames();
-    (allocs.blocks as f64 / frames as f64, allocs)
+    let totals = rep.unwrap().totals;
+    (allocs.blocks as f64 / totals.stats.frames() as f64, allocs, totals.runs)
 }
 
 #[test]
@@ -227,7 +230,7 @@ fn run_allocations_do_not_grow_with_n() {
 
     // The second run on torus:160x160 allocates neither slot buffer,
     // nor the mail counts, nor the RNG vector, nor any per-node fault or
-    // churn schedule: what is left is the session exports plus a few
+    // churn schedule, nor session exports: what is left is a few
     // presence bits per node and edge.
     let topo = ImplicitTopology::parse("torus:160x160").unwrap();
     let (n, ports) = (topo.node_count() as u64, 4 * topo.node_count() as u64);
@@ -235,11 +238,10 @@ fn run_allocations_do_not_grow_with_n() {
     let working_set = 2 * ports * std::mem::size_of::<Option<u8>>() as u64
         + 2 * n * std::mem::size_of::<u32>() as u64
         + n * std::mem::size_of::<StdRng>() as u64;
-    let sessions = n * std::mem::size_of::<Option<SessionState>>() as u64;
     let (first, second) = allocs_of("torus:160x160", |_, _| Beacon);
     assert!(first.blocks >= second.blocks + 5, "{first:?} then {second:?}");
     assert!(first.bytes >= second.bytes + working_set, "{first:?} then {second:?}");
-    assert!(second.bytes <= sessions + n + m, "{second:?}: more than the sessions and masks");
+    assert!(second.bytes <= n + m, "{second:?}: more than the presence masks");
     eprintln!("torus:160x160 beacon: first {first:?}, second {second:?}");
 
     // The sharded engine at two threads needs about what the sequential
@@ -253,15 +255,25 @@ fn run_allocations_do_not_grow_with_n() {
     );
     eprintln!("torus:160x160 beacon, sharded at two threads: {sharded:?}");
 
-    // Multi-phase drivers: allocations per frame do not grow with n.
+    // Drivers: allocations per frame do not grow with n, and a run
+    // allocates at most its `rows` state rows per node (the `live` rows
+    // and Luby's `values`; the weighted driver's gain rows and its black
+    // box's lazily built `alive` rows) plus a few blocks per phase.
     let bipartite = Bipartite { k: 3, ..Bipartite::default() };
-    for (name, algo, words) in
-        [("bipartite:3", &bipartite as &dyn Algorithm, 4), ("weighted", &Weighted::default(), 8)]
-    {
-        let small = allocs_per_frame(algo, "torus:40x40", words);
-        let large = allocs_per_frame(algo, "torus:160x160", words);
-        assert!(large.0 <= small.0, "{name}: {small:?} at torus:40x40, {large:?} at 160x160");
-        eprintln!("{name}: per frame {:.3} at torus:40x40, {:.3} at 160x160", small.0, large.0);
+    for (name, algo, words, rows) in [
+        ("ii", &IsraeliItai as &dyn Algorithm, 4, 1),
+        ("luby", &LubyMatching, 4, 2),
+        ("bipartite:3", &bipartite, 4, 1),
+        ("weighted", &Weighted::default(), 8, 2),
+    ] {
+        let small = run_mm_allocs(algo, "torus:40x40", words);
+        let (per_frame, allocs, phases) = run_mm_allocs(algo, "torus:160x160", words);
+        assert!(per_frame <= small.0, "{name}: {small:?} at torus:40x40, {per_frame} at 160x160");
+        assert!(
+            allocs.blocks <= rows * n + 64 * phases as u64,
+            "{name}: {allocs:?} in {phases} phases on torus:160x160"
+        );
+        eprintln!("{name}: per frame {:.3} at torus:40x40, {per_frame:.3} at 160x160; {allocs:?} in {phases} phases", small.0);
     }
 
     // A transported inner round allocates nothing: twice the rounds,

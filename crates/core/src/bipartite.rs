@@ -41,7 +41,7 @@ use crate::error::CoreError;
 use crate::israeli_itai::IiNode;
 use crate::repair::sanitize_in_place;
 use crate::report::matching_from_registers;
-use crate::runtime::{Algorithm, Exec, MainRun};
+use crate::runtime::{Algorithm, Exec, MainRun, PortRow, PortRows};
 
 /// Messages of the per-pass protocol.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -156,8 +156,9 @@ pub struct PhaseNode<'a> {
     /// Output register (edge id), kept in sync with `matched_port`.
     matched_edge: Option<EdgeId>,
     // --- counting state ---
-    /// `c_v[i]` per port; empty until the first count arrives.
-    counts: Vec<f64>,
+    /// `c_v[i]` per port, borrowed from the driver like `live`; holds
+    /// this pass's counts once the first count has arrived (`t_v` set).
+    counts: PortRow<'a>,
     n_v: f64,
     t_v: Option<usize>,
     // --- token state ---
@@ -179,12 +180,14 @@ impl<'a> PhaseNode<'a> {
     /// `matched_port` must be the port of the node's current matching
     /// edge (if any); `live[p]` selects the ports participating in this
     /// pass. A matched node whose matching port is not live must be given
-    /// `side = None` (it is outside `V̂`).
+    /// `side = None` (it is outside `V̂`). `counts` is the node's scratch
+    /// row for its path counts, one cell per port.
     #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         params: PhaseParams,
         side: PhaseSide,
         live: &'a [bool],
+        counts: PortRow<'a>,
         matched_port: Option<Port>,
         matched_edge: Option<EdgeId>,
     ) -> PhaseNode<'a> {
@@ -195,7 +198,7 @@ impl<'a> PhaseNode<'a> {
             live,
             matched_port,
             matched_edge,
-            counts: Vec::new(),
+            counts,
             n_v: 0.0,
             t_v: None,
             tok_in: None,
@@ -214,7 +217,7 @@ impl<'a> PhaseNode<'a> {
     fn sample_back_port(&self, ctx: &mut Context<'_, AugMsg>) -> Port {
         debug_assert!(self.n_v > 0.0);
         let mut x: f64 = ctx.rng().random_range(0.0..self.n_v);
-        for (p, &c) in self.counts.iter().enumerate() {
+        for (p, c) in self.counts.values().enumerate() {
             if c > 0.0 {
                 if x < c {
                     return p;
@@ -223,7 +226,7 @@ impl<'a> PhaseNode<'a> {
             }
         }
         // Floating-point slack: fall back to the last counted port.
-        self.counts.iter().rposition(|&c| c > 0.0).expect("n_v > 0 implies a counted port")
+        self.counts.values().rposition(|c| c > 0.0).expect("n_v > 0 implies a counted port")
     }
 
     /// Takes the counts of `inbox`.
@@ -243,11 +246,11 @@ impl<'a> PhaseNode<'a> {
         if round > self.params.l {
             return; // counts cannot arrive after the counting stage
         }
-        self.counts = vec![0.0; self.live.len()];
+        self.counts.fill(0.0);
         for (port, paths) in arrivals {
-            self.counts[port] += paths;
+            self.counts.set(port, self.counts.get(port) + paths);
         }
-        self.n_v = self.counts.iter().sum();
+        self.n_v = self.counts.values().sum();
         self.t_v = Some(round);
         match self.side {
             Some(Side::Y) => {
@@ -436,6 +439,7 @@ pub(crate) fn exhaust_length(
     max_passes: usize,
 ) -> Result<usize, CoreError> {
     let params = PhaseParams { l, n: g.node_count(), delta: g.max_degree() };
+    let counts = PortRows::new(g);
     let mut passes = 0;
     while passes < max_passes {
         let out = net.execute(
@@ -444,7 +448,14 @@ pub(crate) fn exhaust_length(
                 let matched_port = matched_edge.map(|e| {
                     graph.port_of_edge(v, e).expect("register points at an incident edge")
                 });
-                PhaseNode::new(params, sides[v], &live[v], matched_port, matched_edge)
+                PhaseNode::new(
+                    params,
+                    sides[v],
+                    &live[v],
+                    counts.row(v),
+                    matched_port,
+                    matched_edge,
+                )
             },
             &RunSpec::default(),
         )?;
@@ -520,7 +531,8 @@ impl Bipartite {
         let delta = g.max_degree();
         let alive = exec.alive().clone();
         let live: Vec<Vec<bool>> =
-            (0..n).map(|v| g.incident(v).map(|(_, u, _)| alive[u]).collect()).collect();
+            (0..n).map(|v| (0..g.degree(v)).map(|p| alive[g.port(v, p).0]).collect()).collect();
+        let counts = PortRows::new(g);
         let cap = self.max_passes_per_phase.min(4 * n + 16);
         let mut passes_total = 0usize;
         let mut l = 1;
@@ -533,7 +545,8 @@ impl Bipartite {
                     let matched_port = matched_edge.map(|e| {
                         graph.port_of_edge(v, e).expect("register points at an incident edge")
                     });
-                    PhaseNode::new(params, sides[v], &live[v], matched_port, matched_edge)
+                    let counts = counts.row(v);
+                    PhaseNode::new(params, sides[v], &live[v], counts, matched_port, matched_edge)
                 })?;
                 passes += 1;
                 let mut any_path = false;
@@ -777,6 +790,7 @@ mod tests {
         let n = topo.node_count();
         let sides: Vec<PhaseSide> = (0..n).map(|v| topo.side_of(v)).collect();
         let live: Vec<Vec<bool>> = (0..n).map(|v| vec![true; topo.degree(v)]).collect();
+        let counts = PortRows::new(&topo);
         let mut net = Network::new(&topo, SimConfig::congest_for(n, 4).seed(9));
         let mut registers: Vec<Option<EdgeId>> = vec![None; n];
         let (mut steps, mut frames, mut passes) = (0, 0, 0);
@@ -787,7 +801,8 @@ mod tests {
                     .run(|v, graph| {
                         let me = registers[v];
                         let mp = me.map(|e| graph.port_of_edge(v, e).unwrap());
-                        let inner = PhaseNode::new(params, sides[v], &live[v], mp, me);
+                        let inner =
+                            PhaseNode::new(params, sides[v], &live[v], counts.row(v), mp, me);
                         Counted { inner, steps: 0 }
                     })
                     .unwrap();
@@ -822,6 +837,7 @@ mod tests {
             let sides_raw = g.bipartition().unwrap().to_vec();
             let sides: Vec<PhaseSide> = sides_raw.iter().map(|&s| Some(s)).collect();
             let live: Vec<Vec<bool>> = g.nodes().map(|v| vec![true; g.degree(v)]).collect();
+            let counts = PortRows::new(&g);
             let mut net = Network::new(&g, SimConfig::congest_for(g.node_count(), 4).seed(trial));
             let mut registers: Vec<Option<EdgeId>> = vec![None; g.node_count()];
             let mut l = 1usize;
@@ -834,7 +850,7 @@ mod tests {
                     .run(|v, graph| {
                         let me = registers[v];
                         let mp = me.map(|e| graph.port_of_edge(v, e).unwrap());
-                        PhaseNode::new(params, sides[v], &live[v], mp, me)
+                        PhaseNode::new(params, sides[v], &live[v], counts.row(v), mp, me)
                     })
                     .unwrap();
                 let all_l = dam_graph::paths::enumerate_augmenting_paths(&g, &m_before, l);

@@ -107,17 +107,16 @@ impl IiNode {
         IiNode { matched_edge, announced: false, live, proposed: None }
     }
 
-    fn live_ports(&self) -> Vec<Port> {
-        self.live.iter().enumerate().filter_map(|(p, &l)| l.then_some(p)).collect()
-    }
-
     fn step(&mut self, ctx: &mut Context<'_, IiMsg>, inbox: &[(Port, IiMsg)]) {
         let sub = ctx.round() % 3;
-        let mut proposals: Vec<Port> = Vec::new();
+        // Picks below count first and then find the k-th match, so a
+        // step allocates nothing and draws exactly as a collected list
+        // would.
+        let mut proposals = 0usize;
         for &(port, msg) in inbox {
             match msg {
                 IiMsg::Dead => self.live[port] = false,
-                IiMsg::Propose => proposals.push(port),
+                IiMsg::Propose => proposals += 1,
                 IiMsg::Accept => {
                     // Defensive decode: under reliable channels an
                     // accept always answers this node's outstanding
@@ -145,13 +144,14 @@ impl IiNode {
                 ctx.halt();
                 return;
             }
-            let live = self.live_ports();
-            if live.is_empty() {
+            let live = self.live.iter().filter(|&&l| l).count();
+            if live == 0 {
                 ctx.halt();
                 return;
             }
             if ctx.rng().random_bool(0.5) {
-                let pick = live[ctx.rng().random_range(0..live.len())];
+                let k = ctx.rng().random_range(0..live);
+                let pick = (0..self.live.len()).filter(|&p| self.live[p]).nth(k).expect("k < live");
                 self.proposed = Some(pick);
                 ctx.send(pick, IiMsg::Propose);
             }
@@ -169,8 +169,10 @@ impl IiNode {
         // A proposer is still protected against matching twice: its own
         // `Accept` always arrives before `proposed` is cleared at its
         // next sub 0, and while `proposed` is set it accepts nobody.
-        if self.matched_edge.is_none() && self.proposed.is_none() && !proposals.is_empty() {
-            let pick = proposals[ctx.rng().random_range(0..proposals.len())];
+        if self.matched_edge.is_none() && self.proposed.is_none() && proposals > 0 {
+            let k = ctx.rng().random_range(0..proposals);
+            let proposal = inbox.iter().filter(|&&(_, msg)| msg == IiMsg::Propose).nth(k);
+            let (pick, _) = *proposal.expect("k < proposals");
             self.matched_edge = Some(ctx.edge(pick));
             self.announced = false;
             ctx.send(pick, IiMsg::Accept);

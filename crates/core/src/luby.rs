@@ -291,13 +291,14 @@ impl LubyMatchingNode {
     }
 
     fn step(&mut self, ctx: &mut Context<'_, LubyMatchMsg>, inbox: &[(Port, LubyMatchMsg)]) {
-        let mut winners: Vec<Port> = Vec::new();
+        // Whether the port this node nominated nominated it back.
+        let mut mutual = false;
         for &(port, msg) in inbox {
             match msg {
                 LubyMatchMsg::Value { v, .. } => {
                     self.values[port] = Some((v, ctx.edge(port)));
                 }
-                LubyMatchMsg::Winner => winners.push(port),
+                LubyMatchMsg::Winner => mutual |= Some(port) == self.nominated,
                 LubyMatchMsg::Gone => {
                     self.live[port] = false;
                     self.values[port] = None;
@@ -315,7 +316,7 @@ impl LubyMatchingNode {
                     ctx.halt(); // exhausted: free with no live edges
                     return;
                 }
-                self.values = vec![None; self.live.len()];
+                self.values.fill(None);
                 self.nominated = None;
                 let bits = 4 * dam_congest::message::id_bits(ctx.network_size()) as u32;
                 for p in ctx.ports() {
@@ -342,12 +343,10 @@ impl LubyMatchingNode {
             _ => {
                 // A mutual nomination is a strict local maximum of the
                 // line graph (unique values + edge-id tie-break): match.
-                if let Some(p) = self.nominated {
-                    if winners.contains(&p) {
-                        self.matched_port = Some(p);
-                        self.matched_edge = Some(ctx.edge(p));
-                        self.depart(ctx, Some(p));
-                    }
+                if let Some(p) = self.nominated.filter(|_| mutual) {
+                    self.matched_port = Some(p);
+                    self.matched_edge = Some(ctx.edge(p));
+                    self.depart(ctx, Some(p));
                 }
             }
         }

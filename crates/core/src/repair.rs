@@ -110,11 +110,12 @@ pub(crate) fn sanitize_in_place(
     let n = g.node_count();
     assert_eq!(registers.len(), n, "one register per node");
     assert_eq!(alive.len(), n, "one liveness flag per node");
+    let m = g.edge_count();
     let mut bogus_claims = 0usize;
     let mut surviving = 0usize;
     for v in 0..n {
         let Some(e) = registers[v] else { continue };
-        if e >= g.edge_count() {
+        if e >= m {
             bogus_claims += 1;
             registers[v] = None;
             continue;

@@ -74,6 +74,7 @@
 //! layer, which re-validates registers against final presence).
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use dam_congest::transport::TransportCfg;
 use dam_congest::{
@@ -412,9 +413,71 @@ impl<'g> Exec<'g> {
     /// Consumes the executor: per-phase stats absorbed into one
     /// [`RunStats`] (exactly the single phase's stats for single-phase
     /// drivers), the engine's run totals, and the final phase's
-    /// transport-session exports (all-`None` for bare programs).
+    /// transport-session exports (empty for bare programs).
     pub(crate) fn into_stats(self) -> (RunStats, TotalStats, Vec<Option<SessionState>>) {
         (self.stats.unwrap_or_default(), self.net.totals(), self.sessions)
+    }
+}
+
+/// One `f64` per port of every node: scratch rows a driver allocates
+/// once and lends to the node programs of all its phases, as the
+/// bipartite driver lends its `live` rows, instead of each program
+/// allocating its own row in every phase.
+///
+/// A node program touches only its own row. The cells are relaxed
+/// atomics so that the rows can be shared with the sharded engine's
+/// workers, at the cost of plain loads and stores: nothing else is
+/// published through them, and the driver reads them only after the
+/// phase has returned, which orders every write before the read.
+pub(crate) struct PortRows {
+    /// Node `v`'s cells are `cells[start[v]..start[v + 1]]`.
+    start: Vec<usize>,
+    cells: Vec<AtomicU64>,
+}
+
+impl PortRows {
+    /// Zeroed rows of `g.degree(v)` cells for every node `v`.
+    pub(crate) fn new(g: &dyn Topology) -> PortRows {
+        let mut start = Vec::with_capacity(g.node_count() + 1);
+        start.push(0);
+        for v in 0..g.node_count() {
+            start.push(start[v] + g.degree(v));
+        }
+        let cells = (0..start[g.node_count()]).map(|_| AtomicU64::new(0)).collect();
+        PortRows { start, cells }
+    }
+
+    /// Node `v`'s row.
+    pub(crate) fn row(&self, v: NodeId) -> PortRow<'_> {
+        PortRow(&self.cells[self.start[v]..self.start[v + 1]])
+    }
+}
+
+/// One node's row of a [`PortRows`]: an `f64` per port.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PortRow<'a>(&'a [AtomicU64]);
+
+impl PortRow<'_> {
+    /// The value at `port`.
+    pub(crate) fn get(&self, port: Port) -> f64 {
+        f64::from_bits(self.0[port].load(Ordering::Relaxed))
+    }
+
+    /// Sets the value at `port`.
+    pub(crate) fn set(&self, port: Port, x: f64) {
+        self.0[port].store(x.to_bits(), Ordering::Relaxed);
+    }
+
+    /// Sets every port's value to `x`.
+    pub(crate) fn fill(&self, x: f64) {
+        for cell in self.0 {
+            cell.store(x.to_bits(), Ordering::Relaxed);
+        }
+    }
+
+    /// The values in port order.
+    pub(crate) fn values(&self) -> impl ExactSizeIterator<Item = f64> + DoubleEndedIterator + '_ {
+        self.0.iter().map(|cell| f64::from_bits(cell.load(Ordering::Relaxed)))
     }
 }
 
@@ -1158,7 +1221,9 @@ fn snapshot_of<A: Algorithm + ?Sized>(
             st.added as u64,
             st.repair_touched as u64,
         ],
-        sessions: if stage == Stage::Main {
+        // The engines return no exports at all when no node has one;
+        // the snapshot always records one entry per node.
+        sessions: if stage == Stage::Main && !st.sessions.is_empty() {
             st.sessions.clone()
         } else {
             vec![None; g.node_count()]

@@ -20,7 +20,7 @@
 use dam_congest::{Network, RunSpec, SimConfig};
 use dam_graph::{hopcroft_karp, maximal, mwm, EdgeId, Graph, GraphError, Matching};
 
-use super::AlgoSpec;
+use super::{AlgoSpec, PortRows};
 use crate::bipartite::{exhaust_length, PhaseSide};
 use crate::error::CoreError;
 use crate::israeli_itai::IiNode;
@@ -206,19 +206,21 @@ fn golden_weighted(g: &Graph, sim: SimConfig) -> Result<Vec<Option<EdgeId>>, Cor
     let mut net = Network::new(g, sim);
     let mut registers: Vec<Option<EdgeId>> = vec![None; g.node_count()];
     let iterations = algorithm5_iterations(0.1, 0.5);
+    let cells = PortRows::new(g);
     for _ in 0..iterations {
-        let gains = net
-            .execute(
-                |v, graph| {
-                    let matched_port = registers[v].map(|e| {
-                        graph.port_of_edge(v, e).expect("register points at incident edge")
-                    });
-                    let my_weight = registers[v].map_or(0.0, |e| graph.weight(e));
-                    GainExchange::new(graph.degree(v), matched_port, my_weight)
-                },
-                &RunSpec::default(),
-            )?
-            .outputs;
+        net.execute(
+            |v, graph| {
+                let matched_port = registers[v]
+                    .map(|e| graph.port_of_edge(v, e).expect("register points at incident edge"));
+                let my_weight = registers[v].map_or(0.0, |e| graph.weight(e));
+                GainExchange::new(cells.row(v), matched_port, my_weight)
+            },
+            &RunSpec::default(),
+        )?;
+        let gains: Vec<Vec<Option<f64>>> = g
+            .nodes()
+            .map(|v| (0..g.degree(v)).map(|p| GainExchange::gain(cells.row(v), p)).collect())
+            .collect();
         let m_prime =
             net.execute(|v, _| LocalMaxNode::new(&gains[v]), &RunSpec::default())?.outputs;
         matching_from_registers(g, &m_prime)?;

@@ -34,7 +34,7 @@ use dam_graph::EdgeId;
 
 use crate::error::CoreError;
 use crate::repair::sanitize_in_place;
-use crate::runtime::{Algorithm, Exec, MainRun};
+use crate::runtime::{Algorithm, Exec, MainRun, PortRow, PortRows};
 
 use self::local_max::LocalMaxNode;
 use self::proposal::ProposalNode;
@@ -74,26 +74,40 @@ impl BitSize for WrapMsg {
 }
 
 /// 2-round protocol computing per-port gains `w_M` (the paper's
-/// re-weighting). `pub(crate)` for the conformance harness's legacy
-/// golden replica.
+/// re-weighting) into a row borrowed from the driver, read back with
+/// [`GainExchange::gain`]. `pub(crate)` for the conformance harness's
+/// legacy golden replica.
 #[derive(Debug)]
-pub(crate) struct GainExchange {
+pub(crate) struct GainExchange<'a> {
     matched_port: Option<Port>,
     my_weight: f64,
-    gains: Vec<Option<f64>>,
+    /// Positive gain per port, `0.0` where there is none.
+    gains: PortRow<'a>,
 }
 
-impl GainExchange {
-    pub(crate) fn new(degree: usize, matched_port: Option<Port>, my_weight: f64) -> GainExchange {
-        GainExchange { matched_port, my_weight, gains: vec![None; degree] }
+impl<'a> GainExchange<'a> {
+    /// A fresh exchange; clears `gains`.
+    pub(crate) fn new(
+        gains: PortRow<'a>,
+        matched_port: Option<Port>,
+        my_weight: f64,
+    ) -> GainExchange<'a> {
+        gains.fill(0.0);
+        GainExchange { matched_port, my_weight, gains }
+    }
+
+    /// The candidate gain an exchange left at `port` of `gains`: `None`
+    /// for matching edges and non-positive gains.
+    pub(crate) fn gain(gains: PortRow<'_>, port: Port) -> Option<f64> {
+        let gain = gains.get(port);
+        (gain > 0.0).then_some(gain)
     }
 }
 
-impl Protocol for GainExchange {
+impl Protocol for GainExchange<'_> {
     type Msg = WrapMsg;
-    /// Candidate gains per port (`None` for matching edges and
-    /// non-positive gains).
-    type Output = Vec<Option<f64>>;
+    /// The gains are left in the borrowed row.
+    type Output = ();
 
     fn on_start(&mut self, ctx: &mut Context<'_, WrapMsg>) {
         ctx.broadcast(WrapMsg::MatchedWeight { w: self.my_weight });
@@ -107,16 +121,14 @@ impl Protocol for GainExchange {
                 }
                 let gain = ctx.edge_weight(port) - self.my_weight - w;
                 if gain > 0.0 {
-                    self.gains[port] = Some(gain);
+                    self.gains.set(port, gain);
                 }
             }
         }
         ctx.halt();
     }
 
-    fn into_output(self) -> Vec<Option<f64>> {
-        self.gains
-    }
+    fn into_output(self) {}
 }
 
 /// 2-round wrap pass: `M ← M ⊕ ⋃_{e∈M'} wrap(e)`, reconciling output
@@ -203,15 +215,19 @@ impl Weighted {
         let g = exec.graph();
         let alive = exec.alive().clone();
         let iterations = algorithm5_iterations(self.eps, self.delta);
+        // The exchange's per-port cells and the black box's candidate
+        // rows, both kept for every iteration.
+        let cells = PortRows::new(g);
+        let mut gains: Vec<Vec<Option<f64>>> =
+            (0..g.node_count()).map(|v| vec![None; g.degree(v)]).collect();
         for it in 0..iterations {
             // Step 1: gains.
             let gain = exec.phase(|v, graph| {
                 let matched_port = registers[v]
                     .map(|e| graph.port_of_edge(v, e).expect("register points at incident edge"));
                 let my_weight = registers[v].map_or(0.0, |e| graph.weight(e));
-                GainExchange::new(graph.degree(v), matched_port, my_weight)
+                GainExchange::new(cells.row(v), matched_port, my_weight)
             })?;
-            let mut gains = gain.outputs;
             // Mask gains on ports into the untrusted domain: a neighbour
             // that broadcast its weight and then crashed (or churned
             // out) is a tombstone in the black-box phase, and a gain
@@ -221,14 +237,12 @@ impl Weighted {
             // `dead_ports`.)
             for (v, row) in gains.iter_mut().enumerate() {
                 if !alive[v] {
-                    // A tombstone's output row is `Default` (possibly
-                    // empty) and is never fed to a live black box.
+                    // A tombstone's row is never fed to a live black box.
                     continue;
                 }
-                for (p, u, _) in g.incident(v) {
-                    if !alive[u] {
-                        row[p] = None;
-                    }
+                for (p, gain) in row.iter_mut().enumerate() {
+                    let (u, _) = g.port(v, p);
+                    *gain = if alive[u] { GainExchange::gain(cells.row(v), p) } else { None };
                 }
             }
             // Step 2: δ-MWM on the gain graph.

@@ -74,6 +74,7 @@ impl BitSet {
 
     /// Number of bits.
     #[must_use]
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
@@ -89,6 +90,7 @@ impl BitSet {
     /// # Panics
     /// Panics if `i >= len`.
     #[must_use]
+    #[inline]
     pub fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "bit {i} out of range ({} bits)", self.len);
         self.words[i / 64] & (1 << (i % 64)) != 0
@@ -98,6 +100,7 @@ impl BitSet {
     ///
     /// # Panics
     /// Panics if `i >= len`.
+    #[inline]
     pub fn set(&mut self, i: usize, value: bool) {
         assert!(i < self.len, "bit {i} out of range ({} bits)", self.len);
         if value {
@@ -233,6 +236,7 @@ impl BitSet {
 impl std::ops::Index<usize> for BitSet {
     type Output = bool;
 
+    #[inline]
     fn index(&self, i: usize) -> &bool {
         if self.get(i) {
             &TRUE

@@ -518,30 +518,13 @@ impl ImplicitTopology {
             BitSet::filled(Topology::edge_count(self), true),
         )
     }
-
-    /// Incident `(edge, neighbour)` pairs of `v` on the circulant
-    /// `reg:N:D`, sorted by edge id.
-    fn regular_incident(n: usize, d: usize, v: NodeId) -> Vec<(EdgeId, NodeId)> {
-        assert!(v < n, "node {v} out of range");
-        let mut inc = Vec::with_capacity(d);
-        for j in 1..=(d / 2) {
-            let block = ((j - 1) * n) as EdgeId;
-            inc.push((block + v, (v + j) % n)); // forward: v -> v+j
-            inc.push((block + (v + n - j) % n, (v + n - j) % n)); // backward
-        }
-        if d % 2 == 1 {
-            let block = ((d / 2) * n) as EdgeId;
-            let half = n / 2;
-            inc.push((block + v % half, (v + half) % n));
-        }
-        inc.sort_unstable();
-        inc
-    }
 }
 
 /// The `(neighbour, edge)` pair behind port `p` of `v`, where `inc` holds
 /// `v`'s `(edge, neighbour)` pairs sorted by edge id.
+#[inline]
 fn port_in(inc: &[(EdgeId, NodeId)], v: NodeId, p: usize) -> (NodeId, EdgeId) {
+    debug_assert!(inc.is_sorted(), "ports of node {v} out of edge-id order: {inc:?}");
     let &(e, u) = inc.get(p).unwrap_or_else(|| panic!("port {p} out of range at node {v}"));
     (u, e)
 }
@@ -616,26 +599,59 @@ impl Topology for ImplicitTopology {
         match *self {
             ImplicitTopology::Ring { n } => {
                 assert!(v < n, "node {v} out of range");
+                // Edge ids: predecessor edge is `pred`, successor edge is
+                // `v`; only node 0's predecessor edge (`n − 1`) wraps
+                // past its successor edge.
                 let pred = (v + n - 1) % n;
-                // Edge ids: predecessor edge is `pred`, successor edge is `v`.
-                let mut inc = [(pred, pred), (v, (v + 1) % n)];
-                inc.sort_unstable();
+                let succ = (v, (v + 1) % n);
+                let inc = if v == 0 { [succ, (pred, pred)] } else { [(pred, pred), succ] };
                 port_in(&inc, v, p)
             }
             ImplicitTopology::Torus { w, h } => {
                 assert!(v < w * h, "node {v} out of range");
                 let (x, y) = (v % w, v / w);
-                let right = y * w + (x + 1) % w;
-                let down = ((y + 1) % h) * w + x;
+                let right = (2 * v, y * w + (x + 1) % w);
+                let down = (2 * v + 1, ((y + 1) % h) * w + x);
                 let left = y * w + (x + w - 1) % w;
+                let left = (2 * left, left);
                 let up = ((y + h - 1) % h) * w + x;
-                let mut inc =
-                    [(2 * v, right), (2 * v + 1, down), (2 * left, left), (2 * up + 1, up)];
-                inc.sort_unstable();
+                let up = (2 * up + 1, up);
+                // Without wrap, `up` (2v − 2w + 1) precedes `left` (2v − 2),
+                // and both precede this node's own edges 2v and 2v + 1. A
+                // wrapped `left` (2v + 2w − 2) or `up` (2v + 2(h−1)w + 1)
+                // follows them instead, `left` first since h ≥ 3.
+                let inc = match (x == 0, y == 0) {
+                    (false, false) => [up, left, right, down],
+                    (false, true) => [left, right, down, up],
+                    (true, false) => [up, right, down, left],
+                    (true, true) => [right, down, left, up],
+                };
                 port_in(&inc, v, p)
             }
             ImplicitTopology::Regular { n, d } => {
-                port_in(&ImplicitTopology::regular_incident(n, d, v), v, p)
+                assert!(v < n, "node {v} out of range");
+                // Block j (offsets `j = 1..=d/2`) holds the edge ids
+                // `(j−1)·n ..`, so ports go block by block: forward
+                // `(j−1)·n + v` and backward `(j−1)·n + (v − j) mod n`,
+                // the backward one first unless `v − j` wraps. The
+                // diameter edge of odd `d` comes last.
+                let pairs = d - d % 2;
+                if p < pairs {
+                    let j = p / 2 + 1;
+                    let block = (j - 1) * n;
+                    let back = (v + n - j) % n;
+                    let backward_first = v >= j;
+                    if p.is_multiple_of(2) == backward_first {
+                        (back, block + back)
+                    } else {
+                        ((v + j) % n, block + v)
+                    }
+                } else if p == pairs && d % 2 == 1 {
+                    let half = n / 2;
+                    ((v + half) % n, pairs / 2 * n + v % half)
+                } else {
+                    panic!("port {p} out of range at node {v}")
+                }
             }
             ImplicitTopology::Gnp { .. } => unreachable!("handled above"),
         }
@@ -746,24 +762,33 @@ mod tests {
         }
     }
 
+    // The closed-form ports of the three arithmetic families are checked
+    // exhaustively against the twin, whose ports are the incident edges
+    // sorted by id: every node, so the wrap row and column of a torus
+    // and the wrap of every circulant offset are covered.
+
     #[test]
     fn ring_matches_twin() {
-        for n in [3, 4, 5, 8, 17] {
+        for n in 3..=16 {
             assert_twin(&ImplicitTopology::ring(n).unwrap());
         }
     }
 
     #[test]
     fn torus_matches_twin() {
-        for (w, h) in [(3, 3), (3, 4), (4, 4), (5, 3), (6, 4)] {
-            assert_twin(&ImplicitTopology::torus(w, h).unwrap());
+        for w in 3..=10 {
+            for h in 3..=10 {
+                assert_twin(&ImplicitTopology::torus(w, h).unwrap());
+            }
         }
     }
 
     #[test]
     fn regular_matches_twin() {
-        for (n, d) in [(5, 2), (6, 3), (8, 4), (10, 5), (9, 4), (12, 7)] {
-            assert_twin(&ImplicitTopology::regular(n, d).unwrap());
+        for n in 3..=16 {
+            for d in (1..n).filter(|d| d % 2 == 0 || n % 2 == 0) {
+                assert_twin(&ImplicitTopology::regular(n, d).unwrap());
+            }
         }
     }
 
