@@ -2,35 +2,23 @@
 //!
 //! The paper assumes a synchronous network and remarks (footnote 2) that
 //! this is *"without loss of generality (using, say, the α synchronizer
-//! of Awerbuch (1985))"*. This module makes that remark executable:
+//! of Awerbuch (1985))"*. [`crate::Backend::Async`] makes that remark
+//! executable: [`crate::Network::execute`] runs any protocol — bare, or
+//! under fault plans, churn plans, resilient transports and the
+//! `dam_core` runtime middleware — with every frame delayed by a
+//! [`DelayModel`], behind an α-synchronizer. Protocol messages are
+//! tagged with their round, a node sends an explicit empty marker on
+//! every live port that carried no payload in a round, and a node
+//! advances to round `r+1` only after hearing round-`r` traffic from
+//! every neighbour that was active in round `r`. A halting node's last
+//! round still sends, so its neighbours stop waiting for it.
 //!
-//! * [`AsyncNetwork`] is an event-driven executor — messages arrive after
-//!   arbitrary (randomized) delays, there are no rounds;
-//! * every node is wrapped in an α-synchronizer shim: protocol messages
-//!   are tagged with their round, every node sends its neighbours an
-//!   explicit (possibly empty) round marker each round, and a node
-//!   advances to round `r+1` only after hearing round-`r` traffic from
-//!   every live neighbour. Halting nodes announce a final marker so
-//!   neighbours stop waiting for them.
-//!
-//! The observable behaviour is **identical** to the synchronous engine:
-//! each node sees the same per-round inboxes and consumes the same
-//! random stream, so `run_async` returns bit-identical outputs to
-//! [`crate::Network::run`] for any protocol and any delay distribution —
-//! which is exactly what the test suite asserts. The price is message
-//! overhead (the empty markers), reported in [`AsyncStats`].
-//!
-//! # The asynchronous engine backend
-//!
-//! [`crate::Backend::Async`] promotes the same contract to the full
-//! hardened pipeline: [`crate::Network::execute`] with fault plans,
-//! churn plans, resilient transports and the `dam_core` runtime
-//! middleware. The synchronizer contract is what
-//! makes this sound: under the α-synchronizer, *message contents* are a
-//! function of the round structure alone, and *timing* factors out into
-//! a per-node virtual-clock recurrence
+//! Under the synchronizer, *message contents* are a function of the
+//! round structure alone, and *timing* factors out into a per-node
+//! virtual-clock recurrence
 //!
 //! ```text
+//! t(v, 0) = 1
 //! t(v, r) = max( t(v, r-1) + 1,
 //!                max over active in-neighbours u of
 //!                    t(u, r-1) + delay(u → v, r-1) )
@@ -38,28 +26,27 @@
 //!
 //! The backend therefore executes the exact sequential payload pipeline
 //! (same keyed randomness, same fault draws, same flush order) while
-//! an `AsyncTiming` layer tracks the recurrence, counts the synchronizer's
-//! empty-round markers into [`crate::RunStats::markers`], and — when a
-//! [`crate::SimConfig::patience`] budget is set — drops frames that
-//! resolve later than `t(v, r-1) + patience` at their receiver. With no
-//! patience budget the backend is bit-identical to the synchronous
-//! engines (the `async_equiv` differential suite enforces this); with
-//! one, late frames are lost, which is exactly the surface the timing
-//! adversary in `bench::adversary` attacks.
+//! an `AsyncTiming` layer tracks the recurrence, counts the
+//! synchronizer's empty-round markers into [`crate::RunStats::markers`]
+//! and reports the makespan through [`crate::Network::async_info`].
+//! Every other [`crate::RunStats`] field equals the synchronous run's,
+//! so the synchronizer's price is the markers in messages and the
+//! makespan in time; under [`DelayModel::Unit`] the makespan equals
+//! [`crate::RunStats::rounds`]. When a [`crate::SimConfig::patience`]
+//! budget is set, the layer also drops frames that resolve later than
+//! `t(v, r-1) + patience` at their receiver. With no patience budget
+//! the backend is bit-identical to the synchronous engines (the
+//! `async_equiv` differential suite enforces this); with one, late
+//! frames are lost, which is exactly the surface the timing adversary in
+//! `bench::adversary` attacks.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::HashSet;
 
 use dam_graph::{BitSet, EdgeId, NodeId, Topology};
-use rand::rngs::StdRng;
 
 use crate::engine::PortTable;
-use crate::error::SimError;
-use crate::message::BitSize;
 use crate::model::DelayModel;
-use crate::node::{Context, Port, Protocol};
-use crate::rng;
-use crate::stats::Integrity;
+use crate::node::Port;
 
 /// How many rounds a patience-drop record stays queryable: duplicated
 /// copies trail their frame by 2 rounds and reordered copies by at most
@@ -233,363 +220,13 @@ impl<'a> AsyncTiming<'a> {
     }
 }
 
-/// Cost accounting of an asynchronous run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AsyncStats {
-    /// Protocol (payload-carrying) messages delivered.
-    pub payload_messages: u64,
-    /// Empty synchronizer markers delivered — the α-synchronizer's
-    /// overhead.
-    pub marker_messages: u64,
-    /// Total payload bits.
-    pub payload_bits: u64,
-    /// Virtual time of the last delivery.
-    pub makespan: u64,
-    /// Highest synchronizer round reached by any node.
-    pub max_round: usize,
-}
-
-/// The α-synchronizer wrapper around one protocol instance.
-struct SyncNode<P: Protocol> {
-    proto: P,
-    rng: StdRng,
-    round: usize,
-    halted: bool,
-    announced_halt: bool,
-    /// Buffered payloads per pending round (`round + i` for slot `i`).
-    buffers: Vec<Vec<(Port, P::Msg)>>,
-    /// Per-round marker counts from each neighbour.
-    heard: Vec<Vec<bool>>,
-    /// Per neighbour port: the last round it will ever send (if halted).
-    done_after: Vec<Option<usize>>,
-}
-
-/// A wrapped wire message: a round-tagged (possibly empty) payload.
-/// `last` marks the sender's final round — it halts and will never send
-/// again, so the receiver must not wait for later rounds from it.
-struct WireMsg<M> {
-    round: usize,
-    payload: Option<M>,
-    last: bool,
-}
-
-/// An event in the executor's queue (ordering lives in the heap key).
-struct Event<M> {
-    to: NodeId,
-    port: Port,
-    msg: WireMsg<M>,
-}
-
-/// Event-driven asynchronous executor.
-///
-/// See the module docs; construct with [`AsyncNetwork::new`], execute
-/// with [`AsyncNetwork::run_async`].
-pub struct AsyncNetwork<'g> {
-    graph: &'g dyn Topology,
-    seed: u64,
-    /// Safety bound on processed events.
-    max_events: u64,
-}
-
-impl<'g> AsyncNetwork<'g> {
-    /// An asynchronous network over `graph` (any [`Topology`]; a
-    /// `&Graph` coerces at the call site).
-    #[must_use]
-    pub fn new(graph: &'g dyn Topology, seed: u64) -> AsyncNetwork<'g> {
-        AsyncNetwork { graph, seed, max_events: 200_000_000 }
-    }
-
-    /// Overrides the event-count safety bound.
-    #[must_use]
-    pub fn max_events(mut self, max: u64) -> AsyncNetwork<'g> {
-        self.max_events = max;
-        self
-    }
-
-    /// Runs `make`'s protocol under asynchronous delivery with the given
-    /// delay model. Outputs are bit-identical to the synchronous
-    /// [`crate::Network::run`] with the same seed.
-    ///
-    /// # Errors
-    /// [`SimError::RoundLimitExceeded`] (re-used as an event-budget
-    /// guard) if the event bound is exhausted, plus protocol faults.
-    #[allow(clippy::too_many_lines)]
-    pub fn run_async<P, F>(
-        &self,
-        mut make: F,
-        delays: DelayModel,
-    ) -> Result<(Vec<P::Output>, AsyncStats), SimError>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, &dyn Topology) -> P,
-    {
-        let g = self.graph;
-        let n = g.node_count();
-        let mut nodes: Vec<SyncNode<P>> = (0..n)
-            .map(|v| SyncNode {
-                proto: make(v, g),
-                rng: rng::node_rng(self.seed, 0, v),
-                round: 0,
-                halted: false,
-                announced_halt: false,
-                buffers: Vec::new(),
-                heard: Vec::new(),
-                done_after: vec![None; g.degree(v)],
-            })
-            .collect();
-
-        let mut queue: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
-        let mut events: Vec<Option<Event<P::Msg>>> = Vec::new();
-        let mut seq = 0u64;
-        let mut stats = AsyncStats::default();
-        let mut fault: Option<SimError> = None;
-        // Integrity reports are accepted (the Context API is uniform)
-        // but AsyncStats does not break them out.
-        let mut integrity = Integrity::default();
-
-        // Round-0 sends: run on_start everywhere, then wrap its outbox.
-        let mut outbox: Vec<(Port, P::Msg)> = Vec::new();
-        let mut sent = vec![false; g.max_degree()];
-        for (v, node) in nodes.iter_mut().enumerate() {
-            let mut ctx = Context {
-                node: v,
-                round: 0,
-                graph: g,
-                rng: &mut node.rng,
-                outbox: &mut outbox,
-                sent: &mut sent,
-                halted: &mut node.halted,
-                fault: &mut fault,
-                integrity: &mut integrity,
-                wake: 0,
-            };
-            node.proto.on_start(&mut ctx);
-            if let Some(err) = fault.take() {
-                return Err(err);
-            }
-            Self::dispatch_round(
-                g,
-                v,
-                0,
-                node.halted,
-                &mut node.announced_halt,
-                &mut outbox,
-                &mut sent,
-                &mut queue,
-                &mut events,
-                &mut seq,
-                self.seed,
-                delays,
-                0,
-            );
-        }
-
-        // Degree-0 nodes receive no events: free-run their timer rounds.
-        let mut free_run = 0u64;
-        for (v, node) in nodes.iter_mut().enumerate() {
-            if g.degree(v) > 0 {
-                continue;
-            }
-            while !node.halted {
-                free_run += 1;
-                if free_run > self.max_events {
-                    return Err(SimError::RoundLimitExceeded {
-                        limit: self.max_events as usize,
-                        running: 1,
-                    });
-                }
-                node.round += 1;
-                let round = node.round;
-                let mut ctx = Context {
-                    node: v,
-                    round,
-                    graph: g,
-                    rng: &mut node.rng,
-                    outbox: &mut outbox,
-                    sent: &mut sent,
-                    halted: &mut node.halted,
-                    fault: &mut fault,
-                    integrity: &mut integrity,
-                    wake: 0,
-                };
-                node.proto.on_round(&mut ctx, &[]);
-                if let Some(err) = fault.take() {
-                    return Err(err);
-                }
-                outbox.clear();
-            }
-        }
-
-        let mut processed = 0u64;
-        while let Some(Reverse((time, _, idx))) = queue.pop() {
-            processed += 1;
-            if processed > self.max_events {
-                return Err(SimError::RoundLimitExceeded {
-                    limit: self.max_events as usize,
-                    running: nodes.iter().filter(|s| !s.halted).count(),
-                });
-            }
-            let event = events[idx].take().expect("event fired once");
-            stats.makespan = stats.makespan.max(time);
-            let v = event.to;
-            let node = &mut nodes[v];
-            if node.halted {
-                continue;
-            }
-            // File the message into the right round slot.
-            let WireMsg { round: ev_round, payload, last } = event.msg;
-            debug_assert!(ev_round >= node.round, "messages from the past are impossible");
-            let slot = ev_round - node.round;
-            while node.buffers.len() <= slot {
-                node.buffers.push(Vec::new());
-                node.heard.push(vec![false; g.degree(v)]);
-            }
-            if let Some(m) = payload {
-                stats.payload_messages += 1;
-                stats.payload_bits += m.bit_size() as u64;
-                node.buffers[slot].push((event.port, m));
-            } else {
-                stats.marker_messages += 1;
-            }
-            node.heard[slot][event.port] = true;
-            if last {
-                node.done_after[event.port] = Some(ev_round);
-            }
-
-            // Advance while the current round's tag is fully heard: each
-            // port either delivered its tagged message for this round or
-            // is past its sender's final round. When every neighbour is
-            // past-done the node free-runs (timer-only rounds) until it
-            // halts itself.
-            loop {
-                processed += 1;
-                if processed > self.max_events {
-                    return Err(SimError::RoundLimitExceeded {
-                        limit: self.max_events as usize,
-                        running: 1,
-                    });
-                }
-                let deg = g.degree(v);
-                let tag = node.round;
-                let past_done = |p: usize| node.done_after[p].is_some_and(|r| tag > r);
-                let current_ready = if node.buffers.is_empty() {
-                    (0..deg).all(past_done)
-                } else {
-                    (0..deg).all(|p| node.heard[0][p] || past_done(p))
-                };
-                if !current_ready {
-                    break;
-                }
-                if node.buffers.is_empty() {
-                    node.buffers.push(Vec::new());
-                    node.heard.push(vec![false; deg]);
-                }
-                let mut inbox = node.buffers.remove(0);
-                node.heard.remove(0);
-                inbox.sort_by_key(|&(p, _)| p);
-                node.round += 1;
-                stats.max_round = stats.max_round.max(node.round);
-                let round = node.round;
-                let mut ctx = Context {
-                    node: v,
-                    round,
-                    graph: g,
-                    rng: &mut node.rng,
-                    outbox: &mut outbox,
-                    sent: &mut sent,
-                    halted: &mut node.halted,
-                    fault: &mut fault,
-                    integrity: &mut integrity,
-                    wake: 0,
-                };
-                node.proto.on_round(&mut ctx, &inbox);
-                if let Some(err) = fault.take() {
-                    return Err(err);
-                }
-                let halted = node.halted;
-                Self::dispatch_round(
-                    g,
-                    v,
-                    round,
-                    halted,
-                    &mut node.announced_halt,
-                    &mut outbox,
-                    &mut sent,
-                    &mut queue,
-                    &mut events,
-                    &mut seq,
-                    self.seed,
-                    delays,
-                    time,
-                );
-                if halted {
-                    break;
-                }
-            }
-        }
-
-        let outputs = nodes.into_iter().map(|s| s.proto.into_output()).collect();
-        Ok((outputs, stats))
-    }
-
-    /// Wraps a round's outbox into wire messages: payloads where the
-    /// protocol sent, markers elsewhere, goodbyes on halt.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_round<M>(
-        g: &dyn Topology,
-        v: NodeId,
-        round: usize,
-        halted: bool,
-        announced_halt: &mut bool,
-        outbox: &mut Vec<(Port, M)>,
-        sent: &mut [bool],
-        queue: &mut BinaryHeap<Reverse<(u64, u64, usize)>>,
-        events: &mut Vec<Option<Event<M>>>,
-        seq: &mut u64,
-        seed: u64,
-        delays: DelayModel,
-        now: u64,
-    ) {
-        let mut payloads: Vec<Option<M>> = (0..g.degree(v)).map(|_| None).collect();
-        for (port, msg) in outbox.drain(..) {
-            sent[port] = false;
-            payloads[port] = Some(msg);
-        }
-        if *announced_halt {
-            debug_assert!(payloads.iter().all(Option::is_none), "halted nodes stay silent");
-            return;
-        }
-        for (port, payload) in payloads.into_iter().enumerate() {
-            let (u, q) = peer_of(g, v, port);
-            let msg = WireMsg { round, payload, last: halted };
-            // Delays are pure keyed functions of the frame coordinates
-            // (see `DelayModel::delay`), so the schedule is independent
-            // of the event-processing order. The standalone executor is
-            // always "run 0".
-            let delay = delays.delay(seed, 0, round as u64, v, u);
-            let idx = events.len();
-            events.push(Some(Event { to: u, port: q, msg }));
-            queue.push(Reverse((now + delay, *seq, idx)));
-            *seq += 1;
-        }
-        if halted {
-            *announced_halt = true;
-        }
-    }
-}
-
-/// The `(neighbour, remote port)` behind `(v, port)` (computed on the
-/// fly; the synchronous engine precomputes the same mapping).
-fn peer_of(g: &dyn Topology, v: NodeId, port: Port) -> (NodeId, Port) {
-    let (u, e) = g.port(v, port);
-    let q = g.port_of_edge(u, e).expect("edge is incident to both endpoints");
-    (u, q)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::SimConfig;
+    use crate::engine::{RunOutcome, RunSpec};
+    use crate::error::SimError;
+    use crate::model::{Backend, SimConfig};
+    use crate::node::{Context, Protocol};
     use crate::Network;
     use dam_graph::generators;
 
@@ -627,11 +264,19 @@ mod tests {
         }
     }
 
-    fn sync_outputs(g: &dam_graph::Graph, seed: u64) -> Vec<u64> {
+    /// One `Gossip` run on the sequential engine.
+    fn sync_run(g: &dyn Topology, seed: u64) -> RunOutcome<u64> {
         Network::new(g, SimConfig::local().seed(seed))
             .run(|_, _| Gossip { rounds: 6, acc: 0 })
             .unwrap()
-            .outputs
+    }
+
+    /// One `Gossip` run on the asynchronous backend and its timing.
+    fn async_run(g: &dyn Topology, seed: u64, delay: DelayModel) -> (RunOutcome<u64>, AsyncInfo) {
+        let mut net =
+            Network::new(g, SimConfig::local().seed(seed).backend(Backend::Async).delay(delay));
+        let out = net.execute(|_, _| Gossip { rounds: 6, acc: 0 }, &RunSpec::default()).unwrap();
+        (out, net.async_info().expect("async run records its timing"))
     }
 
     #[test]
@@ -640,21 +285,21 @@ mod tests {
         let mut topo_rng = rand::rngs::StdRng::seed_from_u64(5);
         for trial in 0..4u64 {
             let g = generators::gnp(25, 0.18, &mut topo_rng);
-            let expected = sync_outputs(&g, trial);
+            let expected = sync_run(&g, trial);
             for delays in [
                 DelayModel::Unit,
                 DelayModel::UniformRandom { max: 9 },
                 DelayModel::UniformRandom { max: 40 },
                 DelayModel::LinkSkew { spread: 7 },
             ] {
-                let (outputs, stats) = AsyncNetwork::new(&g, trial)
-                    .run_async(|_, _| Gossip { rounds: 6, acc: 0 }, delays)
-                    .unwrap();
+                let (out, _) = async_run(&g, trial, delays);
                 assert_eq!(
-                    outputs, expected,
+                    out.outputs, expected.outputs,
                     "trial {trial}, {delays:?}: async run diverged from synchronous"
                 );
-                assert!(stats.max_round > 0);
+                let mut stats = out.stats;
+                stats.markers = 0;
+                assert_eq!(stats, expected.stats, "trial {trial}, {delays:?}: stats");
             }
         }
     }
@@ -686,29 +331,21 @@ mod tests {
 
     #[test]
     fn backend_matches_sequential_and_accounts_markers() {
-        use crate::engine::RunSpec;
-        use crate::model::Backend;
         use rand::SeedableRng;
         let mut topo_rng = rand::rngs::StdRng::seed_from_u64(9);
         let g = generators::gnp(20, 0.2, &mut topo_rng);
-        let seq = Network::new(&g, SimConfig::local().seed(3))
-            .run(|_, _| Gossip { rounds: 6, acc: 0 })
-            .unwrap();
+        let seq = sync_run(&g, 3);
         for delay in [
             DelayModel::Unit,
             DelayModel::UniformRandom { max: 7 },
             DelayModel::Straggler { node: 2, slow: 11 },
             DelayModel::Burst { period: 3, width: 1, extra: 6 },
         ] {
-            let cfg = SimConfig::local().seed(3).backend(Backend::Async).delay(delay);
-            let mut net = Network::new(&g, cfg);
-            let out =
-                net.execute(|_, _| Gossip { rounds: 6, acc: 0 }, &RunSpec::default()).unwrap();
+            let (out, info) = async_run(&g, 3, delay);
             assert_eq!(out.outputs, seq.outputs, "{delay:?}: payload divergence");
             assert_eq!(out.stats.rounds, seq.stats.rounds);
             assert_eq!(out.stats.messages, seq.stats.messages);
             assert!(out.stats.markers > 0, "silent ports must cost markers");
-            let info = net.async_info().expect("async run records its timing");
             assert_eq!(info.markers, out.stats.markers);
             assert_eq!(info.timing_drops, 0, "no patience budget, no drops");
             assert!(
@@ -723,8 +360,6 @@ mod tests {
 
     #[test]
     fn patience_drops_straggler_frames_deterministically() {
-        use crate::engine::RunSpec;
-        use crate::model::Backend;
         use rand::SeedableRng;
         let mut topo_rng = rand::rngs::StdRng::seed_from_u64(4);
         let g = generators::gnp(16, 0.3, &mut topo_rng);
@@ -748,35 +383,105 @@ mod tests {
         // every frame: bit-identity is restored.
         let bound = DelayModel::Straggler { node: 0, slow: 12 }.bound();
         let (c, info_c) = run(cfg.patience(2 * bound));
-        let seq = Network::new(&g, SimConfig::local().seed(5))
-            .run(|_, _| Gossip { rounds: 6, acc: 0 })
-            .unwrap();
         assert_eq!(info_c.timing_drops, 0, "patience ≥ 2·bound absorbs the straggler");
-        assert_eq!(c, seq.outputs);
+        assert_eq!(c, sync_run(&g, 5).outputs);
     }
 
     #[test]
     fn marker_overhead_is_accounted() {
         let g = generators::cycle(8);
-        let (_, stats) = AsyncNetwork::new(&g, 1)
-            .run_async(|_, _| Gossip { rounds: 6, acc: 0 }, DelayModel::UniformRandom { max: 5 })
+        let (out, info) = async_run(&g, 1, DelayModel::UniformRandom { max: 5 });
+        assert!(out.stats.markers > 0, "silent rounds must cost markers");
+        assert!(out.stats.messages > 0);
+        assert!(info.makespan > 0);
+    }
+
+    #[test]
+    fn unit_delays_take_one_time_unit_per_round() {
+        // Under `Unit` every frame takes one unit, so the recurrence
+        // collapses to t(v, r) = t(v, r-1) + 1 = r + 1 for every node,
+        // and the last round, r = rounds - 1, completes at `rounds`.
+        use rand::SeedableRng;
+        let mut topo_rng = rand::rngs::StdRng::seed_from_u64(2);
+        let edgeless = dam_graph::Graph::builder(5).build().unwrap();
+        let graphs = [
+            generators::gnp(40, 0.1, &mut topo_rng),
+            generators::gnp(40, 0.05, &mut topo_rng),
+            generators::cycle(9),
+            edgeless,
+        ];
+        for (i, g) in graphs.iter().enumerate() {
+            let (out, info) = async_run(g, i as u64, DelayModel::Unit);
+            assert_eq!(info.makespan, out.stats.rounds, "graph {i}");
+        }
+    }
+
+    /// Every node pings its neighbours in round 0 and halts in round
+    /// `stop[v]`, silent in between.
+    struct Ping {
+        stop: usize,
+    }
+
+    impl Protocol for Ping {
+        type Msg = ();
+        type Output = ();
+        fn on_start(&mut self, ctx: &mut Context<'_, ()>) {
+            ctx.broadcast(());
+        }
+        fn on_round(&mut self, ctx: &mut Context<'_, ()>, _: &[(Port, ())]) {
+            if ctx.round() >= self.stop {
+                ctx.halt();
+            }
+        }
+        fn into_output(self) {}
+    }
+
+    #[test]
+    fn straggler_on_a_path_by_hand() {
+        // path(3): 0 - 1 - 2, node 1 sends with delay 5, everything else
+        // with delay 1; nodes 0 and 1 halt in round 2, node 2 in round 3.
+        // Round 0 completes at t = 1 everywhere, and
+        //   t(v, r) = max(t(v, r-1) + 1, max_u t(u, r-1) + delay(u → v))
+        // over the neighbours u that stepped in round r - 1:
+        //   r = 1: t0 = max(2, 1 + 5) = 6, t1 = max(2, 1 + 1, 1 + 1) = 2,
+        //          t2 = max(2, 1 + 5) = 6;
+        //   r = 2: t0 = max(7, 2 + 5) = 7, t1 = max(3, 6 + 1, 6 + 1) = 7,
+        //          t2 = max(7, 2 + 5) = 7;
+        //   r = 3: t0 = max(8, 7 + 5) = 12, t1 = max(8, 7 + 1, 7 + 1) = 8,
+        //          t2 = max(8, 7 + 5) = 12 (node 1's final marker, sent
+        //          in round 2, is what node 2 waits for),
+        // so the makespan is 12. Markers: round 0 has a payload on all 4
+        // ports; rounds 1 and 2 send none, so all 4 ports carry a marker
+        // each round; in round 3 only node 2 steps, with 1 port: 9.
+        let g = generators::path(3);
+        let delay = DelayModel::Straggler { node: 1, slow: 5 };
+        let mut net = Network::new(&g, SimConfig::local().backend(Backend::Async).delay(delay));
+        let out = net
+            .execute(|v, _| Ping { stop: if v == 2 { 3 } else { 2 } }, &RunSpec::default())
             .unwrap();
-        assert!(stats.marker_messages > 0, "silent rounds must cost markers");
-        assert!(stats.payload_messages > 0);
-        assert!(stats.makespan > 0);
+        assert_eq!(out.stats.rounds, 4);
+        assert_eq!(out.stats.messages, 4);
+        assert_eq!(out.stats.markers, 9);
+        let info = net.async_info().unwrap();
+        assert_eq!((info.makespan, info.markers, info.timing_drops), (12, 9, 0));
     }
 
     #[test]
     fn isolated_and_empty_graphs() {
-        let g = dam_graph::Graph::builder(3).build().unwrap();
-        let (outputs, _) = AsyncNetwork::new(&g, 0)
-            .run_async(|_, _| Gossip { rounds: 2, acc: 0 }, DelayModel::Unit)
-            .unwrap();
-        assert_eq!(outputs.len(), 3);
+        for n in [3, 0] {
+            let g = dam_graph::Graph::builder(n).build().unwrap();
+            let mut net = Network::new(&g, SimConfig::local().backend(Backend::Async));
+            let out =
+                net.execute(|_, _| Gossip { rounds: 2, acc: 0 }, &RunSpec::default()).unwrap();
+            assert_eq!(out.outputs.len(), n);
+            // No ports, no markers.
+            assert_eq!(out.stats.markers, 0, "n = {n}");
+            assert!(net.async_info().is_some(), "n = {n}");
+        }
     }
 
     #[test]
-    fn event_budget_guards() {
+    fn round_guard_fires_on_the_async_backend() {
         struct Forever;
         impl Protocol for Forever {
             type Msg = ();
@@ -790,10 +495,8 @@ mod tests {
             fn into_output(self) {}
         }
         let g = generators::cycle(4);
-        let err = AsyncNetwork::new(&g, 0)
-            .max_events(500)
-            .run_async(|_, _| Forever, DelayModel::Unit)
-            .unwrap_err();
-        assert!(matches!(err, SimError::RoundLimitExceeded { .. }));
+        let cfg = SimConfig::local().max_rounds(50).backend(Backend::Async);
+        let err = Network::new(&g, cfg).execute(|_, _| Forever, &RunSpec::default()).unwrap_err();
+        assert!(matches!(err, SimError::RoundLimitExceeded { limit: 50, running: 4 }), "{err:?}");
     }
 }

@@ -79,7 +79,7 @@ pub mod trace;
 pub mod transport;
 
 pub use adaptive::{AdaptivePolicy, EpochObservation};
-pub use asynchrony::{AsyncInfo, AsyncNetwork, AsyncStats};
+pub use asynchrony::AsyncInfo;
 pub use engine::{
     ChurnEvent, ChurnPlan, FaultPlan, LinkFault, Network, Partition, RunOutcome, RunSpec, Squall,
 };

@@ -1434,8 +1434,18 @@ fn pipeline_tail<A: Algorithm + ?Sized>(
     let n = g.node_count();
 
     // Bare path: every middleware layer off. Assemble directly so error
-    // behaviour matches the plain drivers.
+    // behaviour matches the plain drivers. A crash or recovery in the
+    // main run can leave one side of a handshake (a rebooted node wipes
+    // its register, a crashed one never answers), so such a run drops
+    // one-sided claims first. Every node is trusted in that pass: a
+    // register file that assembles keeps every claim.
     if st.from == Stage::Main && !cfg.certify && !cfg.repair && !cfg.maintain {
+        let mut dissolved = 0;
+        if !cfg.faults.crashes.is_empty() || !cfg.faults.recoveries.is_empty() {
+            let sane = sanitize_registers_on(g, &st.regs, &BitSet::filled(n, true));
+            st.regs = sane.registers;
+            dissolved = sane.dissolved;
+        }
         let matching = matching_from_registers(g, &st.regs)?;
         let surviving = matching.size();
         return Ok(RunReport {
@@ -1446,7 +1456,7 @@ fn pipeline_tail<A: Algorithm + ?Sized>(
             node_present: st.node_present.to_bools(),
             edge_present: st.edge_present.to_bools(),
             surviving,
-            dissolved: 0,
+            dissolved,
             added: 0,
             repair_touched: 0,
             initial: None,
@@ -1761,6 +1771,41 @@ mod tests {
         assert_eq!(rep.iterations, direct.iterations);
         assert!(rep.initial.is_none() && rep.recheck.is_none());
         assert!(!rep.certified(), "an uncertified run attests nothing");
+    }
+
+    #[test]
+    fn bare_run_drops_one_sided_claims_after_a_reboot() {
+        // Nodes 4 and 9 crash and reboot over the default transport: a
+        // rebooted node's wiped register leaves its former mate's claim
+        // one-sided. The bare run keeps exactly what the repair layer's
+        // sanitation keeps, on every backend.
+        let mut rng = StdRng::seed_from_u64(0xD16E_5700 ^ 5);
+        let g = generators::gnp(20, 0.2, &mut rng);
+        let faults =
+            FaultPlan::crashes(vec![(4, 2), (9, 3)]).with_recoveries(vec![(4, 5), (9, 30)]);
+        for (backend, threads) in
+            [(Backend::Sequential, 1), (Backend::Sharded, 2), (Backend::Async, 1)]
+        {
+            let sim =
+                SimConfig::local().seed(5).max_rounds(500_000).backend(backend).threads(threads);
+            let cfg = RuntimeConfig::new()
+                .sim(sim)
+                .transport(TransportCfg::default())
+                .faults(faults.clone());
+            let bare = run_mm(&IsraeliItai, &g, &cfg).unwrap();
+            let repaired = run_mm(&IsraeliItai, &g, &cfg.clone().repair(true)).unwrap();
+            bare.matching.validate(&g).unwrap();
+            assert!(bare.dissolved > 0, "{backend:?}: the one-sided claim is counted");
+            assert_eq!(
+                (bare.surviving, bare.dissolved),
+                (repaired.surviving, repaired.dissolved),
+                "{backend:?}"
+            );
+            assert_eq!(bare.matching.size(), bare.surviving, "{backend:?}");
+            for e in bare.matching.to_edge_vec() {
+                assert!(repaired.matching.contains(e), "{backend:?}: repair keeps edge {e}");
+            }
+        }
     }
 
     #[test]

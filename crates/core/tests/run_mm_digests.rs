@@ -23,7 +23,9 @@
 //!   over the resilient transport under duplication plus reordering,
 //!   under a crash with recovery (a peer reboots and its neighbours
 //!   reset their sessions), under an [`AdaptivePolicy`] on a lossy
-//!   network, and through a squall window of heavy loss and corruption.
+//!   network, through a squall window of heavy loss and corruption, and
+//!   under the same reboot with no repair layer (the bare run drops the
+//!   one-sided claim a wiped register leaves).
 //!
 //! Every row is recomputed on the sequential, sharded (2 workers) and
 //! asynchronous backends and must equal the committed digest on each.
@@ -416,7 +418,13 @@ fn transport_rows(backend: Backend, threads: usize) -> Vec<(String, u64)> {
                 .adaptive(AdaptivePolicy::default())
                 .faults(FaultPlan::lossy(0.15).with_corrupt(0.03)),
         ),
-        ("squall", transported.faults(FaultPlan::lossy(0.02).with_squall(squall))),
+        ("squall", transported.clone().faults(FaultPlan::lossy(0.02).with_squall(squall))),
+        (
+            "reboot-bare",
+            transported.faults(
+                FaultPlan::crashes(vec![(4, 2), (9, 3)]).with_recoveries(vec![(4, 5), (9, 30)]),
+            ),
+        ),
     ];
     cases
         .into_iter()

@@ -6,9 +6,9 @@
 //! cargo run --release --example asynchrony
 //! ```
 
-use dam::congest::{AsyncNetwork, DelayModel, Network, SimConfig};
+use dam::congest::{Backend, DelayModel, Network, RunSpec, SimConfig};
 use dam::core::israeli_itai::IiNode;
-use dam::graph::generators;
+use dam::graph::{generators, NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -16,31 +16,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(12);
     let g = generators::gnp(100, 0.06, &mut rng);
     let seed = 4;
+    let make = |v: NodeId, graph: &dyn Topology| IiNode::new(graph.degree(v));
 
     println!("Israeli-Itai on G(100, 0.06), seed {seed}\n");
 
     // Synchronous reference.
-    let sync = Network::new(&g, SimConfig::local().seed(seed))
-        .run(|v, graph| IiNode::new(graph.degree(v)))?;
+    let sync = Network::new(&g, SimConfig::local().seed(seed)).run(make)?;
     let matched = sync.outputs.iter().flatten().count() / 2;
     println!(
         "synchronous        : {matched} pairs, {} rounds, {} messages",
         sync.stats.rounds, sync.stats.messages
     );
 
-    // The same protocol, unchanged, under asynchronous delivery with an
-    // α-synchronizer shim.
+    // The same protocol, unchanged, on the asynchronous backend: delayed
+    // delivery behind an α-synchronizer.
     for (name, delays) in [
         ("async, unit delays", DelayModel::Unit),
         ("async, delay <= 20", DelayModel::UniformRandom { max: 20 }),
         ("async, skewed links", DelayModel::LinkSkew { spread: 13 }),
     ] {
-        let (outputs, stats) = AsyncNetwork::new(&g, seed)
-            .run_async(|v, graph| IiNode::new(graph.degree(v)), delays)?;
-        assert_eq!(outputs, sync.outputs, "footnote 2 must hold");
+        let cfg = SimConfig::local().seed(seed).backend(Backend::Async).delay(delays);
+        let mut net = Network::new(&g, cfg);
+        let out = net.execute(make, &RunSpec::default())?;
+        assert_eq!(out.outputs, sync.outputs, "footnote 2 must hold");
+        assert_eq!(out.stats.messages, sync.stats.messages, "the protocol's traffic is unchanged");
+        let makespan = net.async_info().expect("async run records its timing").makespan;
         println!(
-            "{name:<19}: identical matching; {} payload + {} marker msgs, makespan {}",
-            stats.payload_messages, stats.marker_messages, stats.makespan
+            "{name:<19}: identical matching; {} payload + {} marker msgs, makespan {makespan}",
+            out.stats.messages, out.stats.markers
         );
     }
 
