@@ -1963,6 +1963,92 @@ mod tests {
         assert_eq!(seq.repair, par.repair);
     }
 
+    /// A two-phase Israeli–Itai driver that records, for every phase it
+    /// runs, the nodes its `make` was called for.
+    #[derive(Default)]
+    struct RecordingDriver {
+        calls: std::sync::Mutex<Vec<Vec<bool>>>,
+    }
+
+    impl RecordingDriver {
+        fn phase(
+            &self,
+            exec: &mut Exec<'_>,
+            registers: Option<&[Option<EdgeId>]>,
+        ) -> Result<RunOutcome<Option<EdgeId>>, CoreError> {
+            use std::sync::atomic::AtomicBool;
+            let made: Vec<AtomicBool> =
+                (0..exec.graph().node_count()).map(|_| AtomicBool::new(false)).collect();
+            let dead = exec.dead_ports();
+            let first = exec.phases() == 0 && registers.is_none();
+            let out = exec.phase(|v, g| {
+                made[v].store(true, Ordering::Relaxed);
+                if first {
+                    IiNode::new(g.degree(v))
+                } else {
+                    IiNode::with_state(g.degree(v), registers.and_then(|r| r[v]), &dead[v])
+                }
+            })?;
+            self.calls.lock().unwrap().push(made.into_iter().map(AtomicBool::into_inner).collect());
+            Ok(out)
+        }
+    }
+
+    impl Algorithm for RecordingDriver {
+        fn name(&self) -> &'static str {
+            "recording"
+        }
+
+        fn run(&self, exec: &mut Exec<'_>) -> Result<MainRun, CoreError> {
+            self.phase(exec, None)?;
+            let out = self.phase(exec, None)?;
+            Ok(MainRun { registers: out.outputs, iterations: 2 })
+        }
+
+        fn resume(
+            &self,
+            exec: &mut Exec<'_>,
+            registers: &[Option<EdgeId>],
+        ) -> Result<MainRun, CoreError> {
+            let out = self.phase(exec, Some(registers))?;
+            Ok(MainRun { registers: out.outputs, iterations: 1 })
+        }
+    }
+
+    #[test]
+    fn make_runs_for_every_node_first_and_for_trusted_nodes_after() {
+        // Node 3 crashes for good, so it is untrusted; node 5 crashes and
+        // recovers, so it stays trusted. Bare, node 3's crash falls after
+        // the run has ended; over the transport, both crash in round 2.
+        let mut rng = StdRng::seed_from_u64(14);
+        let g = generators::gnp(20, 0.2, &mut rng);
+        let bare = RuntimeConfig::new().faults(FaultPlan::crashes(vec![(3, 10_000)]));
+        let transported = RuntimeConfig::new()
+            .transport(TransportCfg::default())
+            .faults(FaultPlan::crashes(vec![(3, 2), (5, 2)]).with_recoveries(vec![(5, 6)]));
+        for (backend, threads) in
+            [(Backend::Sequential, 1), (Backend::Sharded, 2), (Backend::Async, 1)]
+        {
+            let sim =
+                SimConfig::local().seed(9).max_rounds(500_000).backend(backend).threads(threads);
+            for cfg in [&bare, &transported] {
+                let driver = RecordingDriver::default();
+                run_mm(&driver, &g, &cfg.clone().sim(sim).repair(true)).unwrap();
+                let calls = driver.calls.into_inner().unwrap();
+                assert_eq!(calls.len(), 3, "{backend:?}: two main phases and one resume phase");
+                assert!(
+                    calls[0].iter().all(|&m| m),
+                    "{backend:?}: the first phase makes every node"
+                );
+                for (phase, made) in calls.iter().enumerate().skip(1) {
+                    for (v, &m) in made.iter().enumerate() {
+                        assert_eq!(m, v != 3, "{backend:?}: phase {phase}, node {v}");
+                    }
+                }
+            }
+        }
+    }
+
     /// A CSR graph behind a [`Topology`] that counts the weight and
     /// endpoint queries, the two the engines' port table passes through
     /// to it. The weighted driver's phases and sanitizing make such

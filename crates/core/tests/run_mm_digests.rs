@@ -25,7 +25,10 @@
 //!   reset their sessions), under an [`AdaptivePolicy`] on a lossy
 //!   network, through a squall window of heavy loss and corruption, and
 //!   under the same reboot with no repair layer (the bare run drops the
-//!   one-sided claim a wiped register leaves).
+//!   one-sided claim a wiped register leaves); and the adaptive policy
+//!   under the bipartite (`k = 3`) and weighted drivers, whose later
+//!   phases are tombstone-wrapped, and under crashes with the repair
+//!   layer on, whose resume run is a second executor.
 //!
 //! Every row is recomputed on the sequential, sharded (2 workers) and
 //! asynchronous backends and must equal the committed digest on each.
@@ -426,7 +429,7 @@ fn transport_rows(backend: Backend, threads: usize) -> Vec<(String, u64)> {
             ),
         ),
     ];
-    cases
+    let mut rows: Vec<(String, u64)> = cases
         .into_iter()
         .map(|(name, cfg)| {
             let rep = run_mm(&IsraeliItai, &g, &cfg)
@@ -435,7 +438,40 @@ fn transport_rows(backend: Backend, threads: usize) -> Vec<(String, u64)> {
             d.report(&rep);
             (format!("transport/{name}"), d.0)
         })
-        .collect()
+        .collect();
+
+    // The adaptive transport under the multi-phase drivers, whose later
+    // phases run tombstone-wrapped (node 3 crashes for good), and under
+    // the repair layer, whose resume run is a second executor.
+    let adaptive =
+        RuntimeConfig::new().sim(sim).adaptive(AdaptivePolicy::default()).faults(FaultPlan {
+            loss: 0.1,
+            corrupt: 0.02,
+            crashes: vec![(3, 2)],
+            ..FaultPlan::default()
+        });
+    let multi_phase = [
+        ("adaptive-bipartite:3", AlgoSpec::Bipartite { k: 3 }, "bipartite:3"),
+        ("adaptive-weighted", AlgoSpec::Weighted { eps: 0.1 }, "weighted"),
+    ];
+    for (name, spec, corpus) in multi_phase {
+        let g = corpus_graph(corpus, 5);
+        let rep = run_mm(&*spec.build(), &g, &adaptive)
+            .unwrap_or_else(|e| panic!("transport/{name} on {backend:?}: {e}"));
+        let mut d = Digest::new();
+        d.report(&rep);
+        rows.push((format!("transport/{name}"), d.0));
+    }
+    let repair = adaptive
+        .faults(FaultPlan { loss: 0.05, crashes: vec![(3, 2), (12, 4)], ..FaultPlan::default() })
+        .repair(true);
+    let rep = run_mm(&IsraeliItai, &g, &repair)
+        .unwrap_or_else(|e| panic!("transport/adaptive-repair on {backend:?}: {e}"));
+    assert!(rep.repair.is_some(), "the repair layer ran");
+    let mut d = Digest::new();
+    d.report(&rep);
+    rows.push(("transport/adaptive-repair".to_string(), d.0));
+    rows
 }
 
 /// The full table on one backend, in committed order.
