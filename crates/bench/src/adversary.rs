@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use dam_congest::{
     AdaptivePolicy, ChurnKind, ChurnPlan, DelayModel, FaultPlan, RecordingSink, SimConfig,
-    SinkHandle, Squall, TransportCfg,
+    SinkHandle, Squall, TransportCfg, TransportMode,
 };
 use dam_core::checkpoint::{inject, CheckpointCfg, CheckpointStore, Damage};
 use dam_core::maintain::is_maximal_on_present;
@@ -188,10 +188,10 @@ pub fn evaluate_with(case: &ChaosCase, adaptive: bool) -> ChaosOutcome {
         .churn(churn.clone())
         .maintain(true);
     if case.delay != DelayModel::Unit {
-        cfg = cfg.delay_model(case.delay).tuned_for_async();
+        cfg = cfg.tuned_for_async(case.delay);
     }
     if adaptive {
-        let floor = cfg.transport.take().unwrap_or_default();
+        let floor = cfg.transport.map_or_else(TransportCfg::default, TransportMode::floor);
         cfg = cfg.adaptive(AdaptivePolicy::for_floor(floor));
     }
     let report = match case.kill {
@@ -784,19 +784,14 @@ pub struct ArmReport {
 pub const TOURNAMENT_BOUNDS: [u64; 4] = [1, 2, 4, 8];
 
 /// Runs one arm of the tournament: the self-healing pipeline (repair
-/// on) under the schedule, with either a static transport or the
-/// adaptive controller, a recording sink streaming the main run.
+/// on) under the schedule, over `transport` (a static configuration or
+/// the adaptive controller), a recording sink streaming the main run.
 ///
 /// # Panics
 /// Panics if the run fails — every tournament schedule must complete on
 /// every arm.
 #[must_use]
-pub fn run_arm(
-    schedule: &DriftSchedule,
-    arm: &str,
-    transport: Option<TransportCfg>,
-    adaptive: Option<AdaptivePolicy>,
-) -> ArmReport {
+pub fn run_arm(schedule: &DriftSchedule, arm: &str, transport: TransportMode) -> ArmReport {
     let g = {
         let mut rng = StdRng::seed_from_u64(schedule.graph_seed);
         generators::gnp(schedule.n, 8.0 / schedule.n as f64, &mut rng)
@@ -806,16 +801,14 @@ pub fn run_arm(
         sim = sim.backend(dam_congest::Backend::Async).delay(schedule.delay);
     }
     let sink = Arc::new(RecordingSink::new());
-    let mut cfg = RuntimeConfig::new()
-        .sim(sim)
-        .faults(schedule.faults.clone())
-        .repair(true)
-        .stats_sink(SinkHandle::from(Arc::clone(&sink)));
-    if let Some(p) = adaptive {
-        cfg = cfg.adaptive(p);
-    } else if let Some(t) = transport {
-        cfg = cfg.transport(t);
-    }
+    let cfg = RuntimeConfig {
+        transport: Some(transport),
+        ..RuntimeConfig::new()
+            .sim(sim)
+            .faults(schedule.faults.clone())
+            .repair(true)
+            .stats_sink(SinkHandle::from(Arc::clone(&sink)))
+    };
     let report = match run_mm(&IsraeliItai, &g, &cfg) {
         Ok(r) => r,
         Err(e) => panic!("tournament arm {arm} on {} must run: {e:?}", schedule.name),
@@ -860,15 +853,11 @@ pub fn run_tournament(schedules: &[DriftSchedule]) -> Vec<(String, Vec<ArmReport
     schedules
         .iter()
         .map(|s| {
-            let mut arms =
-                vec![run_arm(s, "adaptive", None, Some(AdaptivePolicy::for_delay_bound(1)))];
+            let adaptive = TransportMode::Adaptive(AdaptivePolicy::for_delay_bound(1));
+            let mut arms = vec![run_arm(s, "adaptive", adaptive)];
             for b in TOURNAMENT_BOUNDS {
-                arms.push(run_arm(
-                    s,
-                    &format!("static-b{b}"),
-                    Some(TransportCfg::for_delay_bound(b)),
-                    None,
-                ));
+                let fixed = TransportMode::Fixed(TransportCfg::for_delay_bound(b));
+                arms.push(run_arm(s, &format!("static-b{b}"), fixed));
             }
             (s.name.to_string(), arms)
         })
@@ -1221,14 +1210,11 @@ mod tests {
             delay: DelayModel::Unit,
             quiet_from: 11,
         };
-        let adaptive =
-            run_arm(&schedule, "adaptive", None, Some(AdaptivePolicy::for_delay_bound(1)));
-        assert_eq!(
-            adaptive,
-            run_arm(&schedule, "adaptive", None, Some(AdaptivePolicy::for_delay_bound(1))),
-            "arms must be deterministic"
-        );
-        let fixed = run_arm(&schedule, "static-b1", Some(TransportCfg::for_delay_bound(1)), None);
+        let policy = TransportMode::Adaptive(AdaptivePolicy::for_delay_bound(1));
+        let adaptive = run_arm(&schedule, "adaptive", policy);
+        assert_eq!(adaptive, run_arm(&schedule, "adaptive", policy), "arms must be deterministic");
+        let fixed =
+            run_arm(&schedule, "static-b1", TransportMode::Fixed(TransportCfg::for_delay_bound(1)));
         assert!(adaptive.ratio >= 0.5 && fixed.ratio >= 0.5);
         assert!(adaptive.rounds > 0 && fixed.rounds > 0);
         assert!(adaptive.tail_retx <= adaptive.retransmissions);

@@ -32,16 +32,14 @@ fn async_run(
     delay: DelayModel,
     tuned: bool,
 ) -> Option<(usize, u64, u64)> {
-    let base = RuntimeConfig::new()
-        .sim(SimConfig::local().seed(seed))
-        .transport(TransportCfg::default())
-        .maintain(true);
+    let sim = SimConfig::local().seed(seed);
+    let base = RuntimeConfig::new().sim(sim).transport(TransportCfg::default()).maintain(true);
     let cfg = if tuned {
-        base.delay_model(delay).tuned_for_async()
+        base.tuned_for_async(delay)
     } else {
         // A lockstep operator's settings: default transport timeouts
         // and a patience budget sized for unit delays.
-        base.delay_model(delay).backend(Backend::Async).patience(2)
+        base.sim(sim.backend(Backend::Async).delay(delay).patience(2))
     };
     let report = match run_mm(&IsraeliItai, g, &cfg) {
         Ok(r) => r,

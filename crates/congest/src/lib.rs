@@ -91,4 +91,4 @@ pub use node::{Context, Port, PortSession, Protocol, SessionState};
 pub use stats::{RunStats, TotalStats};
 pub use telemetry::{RecordingSink, RoundSample, SinkHandle, StatsSink};
 pub use trace::{Bandwidth, BandwidthViolation, ChurnKind, FaultKind, Trace, TraceEvent};
-pub use transport::{Frame, FrameKind, Resilient, TransportCfg};
+pub use transport::{Frame, FrameKind, Resilient, TransportCfg, TransportMode};

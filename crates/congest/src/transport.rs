@@ -266,6 +266,40 @@ impl TransportCfg {
     }
 }
 
+/// How a node program is hardened with [`Resilient`]: under one fixed
+/// timer configuration, or under the closed-loop adaptive controller.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TransportMode {
+    /// [`Resilient::new`] with this configuration.
+    Fixed(TransportCfg),
+    /// [`Resilient::with_policy`] with this policy.
+    Adaptive(AdaptivePolicy),
+}
+
+impl TransportMode {
+    /// The configuration the transport starts from: the fixed one, or
+    /// the policy's floor.
+    #[must_use]
+    pub fn floor(self) -> TransportCfg {
+        match self {
+            TransportMode::Fixed(cfg) => cfg,
+            TransportMode::Adaptive(policy) => policy.floor,
+        }
+    }
+
+    /// Wraps `inner` with the transport of this mode.
+    ///
+    /// # Panics
+    /// As [`Resilient::new`], if the starting configuration has a zero
+    /// window or backoff base.
+    pub fn wrap<P: Protocol>(self, inner: P) -> Resilient<P> {
+        match self {
+            TransportMode::Fixed(cfg) => Resilient::new(inner, cfg),
+            TransportMode::Adaptive(policy) => Resilient::with_policy(inner, policy),
+        }
+    }
+}
+
 /// What a [`Frame`] carries besides its header.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameKind<M> {

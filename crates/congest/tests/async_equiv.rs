@@ -235,11 +235,11 @@ fn bipartite_driver_equivalence() {
         let g = generators::bipartite_gnp(18, 18, 0.2, &mut rng);
         for k in [2usize, 3] {
             let algo = Bipartite { k, ..Bipartite::default() };
-            let base =
-                RuntimeConfig::new().sim(SimConfig::congest_for(g.node_count(), 4).seed(seed));
-            let seq = run_mm(&algo, &g, &base).expect("sequential driver failed");
-            let asy =
-                run_mm(&algo, &g, &base.backend(Backend::Async)).expect("async driver failed");
+            let sim = SimConfig::congest_for(g.node_count(), 4).seed(seed);
+            let seq = run_mm(&algo, &g, &RuntimeConfig::new().sim(sim))
+                .expect("sequential driver failed");
+            let asy = run_mm(&algo, &g, &RuntimeConfig::new().sim(sim.backend(Backend::Async)))
+                .expect("async driver failed");
             assert_eq!(seq.matching, asy.matching, "matching diverges (seed {seed}, k {k})");
             let mut stats = asy.totals;
             assert!(stats.stats.markers > 0);
@@ -261,9 +261,11 @@ fn weighted_driver_equivalence() {
         let base_g = generators::gnp(30, 0.15, &mut rng);
         let g = randomize_weights(&base_g, WeightDist::Uniform { lo: 0.1, hi: 10.0 }, &mut rng);
         let algo = Weighted { eps: 0.1, ..Weighted::default() };
-        let base = RuntimeConfig::new().sim(SimConfig::congest_for(g.node_count(), 8).seed(seed));
-        let seq = run_mm(&algo, &g, &base).expect("sequential driver failed");
-        let asy = run_mm(&algo, &g, &base.backend(Backend::Async)).expect("async driver failed");
+        let sim = SimConfig::congest_for(g.node_count(), 8).seed(seed);
+        let seq =
+            run_mm(&algo, &g, &RuntimeConfig::new().sim(sim)).expect("sequential driver failed");
+        let asy = run_mm(&algo, &g, &RuntimeConfig::new().sim(sim.backend(Backend::Async)))
+            .expect("async driver failed");
         assert_eq!(seq.matching, asy.matching, "matching diverges (seed {seed})");
         let mut stats = asy.totals;
         assert!(stats.stats.markers > 0);

@@ -11,12 +11,12 @@
 //! communication graph itself — both as a reusable primitive and as the
 //! reference the emulation is tested against.
 
-use dam_congest::{BitSize, Context, Port, Protocol, SimConfig};
+use dam_congest::{BitSize, Context, Network, Port, Protocol, RunSpec, SimConfig};
 use dam_graph::{EdgeId, Graph};
 use rand::RngExt;
 
 use crate::error::CoreError;
-use crate::runtime::{execute_program, Algorithm, Exec, MainRun, RuntimeConfig};
+use crate::runtime::{Algorithm, Exec, MainRun};
 
 /// Protocol messages.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -191,9 +191,8 @@ pub struct MisReport {
 /// ```
 pub fn luby_mis(g: &Graph, seed: u64) -> Result<MisReport, CoreError> {
     let sim = SimConfig::congest_for(g.node_count(), 4).seed(seed);
-    let out = execute_program(g, &RuntimeConfig::new().sim(sim), |v, graph| {
-        LubyNode::new(graph.degree(v))
-    })?;
+    let out = Network::new(g, sim)
+        .execute(|v, graph| LubyNode::new(graph.degree(v)), &RunSpec::default())?;
     Ok(MisReport { in_mis: out.outputs, stats: out.stats })
 }
 

@@ -171,7 +171,7 @@ mod tests {
     use super::*;
     use crate::israeli_itai::israeli_itai;
     use crate::runtime::{repair_registers, run_mm, IsraeliItai, RunReport, RuntimeConfig};
-    use dam_congest::{FaultPlan, SimConfig, TransportCfg};
+    use dam_congest::{FaultPlan, SimConfig, TransportCfg, TransportMode};
     use dam_graph::{generators, NodeId};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -236,8 +236,7 @@ mod tests {
                 &regs,
                 &BitSet::from_bools(&alive),
                 &FaultPlan::default(),
-                Some(TransportCfg::default()),
-                None,
+                Some(TransportMode::Fixed(TransportCfg::default())),
                 SimConfig::local().seed(100 + trial).max_rounds(500_000),
             )
             .unwrap();

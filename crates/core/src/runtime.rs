@@ -50,11 +50,12 @@
 //!   churn-tolerant pipeline; with `certify` (+`repair`) on the certified
 //!   pipeline. `tests/runtime_equiv.rs` and `tests/algo_conformance.rs`
 //!   pin it to golden replicas of the pre-runtime code, and
-//!   `tests/run_mm_digests.rs` to a committed digest table.
-//! * [`execute_program`] is the escape hatch for node programs whose
-//!   output is not a match register (e.g. Luby's plain MIS membership
-//!   flags): same engine entry, same transport wrapping, no register
-//!   middleware.
+//!   `tests/run_mm_digests.rs` to a committed digest table. A node
+//!   program whose output is not a match register (e.g. Luby's plain MIS
+//!   membership flags) runs on [`Network::execute`] directly.
+//! * One knob makes one decision: [`RuntimeConfig::transport`] is the
+//!   only transport setting (a [`TransportMode`], fixed or adaptive),
+//!   and the engine's own settings live only in [`RuntimeConfig::sim`].
 //!
 //! Seed discipline: every derived stream is domain-separated from
 //! `sim.seed` through [`rng::splitmix64`] (the certification layer's
@@ -76,11 +77,10 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dam_congest::transport::TransportCfg;
+use dam_congest::transport::{TransportCfg, TransportMode};
 use dam_congest::{
     rng, AdaptivePolicy, Backend, ChurnPlan, Context, DelayModel, FaultPlan, Network, Port,
-    Protocol, Resilient, RunOutcome, RunSpec, RunStats, SessionState, SimConfig, SinkHandle,
-    TotalStats,
+    Protocol, RunOutcome, RunSpec, RunStats, SessionState, SimConfig, SinkHandle, TotalStats,
 };
 use dam_graph::{materialize, BitSet, EdgeId, Graph, Matching, NodeId, Topology};
 
@@ -191,8 +191,7 @@ pub struct MainRun {
 pub struct Exec<'g> {
     g: &'g dyn Topology,
     net: Network<'g>,
-    transport: Option<TransportCfg>,
-    adaptive: Option<AdaptivePolicy>,
+    transport: Option<TransportMode>,
     first_faults: FaultPlan,
     later_faults: FaultPlan,
     churn: ChurnPlan,
@@ -220,7 +219,6 @@ impl<'g> Exec<'g> {
             g,
             net,
             transport: cfg.transport,
-            adaptive: cfg.adaptive,
             first_faults: cfg.faults.clone(),
             later_faults: link_channels(&cfg.faults),
             churn: cfg.churn.clone(),
@@ -238,15 +236,13 @@ impl<'g> Exec<'g> {
         g: &'g dyn Topology,
         sim: SimConfig,
         faults: &FaultPlan,
-        transport: Option<TransportCfg>,
-        adaptive: Option<AdaptivePolicy>,
+        transport: Option<TransportMode>,
         alive: BitSet,
     ) -> Exec<'g> {
         Exec {
             g,
             net: Network::new(g, sim),
             transport,
-            adaptive,
             first_faults: faults.clone(),
             later_faults: faults.clone(),
             churn: ChurnPlan::default(),
@@ -296,12 +292,14 @@ impl<'g> Exec<'g> {
     /// executor keeps the outcome's session exports for the checkpoint
     /// layer, so the returned [`RunOutcome::sessions`] is empty.
     ///
-    /// The first phase of a main run executes `make` bare (under the
-    /// full fault + churn plans); every other phase wraps it in a
-    /// [`Slot`] so untrusted nodes are halted tombstones with a
-    /// [`Default`] output, and `make` is never called for them. When a
-    /// transport or adaptive policy is configured, the program is
-    /// additionally wrapped in [`Resilient`].
+    /// Every phase runs each node in a [`Slot`]. In the first phase of
+    /// a main run (under the full fault + churn plans) every node is
+    /// [`Slot::Live`], which forwards every [`Protocol`] method, so that
+    /// phase runs the bare program and `make` is called for every node.
+    /// In every other phase untrusted nodes are [`Slot::Dead`], halted
+    /// tombstones with a [`Default`] output, and `make` is never called
+    /// for them. When a transport is configured, each live node's
+    /// program is wrapped in it ([`TransportMode::wrap`]).
     ///
     /// # Errors
     /// Propagates simulator errors from the engine.
@@ -313,51 +311,23 @@ impl<'g> Exec<'g> {
     {
         let first = self.phases == 0;
         self.phases += 1;
-        let wrap = self.resume || !first;
+        let trusts_all = first && !self.resume;
         let faults = if first { &self.first_faults } else { &self.later_faults };
         let mut spec = RunSpec { faults, ..RunSpec::default() };
-        if first && !self.resume {
+        if trusts_all {
             spec.churn = &self.churn;
         }
         let alive = &self.alive;
-        let mut out = if !wrap {
-            if let Some(p) = self.adaptive {
-                self.net.execute(|v, graph| Resilient::with_policy(make(v, graph), p), &spec)?
-            } else if let Some(t) = self.transport {
-                self.net.execute(|v, graph| Resilient::new(make(v, graph), t), &spec)?
-            } else {
-                self.net.execute(make, &spec)?
-            }
-        } else if let Some(p) = self.adaptive {
-            self.net.execute(
-                |v, graph| {
-                    if !alive[v] {
-                        return Slot::Dead;
-                    }
-                    Slot::Live(Resilient::with_policy(make(v, graph), p))
-                },
+        let live = |v: NodeId| trusts_all || alive[v];
+        let mut out = match self.transport {
+            None => self.net.execute(
+                |v, graph| if live(v) { Slot::Live(make(v, graph)) } else { Slot::Dead },
                 &spec,
-            )?
-        } else if let Some(t) = self.transport {
-            self.net.execute(
-                |v, graph| {
-                    if !alive[v] {
-                        return Slot::Dead;
-                    }
-                    Slot::Live(Resilient::new(make(v, graph), t))
-                },
+            )?,
+            Some(mode) => self.net.execute(
+                |v, graph| if live(v) { Slot::Live(mode.wrap(make(v, graph))) } else { Slot::Dead },
                 &spec,
-            )?
-        } else {
-            self.net.execute(
-                |v, graph| {
-                    if !alive[v] {
-                        return Slot::Dead;
-                    }
-                    Slot::Live(make(v, graph))
-                },
-                &spec,
-            )?
+            )?,
         };
         match &mut self.stats {
             None => self.stats = Some(out.stats),
@@ -372,18 +342,17 @@ impl<'g> Exec<'g> {
 
     /// Whether every phase of this executor is a pure function of the
     /// node programs its driver builds. It holds when no fault is
-    /// injected, no churn is replayed, no transport or adaptive wrapper
-    /// runs, no stats sink is attached, and the backend is not
-    /// [`Backend::Async`] (whose delays are keyed on the run id). A main
-    /// run with empty plans trusts every node, so its bare first phase
-    /// runs the same programs as a later, tombstone-wrapped one.
+    /// injected, no churn is replayed, no transport runs, no stats sink
+    /// is attached, and the backend is not [`Backend::Async`] (whose
+    /// delays are keyed on the run id). A main run with empty plans
+    /// trusts every node, so its first phase runs the same programs as a
+    /// later one.
     #[must_use]
     pub(crate) fn phases_are_pure(&self) -> bool {
         // `later_faults` is a part of `first_faults`.
         self.first_faults.is_empty()
             && self.churn.is_empty()
             && self.transport.is_none()
-            && self.adaptive.is_none()
             && self.net.stats_sink().is_none()
             && self.net.config().effective_backend() != Backend::Async
     }
@@ -622,11 +591,20 @@ impl AlgoSpec {
 #[derive(Debug, Clone, Default)]
 pub struct RuntimeConfig {
     /// Engine configuration of the main run: model, seed, round guard,
-    /// worker threads ([`SimConfig::threads`] is honored by every layer).
+    /// worker threads, backend, delay model and patience
+    /// ([`SimConfig::threads`] is honored by every layer). The only
+    /// place these are set: build a [`SimConfig`] and pass it to
+    /// [`RuntimeConfig::sim`].
     pub sim: SimConfig,
-    /// Wrap the node program in the resilient transport
-    /// ([`Resilient`]); `None` runs it bare.
-    pub transport: Option<TransportCfg>,
+    /// Wrap every phase's node program in the resilient transport
+    /// ([`dam_congest::Resilient`]): a fixed timer configuration
+    /// ([`TransportMode::Fixed`]) or the closed-loop adaptive controller
+    /// ([`TransportMode::Adaptive`]), whose timers start at the policy's
+    /// floor and re-derive from observed retransmissions, suspicions
+    /// and rejections at epoch boundaries. Either way a run stays a
+    /// deterministic function of `(seed, plans, transport)`. `None` runs
+    /// the program bare.
+    pub transport: Option<TransportMode>,
     /// Adversarial fault plan of the main run (crashes, loss, duplication,
     /// reordering, corruption, Byzantine roles, partitions).
     pub faults: FaultPlan,
@@ -648,13 +626,6 @@ pub struct RuntimeConfig {
     /// link-level channels of `faults` (see
     /// [`RuntimeConfig::effective_repair_faults`]).
     pub repair_faults: Option<FaultPlan>,
-    /// Closed-loop adaptive transport: when set, the node program is
-    /// wrapped in [`Resilient::with_policy`] — timers start at the
-    /// policy's floor and re-derive from observed
-    /// retransmissions/suspicions/rejections at epoch boundaries.
-    /// Takes precedence over the static `transport` configuration;
-    /// runs stay a deterministic function of `(seed, plans, policy)`.
-    pub adaptive: Option<AdaptivePolicy>,
     /// Telemetry middleware: when set, the main run streams one
     /// cumulative [`dam_congest::RoundSample`] per engine round into
     /// the sink (any backend). Observation only — attaching a sink
@@ -706,7 +677,7 @@ impl RuntimeConfig {
         ("repair", "--repair"),
         ("maintain", "--maintain"),
         ("repair_faults", "--isolated-repair"),
-        ("adaptive", "--adaptive"),
+        ("transport", "--adaptive"),
         ("stats_sink", "--stats-out"),
         ("algo", "--algo"),
         ("checkpoint.dir", "--checkpoint-out"),
@@ -728,71 +699,27 @@ impl RuntimeConfig {
         self
     }
 
-    /// Sets the master seed (shorthand for rebuilding `sim`).
+    /// Graceful degradation under adversarial timing: runs the
+    /// asynchronous backend under `delay` and derives every
+    /// timing-sensitive knob from its declared worst-case per-hop delay
+    /// ([`DelayModel::bound`]) — `patience = 2·bound` (empirically
+    /// drop-free for every shipped delay model; see `DESIGN.md`) and the
+    /// fixed transport's silence timers via
+    /// [`TransportCfg::for_delay_bound`], so slow-but-correct nodes are
+    /// never suspected, quarantined, or retransmitted into congestion
+    /// collapse. The rest of `sim` is kept.
     #[must_use]
-    pub fn seed(mut self, seed: u64) -> RuntimeConfig {
-        self.sim = self.sim.seed(seed);
-        self
+    pub fn tuned_for_async(mut self, delay: DelayModel) -> RuntimeConfig {
+        let bound = delay.bound();
+        self.sim = self.sim.backend(Backend::Async).delay(delay).patience(2 * bound);
+        self.transport(TransportCfg::for_delay_bound(bound))
     }
 
-    /// Sets the round guard of every phase.
-    #[must_use]
-    pub fn max_rounds(mut self, rounds: usize) -> RuntimeConfig {
-        self.sim = self.sim.max_rounds(rounds);
-        self
-    }
-
-    /// Sets the worker-thread count of every phase.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> RuntimeConfig {
-        self.sim = self.sim.threads(threads);
-        self
-    }
-
-    /// Selects the engine backend of every phase (shorthand for
-    /// rebuilding `sim`).
-    #[must_use]
-    pub fn backend(mut self, backend: Backend) -> RuntimeConfig {
-        self.sim = self.sim.backend(backend);
-        self
-    }
-
-    /// Sets the adversarial timing model of the asynchronous backend
-    /// (shorthand for rebuilding `sim`; inert on synchronous backends).
-    #[must_use]
-    pub fn delay_model(mut self, delay: DelayModel) -> RuntimeConfig {
-        self.sim = self.sim.delay(delay);
-        self
-    }
-
-    /// Sets the per-round patience budget of the asynchronous backend
-    /// (shorthand for rebuilding `sim`; inert on synchronous backends).
-    #[must_use]
-    pub fn patience(mut self, units: u64) -> RuntimeConfig {
-        self.sim = self.sim.patience(units);
-        self
-    }
-
-    /// Graceful degradation under adversarial timing: switches to the
-    /// asynchronous backend and derives every timing-sensitive knob from
-    /// the declared worst-case per-hop delay ([`DelayModel::bound`]) —
-    /// `patience = 2·bound` (empirically drop-free for every shipped
-    /// delay model; see `DESIGN.md`) and the transport's silence timers
-    /// via [`TransportCfg::for_delay_bound`], so slow-but-correct nodes
-    /// are never suspected, quarantined, or retransmitted into
-    /// congestion collapse. Call *after* [`RuntimeConfig::delay_model`].
-    #[must_use]
-    pub fn tuned_for_async(mut self) -> RuntimeConfig {
-        let bound = self.sim.delay.bound();
-        self.sim = self.sim.backend(Backend::Async).patience(2 * bound);
-        self.transport = Some(TransportCfg::for_delay_bound(bound));
-        self
-    }
-
-    /// Hardens the node program with the resilient transport.
+    /// Hardens the node program with the resilient transport under the
+    /// fixed configuration `cfg`. Replaces any transport set before.
     #[must_use]
     pub fn transport(mut self, cfg: TransportCfg) -> RuntimeConfig {
-        self.transport = Some(cfg);
+        self.transport = Some(TransportMode::Fixed(cfg));
         self
     }
 
@@ -839,10 +766,11 @@ impl RuntimeConfig {
     }
 
     /// Hardens the node program with the *adaptive* resilient transport
-    /// (see [`RuntimeConfig::adaptive`]).
+    /// under `policy` (see [`RuntimeConfig::transport`]). Replaces any
+    /// transport set before.
     #[must_use]
     pub fn adaptive(mut self, policy: AdaptivePolicy) -> RuntimeConfig {
-        self.adaptive = Some(policy);
+        self.transport = Some(TransportMode::Adaptive(policy));
         self
     }
 
@@ -876,20 +804,17 @@ impl RuntimeConfig {
     }
 
     /// Validates the knobs that carry internal invariants (currently
-    /// the transport timer configurations — static and adaptive floor).
-    /// Called by [`run_mm`]/[`execute_program`] before any phase runs.
+    /// the transport's starting timer configuration, fixed or the
+    /// adaptive floor). Called by [`run_mm`] before any phase runs.
     ///
     /// # Errors
     /// [`dam_congest::SimError::InvalidTransportCfg`] (as a
     /// [`CoreError::Sim`]) naming the violated constraint.
     pub fn validate(&self) -> Result<(), CoreError> {
-        if let Some(t) = &self.transport {
-            t.validate().map_err(CoreError::Sim)?;
+        match self.transport {
+            Some(mode) => mode.floor().validate().map_err(CoreError::Sim),
+            None => Ok(()),
         }
-        if let Some(p) = &self.adaptive {
-            p.floor.validate().map_err(CoreError::Sim)?;
-        }
-        Ok(())
     }
 
     /// The fault plan the repair phase runs under: the explicit override
@@ -980,42 +905,10 @@ impl RunReport {
     }
 }
 
-/// Runs a non-matching node program through the runtime's engine entry:
-/// same transport wrapping, fault/churn plans and thread dispatch as
-/// [`run_mm`], but the output is the program's own (e.g. Luby's MIS
-/// membership flags), so no register middleware (certify/repair/
-/// maintain) applies — those toggles and the `algo` selector are
-/// ignored.
-///
-/// # Errors
-/// Propagates simulator errors, including plan validation failures.
-pub fn execute_program<P, F>(
-    g: &dyn Topology,
-    cfg: &RuntimeConfig,
-    make: F,
-) -> Result<RunOutcome<P::Output>, CoreError>
-where
-    P: Protocol + Send,
-    F: Fn(NodeId, &dyn Topology) -> P + Sync,
-{
-    cfg.validate()?;
-    let mut net = Network::new(g, cfg.sim);
-    net.set_stats_sink(cfg.stats_sink.clone());
-    let spec = RunSpec { faults: &cfg.faults, churn: &cfg.churn, ..RunSpec::default() };
-    let out = if let Some(p) = cfg.adaptive {
-        net.execute(move |v, graph| Resilient::with_policy(make(v, graph), p), &spec)?
-    } else if let Some(t) = cfg.transport {
-        net.execute(move |v, graph| Resilient::new(make(v, graph), t), &spec)?
-    } else {
-        net.execute(make, &spec)?
-    };
-    Ok(out)
-}
-
-/// Per-node protocol of a tombstone-wrapped phase: nodes outside the
-/// trusted domain are tombstones (silent, halted from round 0 — exactly
-/// how the engine models a crashed processor), live nodes run the
-/// wrapped program.
+/// Per-node protocol of every [`Exec::phase`]: nodes outside the trusted
+/// domain are tombstones (silent, halted from round 0 — exactly how the
+/// engine models a crashed processor), live nodes run the wrapped
+/// program, every [`Protocol`] method forwarded.
 pub enum Slot<P> {
     /// A node outside the trusted domain: [`Default`] output register.
     Dead,
@@ -1091,15 +984,13 @@ where
 /// # Panics
 /// Panics if `registers`/`alive` are not one entry per node or if
 /// `faults` contains crashes.
-#[allow(clippy::too_many_arguments)]
 pub fn repair_registers<A: Algorithm + ?Sized>(
     algo: &A,
     g: &dyn Topology,
     registers: &[Option<EdgeId>],
     alive: &BitSet,
     faults: &FaultPlan,
-    transport: Option<TransportCfg>,
-    adaptive: Option<AdaptivePolicy>,
+    transport: Option<TransportMode>,
     sim: SimConfig,
 ) -> Result<RepairReport, CoreError> {
     assert!(
@@ -1108,7 +999,7 @@ pub fn repair_registers<A: Algorithm + ?Sized>(
     );
     let sim = sim.seed(sim.seed ^ algo_domain(algo.name()));
     let sane = sanitize_registers_on(g, registers, alive);
-    let mut exec = Exec::resume_run(g, sim, faults, transport, adaptive, alive.clone());
+    let mut exec = Exec::resume_run(g, sim, faults, transport, alive.clone());
     let out = algo.resume(&mut exec, &sane.registers)?;
     let (stats, _, _) = exec.into_stats();
     // A second sanitize pass makes assembly total even under exotic
@@ -1380,7 +1271,6 @@ fn restore_mm<A: Algorithm + ?Sized>(
             &alive,
             &cfg.effective_repair_faults(),
             cfg.transport,
-            cfg.adaptive,
             heal_sim,
         )?;
         let mut healed = vec![None; g.node_count()];
@@ -1509,7 +1399,6 @@ fn pipeline_tail<A: Algorithm + ?Sized>(
                 &st.alive,
                 &cfg.effective_repair_faults(),
                 cfg.transport,
-                cfg.adaptive,
                 cfg.sim,
             )?;
             let mut final_regs = vec![None; n];
@@ -1665,7 +1554,6 @@ mod tests {
             repair: _,
             maintain: _,
             repair_faults: _,
-            adaptive: _,
             stats_sink: _,
             algo: _,
             checkpoint: _,
@@ -1680,7 +1568,6 @@ mod tests {
             "repair",
             "maintain",
             "repair_faults",
-            "adaptive",
             "stats_sink",
             "algo",
             "checkpoint",
@@ -1733,7 +1620,7 @@ mod tests {
     fn run_configured_dispatches_the_selector() {
         let mut rng = StdRng::seed_from_u64(12);
         let g = generators::gnp(20, 0.2, &mut rng);
-        let cfg = RuntimeConfig::new().seed(4).algo(AlgoSpec::IsraeliItai);
+        let cfg = RuntimeConfig::new().sim(SimConfig::local().seed(4)).algo(AlgoSpec::IsraeliItai);
         let via_spec = run_configured(&g, &cfg).unwrap();
         let direct = run_mm(&IsraeliItai, &g, &cfg).unwrap();
         assert_eq!(via_spec.registers, direct.registers);
@@ -1813,11 +1700,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let g = generators::gnp(30, 0.15, &mut rng);
         let cfg = RuntimeConfig::new()
+            .sim(SimConfig::local().seed(11))
             .transport(TransportCfg::default())
             .faults(FaultPlan::lossy(0.05).with_liars(vec![1, 2]))
             .certify(true)
-            .repair(true)
-            .seed(11);
+            .repair(true);
         let rep = run_mm(&IsraeliItai, &g, &cfg).unwrap();
         assert!(rep.detected(), "lies must be detected");
         assert!(rep.certified(), "repair must re-certify");
@@ -1834,10 +1721,10 @@ mod tests {
         let churn =
             ChurnPlan::events(vec![]).with_event(1, dam_congest::ChurnKind::EdgeDown { edge: 0 });
         let cfg = RuntimeConfig::new()
+            .sim(SimConfig::local().seed(1))
             .transport(TransportCfg::default())
             .churn(churn)
-            .certify(true)
-            .seed(1);
+            .certify(true);
         let rep = run_mm(&IsraeliItai, &g, &cfg).unwrap();
         assert_eq!(rep.registers, vec![None, None]);
         assert_eq!(rep.node_present, vec![true, true]);
@@ -1849,16 +1736,17 @@ mod tests {
     fn async_backend_does_not_change_results() {
         let mut rng = StdRng::seed_from_u64(4);
         let g = generators::gnp(40, 0.12, &mut rng);
+        let sim = SimConfig::local().seed(5);
         let base = RuntimeConfig::new()
+            .sim(sim)
             .transport(TransportCfg::default())
             .faults(FaultPlan::lossy(0.08))
-            .repair(true)
-            .seed(5);
+            .repair(true);
         let seq = run_mm(&IsraeliItai, &g, &base.clone()).unwrap();
         let asy = run_mm(
             &IsraeliItai,
             &g,
-            &base.backend(Backend::Async).delay_model(DelayModel::LinkSkew { spread: 5 }),
+            &base.sim(sim.backend(Backend::Async).delay(DelayModel::LinkSkew { spread: 5 })),
         )
         .unwrap();
         assert_eq!(seq.matching.to_edge_vec(), asy.matching.to_edge_vec());
@@ -1876,12 +1764,12 @@ mod tests {
 
     #[test]
     fn tuned_for_async_derives_every_timing_knob() {
-        let cfg = RuntimeConfig::new()
-            .delay_model(DelayModel::UniformRandom { max: 6 })
-            .tuned_for_async();
+        let delay = DelayModel::UniformRandom { max: 6 };
+        let cfg = RuntimeConfig::new().tuned_for_async(delay);
         assert_eq!(cfg.sim.backend, Backend::Async);
+        assert_eq!(cfg.sim.delay, delay);
         assert_eq!(cfg.sim.patience, Some(12), "patience = 2·bound");
-        assert_eq!(cfg.transport, Some(TransportCfg::for_delay_bound(6)));
+        assert_eq!(cfg.transport, Some(TransportMode::Fixed(TransportCfg::for_delay_bound(6))));
     }
 
     #[test]
@@ -1913,7 +1801,7 @@ mod tests {
         // telemetry sink must not perturb either.
         let mut rng = StdRng::seed_from_u64(9);
         let g = generators::gnp(30, 0.15, &mut rng);
-        let base = RuntimeConfig::new().seed(21);
+        let base = RuntimeConfig::new().sim(SimConfig::local().seed(21));
         let stat =
             run_mm(&IsraeliItai, &g, &base.clone().transport(TransportCfg::default())).unwrap();
         let sink = std::sync::Arc::new(dam_congest::RecordingSink::new());
@@ -1934,10 +1822,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(10);
         let g = generators::gnp(30, 0.15, &mut rng);
         let cfg = RuntimeConfig::new()
+            .sim(SimConfig::local().seed(33))
             .adaptive(AdaptivePolicy::for_floor(TransportCfg::default()))
             .faults(FaultPlan::lossy(0.15))
-            .repair(true)
-            .seed(33);
+            .repair(true);
         let a = run_mm(&IsraeliItai, &g, &cfg).unwrap();
         let b = run_mm(&IsraeliItai, &g, &cfg).unwrap();
         assert_eq!(a.matching.to_edge_vec(), b.matching.to_edge_vec());
@@ -1951,13 +1839,13 @@ mod tests {
     fn threads_do_not_change_results() {
         let mut rng = StdRng::seed_from_u64(3);
         let g = generators::gnp(40, 0.12, &mut rng);
+        let sim = SimConfig::local().seed(5);
         let base = RuntimeConfig::new()
             .transport(TransportCfg::default())
             .faults(FaultPlan::lossy(0.08))
-            .repair(true)
-            .seed(5);
-        let seq = run_mm(&IsraeliItai, &g, &base.clone().threads(1)).unwrap();
-        let par = run_mm(&IsraeliItai, &g, &base.threads(4)).unwrap();
+            .repair(true);
+        let seq = run_mm(&IsraeliItai, &g, &base.clone().sim(sim.threads(1))).unwrap();
+        let par = run_mm(&IsraeliItai, &g, &base.sim(sim.threads(4))).unwrap();
         assert_eq!(seq.matching.to_edge_vec(), par.matching.to_edge_vec());
         assert_eq!(seq.phase1, par.phase1);
         assert_eq!(seq.repair, par.repair);
@@ -2136,7 +2024,8 @@ mod tests {
         let two = Weighted { eps: 1.0, delta: 1.0, ..nine };
         let three = Weighted { eps: 0.5, delta: 1.0, ..nine };
         for (backend, threads) in [(Backend::Sequential, 1), (Backend::Sharded, 2)] {
-            let cfg = RuntimeConfig::new().seed(5).backend(backend).threads(threads);
+            let cfg = RuntimeConfig::new()
+                .sim(SimConfig::local().seed(5).backend(backend).threads(threads));
             let (charged, replayed) = counted(&g, &nine, &cfg);
             let (executed, full) = counted(&g, &nine, &with_sink(cfg.clone()));
             let (q2, r2) = counted(&g, &two, &with_sink(cfg.clone()));
@@ -2161,7 +2050,8 @@ mod tests {
         // does not survive a lost pick), but a plan that may lose one is
         // never charged.
         let g = weighted_gnp(32);
-        let base = RuntimeConfig::new().seed(6);
+        let sim = SimConfig::local().seed(6);
+        let base = RuntimeConfig::new().sim(sim);
         let local_max = Weighted::default();
         let proposal =
             Weighted { black_box: BlackBox::Proposal { iterations: 8 }, ..Weighted::default() };
@@ -2173,7 +2063,7 @@ mod tests {
                 local_max,
                 base.clone().adaptive(AdaptivePolicy::for_floor(TransportCfg::default())),
             ),
-            ("async", local_max, base.clone().backend(Backend::Async)),
+            ("async", local_max, base.clone().sim(sim.backend(Backend::Async))),
             ("proposal", proposal, base.clone()),
         ];
         let (bare, _) = counted(&g, &local_max, &base);

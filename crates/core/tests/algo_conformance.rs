@@ -152,7 +152,7 @@ fn faulted_runs_end_valid_and_maximal_after_maintenance() {
             // Determinism and thread-independence of the whole pipeline.
             let again = run_mm(&*algo, &g, &cfg).unwrap();
             assert_eq!(rep.registers, again.registers, "{}: nondeterministic", entry.name);
-            let par = run_mm(&*algo, &g, &cfg.clone().threads(4)).unwrap();
+            let par = run_mm(&*algo, &g, &cfg.clone().sim(cfg.sim.threads(4))).unwrap();
             assert_eq!(
                 rep.registers, par.registers,
                 "{}: thread count changed the pipeline result",
@@ -201,7 +201,6 @@ fn resume_from_quiescent_registers_is_idempotent() {
                 &rep.registers,
                 &alive,
                 &FaultPlan::default(),
-                None,
                 None,
                 sim,
             )
@@ -258,7 +257,6 @@ fn resume_heals_register_damage_after_deaths() {
                 &rep.registers,
                 &alive,
                 &FaultPlan::default(),
-                None,
                 None,
                 sim,
             )
@@ -428,8 +426,7 @@ fn repair_randomness_is_domain_separated_by_algorithm_name() {
     let registers = vec![None; g.node_count()];
     let sim = SimConfig::congest_for(g.node_count(), 8).seed(7);
     let run = |algo: &dyn Algorithm| {
-        repair_registers(algo, &g, &registers, &alive, &FaultPlan::default(), None, None, sim)
-            .unwrap()
+        repair_registers(algo, &g, &registers, &alive, &FaultPlan::default(), None, sim).unwrap()
     };
     let a = run(&dam_core::LubyMatching);
     let b = run(&Renamed);

@@ -2,6 +2,7 @@
 
 use dam_congest::{
     BitSize, CorruptKind, FaultPlan, RecordingSink, SimConfig, SinkHandle, TransportCfg,
+    TransportMode,
 };
 use dam_core::auction::{auction_mwm, AuctionConfig};
 use dam_core::bipartite::Bipartite;
@@ -373,8 +374,7 @@ proptest! {
             &registers,
             &BitSet::from_bools(&alive),
             &plan,
-            Some(TransportCfg::default()),
-            None,
+            Some(TransportMode::Fixed(TransportCfg::default())),
             SimConfig::local().seed(seed).max_rounds(500_000),
         )
         .unwrap();

@@ -71,7 +71,7 @@ proptest! {
                 / 2.0; // each surviving edge is claimed by both endpoints
 
             let rr = repair_registers(
-                &*algo, &g, &rep.registers, &alive_mask, &FaultPlan::default(), None, None, sim,
+                &*algo, &g, &rep.registers, &alive_mask, &FaultPlan::default(), None, sim,
             )
             .unwrap();
             prop_assert!(rr.matching.validate(&g).is_ok(), "{}: invalid heal", entry.name);
@@ -118,7 +118,7 @@ proptest! {
 
             // Resume is deterministic.
             let again = repair_registers(
-                &*algo, &g, &rep.registers, &alive_mask, &FaultPlan::default(), None, None, sim,
+                &*algo, &g, &rep.registers, &alive_mask, &FaultPlan::default(), None, sim,
             )
             .unwrap();
             prop_assert_eq!(
@@ -148,7 +148,7 @@ proptest! {
             let alive: Vec<bool> = (0..n).map(|_| rng.random_bool(0.7)).collect();
             let alive_mask = BitSet::from_bools(&alive);
             let healed = repair_registers(
-                &*algo, &g, &rep.registers, &alive_mask, &FaultPlan::default(), None, None, sim,
+                &*algo, &g, &rep.registers, &alive_mask, &FaultPlan::default(), None, sim,
             )
             .unwrap();
             // Rebuild the healed register array from its matching (the
@@ -157,7 +157,7 @@ proptest! {
                 .map(|v| healed.matching.matched_edge(v))
                 .collect();
             let second = repair_registers(
-                &*algo, &g, &healed_regs, &alive_mask, &FaultPlan::default(), None, None, sim,
+                &*algo, &g, &healed_regs, &alive_mask, &FaultPlan::default(), None, sim,
             )
             .unwrap();
             prop_assert_eq!(second.dissolved, 0, "{}: healed state re-dissolved", entry.name);

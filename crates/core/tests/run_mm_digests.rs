@@ -14,8 +14,9 @@
 //! * one row per retired pre-runtime entry point (`legacy/*`: the plain
 //!   Israeli–Itai, Luby MIS, bipartite (by `k` and by `ε`) and weighted
 //!   drivers, the self-healing, churn and certified pipelines, and the
-//!   standalone Israeli–Itai repair), run through the runtime at that
-//!   entry point's exact configuration: CONGEST(4 log n) for
+//!   standalone Israeli–Itai repair), run through the runtime (Luby's
+//!   MIS, whose output is no match register, on the engine directly) at
+//!   that entry point's exact configuration: CONGEST(4 log n) for
 //!   Israeli–Itai, Luby and the bipartite driver, CONGEST(8 log n) for
 //!   the weighted driver, and LOCAL with the default transport and a
 //!   500 000-round guard for the repair, churn and certified pipelines;
@@ -41,15 +42,14 @@
 //! reviewed change of behaviour.
 
 use dam_congest::{
-    AdaptivePolicy, Backend, ChurnEvent, ChurnKind, ChurnPlan, FaultPlan, RunStats, SimConfig,
-    Squall, TotalStats, TransportCfg,
+    AdaptivePolicy, Backend, ChurnEvent, ChurnKind, ChurnPlan, FaultPlan, Network, RunSpec,
+    RunStats, SimConfig, Squall, TotalStats, TransportCfg, TransportMode,
 };
 use dam_core::certify::{CertFault, Certificate};
 use dam_core::israeli_itai::israeli_itai;
 use dam_core::luby::LubyNode;
 use dam_core::runtime::{
-    execute_program, repair_registers, run_mm, AlgoSpec, Algorithm, IsraeliItai, RunReport,
-    RuntimeConfig,
+    repair_registers, run_mm, AlgoSpec, Algorithm, IsraeliItai, RunReport, RuntimeConfig,
 };
 use dam_core::{Bipartite, Weighted};
 use dam_graph::weights::{randomize_weights, WeightDist};
@@ -295,10 +295,9 @@ fn legacy_rows(backend: Backend, threads: usize) -> Vec<(String, u64)> {
 
     let mut d = Digest::new();
     let sim = congest(&g, 4, 3, backend, threads);
-    let mis = execute_program(&g, &RuntimeConfig::new().sim(sim), |v, graph| {
-        LubyNode::new(graph.degree(v))
-    })
-    .unwrap();
+    let mis = Network::new(&g, sim)
+        .execute(|v, graph| LubyNode::new(graph.degree(v)), &RunSpec::default())
+        .unwrap();
     d.flags(&mis.outputs);
     d.stats(&mis.stats);
     push("luby-mis-congest4", d);
@@ -377,8 +376,7 @@ fn legacy_rows(backend: Backend, threads: usize) -> Vec<(String, u64)> {
         &regs,
         &BitSet::from_bools(&alive),
         &lossy,
-        Some(TransportCfg::default()),
-        None,
+        Some(TransportMode::Fixed(TransportCfg::default())),
         pipeline_sim,
     )
     .unwrap();

@@ -1,7 +1,7 @@
 //! Differential suite for the unified runtime: the self-healing, churn
-//! and certified pipelines, the plain Israeli–Itai driver and Luby's
-//! MIS all run through [`dam_core::runtime::run_mm`] /
-//! `execute_program`. This file keeps a **golden replica** of each
+//! and certified pipelines and the plain Israeli–Itai driver all run
+//! through [`dam_core::runtime::run_mm`], and Luby's MIS through
+//! [`dam_core::luby::luby_mis`]. This file keeps a **golden replica** of each
 //! pre-runtime pipeline body, written against the engine primitives
 //! (`run`, `execute`, `Resilient`, `sanitize_registers`, `certify`,
 //! `Maintainer::adopt`, …), and asserts the runtime is bit-identical to
@@ -19,11 +19,11 @@ use dam_congest::{
 use dam_core::certify::{apply_lies, certify, Certificate};
 use dam_core::error::CoreError;
 use dam_core::israeli_itai::{IiMsg, IiNode};
-use dam_core::luby::LubyNode;
+use dam_core::luby::{luby_mis, LubyNode};
 use dam_core::maintain::{sanitize_present, MaintainConfig, Maintainer};
 use dam_core::repair::sanitize_registers;
 use dam_core::report::matching_from_registers;
-use dam_core::runtime::{execute_program, run_mm, IsraeliItai, RuntimeConfig};
+use dam_core::runtime::{run_mm, IsraeliItai, RuntimeConfig};
 use dam_graph::{generators, EdgeId, Graph, Matching, NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -572,16 +572,15 @@ fn plain_drivers_are_bit_identical() {
             assert_eq!(totals, rep.totals, "seed {i}, {threads} threads: totals");
             assert_eq!(iterations, rep.iterations, "seed {i}, {threads} threads: iterations");
 
-            // Golden Luby MIS.
-            let mut net = Network::new(&g, config);
+            // Golden Luby MIS, at `luby_mis`'s CONGEST(4 log n) on every
+            // thread count.
+            let congest = SimConfig::congest_for(g.node_count(), 4).seed(i).threads(threads);
+            let mut net = Network::new(&g, congest);
             let out = net
                 .execute(|v, graph| LubyNode::new(graph.degree(v)), &RunSpec::default())
                 .expect("golden run");
-            let mis = execute_program(&g, &RuntimeConfig::new().sim(config), |v, graph| {
-                LubyNode::new(graph.degree(v))
-            })
-            .expect("runtime run");
-            assert_eq!(out.outputs, mis.outputs, "seed {i}, {threads} threads: MIS");
+            let mis = luby_mis(&g, i).expect("runtime run");
+            assert_eq!(out.outputs, mis.in_mis, "seed {i}, {threads} threads: MIS");
             assert_eq!(out.stats, mis.stats, "seed {i}, {threads} threads: stats");
         }
     }
@@ -654,8 +653,9 @@ fn runtime_matches_the_async_engine() {
         }
 
         // Full middleware stack: main run + maintenance, both backends.
+        let sim = SimConfig::local().seed(i);
         let base = RuntimeConfig::new()
-            .sim(SimConfig::local().seed(i))
+            .sim(sim)
             .transport(TransportCfg::default())
             .faults(faults.clone())
             .churn(churn.clone())
@@ -664,7 +664,7 @@ fn runtime_matches_the_async_engine() {
         let asy = run_mm(
             &IsraeliItai,
             &g,
-            &base.backend(Backend::Async).delay_model(DelayModel::LinkSkew { spread: 4 }),
+            &base.sim(sim.backend(Backend::Async).delay(DelayModel::LinkSkew { spread: 4 })),
         )
         .expect("async stack");
         assert_eq!(seq.matching.to_edge_vec(), asy.matching.to_edge_vec(), "seed {i}: edges");

@@ -106,7 +106,7 @@ proptest! {
             prop_assert_eq!(g.degree(v), topo.degree(v), "degree of {}", v);
             prop_assert_eq!(g.side_of(v), topo.side_of(v), "side of {}", v);
             let csr: Vec<_> = g.incident(v).collect();
-            let imp: Vec<_> = topo.incident(v).collect();
+            let imp: Vec<_> = (&topo as &dyn Topology).incident(v).collect();
             prop_assert_eq!(csr, imp, "incident list of {}", v);
         }
         for e in 0..topo.edge_count() {

@@ -70,7 +70,7 @@ pub struct Graph {
     /// Recorded proper 2-colouring, if the graph is known bipartite.
     bipartition: Option<Vec<Side>>,
     /// Maximum degree, cached at build time (`max_degree` sits on the
-    /// `tuned_for_async`/plan-validation path and must not rescan).
+    /// plan-validation path and must not rescan).
     max_deg: usize,
 }
 

@@ -111,22 +111,23 @@ pub trait Topology: Sync {
         }
     }
 
-    /// Neighbours of `v` in port order (one entry per incident edge).
-    fn neighbors<'a>(&'a self, v: NodeId) -> Box<dyn Iterator<Item = NodeId> + 'a> {
-        Box::new((0..self.degree(v)).map(move |p| self.port(v, p).0))
-    }
-
-    /// Incident arcs of `v` as `(port, neighbour, edge)` triples.
-    fn incident<'a>(&'a self, v: NodeId) -> Box<dyn Iterator<Item = (usize, NodeId, EdgeId)> + 'a> {
-        Box::new((0..self.degree(v)).map(move |p| {
-            let (u, e) = self.port(v, p);
-            (p, u, e)
-        }))
-    }
-
     /// The port of `v` whose arc is edge `e`, if any.
     fn port_of_edge(&self, v: NodeId, e: EdgeId) -> Option<usize> {
         (0..self.degree(v)).find(|&p| self.port(v, p).1 == e)
+    }
+}
+
+impl dyn Topology + '_ {
+    /// Incident arcs of `v` as `(port, neighbour, edge)` triples, in
+    /// port order, read through [`Topology::port`] without allocating.
+    pub fn incident(&self, v: NodeId) -> impl Iterator<Item = (usize, NodeId, EdgeId)> + '_ {
+        // Shortens the trait object's lifetime to the borrow's, the only
+        // lifetime the returned iterator may capture.
+        let topo: &dyn Topology = self;
+        (0..topo.degree(v)).map(move |p| {
+            let (u, e) = topo.port(v, p);
+            (p, u, e)
+        })
     }
 }
 
@@ -173,14 +174,6 @@ impl Topology for Graph {
 
     fn other_endpoint(&self, e: EdgeId, v: NodeId) -> NodeId {
         Graph::other_endpoint(self, e, v)
-    }
-
-    fn neighbors<'a>(&'a self, v: NodeId) -> Box<dyn Iterator<Item = NodeId> + 'a> {
-        Box::new(Graph::neighbors(self, v))
-    }
-
-    fn incident<'a>(&'a self, v: NodeId) -> Box<dyn Iterator<Item = (usize, NodeId, EdgeId)> + 'a> {
-        Box::new(Graph::incident(self, v))
     }
 
     fn port_of_edge(&self, v: NodeId, e: EdgeId) -> Option<usize> {
