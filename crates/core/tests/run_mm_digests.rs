@@ -391,85 +391,61 @@ fn legacy_rows(backend: Backend, threads: usize) -> Vec<(String, u64)> {
 }
 
 /// One row per transport path the stacks above never reach: Israeli–Itai
+/// (and, under the adaptive policy, the bipartite and weighted drivers)
 /// over the resilient transport on a corpus graph, LOCAL with a
 /// 500 000-round guard, hashing the full report.
 fn transport_rows(backend: Backend, threads: usize) -> Vec<(String, u64)> {
-    let g = corpus_graph("ii", 5);
     let sim = SimConfig::local().seed(5).max_rounds(500_000).backend(backend).threads(threads);
     let transported = RuntimeConfig::new().sim(sim).transport(TransportCfg::default());
+    let adaptive = RuntimeConfig::new().sim(sim).adaptive(AdaptivePolicy::default());
     let squall = Squall { from_round: 3, until_round: 14, loss: 0.3, corrupt: 0.05 };
+    let reboots = FaultPlan::crashes(vec![(4, 2), (9, 3)]).with_recoveries(vec![(4, 5), (9, 30)]);
+    // Node 3 crashes for good, so the multi-phase drivers' later phases
+    // run it as a tombstone.
+    let crashed =
+        FaultPlan { loss: 0.1, corrupt: 0.02, crashes: vec![(3, 2)], ..FaultPlan::default() };
+    let ii = AlgoSpec::IsraeliItai;
     let cases = [
         (
             "dup-reorder",
+            ii,
             transported.clone().faults(FaultPlan::default().with_dup(0.15).with_reorder(0.2)),
         ),
+        ("reboot", ii, transported.clone().faults(reboots.clone()).repair(true)),
+        ("adaptive", ii, adaptive.clone().faults(FaultPlan::lossy(0.15).with_corrupt(0.03))),
+        ("squall", ii, transported.clone().faults(FaultPlan::lossy(0.02).with_squall(squall))),
+        ("reboot-bare", ii, transported.faults(reboots)),
         (
-            "reboot",
-            transported
-                .clone()
-                .faults(
-                    FaultPlan::crashes(vec![(4, 2), (9, 3)]).with_recoveries(vec![(4, 5), (9, 30)]),
-                )
+            "adaptive-bipartite:3",
+            AlgoSpec::Bipartite { k: 3 },
+            adaptive.clone().faults(crashed.clone()),
+        ),
+        ("adaptive-weighted", AlgoSpec::Weighted { eps: 0.1 }, adaptive.clone().faults(crashed)),
+        // The repair layer's resume run is a second executor.
+        (
+            "adaptive-repair",
+            ii,
+            adaptive
+                .faults(FaultPlan {
+                    loss: 0.05,
+                    crashes: vec![(3, 2), (12, 4)],
+                    ..FaultPlan::default()
+                })
                 .repair(true),
         ),
-        (
-            "adaptive",
-            RuntimeConfig::new()
-                .sim(sim)
-                .adaptive(AdaptivePolicy::default())
-                .faults(FaultPlan::lossy(0.15).with_corrupt(0.03)),
-        ),
-        ("squall", transported.clone().faults(FaultPlan::lossy(0.02).with_squall(squall))),
-        (
-            "reboot-bare",
-            transported.faults(
-                FaultPlan::crashes(vec![(4, 2), (9, 3)]).with_recoveries(vec![(4, 5), (9, 30)]),
-            ),
-        ),
     ];
-    let mut rows: Vec<(String, u64)> = cases
+    cases
         .into_iter()
-        .map(|(name, cfg)| {
-            let rep = run_mm(&IsraeliItai, &g, &cfg)
+        .map(|(name, spec, cfg)| {
+            let algo = spec.build();
+            let g = corpus_graph(algo.name(), 5);
+            let rep = run_mm(&*algo, &g, &cfg)
                 .unwrap_or_else(|e| panic!("transport/{name} on {backend:?}: {e}"));
             let mut d = Digest::new();
             d.report(&rep);
             (format!("transport/{name}"), d.0)
         })
-        .collect();
-
-    // The adaptive transport under the multi-phase drivers, whose later
-    // phases run tombstone-wrapped (node 3 crashes for good), and under
-    // the repair layer, whose resume run is a second executor.
-    let adaptive =
-        RuntimeConfig::new().sim(sim).adaptive(AdaptivePolicy::default()).faults(FaultPlan {
-            loss: 0.1,
-            corrupt: 0.02,
-            crashes: vec![(3, 2)],
-            ..FaultPlan::default()
-        });
-    let multi_phase = [
-        ("adaptive-bipartite:3", AlgoSpec::Bipartite { k: 3 }, "bipartite:3"),
-        ("adaptive-weighted", AlgoSpec::Weighted { eps: 0.1 }, "weighted"),
-    ];
-    for (name, spec, corpus) in multi_phase {
-        let g = corpus_graph(corpus, 5);
-        let rep = run_mm(&*spec.build(), &g, &adaptive)
-            .unwrap_or_else(|e| panic!("transport/{name} on {backend:?}: {e}"));
-        let mut d = Digest::new();
-        d.report(&rep);
-        rows.push((format!("transport/{name}"), d.0));
-    }
-    let repair = adaptive
-        .faults(FaultPlan { loss: 0.05, crashes: vec![(3, 2), (12, 4)], ..FaultPlan::default() })
-        .repair(true);
-    let rep = run_mm(&IsraeliItai, &g, &repair)
-        .unwrap_or_else(|e| panic!("transport/adaptive-repair on {backend:?}: {e}"));
-    assert!(rep.repair.is_some(), "the repair layer ran");
-    let mut d = Digest::new();
-    d.report(&rep);
-    rows.push(("transport/adaptive-repair".to_string(), d.0));
-    rows
+        .collect()
 }
 
 /// The full table on one backend, in committed order.
