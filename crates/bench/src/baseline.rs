@@ -302,13 +302,6 @@ artifact! {
 }
 
 impl AsyncBaseline {
-    /// Asynchronous-backend throughput in million payload messages per
-    /// second.
-    #[must_use]
-    pub fn async_mmsg_per_s(&self) -> f64 {
-        self.messages as f64 / (self.async_ms / 1e3) / 1e6
-    }
-
     /// Wall-clock overhead of the asynchronous backend over the
     /// sequential engine (> 1 — virtual time and markers are not free).
     #[must_use]

@@ -166,10 +166,12 @@ fn adaptive_overhead_within_2x_of_baseline() {
     );
 }
 
-/// `CI_SMOKE=1` only: async-backend throughput within 2x of the
-/// committed async figure (compared against committed-async, not
-/// serial, so the check gates the backend's own regressions rather
-/// than the synchronizer's inherent price).
+/// `CI_SMOKE=1` only: the asynchronous backend's relative overhead
+/// (async vs sequential engine on the same E12 workload, timed
+/// interleaved in this process) within 2x of the committed ratio. Like
+/// the adaptive gate, a ratio of two arms measured side by side
+/// isolates what the synchronizer costs from what a loaded shared host
+/// costs; an absolute throughput floor failed at random there.
 #[test]
 fn async_throughput_within_2x_of_baseline() {
     if std::env::var_os("CI_SMOKE").is_none() {
@@ -179,14 +181,19 @@ fn async_throughput_within_2x_of_baseline() {
     let _serial = timed();
     let b = committed_async();
     let g = workload_graph();
-    let (secs, messages, _) = measure_async(&g, 3);
-    assert_eq!(messages, b.messages);
-    let now_mmsg_s = messages as f64 / secs / 1e6;
-    let floor = b.async_mmsg_per_s() / 2.0;
+    let (mut serial_s, mut async_s) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        serial_s = serial_s.min(measure(&g, 1, 1).0);
+        let (secs, messages, _) = measure_async(&g, 1);
+        assert_eq!(messages, b.messages);
+        async_s = async_s.min(secs);
+    }
+    let now = async_s / serial_s;
+    let bar = (b.overhead() * 2.0).max(2.0);
     assert!(
-        now_mmsg_s >= floor,
-        "async backend regressed: {now_mmsg_s:.2} Mmsg/s, committed {:.2} (floor {floor:.2})",
-        b.async_mmsg_per_s(),
+        now <= bar,
+        "async backend overhead regressed: {now:.2}x, committed {:.2}x (bar {bar:.2}x)",
+        b.overhead(),
     );
 }
 

@@ -11,7 +11,9 @@
 //! every live port that carried no payload in a round, and a node
 //! advances to round `r+1` only after hearing round-`r` traffic from
 //! every neighbour that was active in round `r`. A halting node's last
-//! round still sends, so its neighbours stop waiting for it.
+//! round still sends, so its neighbours stop waiting for it; a
+//! neighbour that had halted before a round waits for nothing, so it is
+//! owed no marker in that round.
 //!
 //! Under the synchronizer, *message contents* are a function of the
 //! round structure alone, and *timing* factors out into a per-node
@@ -86,6 +88,10 @@ pub(crate) struct AsyncTiming<'a> {
     /// Which nodes flushed (sent a frame on every present port) in the
     /// round currently executing.
     active: Vec<bool>,
+    /// Which nodes had halted before the round currently executing: no
+    /// marker is owed to them, since they wait for nothing. A snapshot
+    /// taken at the round boundary, so it does not depend on step order.
+    gone: Vec<bool>,
     /// Scratch, indexed by port: did the current step's flush put a
     /// payload on this port?
     frame_ports: Vec<bool>,
@@ -117,6 +123,7 @@ impl<'a> AsyncTiming<'a> {
             t: vec![1; n],
             t_next: Vec::with_capacity(n),
             active: vec![false; n],
+            gone: vec![false; n],
             frame_ports: vec![false; graph.max_degree()],
             dropped: HashSet::new(),
             markers: 0,
@@ -138,13 +145,14 @@ impl<'a> AsyncTiming<'a> {
 
     /// Called by `flush` after draining a step's outbox: every port
     /// whose link is up (`link_up(peer, edge)`, the gate the step's
-    /// messages went through) and that carried no payload owes a
-    /// synchronizer marker, and the node counts as an active round-`r`
-    /// sender its neighbours wait on.
+    /// messages went through), that carried no payload and whose peer
+    /// had not halted before this round owes a synchronizer marker, and
+    /// the node counts as an active round-`r` sender its neighbours
+    /// wait on.
     pub(crate) fn end_step(&mut self, v: NodeId, link_up: impl Fn(NodeId, EdgeId) -> bool) {
         for (p, i) in self.ports.range(v).enumerate() {
             let (u, e) = (self.ports.peer[i].0, self.ports.edge[i]);
-            if link_up(u, e) && !self.frame_ports[p] {
+            if !self.frame_ports[p] && !self.gone[u] && link_up(u, e) {
                 self.markers = self.markers.saturating_add(1);
             }
         }
@@ -152,10 +160,11 @@ impl<'a> AsyncTiming<'a> {
     }
 
     /// Advances every virtual clock to round `round` from the frames
-    /// sent in round `round - 1`, recording patience violations.
+    /// sent in round `round - 1`, recording patience violations, and
+    /// records which nodes have halted by now (`halted`).
     /// `edge_present` must still be the previous round's state (the
     /// engine calls this before applying the new round's edge events).
-    pub(crate) fn advance(&mut self, round: usize, edge_present: &BitSet) {
+    pub(crate) fn advance(&mut self, round: usize, edge_present: &BitSet, halted: &BitSet) {
         let send_round = (round - 1) as u64;
         if self.patience.is_some() && round > DROP_HISTORY_ROUNDS {
             self.dropped.retain(|&(_, _, sr)| sr + DROP_HISTORY_ROUNDS >= round);
@@ -193,6 +202,7 @@ impl<'a> AsyncTiming<'a> {
                 tv = tv.max(d);
             }
             self.t_next.push(tv);
+            self.gone[v] = halted[v];
         }
         std::mem::swap(&mut self.t, &mut self.t_next);
         for a in &mut self.active {
@@ -452,7 +462,8 @@ mod tests {
         //          in round 2, is what node 2 waits for),
         // so the makespan is 12. Markers: round 0 has a payload on all 4
         // ports; rounds 1 and 2 send none, so all 4 ports carry a marker
-        // each round; in round 3 only node 2 steps, with 1 port: 9.
+        // each round; in round 3 only node 2 steps, and its one
+        // neighbour halted in round 2, so it is owed no marker: 8.
         let g = generators::path(3);
         let delay = DelayModel::Straggler { node: 1, slow: 5 };
         let mut net = Network::new(&g, SimConfig::local().backend(Backend::Async).delay(delay));
@@ -461,9 +472,9 @@ mod tests {
             .unwrap();
         assert_eq!(out.stats.rounds, 4);
         assert_eq!(out.stats.messages, 4);
-        assert_eq!(out.stats.markers, 9);
+        assert_eq!(out.stats.markers, 8);
         let info = net.async_info().unwrap();
-        assert_eq!((info.makespan, info.markers, info.timing_drops), (12, 9, 0));
+        assert_eq!((info.makespan, info.markers, info.timing_drops), (12, 8, 0));
     }
 
     #[test]

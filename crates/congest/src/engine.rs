@@ -1923,7 +1923,7 @@ impl<'g> Network<'g> {
             // Advance virtual time before this round's edge events: the
             // frames being timed were sent under the previous topology.
             if let Some(tm) = timing.as_mut() {
-                tm.advance(round, &edge_present);
+                tm.advance(round, &edge_present, &halted);
             }
             for (e, up) in edge_flips {
                 edge_present.set(e, up);

@@ -54,7 +54,13 @@ pub trait Protocol {
     /// crashed. Delivered by failure-detecting wrappers (the
     /// [`crate::transport::Resilient`] transport); the plain synchronous
     /// engine never calls it. Protocols that wait on neighbours should
-    /// override this to stop waiting on the dead port. Default: ignore.
+    /// override this to stop waiting on the dead port. The transport
+    /// also reports a port down, once, when this node consumes the
+    /// peer's final slot: the peer's program has halted and will send
+    /// nothing more (it left; it did not fail, so no
+    /// [`Protocol::on_peer_up`] follows unless it reboots). A protocol
+    /// that keeps a neighbour in play until it hears from it must drop
+    /// the port here, or it waits forever. Default: ignore.
     fn on_peer_down(&mut self, ctx: &mut Context<'_, Self::Msg>, port: Port) {
         let _ = (ctx, port);
     }

@@ -257,14 +257,14 @@ fn run_allocations_do_not_grow_with_n() {
 
     // Drivers: allocations per frame do not grow with n, and a run
     // allocates at most its `rows` state rows per node (the `live` rows
-    // and Luby's `values`; the weighted driver's gain rows and its black
-    // box's lazily built `alive` rows) plus a few blocks per phase.
+    // and Luby's `values`; the weighted driver's gain rows) plus a few
+    // blocks per phase.
     let bipartite = Bipartite { k: 3, ..Bipartite::default() };
     for (name, algo, words, rows) in [
         ("ii", &IsraeliItai as &dyn Algorithm, 4, 1),
         ("luby", &LubyMatching, 4, 2),
         ("bipartite:3", &bipartite, 4, 1),
-        ("weighted", &Weighted::default(), 8, 2),
+        ("weighted", &Weighted::default(), 8, 1),
     ] {
         let small = run_mm_allocs(algo, "torus:40x40", words);
         let (per_frame, allocs, phases) = run_mm_allocs(algo, "torus:160x160", words);

@@ -221,8 +221,10 @@ fn golden_weighted(g: &Graph, sim: SimConfig) -> Result<Vec<Option<EdgeId>>, Cor
             .nodes()
             .map(|v| (0..g.degree(v)).map(|p| GainExchange::gain(cells.row(v), p)).collect())
             .collect();
-        let m_prime =
-            net.execute(|v, _| LocalMaxNode::new(&gains[v]), &RunSpec::default())?.outputs;
+        let dead = PortRows::new(g);
+        let m_prime = net
+            .execute(|v, _| LocalMaxNode::new(&gains[v], dead.row(v)), &RunSpec::default())?
+            .outputs;
         matching_from_registers(g, &m_prime)?;
         let out = net.execute(
             |v, graph| {

@@ -20,6 +20,7 @@ use dam_graph::{EdgeId, Graph};
 
 use crate::error::CoreError;
 use crate::report::{matching_from_registers, AlgorithmReport};
+use crate::runtime::{PortRow, PortRows};
 
 /// Protocol messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,8 +43,9 @@ pub struct LocalMaxNode<'a> {
     /// Candidate weight per port (`None` = not a candidate edge),
     /// borrowed from the caller's per-node rows.
     weights: &'a [Option<f64>],
-    /// Ports whose far node is still live; empty while all of them are.
-    alive: Vec<bool>,
+    /// Nonzero at a port whose far node has left the candidate graph:
+    /// a row of the driver's [`PortRows`], so no phase allocates one.
+    dead: PortRow<'a>,
     /// My pick this iteration.
     picked: Option<Port>,
     /// The chosen edge, once matched.
@@ -52,18 +54,17 @@ pub struct LocalMaxNode<'a> {
 }
 
 impl<'a> LocalMaxNode<'a> {
-    /// Fresh state over the given candidate weights.
+    /// Fresh state over the given candidate weights, with every far
+    /// node live (`dead` is cleared).
     #[must_use]
-    pub fn new(weights: &'a [Option<f64>]) -> LocalMaxNode<'a> {
-        LocalMaxNode { weights, alive: Vec::new(), picked: None, chosen: None, announced: false }
+    pub(crate) fn new(weights: &'a [Option<f64>], dead: PortRow<'a>) -> LocalMaxNode<'a> {
+        dead.fill(0.0);
+        LocalMaxNode { weights, dead, picked: None, chosen: None, announced: false }
     }
 
     /// Removes the far node of `port` from the candidate graph.
     fn kill(&mut self, port: Port) {
-        if self.alive.is_empty() {
-            self.alive = vec![true; self.weights.len()];
-        }
-        self.alive[port] = false;
+        self.dead.set(port, 1.0);
     }
 
     /// The heaviest live candidate port under the `(weight, edge id)`
@@ -72,7 +73,7 @@ impl<'a> LocalMaxNode<'a> {
     fn best_port(&self, ctx: &Context<'_, PickMsg>) -> Option<Port> {
         let mut best: Option<(f64, EdgeId, Port)> = None;
         for (p, w) in self.weights.iter().enumerate() {
-            if !self.alive.get(p).unwrap_or(&true) {
+            if self.dead.get(p) != 0.0 {
                 continue;
             }
             if let Some(w) = *w {
@@ -165,7 +166,8 @@ pub fn local_max_mwm(g: &Graph, seed: u64) -> Result<AlgorithmReport, CoreError>
     let mut net = Network::new(g, SimConfig::congest_for(g.node_count(), 4).seed(seed));
     let weights: Vec<Vec<Option<f64>>> =
         g.nodes().map(|v| g.incident(v).map(|(_, _, e)| Some(g.weight(e))).collect()).collect();
-    let out = net.run(|v, _| LocalMaxNode::new(&weights[v]))?;
+    let dead = PortRows::new(g);
+    let out = net.run(|v, _| LocalMaxNode::new(&weights[v], dead.row(v)))?;
     let matching = matching_from_registers(g, &out.outputs)?;
     let iterations = usize::try_from(out.stats.rounds.div_ceil(2)).unwrap_or(usize::MAX);
     Ok(AlgorithmReport { matching, stats: net.totals(), iterations })
@@ -245,7 +247,8 @@ mod tests {
             .map(|v| g.incident(v).map(|(_, _, e)| (e == 1).then(|| g.weight(e))).collect())
             .collect();
         let mut net = Network::new(&g, SimConfig::local().seed(1));
-        let out = net.run(|v, _| LocalMaxNode::new(&weights[v])).unwrap();
+        let dead = PortRows::new(&g);
+        let out = net.run(|v, _| LocalMaxNode::new(&weights[v], dead.row(v))).unwrap();
         let m = matching_from_registers(&g, &out.outputs).unwrap();
         assert_eq!(m.to_edge_vec(), vec![1]);
     }

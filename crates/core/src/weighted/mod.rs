@@ -216,7 +216,9 @@ impl Weighted {
         let alive = exec.alive().clone();
         let iterations = algorithm5_iterations(self.eps, self.delta);
         // The exchange's per-port cells and the black box's candidate
-        // rows, both kept for every iteration.
+        // rows, both kept for every iteration. Once the gains are read
+        // out of the cells, the black box reuses them as its dead-port
+        // flags; the next exchange clears them again.
         let cells = PortRows::new(g);
         let mut gains: Vec<Vec<Option<f64>>> =
             (0..g.node_count()).map(|v| vec![None; g.degree(v)]).collect();
@@ -247,7 +249,9 @@ impl Weighted {
             }
             // Step 2: δ-MWM on the gain graph.
             let black = match self.black_box {
-                BlackBox::LocalMax => exec.phase(|v, _| LocalMaxNode::new(&gains[v]))?,
+                BlackBox::LocalMax => {
+                    exec.phase(|v, _| LocalMaxNode::new(&gains[v], cells.row(v)))?
+                }
                 BlackBox::Proposal { iterations } => {
                     exec.phase(|v, _| ProposalNode::new(&gains[v], iterations))?
                 }
